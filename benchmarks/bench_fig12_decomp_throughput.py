@@ -45,35 +45,39 @@ def test_fig12_regenerate(benchmark, ctx, lab):
 
 def test_backends_byte_identical_on_representative_suite(ctx, lab):
     """Full round-trip parity gate: every representative matrix, compressed
-    and decompressed under each kernel backend, must produce byte-identical
-    plans (records + CRCs) and byte-identical decoded blocks."""
+    and decompressed under each available kernel backend, must produce
+    byte-identical plans (records + CRCs) and byte-identical decoded blocks."""
     import numpy as np
 
     from repro import kernels
     from repro.codecs.pipeline import compress_matrix
 
+    backends = tuple(reversed(kernels.available_backends()))  # reference first
     for rep in lab.representatives():
         m = lab.matrix(rep.name, rep.build)
         plans = {}
-        for backend in ("python", "numpy"):
+        for backend in backends:
             with kernels.use_backend(backend):
                 plans[backend] = compress_matrix(m, seed=ctx.seed)
-        py, np_ = plans["python"], plans["numpy"]
-        for a, b in zip(
-            py.index_records + py.value_records,
-            np_.index_records + np_.value_records,
-        ):
-            assert a.payload == b.payload, rep.name
-            assert (a.orig_len, a.snappy_len, a.bit_len, a.payload_crc) == (
-                b.orig_len, b.snappy_len, b.bit_len, b.payload_crc
-            ), rep.name
+        py = plans["python"]
+        for backend in backends[1:]:
+            other = plans[backend]
+            for a, b in zip(
+                py.index_records + py.value_records,
+                other.index_records + other.value_records,
+            ):
+                assert a.payload == b.payload, (rep.name, backend)
+                assert (a.orig_len, a.snappy_len, a.bit_len, a.payload_crc) == (
+                    b.orig_len, b.snappy_len, b.bit_len, b.payload_crc
+                ), (rep.name, backend)
         for i in range(py.nblocks):
             with kernels.use_backend("python"):
                 ref_block = py.decompress_block(i)
-            with kernels.use_backend("numpy"):
-                vec_block = np_.decompress_block(i)
-            assert np.array_equal(ref_block.col_idx, vec_block.col_idx), rep.name
-            assert np.array_equal(ref_block.val, vec_block.val), rep.name
+            for backend in backends[1:]:
+                with kernels.use_backend(backend):
+                    block = plans[backend].decompress_block(i)
+                assert np.array_equal(ref_block.col_idx, block.col_idx), (rep.name, backend)
+                assert np.array_equal(ref_block.val, block.val), (rep.name, backend)
 
 
 def test_engine_workers4_beats_cold_serial(ctx, lab):

@@ -2,9 +2,10 @@
 
 These time the *host implementation* (useful for library users and
 regressions), unlike the figure benches which report *modeled accelerator*
-numbers. The codec benches are parameterized over the kernel backends
-(``python`` reference loops vs the vectorized ``numpy`` fast paths), so a
-single run shows both the baseline and the dispatch-layer win.
+numbers. The codec benches are parameterized over every kernel backend
+this process can run (``python`` reference loops, the vectorized
+``numpy`` fast paths and, with a C compiler, the ``native`` decode
+loops), so a single run shows the baseline and each dispatch-layer win.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.sparse import partition_csr, spmv
 from repro.udp import Lane, assemble
 from repro.udp.programs.snappy_prog import build_snappy_decode
 
-BACKENDS = ("python", "numpy")
+BACKENDS = tuple(reversed(kernels.available_backends()))
 
 
 @pytest.fixture(params=BACKENDS)

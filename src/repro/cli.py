@@ -695,7 +695,9 @@ def _add_kernel_backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel-backend", default=None,
                    choices=["auto", *kernels.KNOWN_BACKENDS],
                    help="codec kernel backend (default: $REPRO_KERNEL_BACKEND, "
-                        "else autodetect; 'python' forces the reference loops)")
+                        "else autodetect: 'native' C decode loops when a C "
+                        "compiler is present, else 'numpy'; 'python' forces "
+                        "the reference loops)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,11 @@ from repro.codecs.varint import read_varint, write_varint
 
 _U32 = 1 << 32
 
+#: Most int32 lanes one stream may decode to without a ``count``: 1 GiB,
+#: the container's per-block byte cap. A forged run length beyond it is
+#: rejected before it sizes an allocation.
+MAX_RLE_LANES = 1 << 28
+
 
 def zigzag_encode(value: int) -> int:
     """Map a signed int32 onto an unsigned int (small magnitudes stay small)."""
@@ -62,17 +67,20 @@ def rle_decode(data: bytes, count: int | None = None) -> np.ndarray:
         count: expected element count (validated when given).
 
     Raises:
-        CorruptStreamError: truncated stream, zero-length run, or count
-            mismatch.
+        CorruptStreamError: truncated stream, zero-length run, a run past
+            ``count`` (or :data:`MAX_RLE_LANES`), or count mismatch.
     """
     pos = 0
     chunks: list[np.ndarray] = []
     total = 0
+    limit = MAX_RLE_LANES if count is None else min(count, MAX_RLE_LANES)
     n = len(data)
     while pos < n:
         run, pos = read_varint(data, pos)
         if run == 0:
             raise CorruptStreamError("zero-length run")
+        if run > limit - total:
+            raise CorruptStreamError(f"run of {run} overflows {limit} lanes")
         zz, pos = read_varint(data, pos)
         value = zigzag_decode(zz)
         chunks.append(np.full(run, value, dtype=np.int32))

@@ -2,7 +2,7 @@
 
 The paper's premise is decompression at memory-bandwidth rate; the
 from-scratch codec loops are the reference semantics, and this package
-holds their fast paths. Two backends exist:
+holds their fast paths. Three backends exist:
 
 * ``python`` — the reference per-symbol/per-element loops (ground truth).
 * ``numpy`` — vectorized implementations with **byte-identical** output
@@ -11,6 +11,10 @@ holds their fast paths. Two backends exist:
   packing), a stride-8 DFA Huffman decode run as an array automaton,
   a two-phase Snappy decompressor (tag scan, then slice-op
   materialization), and batch varint/zigzag codecs.
+* ``native`` — the two sequential decode loops (the Huffman DFA walk and
+  the Snappy tag scan) in C, compiled on first use with the system ``cc``
+  and loaded through :mod:`ctypes`; its other ops are ``numpy``'s. Absent
+  when no compiler is (see :mod:`repro.kernels.native`).
 
 Usage::
 
@@ -21,13 +25,15 @@ Usage::
         ...
 
 Selection: :func:`set_backend` > ``REPRO_KERNEL_BACKEND`` env var >
-autodetect (``numpy`` when available). Ops a backend cannot serve fall
+autodetect (``native``, else ``numpy``). Ops a backend cannot serve fall
 back to the reference implementation and tick ``kernels.fallback``; every
 dispatch ticks ``kernels.dispatch`` labelled by op and backend. See
 docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.kernels.registry import (
     KERNEL_BACKEND_ENV,
@@ -38,19 +44,27 @@ from repro.kernels.registry import (
 )
 
 _backends_loaded = False
+_load_lock = threading.Lock()
 
 
 def _ensure_backends() -> None:
-    """Import the backend modules exactly once, on first dispatch.
+    """Import the backend modules and build ``native`` exactly once.
 
-    Deferred so the codec modules (which the backends import for their
-    reference loops) can themselves import :mod:`repro.kernels` at module
-    level without a cycle.
+    Deferred to first use so the codec modules (which the backends import
+    for their reference loops) can themselves import :mod:`repro.kernels`
+    at module level without a cycle. The flag is set only after every
+    backend has registered, so a thread racing the first dispatch waits on
+    the lock instead of seeing a half-filled registry.
     """
     global _backends_loaded
-    if not _backends_loaded:
-        _backends_loaded = True
-        from repro.kernels import np_kernels, ref  # noqa: F401  (registration side effect)
+    if _backends_loaded:
+        return
+    with _load_lock:
+        if not _backends_loaded:
+            from repro.kernels import native, np_kernels, ref  # noqa: F401  (registration)
+
+            native.load()
+            _backends_loaded = True
 
 
 def dispatch(op: str, *args, **kwargs):
@@ -61,20 +75,24 @@ def dispatch(op: str, *args, **kwargs):
 
 def backend() -> str:
     """The backend dispatch would use right now."""
+    _ensure_backends()
     return REGISTRY.resolve_backend()
 
 
 def set_backend(name: str | None) -> None:
     """Pin the kernel backend process-wide (``None``/``"auto"`` unpins)."""
+    _ensure_backends()
     REGISTRY.set_backend(name)
 
 
 def use_backend(name: str | None):
     """Context manager: scoped backend override."""
+    _ensure_backends()
     return REGISTRY.use_backend(name)
 
 
 def available_backends() -> tuple[str, ...]:
+    _ensure_backends()
     return REGISTRY.available_backends()
 
 

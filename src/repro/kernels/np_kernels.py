@@ -35,9 +35,8 @@ from repro.codecs.errors import CorruptStreamError
 from repro.kernels.registry import REGISTRY, KernelUnavailable
 
 _register = REGISTRY.register
+REGISTRY.mark_available("numpy")
 
-#: Bits consumed per DFA step; one payload byte per transition.
-DFA_STRIDE = 8
 #: A stride-8 step can emit at most 8 symbols (codes are >=1 bit).
 _MAX_EMIT = 8
 
@@ -94,14 +93,15 @@ def huffman_encode(lengths: np.ndarray, codes: np.ndarray, data: bytes) -> tuple
 class _DFATables:
     """Compiled stride-8 automaton for one table fingerprint."""
 
-    __slots__ = ("next_rows", "emit", "emit_n", "dead", "has_dead")
+    __slots__ = ("next_state", "next_rows", "emit", "emit_n", "dead", "has_dead")
 
-    def __init__(self, next_rows, emit, emit_n, dead, has_dead):
-        self.next_rows = next_rows  # list[list[int]]: fastest scalar walk
+    def __init__(self, next_state, emit, emit_n, dead):
+        self.next_state = next_state  # int64[nstates, 256]
+        self.next_rows = next_state.tolist()  # list[list[int]]: fastest scalar walk
         self.emit = emit            # uint8[nstates, 256, 8]
         self.emit_n = emit_n        # int64[nstates, 256]
         self.dead = dead            # bool[nstates, 256]
-        self.has_dead = has_dead
+        self.has_dead = bool(dead.any())
 
 
 def _build_trie(lengths: np.ndarray, codes: np.ndarray) -> tuple[list[list[int]], dict[int, int]]:
@@ -137,44 +137,61 @@ def _build_trie(lengths: np.ndarray, codes: np.ndarray) -> tuple[list[list[int]]
 def _compiled_dfa(lengths_blob: bytes, codes_blob: bytes) -> _DFATables:
     """Compile (and cache, by fingerprint) the stride-8 decode automaton.
 
-    The 8 one-bit steps compose vectorized over the whole
-    ``(nstates, 256)`` transition plane: stepping into a leaf emits its
-    symbol and resets to the root; stepping off the trie marks the entry
-    dead (no further emissions — the reference decoder can never produce
-    another symbol once the accumulator leaves every code interval).
+    States are the trie's internal nodes (the root is state 0). A one-bit
+    step into a leaf emits its symbol and resets to the root; a step off
+    the trie marks the entry dead (no further emissions — the reference
+    decoder can never produce another symbol once the accumulator leaves
+    every code interval). Four one-bit steps give the stride-4 plane
+    ``(nstates, 16)``; the stride-8 plane is that plane composed with
+    itself: a byte emits its high nibble's symbols, then — unless the high
+    nibble died — its low nibble's from the state the high nibble reached.
     """
     lengths = np.frombuffer(lengths_blob, dtype=np.uint8)
     codes = np.frombuffer(codes_blob, dtype=np.uint64)
     children, leaf_symbol = _build_trie(lengths, codes)
-    nstates = len(children)
-    child = np.array(children, dtype=np.int64)  # (nstates, 2)
-    leaf = np.full(nstates, -1, dtype=np.int64)
-    for node, sym in leaf_symbol.items():
-        leaf[node] = sym
+    child = np.array(children, dtype=np.int64)  # (nnodes, 2)
+    leaf = np.full(len(children), -1, dtype=np.int64)
+    leaf[list(leaf_symbol)] = list(leaf_symbol.values())
+    internal = np.flatnonzero(leaf < 0)
+    state_of = np.zeros(len(children), dtype=np.int64)
+    state_of[internal] = np.arange(internal.size)
+    nstates = internal.size
+    # One-bit step per (state, bit): next state, emitted symbol (-1 none), dead.
+    step_child = child[internal]
+    step_dead = step_child < 0
+    step_sym = np.where(step_dead, -1, leaf[step_child])
+    step_next = np.where(step_dead | (step_sym >= 0), 0, state_of[step_child])
 
-    chunk_bits = np.arange(256, dtype=np.int64)
-    cur = np.repeat(np.arange(nstates, dtype=np.int64)[:, None], 256, axis=1)
-    emit = np.zeros((nstates, 256, _MAX_EMIT), dtype=np.uint8)
-    emit_n = np.zeros((nstates, 256), dtype=np.int64)
-    dead = np.zeros((nstates, 256), dtype=bool)
-    for k in range(DFA_STRIDE):
-        bit = (chunk_bits >> (7 - k)) & 1
-        nxt = child[cur, np.broadcast_to(bit, cur.shape)]
-        dead |= (nxt < 0) & ~dead
-        nxt = np.where(dead, 0, nxt)
-        sym = leaf[nxt]
-        hit = (sym >= 0) & ~dead
-        rows, cols = np.nonzero(hit)
-        emit[rows, cols, emit_n[rows, cols]] = sym[rows, cols]
-        emit_n[rows, cols] += 1
-        cur = np.where(hit, 0, nxt)
-    nxt_state = np.where(dead, 0, cur).astype(np.int64)
+    # Stride 4: four one-bit steps over the (nstates, 16) plane. Emitted
+    # symbols pack little-endian into one uint64 (slot j is byte j).
+    nibble = np.arange(16)
+    cur = np.repeat(np.arange(nstates)[:, None], 16, axis=1)
+    packed4 = np.zeros((nstates, 16), dtype=np.uint64)
+    n4 = np.zeros((nstates, 16), dtype=np.uint64)
+    dead4 = np.zeros((nstates, 16), dtype=bool)
+    for k in range(4):
+        bit = np.broadcast_to((nibble >> (3 - k)) & 1, cur.shape)
+        dead4 |= step_dead[cur, bit]
+        sym = np.where(dead4, -1, step_sym[cur, bit])
+        hit = sym >= 0
+        packed4 |= np.where(hit, sym, 0).astype(np.uint64) << (n4 * np.uint64(8))
+        n4 += hit
+        cur = np.where(dead4, 0, step_next[cur, bit])
+
+    # Stride 8: high nibble, then low nibble from the state it reached.
+    state = np.arange(nstates)[:, None]
+    hi, lo = np.arange(256) >> 4, np.arange(256) & 15
+    mid = cur[state, hi]
+    dead_hi = dead4[state, hi]
+    n_hi = n4[state, hi]
+    low = np.where(dead_hi, np.uint64(0), packed4[mid, lo])
+    packed = packed4[state, hi] | (low << (n_hi * np.uint64(8)))
+    dead = dead_hi | dead4[mid, lo]
     return _DFATables(
-        next_rows=[row.tolist() for row in nxt_state],
-        emit=emit,
-        emit_n=emit_n,
+        next_state=np.where(dead, 0, cur[mid, lo]),
+        emit=packed.astype("<u8").view(np.uint8).reshape(nstates, 256, _MAX_EMIT),
+        emit_n=(n_hi + np.where(dead_hi, np.uint64(0), n4[mid, lo])).astype(np.int64),
         dead=dead,
-        has_dead=bool(dead.any()),
     )
 
 

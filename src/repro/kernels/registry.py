@@ -1,12 +1,16 @@
 """Backend-dispatch registry for the hot codec kernels.
 
 The codec stack's inner loops (Huffman bit packing/unpacking, Snappy
-element materialization, batch varints) exist in two implementations:
+element materialization, batch varints) exist in up to three
+implementations:
 
 * ``python`` — the from-scratch reference loops. Always available, always
   correct; the byte-level ground truth everything else is checked against.
 * ``numpy`` — vectorized fast paths that produce **byte-identical** output
   (and raise the same :mod:`repro.codecs.errors` types on corrupt input).
+* ``native`` — the sequential decode loops (Huffman, Snappy) in C, built
+  on first use; available only when a C compiler is. Its other ops
+  resolve to ``numpy`` (:data:`BASE_BACKEND`).
 
 A *kernel op* is a name like ``"huffman_decode"``; each backend registers
 one callable per op. :func:`dispatch` resolves the active backend per
@@ -16,12 +20,13 @@ inherit the parent's selection explicitly (see
 :meth:`repro.codecs.engine.RecodeEngine`).
 
 Selection order: :func:`set_backend` (CLI / code) > the
-``REPRO_KERNEL_BACKEND`` environment variable > autodetect (``numpy``
-when importable, else ``python``). An op missing from the selected
-backend — or raising :class:`KernelUnavailable` at call time — falls back
-to the ``python`` reference and ticks the ``kernels.fallback`` counter;
-every successful dispatch ticks ``kernels.dispatch`` labelled
-``op``/``backend``.
+``REPRO_KERNEL_BACKEND`` environment variable > autodetect (the first
+available of ``native``, ``numpy``, ``python``). An op missing from the
+selected backend and its base — or raising :class:`KernelUnavailable` at
+call time — falls back to the ``python`` reference and ticks the
+``kernels.fallback`` counter; every successful dispatch ticks
+``kernels.dispatch`` labelled ``op``/``backend`` (the backend that served
+it).
 """
 
 from __future__ import annotations
@@ -40,7 +45,10 @@ KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 REFERENCE_BACKEND = "python"
 
 #: Backends in autodetect preference order.
-KNOWN_BACKENDS = ("numpy", "python")
+KNOWN_BACKENDS = ("native", "numpy", "python")
+
+#: Where a backend's unimplemented ops resolve, without a fallback tick.
+BASE_BACKEND = {"native": "numpy"}
 
 
 class KernelUnavailable(RuntimeError):
@@ -56,6 +64,8 @@ class KernelRegistry:
         self._impls: dict[tuple[str, str], Callable] = {}
         self._ops: set[str] = set()
         self._lock = threading.Lock()
+        # Backends whose module loaded (``native`` also needs its build).
+        self._available = {REFERENCE_BACKEND}
         # None = not yet resolved (env/autodetect decides on first use).
         self._selected: str | None = None
 
@@ -74,6 +84,10 @@ class KernelRegistry:
 
         return deco
 
+    def mark_available(self, backend: str) -> None:
+        """Called by a backend module once it can serve calls."""
+        self._available.add(backend)
+
     def ops(self) -> tuple[str, ...]:
         return tuple(sorted(self._ops))
 
@@ -83,16 +97,8 @@ class KernelRegistry:
     # -- backend selection ---------------------------------------------------
 
     def available_backends(self) -> tuple[str, ...]:
-        """Backends usable in this process (``numpy`` needs the import)."""
-        out = []
-        for name in KNOWN_BACKENDS:
-            if name == "numpy":
-                try:
-                    import numpy  # noqa: F401
-                except ImportError:  # pragma: no cover - numpy is a hard dep
-                    continue
-            out.append(name)
-        return tuple(out)
+        """Backends usable in this process, in preference order."""
+        return tuple(b for b in KNOWN_BACKENDS if b in self._available)
 
     def autodetect(self) -> str:
         return self.available_backends()[0]
@@ -142,6 +148,9 @@ class KernelRegistry:
         """Run ``op`` on the active backend, reference-falling-back."""
         backend = self.resolve_backend()
         fn = self._impls.get((op, backend))
+        if fn is None and backend in BASE_BACKEND:
+            backend = BASE_BACKEND[backend]
+            fn = self._impls.get((op, backend))
         reg = obs.registry()
         if fn is None:
             if backend != REFERENCE_BACKEND:

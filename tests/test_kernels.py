@@ -1,14 +1,22 @@
 """Differential tests for the kernel backend-dispatch layer.
 
-The ``numpy`` backend's contract is *byte-identical output and identical
-:mod:`repro.codecs.errors` behaviour* vs the ``python`` reference loops.
-These tests enforce it the blunt way: run every op under both backends on
+The ``numpy`` and ``native`` backends' contract is *byte-identical output
+and identical :mod:`repro.codecs.errors` behaviour* vs the ``python``
+reference loops. These tests enforce it the blunt way: run every op under
+every available backend on
 Hypothesis-generated inputs — valid, corrupt, and degenerate — and demand
 the outcomes (bytes or exception type + message) match exactly. Backend
 selection (set_backend / env var / autodetect), fallback on
 :class:`KernelUnavailable`, the observability counters, and pool-worker
-backend inheritance are covered alongside.
+backend inheritance are covered alongside, as are the native backend's
+build, its bounds checks and the registry's first-use thread safety.
 """
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -26,7 +34,8 @@ from repro.codecs.varint import (
     zigzag_encode,
 )
 
-BACKENDS = ("python", "numpy")
+#: Every backend this process can run, the reference first.
+BACKENDS = tuple(reversed(kernels.available_backends()))
 
 #: Ops the numpy backend must actually implement (no silent reference-only).
 VECTORIZED_OPS = (
@@ -58,9 +67,9 @@ def _under_backends(fn, *args, **kwargs):
 
 
 def _assert_parity(fn, *args, **kwargs):
-    """Assert both backends produce the same outcome; return it."""
+    """Assert every backend produces the reference's outcome; return it."""
     res = _under_backends(fn, *args, **kwargs)
-    assert res["python"] == res["numpy"], res
+    assert all(out == res["python"] for out in res.values()), res
     return res["python"]
 
 
@@ -81,7 +90,7 @@ class TestBackendSelection:
         ops = kernels.ops()
         for op in VECTORIZED_OPS:
             assert op in ops
-            assert kernels.backends_for(op) == ("numpy", "python"), op
+            assert kernels.backends_for(op)[-2:] == ("numpy", "python"), op
 
     def test_set_backend_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -314,9 +323,8 @@ class TestVarintParity:
 
     def test_encode_batch_rejects_bad_values_identically(self):
         for bad in ([3, -1, 5], [1, 1 << 32]):
-            res = _under_backends(write_varints, bad)
-            assert res["python"] == res["numpy"], res
-            assert res["python"][:2] == ("err", "ValueError"), res
+            outcome = _assert_parity(write_varints, bad)
+            assert outcome[:2] == ("err", "ValueError"), outcome
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=64))
@@ -329,7 +337,8 @@ class TestVarintParity:
                 assert enc.dtype == np.uint32
                 np.testing.assert_array_equal(zigzag_decode(enc), arr)
                 encoded[backend] = enc
-        np.testing.assert_array_equal(encoded["python"], encoded["numpy"])
+        for enc in encoded.values():
+            np.testing.assert_array_equal(enc, encoded["python"])
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +378,234 @@ class TestEngineBackendInheritance:
         }
         assert dispatched, "pool encode must record kernel dispatches"
         assert all("backend=python" in key for key in dispatched), dispatched
+
+
+# ---------------------------------------------------------------------------
+# Native backend: build, delegation, bounds, error oracle, first-use race
+# ---------------------------------------------------------------------------
+
+_SRC = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__))))
+
+needs_native = pytest.mark.skipif(
+    "native" not in kernels.available_backends(), reason="no C compiler to build native kernels"
+)
+
+
+def _run_fresh(script: str, **env) -> dict:
+    """Run ``script`` in a fresh interpreter, backend left to autodetect;
+    it prints one JSON object."""
+    base = {k: v for k, v in os.environ.items() if k != kernels.KERNEL_BACKEND_ENV}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env={**base, "PYTHONPATH": _SRC, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _huffman_case():
+    data = bytes(np.random.default_rng(3).integers(0, 12, 3000).astype(np.uint8))
+    table = HuffmanTable.from_samples([data])
+    with kernels.use_backend("python"):
+        payload, _ = table.encode_bits(data)
+    return data, table, payload
+
+
+def _guarded(size: int, guard: int = 64) -> tuple[np.ndarray, int]:
+    """A canary-filled buffer and the address of its ``size``-byte middle."""
+    buf = np.full(size + 2 * guard, 0xA5, dtype=np.uint8)
+    return buf, buf.ctypes.data + guard
+
+
+def _guards_intact(buf: np.ndarray, size: int, guard: int = 64) -> bool:
+    return bool((buf[:guard] == 0xA5).all() and (buf[guard + size :] == 0xA5).all())
+
+
+@needs_native
+class TestNativeBackend:
+    def test_autodetect_prefers_native(self):
+        assert kernels.REGISTRY.autodetect() == "native"
+        assert kernels.backends_for("huffman_decode")[0] == "native"
+        assert kernels.backends_for("snappy_decompress")[0] == "native"
+
+    def test_unimplemented_ops_resolve_to_numpy_without_fallback(self):
+        data, table, _payload = _huffman_case()
+        with obs.scoped_registry() as reg, kernels.use_backend("native"):
+            table.encode_bits(data)
+            read_varints(write_varints([1, 300, 70000]), 3)
+            zigzag_decode(zigzag_encode(np.arange(-4, 4, dtype=np.int32)))
+            for op in ("huffman_encode", "varint_encode_batch", "varint_decode_batch",
+                       "zigzag_encode", "zigzag_decode"):
+                assert reg.value("kernels.dispatch", op=op, backend="numpy") == 1, op
+            assert not [r for r in reg.snapshot().values() if r["name"] == "kernels.fallback"]
+
+    def test_truncated_huffman_and_out_len_overrun_stay_in_bounds(self):
+        from repro.kernels import native
+
+        data, table, payload = _huffman_case()
+        nxt, emit, emit_n = native._flat_dfa(table.lengths.tobytes(), table.codes.tobytes())
+        # (payload, out_len, outcome kind); None = parity only (the zero
+        # padding of the last byte may decode as a few extra symbols).
+        cases = [(payload[:cut], len(data), "err") for cut in (0, 1, len(payload) // 2)]
+        cases += [(payload, len(data) + extra, None) for extra in (1, 7, 8, 9)]
+        cases += [(payload, len(data) + 4096, "err")]
+        cases += [(payload, n, "ok") for n in (1, 5, 8, 9, len(data) - 3)]  # stop short
+        for blob, out_len, kind in cases:
+            outcome = _assert_parity(table.decode_bits, blob, out_len)
+            if kind == "ok":
+                assert outcome == ("ok", data[:out_len])
+            elif kind == "err":
+                assert outcome[:2] == ("err", "CorruptStreamError"), outcome
+            src = np.frombuffer(blob, dtype=np.uint8)
+            buf, out = _guarded(out_len)
+            native._lib.huffman_decode(
+                nxt.ctypes.data, emit.ctypes.data, emit_n.ctypes.data,
+                src.ctypes.data, src.size, out, out_len,
+            )
+            assert _guards_intact(buf, out_len), (len(blob), out_len)
+
+    def test_corrupt_snappy_streams_stay_in_bounds(self):
+        from repro.kernels import native
+
+        data = np.repeat(np.arange(300, dtype=np.int32), 3).tobytes()
+        stream = snappy_compress(data)
+        body = read_varint(stream, 0)[1]
+        forged = [stream[:cut] for cut in range(body, len(stream), 7)]  # truncated
+        forged += [
+            write_varint(8) + b"\x0cabcd" + b"\x11\x09",  # copy-1 offset 9 > output 4
+            write_varint(8) + b"\x0cabcd" + b"\x12\x00\x00",  # copy-2 offset 0
+            write_varint(8) + b"\x0cabcd" + b"\xfe\x02\x00",  # copy-2 of 64 past expected
+            write_varint(4) + b"\x1cabcdefgh",  # literal longer than the preamble
+            write_varint(4) + b"\xf0\xff\x00abcd",  # 2-byte length past the input
+            write_varint(12) + b"\x0cabcd" + b"\x13\x04\x00\x00\x00",  # copy-4 missing a byte
+            write_varint(6) + b"\x0cabcd",  # ends short of the preamble
+        ]
+        for blob in forged:
+            assert _assert_parity(snappy_decompress, blob)[:2] == ("err", "CorruptStreamError")
+            expected, pos = read_varint(blob, 0)
+            src = np.frombuffer(blob, dtype=np.uint8)
+            buf, out = _guarded(expected)
+            status = native._lib.snappy_decompress(src.ctypes.data, src.size, pos, out, expected)
+            assert status != 0
+            assert _guards_intact(buf, expected), blob
+
+    def test_c_rejecting_valid_input_is_an_internal_error(self, monkeypatch):
+        from repro.kernels import native
+
+        class Rejecting:
+            def huffman_decode(self, *args):
+                return 1
+
+            def snappy_decompress(self, *args):
+                return 1
+
+        data, table, payload = _huffman_case()
+        monkeypatch.setattr(native, "_lib", Rejecting())
+        with kernels.use_backend("native"):
+            with pytest.raises(RuntimeError, match="reference accepts"):
+                table.decode_bits(payload, len(data))
+            with pytest.raises(RuntimeError, match="reference accepts"):
+                snappy_decompress(snappy_compress(data))
+
+    def test_build_is_cached_per_user(self, tmp_path):
+        script = """
+            import json, os
+            from repro import kernels
+            backend = kernels.backend()
+            cache = os.path.join(os.environ["XDG_CACHE_HOME"], "repro")
+            files = sorted(os.listdir(cache))
+            print(json.dumps({
+                "backend": backend,
+                "mode": os.stat(cache).st_mode & 0o777,
+                "files": files,
+                "mtime": os.stat(os.path.join(cache, files[0])).st_mtime_ns,
+            }))
+        """
+        first = _run_fresh(script, XDG_CACHE_HOME=str(tmp_path))
+        second = _run_fresh(script, XDG_CACHE_HOME=str(tmp_path))
+        assert first["backend"] == "native"
+        assert first["mode"] == 0o700
+        assert len(first["files"]) == 1 and first["files"][0].endswith(".so")
+        assert second == first  # loaded from the cache, not rebuilt
+
+
+def test_no_compiler_leaves_autodetect_on_numpy(tmp_path):
+    """A failed native build (no ``cc`` on PATH) must drop ``native`` from
+    the available backends: autodetect picks ``numpy``, the bytes match the
+    reference, and nothing ticks ``kernels.fallback``."""
+    data, table, payload = _huffman_case()
+    stream = snappy_compress(data)
+    script = f"""
+        import json
+        from repro import kernels, obs
+        from repro.codecs.huffman import HuffmanTable
+        from repro.codecs.snappy import snappy_decompress
+        table = HuffmanTable.deserialize(bytes.fromhex("{table.serialize().hex()}"))
+        huff = table.decode_bits(bytes.fromhex("{payload.hex()}"), {len(data)})
+        snap = snappy_decompress(bytes.fromhex("{stream.hex()}"))
+        print(json.dumps({{
+            "available": list(kernels.available_backends()),
+            "backend": kernels.backend(),
+            "outputs": [huff.hex(), snap.hex()],
+            "fallback": sum(r["value"] for r in obs.registry().snapshot().values()
+                            if r["name"] == "kernels.fallback"),
+        }}))
+    """
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    res = _run_fresh(script, PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    assert res["available"] == ["numpy", "python"]
+    assert res["backend"] == "numpy"
+    assert res["outputs"] == [data.hex(), data.hex()]
+    assert res["fallback"] == 0
+
+
+def test_first_dispatch_from_many_threads_is_safe():
+    """Eight threads make a fresh process's first kernel dispatches at
+    once: none may see a half-filled registry (a ``KeyError`` or a
+    ``kernels.fallback`` tick)."""
+    data, table, payload = _huffman_case()
+    stream = snappy_compress(data)
+    script = f"""
+        import json, sys, threading
+        from repro import obs
+        from repro.codecs.huffman import HuffmanTable
+        from repro.codecs.snappy import snappy_decompress
+        table = HuffmanTable.deserialize(bytes.fromhex("{table.serialize().hex()}"))
+        payload = bytes.fromhex("{payload.hex()}")
+        stream = bytes.fromhex("{stream.hex()}")
+        barrier = threading.Barrier(8)
+        errors, outputs = [], []
+
+        def first_call(i):
+            barrier.wait()
+            try:
+                if i % 2:
+                    outputs.append(snappy_decompress(stream).hex())
+                else:
+                    outputs.append(table.decode_bits(payload, {len(data)}).hex())
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        print(json.dumps({{
+            "alive": sum(t.is_alive() for t in threads),
+            "errors": errors,
+            "outputs": sorted(set(outputs)),
+            "fallback": sum(r["value"] for r in obs.registry().snapshot().values()
+                            if r["name"] == "kernels.fallback"),
+        }}))
+    """
+    res = _run_fresh(script)
+    assert res["alive"] == 0
+    assert res["errors"] == []
+    assert res["outputs"] == [data.hex()]
+    assert res["fallback"] == 0

@@ -70,11 +70,9 @@ def test_base_plan_has_enough_blocks():
 @given(idx_tags=_tags, val_tags=_tags)
 def test_random_tag_plans_decode_identically_across_backends(idx_tags, val_tags):
     mixed = reencode_with_tags(PLAN, idx_tags, val_tags)
-    with kernels.use_backend("python"):
-        via_python = _payload(mixed)
-    with kernels.use_backend("numpy"):
-        via_numpy = _payload(mixed)
-    assert via_python == via_numpy == REFERENCE
+    for backend in kernels.available_backends():
+        with kernels.use_backend(backend):
+            assert _payload(mixed) == REFERENCE, backend
 
 
 @settings(max_examples=10, deadline=None)
@@ -181,9 +179,9 @@ def test_corrupt_mixed_records_error_parity_across_backends(stream):
         )
         with kernels.use_backend("python"):
             via_python = _decode_outcome(corrupt, table)
-        with kernels.use_backend("numpy"):
-            via_numpy = _decode_outcome(corrupt, table)
-        assert via_python == via_numpy
+        for backend in kernels.available_backends():
+            with kernels.use_backend(backend):
+                assert _decode_outcome(corrupt, table) == via_python, backend
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ class TestMixedPlanExecutorParity:
     def truth(self, x):
         return recoded_spmv(PLAN, x)[0].tobytes()
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", kernels.available_backends())
     @pytest.mark.parametrize("policy", ["strict", "degrade"])
     def test_serial_and_pipelined(self, mixed, x, truth, backend, policy):
         with kernels.use_backend(backend):

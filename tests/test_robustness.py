@@ -116,6 +116,12 @@ class TestRLERobustness:
         except CodecError:
             pass
 
+    @pytest.mark.parametrize("count", [None, 2])
+    def test_forged_run_rejected_before_allocation(self, count):
+        # The second run's varint promises 13 << 28 lanes (13 GiB of int32).
+        with pytest.raises(CorruptStreamError, match="overflows"):
+            rle_decode(b"\x01\x00\x01\x00\x80\x80\x80\x80\r\x10", count=count)
+
 
 class TestPlanTamperDetection:
     def test_corrupted_record_detected(self):
