@@ -78,3 +78,14 @@ class BlockDecodeError(CodecError):
     def __setstate__(self, state):
         self.block_id = state.get("block_id")
         self.stream = state.get("stream")
+
+
+def block_error(i: int, exc: CodecError) -> BlockDecodeError:
+    """``exc`` as the error naming block ``i``: a :class:`BlockDecodeError`
+    passes through unchanged; any other codec error is wrapped as
+    ``block {i} failed to decode: ...`` with ``exc`` as its cause."""
+    if isinstance(exc, BlockDecodeError):
+        return exc
+    error = BlockDecodeError(f"block {i} failed to decode: {exc}", block_id=i)
+    error.__cause__ = exc
+    return error

@@ -35,7 +35,7 @@ import numpy as np
 from repro import faults, obs
 from repro import kernels
 from repro.codecs.engine import BlockFailure, DEFAULT_PREFETCH_CHUNKS, RecodeEngine
-from repro.codecs.errors import BlockDecodeError, CodecError
+from repro.codecs.errors import BlockDecodeError, CodecError, block_error
 from repro.codecs.pipeline import MatrixCompression
 from repro.memsys.dma import DMAEngine
 from repro.memsys.dram import MemorySystem
@@ -355,14 +355,7 @@ def run_pipelined(
             )
         except CodecError as exc:
             if policy == "strict":
-                if isinstance(exc, BlockDecodeError):
-                    failures[i] = exc
-                else:
-                    err = BlockDecodeError(
-                        f"block {i} failed to decode: {exc}", block_id=i
-                    )
-                    err.__cause__ = exc
-                    failures[i] = err
+                failures[i] = block_error(i, exc)
             else:
                 degrade_block(i)
         else:
@@ -513,12 +506,8 @@ def _shard_worker(
                         )
                     except CodecError as exc:
                         if policy == "strict":
-                            if isinstance(exc, BlockDecodeError):
-                                failures[i] = (str(exc), exc.block_id)
-                            else:
-                                failures[i] = (
-                                    f"block {i} failed to decode: {exc}", i
-                                )
+                            err = block_error(i, exc)
+                            failures[i] = (str(err), err.block_id)
                             continue
                         # degrade: decode the pristine mapped records —
                         # bit-identical to the raw block an eager loader

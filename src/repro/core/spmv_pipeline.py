@@ -42,7 +42,7 @@ import numpy as np
 from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
-from repro.codecs.errors import BlockDecodeError, CodecError
+from repro.codecs.errors import BlockDecodeError, CodecError, block_error
 from repro.codecs.pipeline import MatrixCompression
 from repro.core.executor import (
     DEFAULT_DEPTH,
@@ -299,11 +299,7 @@ def _execute(
                     block = decode_one(i, idx_rec, val_rec)
                 except CodecError as exc:
                     if policy == "strict":
-                        if isinstance(exc, BlockDecodeError):
-                            raise
-                        raise BlockDecodeError(
-                            f"block {i} failed to decode: {exc}", block_id=i
-                        ) from exc
+                        raise block_error(i, exc)
                     # degrade: substitute the source's pristine raw block —
                     # the retained CSR partition for in-memory plans, an
                     # on-demand decode of the pristine mapped records for

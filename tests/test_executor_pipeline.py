@@ -329,6 +329,22 @@ class TestPipelineMetrics:
         assert "spmv.pipeline.decode_idle_seconds" in names
         assert "spmv.pipeline.multiply_seconds" in names
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_pool_decode_emits_inline_span_count(self, plan, x, executor):
+        # One codecs.engine.decode span per chunk, wherever the chunk runs.
+        def decode_spans(workers):
+            eng = RecodeEngine(workers=workers, executor=executor, chunk_blocks=4)
+            try:
+                with obs.scoped_tracer(obs.Tracer(enabled=True)) as tracer:
+                    recoded_spmv(plan, x, engine=eng, mode="pipelined")
+            finally:
+                eng.close()
+            return [e for e in tracer.events() if e["name"] == "codecs.engine.decode"]
+
+        inline = decode_spans(0)
+        assert len(inline) == -(-plan.nblocks // 4)
+        assert len(decode_spans(2)) == len(inline)
+
     def test_serial_run_does_not(self, plan, x):
         with obs.scoped_registry() as reg:
             recoded_spmv(plan, x, engine=make_engine(0), mode="serial")

@@ -14,8 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 import repro.codecs.engine as engine_mod
 from repro import faults, obs
-from repro.codecs.engine import BlockFailure, RecodeEngine
-from repro.codecs.errors import BlockDecodeError, CodecError, CorruptPayloadError
+from repro.codecs.engine import BlockFailure, DecodedBlockCache, RecodeEngine
+from repro.codecs.errors import (
+    BlockDecodeError,
+    CodecError,
+    CorruptPayloadError,
+    block_error,
+)
 from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core.spmv_pipeline import recoded_spmv
@@ -85,6 +90,15 @@ class TestFaultPlan:
         bad = fp.mutate_record(plan.index_records[0], 0, "index")
         with pytest.raises(CodecError):
             plan.decompress_block(0, index_record=bad)
+
+
+def test_block_error_wraps_codec_errors_and_passes_block_errors_through():
+    cause = CorruptPayloadError("payload crc mismatch")
+    err = block_error(7, cause)
+    assert str(err) == "block 7 failed to decode: payload crc mismatch"
+    assert err.block_id == 7 and err.__cause__ is cause
+    named = BlockDecodeError("block 3 is quarantined", block_id=3)
+    assert block_error(7, named) is named
 
 
 class TestEngineIsolation:
@@ -166,6 +180,114 @@ class TestEngineIsolation:
             np.testing.assert_array_equal(blocks[i].val, ref.val)
 
 
+def _drain_resilient(eng, plan):
+    blocks, failures = eng.decode_resilient(plan)
+    return blocks, [(f.block_id, f.attempts, str(f.error)) for f in failures]
+
+
+def _drain_async(eng, plan):
+    blocks, failures = {}, []
+    for i, res in eng.decode_blocks_async(plan):
+        if isinstance(res, BlockFailure):
+            failures.append((i, res.attempts, str(res.error)))
+        else:
+            blocks[i] = res
+    return blocks, sorted(failures)
+
+
+def _strict_blocked(eng, plan):
+    try:
+        return dict(enumerate(eng.decode_blocked(plan))), []
+    except BlockDecodeError as exc:
+        return None, [(exc.block_id, str(exc))]
+
+
+def _block_loop(eng, plan):
+    blocks, failures = {}, []
+    for i in range(plan.nblocks):
+        try:
+            blocks[i] = eng.decode_block(plan, i)
+        except BlockDecodeError as exc:
+            failures.append((i, str(exc)))
+    return blocks, failures
+
+
+_ENTRY_POINTS = {
+    "decode_resilient": _drain_resilient,
+    "decode_blocks_async": _drain_async,
+    "decode_blocked": _strict_blocked,
+    "decode_block": _block_loop,
+}
+
+#: Counters that measure time, not work; they never agree across runs.
+_TIMING_COUNTERS = {
+    "codecs.engine.decode_seconds",
+    "codecs.engine.encode_seconds",
+    "codecs.engine.pool_startup_seconds",
+}
+
+
+class TestDecodeEntryPointParity:
+    """The four decode entry points are views of one decode loop: under
+    bit flips and worker exceptions they agree on the decoded blocks, the
+    failures, the quarantine set, and the work counters, over a cold pass
+    and a second pass that hits the cache and the quarantine memo."""
+
+    FAULTS = FaultPlan(seed=11, bitflip_blocks=(2, 5), worker_exc_blocks=(4,))
+
+    def _run(self, plan, entry, workers, cache):
+        eng = RecodeEngine(
+            workers=workers, executor="thread", chunk_blocks=2, retry_base_s=0.0,
+            cache=DecodedBlockCache() if cache else None,
+        )
+        try:
+            with obs.scoped_registry() as reg, self.FAULTS.activate():
+                passes = [_ENTRY_POINTS[entry](eng, plan) for _ in range(2)]
+        finally:
+            eng.close()
+        counters: dict[str, float] = {}
+        for rec in reg.snapshot().values():
+            name = rec["name"]
+            if (rec["type"] == "counter" and name not in _TIMING_COUNTERS
+                    and name.startswith(("codecs.engine.", "faults."))):
+                counters[name] = counters.get(name, 0) + rec["value"]
+        return passes, eng.quarantined, counters
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_entry_points_agree(self, plan, workers, cache):
+        runs = {e: self._run(plan, e, workers, cache) for e in _ENTRY_POINTS}
+        ref_passes, ref_quarantined, ref_counters = runs["decode_resilient"]
+
+        first_blocks, first_failures = ref_passes[0]
+        assert [f[0] for f in first_failures] == [2, 4, 5]
+        assert all(f[1] == 3 for f in first_failures)
+        assert [f[1] for f in ref_passes[1][1]] == [0, 0, 0]  # memo-quarantined
+        for i, block in first_blocks.items():
+            ref = plan.blocked.blocks[i]
+            assert block.col_idx.tobytes() == ref.col_idx.tobytes()
+            assert block.val.tobytes() == ref.val.tobytes()
+        assert ref_counters["faults.blocks_quarantined"] == 3
+        assert ref_counters["faults.quarantine_hits"] == 3
+
+        def payload(blocks):
+            return {i: (b.col_idx.tobytes(), b.val.tobytes()) for i, b in blocks.items()}
+
+        for entry, (passes, quarantined, counters) in runs.items():
+            assert quarantined == ref_quarantined, entry
+            assert counters == ref_counters, entry
+            for (blocks, failures), (ref_blocks, ref_failures) in zip(passes, ref_passes):
+                if entry == "decode_blocked":
+                    # Strict: raises the lowest failing block's error.
+                    assert blocks is None
+                    assert failures == [ref_failures[0][::2]]
+                    continue
+                assert payload(blocks) == payload(ref_blocks), entry
+                if entry == "decode_block":
+                    ref_failures = [f[::2] for f in ref_failures]
+                assert failures == ref_failures, entry
+
+
 class TestPoolCrashRecovery:
     def test_worker_kill_rebuilds_pool_and_quarantines(self, plan):
         with obs.scoped_registry() as reg:
@@ -196,7 +318,7 @@ class TestPoolCrashRecovery:
 
 class TestPoolLeakRegression:
     def test_escaping_exception_closes_pool(self, plan, monkeypatch):
-        # Regression: an exception escaping mid-_run_chunked used to leave
+        # Regression: an exception escaping a decode used to leave
         # the executor running until GC. Non-CodecError escapes must shut
         # it down deterministically.
         eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2)
@@ -206,7 +328,7 @@ class TestPoolLeakRegression:
         def boom(args):
             raise RuntimeError("synthetic non-codec failure")
 
-        monkeypatch.setattr(engine_mod, "_decode_chunk", boom)
+        monkeypatch.setattr(engine_mod, "_decode_pair_chunk", boom)
         with pytest.raises(RuntimeError, match="synthetic"):
             eng.decode_blocked(plan)
         assert eng._pool is None, "worker pool leaked"
