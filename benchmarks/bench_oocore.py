@@ -6,8 +6,8 @@ Gates (ISSUE acceptance):
   genuinely cannot hold the stream resident within budget;
 * peak RSS growth while streaming stays < 0.5x the container size — the
   mmap reader's release-behind-the-cursor policy actually bounds memory;
-* mmap-streamed and sharded scatter-gather SpMV are bit-identical
-  (sha256 of ``y``) to the in-memory serial executor.
+* mmap-streamed SpMV is bit-identical (sha256 of ``y``) to the
+  in-memory serial executor.
 
 Writes a schema-validated ``BENCH_oocore.json`` artifact; set
 ``BENCH_OOCORE_OUT`` to redirect. RSS numbers are host-dependent and land
@@ -43,7 +43,6 @@ BLOCK_BYTES = 8192
 #: Mapped-residency budget for the streaming reader: a small multiple of
 #: the lazy-record working window (32 records x ~one block each).
 RESIDENCY_BUDGET = 32 * BLOCK_BYTES
-SHARDS = 4
 #: Gate thresholds.
 STREAM_FACTOR_MIN = 4.0
 RSS_BOUND_FRAC = 0.5
@@ -92,15 +91,10 @@ def _measure() -> dict:
     mmap_sha = _sha(y_mmap)
     oocore = dict(stats_mmap.oocore)
 
-    t0 = time.perf_counter()
-    y_sharded, stats_sharded = recoded_spmv(path, x, shards=SHARDS)
-    sharded_seconds = time.perf_counter() - t0
-    sharded_sha = _sha(y_sharded)
-
     peak_delta = rss.peak_delta
     res = {
         "exp_id": "oocore",
-        "context": {"seed": SEED, "shards": SHARDS, "block_bytes": BLOCK_BYTES},
+        "context": {"seed": SEED, "block_bytes": BLOCK_BYTES},
         "nblocks": nblocks,
         "nnz": nnz,
         "stream_bytes": stream_bytes,
@@ -109,8 +103,7 @@ def _measure() -> dict:
         "parity": {
             "serial_sha256": serial_sha,
             "mmap_sha256": mmap_sha,
-            "sharded_sha256": sharded_sha,
-            "bit_identical": serial_sha == mmap_sha == sharded_sha,
+            "bit_identical": serial_sha == mmap_sha,
         },
         "oocore": {
             "mapped_bytes": int(oocore["mapped_bytes"]),
@@ -120,7 +113,7 @@ def _measure() -> dict:
             "rss_bound_frac": RSS_BOUND_FRAC,
             "stream_factor_min": STREAM_FACTOR_MIN,
             "passed": (
-                serial_sha == mmap_sha == sharded_sha
+                serial_sha == mmap_sha
                 and stream_bytes >= STREAM_FACTOR_MIN * RESIDENCY_BUDGET
                 and (
                     peak_delta is None
@@ -134,8 +127,6 @@ def _measure() -> dict:
             "rss_supported": rss.baseline is not None,
             "serial_seconds": serial_seconds,
             "mmap_seconds": mmap_seconds,
-            "sharded_seconds": sharded_seconds,
-            "shard_skew": float(stats_sharded.oocore["shard_skew"]),
         },
     }
     return res

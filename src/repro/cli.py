@@ -10,7 +10,7 @@ Usage::
                                    [--iterations N] [--metrics-out PATH]
                                    [--trace-out PATH] [--policy strict|degrade]
                                    [--fault-plan SPEC] [--pipeline] [--depth D]
-                                   [--mmap] [--shards S] [--nrhs K]
+                                   [--mmap] [--nrhs K]
     python -m repro autotune MATRIX [--block-bytes N] [--seed S]
                             [--calibrate | --default-profile] [--json]
     python -m repro scrub  CONTAINER [--json] [--verbose]
@@ -173,20 +173,13 @@ def cmd_spmv(args) -> int:
     if args.nrhs < 1:
         print("error: --nrhs must be >= 1", file=sys.stderr)
         return 2
-    if args.shards < 0:
-        print("error: --shards must be >= 0", file=sys.stderr)
-        return 2
-    if args.shards and args.pipeline:
-        print("error: --shards is its own executor; drop --pipeline",
-              file=sys.stderr)
-        return 2
     # A metrics snapshot should span all three layers (codecs, spmv,
     # memsys), which needs at least one functional pipeline iteration —
     # as do a chaos run and the --pipeline / --mmap / --nrhs executor knobs.
     iterations = args.iterations or (
         1
         if args.metrics_out or args.trace_out or fault_plan
-        or args.pipeline or args.nrhs > 1 or args.mmap or args.shards
+        or args.pipeline or args.nrhs > 1 or args.mmap
         else 0
     )
     if iterations:
@@ -200,25 +193,20 @@ def cmd_spmv(args) -> int:
         from repro.core import recoded_spmm, recoded_spmv
 
         mode = "pipelined" if args.pipeline else "serial"
-        out_of_core = bool(args.mmap or args.shards)
-        # Sharded decode happens inside the shard workers; in-process
-        # engines only drive the serial/pipelined executors.
-        engine = (None if args.shards
-                  else RecodeEngine(workers=args.workers, cache=DecodedBlockCache()))
+        engine = RecodeEngine(workers=args.workers, cache=DecodedBlockCache())
         x = (np.ones(m.ncols) if args.nrhs == 1
              else np.ones((m.ncols, args.nrhs)))
         ctx = fault_plan.activate() if fault_plan else contextlib.nullcontext()
         with contextlib.ExitStack() as stack:
             stack.enter_context(ctx)
-            if out_of_core:
+            if args.mmap:
                 from repro.codecs.container import save_plan
 
                 tmpdir = stack.enter_context(tempfile.TemporaryDirectory())
                 target = os.path.join(tmpdir, "matrix.dsh")
                 save_plan(plan, target)
                 print(f"streaming {fmt_bytes(os.path.getsize(target))} "
-                      f"mmap-backed container"
-                      + (f" across {args.shards} shards" if args.shards else ""))
+                      f"mmap-backed container")
             else:
                 target = plan
             for _ in range(iterations):
@@ -226,32 +214,27 @@ def cmd_spmv(args) -> int:
                     y, stats = recoded_spmv(
                         target, x, memory=memory, engine=engine,
                         matrix_id=args.matrix, policy=args.policy,
-                        mode=mode, depth=args.depth, shards=args.shards)
+                        mode=mode, depth=args.depth)
                 else:
                     y, stats = recoded_spmm(
                         target, x, memory=memory, engine=engine,
                         matrix_id=args.matrix, policy=args.policy,
-                        mode=mode, depth=args.depth, shards=args.shards)
+                        mode=mode, depth=args.depth)
                 scale = float(np.abs(y).max())
                 x = y / scale if scale else y
         kind = "SpMV" if args.nrhs == 1 else f"SpMM k={args.nrhs}"
-        if engine is not None:
-            s = stats.engine_stats
-            cache = engine.cache.stats
-            print(f"engine ({iterations} {mode} {kind} iterations): "
-                  f"workers={s['workers']:.0f}, "
-                  f"{s['blocks_decoded']:.0f} blocks decoded, "
-                  f"{cache.hits} cache hits ({cache.hit_rate:.0%}), "
-                  f"{s['decode_mb_per_s']:.1f} MB/s")
+        s = stats.engine_stats
+        cache = engine.cache.stats
+        print(f"engine ({iterations} {mode} {kind} iterations): "
+              f"workers={s['workers']:.0f}, "
+              f"{s['blocks_decoded']:.0f} blocks decoded, "
+              f"{cache.hits} cache hits ({cache.hit_rate:.0%}), "
+              f"{s['decode_mb_per_s']:.1f} MB/s")
         if stats.oocore is not None:
             oc = stats.oocore
-            line = (f"out-of-core ({stats.mode}): "
-                    f"mapped={fmt_bytes(oc['mapped_bytes'])} "
-                    f"pages_touched={oc['pages_touched']}")
-            if oc["shards"]:
-                line += (f" shards={oc['shards']} "
-                         f"skew={oc['shard_skew']:.2f}x")
-            print(line)
+            print(f"out-of-core ({stats.mode}): "
+                  f"mapped={fmt_bytes(oc['mapped_bytes'])} "
+                  f"pages_touched={oc['pages_touched']}")
         if args.pipeline:
             reg = obs.registry()
             print(f"pipeline: depth={args.depth} "
@@ -627,7 +610,6 @@ def cmd_solve(args) -> int:
         executor="thread",
         mode=args.mode,
         depth=args.depth,
-        shards=args.shards,
         policy=args.policy,
         reuse=not args.no_session,
     )
@@ -638,7 +620,7 @@ def cmd_solve(args) -> int:
         print(f"operator: {nrows} x {ncols}, nnz={session.plan.nnz}, "
               f"{session.plan.bytes_per_nnz:.2f} B/nnz "
               f"({'session reuse' if not args.no_session else 'cold per call'}, "
-              f"mode={'sharded' if args.shards else args.mode})")
+              f"mode={args.mode})")
         defaults = {"cg": (1e-8, 500), "pagerank": (1e-10, 200), "power": (1e-10, 200)}
         tol, max_iter = defaults[args.algorithm]
         if args.tol is not None:
@@ -751,10 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmap", action="store_true",
                    help="stream the compressed matrix from an mmap-backed "
                         ".dsh container instead of holding it in memory")
-    p.add_argument("--shards", type=int, default=0, metavar="S",
-                   help="scatter-gather the container over S contiguous "
-                        "block shards on worker processes (implies --mmap; "
-                        "result stays bit-identical)")
     p.add_argument("--nrhs", type=int, default=1, metavar="K",
                    help="right-hand sides: 1 runs SpMV, K>1 runs fused SpMM "
                         "decoding each block once for all K columns")
@@ -833,8 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="executor for cold calls (default %(default)s)")
     p.add_argument("--depth", type=int, default=4, metavar="D",
                    help="pipelined prefetch depth")
-    p.add_argument("--shards", type=int, default=0, metavar="S",
-                   help="sharded executor over a .dsh container path")
     p.add_argument("--policy", default="strict", choices=["strict", "degrade"])
     p.add_argument("--no-session", action="store_true",
                    help="disable steady-state reuse: every iteration pays "

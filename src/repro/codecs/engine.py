@@ -797,8 +797,8 @@ class AsyncDecode:
     completion order: cache hits and quarantined blocks immediately, then
     chunks as they finish, with at most ``max_inflight`` chunk tasks
     submitted at once (the pipeline's bounded prefetch depth). Consumers
-    needing block order must reorder; the pipelined SpMV executor instead
-    accumulates out of order under its row-disjointness merge rule.
+    needing block order must reorder, as the pipelined SpMV executor does
+    with a small stash.
     Inline engines (``workers=0``) run one chunk per step, so decode
     interleaves with the consumer.
 

@@ -12,17 +12,7 @@
 """
 
 from repro.core.attach import AttachReport, on_die_udp, pcie_attached
-from repro.core.executor import (
-    BlockAccumulator,
-    DEFAULT_DEPTH,
-    MmapBlockSource,
-    PlanBlockSource,
-    RunCancelled,
-    RunCounters,
-    run_pipelined,
-    run_sharded,
-    shard_ranges,
-)
+from repro.core.executor import DEFAULT_DEPTH, RunCancelled, run_pipelined
 from repro.core.hetero import HeterogeneousSystem, ScenarioResult, SpMVComparison
 from repro.core.pipeline_timing import PipelineTiming, simulate_recoded_spmv_timing
 from repro.core.power import PowerScenario, iso_performance_power
@@ -48,13 +38,7 @@ __all__ = [
     "PipelineStats",
     "recoded_spmv",
     "recoded_spmm",
-    "BlockAccumulator",
     "DEFAULT_DEPTH",
-    "MmapBlockSource",
-    "PlanBlockSource",
     "RunCancelled",
-    "RunCounters",
     "run_pipelined",
-    "run_sharded",
-    "shard_ranges",
 ]

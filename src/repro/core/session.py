@@ -80,12 +80,9 @@ class ExecutionSession:
         engine: borrow an existing engine (its cache too); by default the
             session builds its own with a cache sized to the matrix.
         workers / executor: pool shape for the session-owned engine
-            (ignored when ``engine`` is passed or ``shards > 0``).
+            (ignored when ``engine`` is passed).
         mode: ``"serial"`` or ``"pipelined"`` — the executor cold calls
-            run under. ``shards > 0`` selects the sharded executor
-            instead (path-backed containers only; decode happens in
-            shard workers, so no engine and no warm fast path — the
-            session still amortizes the reader walk and extents).
+            run under.
         depth / policy: forwarded to the executor on cold calls.
         reuse: ``False`` makes every call cold-per-call (the ablation
             axis): the cache is cleared before each call, no warm fast
@@ -109,7 +106,6 @@ class ExecutionSession:
         executor: str = "thread",
         mode: str = "serial",
         depth: int = DEFAULT_DEPTH,
-        shards: int = 0,
         policy: str = "strict",
         reuse: bool = True,
     ):
@@ -117,7 +113,6 @@ class ExecutionSession:
         self.memory = memory
         self.mode = mode
         self.depth = depth
-        self.shards = shards
         self.policy = policy
         self.reuse = reuse
         self._closed = False
@@ -145,13 +140,7 @@ class ExecutionSession:
             self.plan = self.reader.plan()
 
         self._owns_engine = False
-        if shards:
-            if engine is not None:
-                raise ValueError(
-                    "shards>0 decodes in shard workers; engine must be None"
-                )
-            self.engine = None
-        elif engine is not None:
+        if engine is not None:
             self.engine = engine
         else:
             # Budget covers every decoded block at 12 B/nnz, so nothing
@@ -183,7 +172,7 @@ class ExecutionSession:
         if self._closed:
             return
         self._closed = True
-        if self._owns_engine and self.engine is not None:
+        if self._owns_engine:
             self.engine.close()
         if self._owns_reader and self.reader is not None:
             self.reader.close()
@@ -202,7 +191,7 @@ class ExecutionSession:
         """
         self._warm = False
         self._out.clear()
-        if self.engine is not None and self.engine.cache is not None:
+        if self.engine.cache is not None:
             self.engine.cache.clear()
 
     # -- warm-path plumbing ------------------------------------------------
@@ -278,7 +267,6 @@ class ExecutionSession:
             policy=self.policy,
             mode=self.mode,
             depth=self.depth,
-            shards=self.shards,
         )
 
     def _record_call(self, warm: bool, nblocks: int, seconds: float) -> None:
@@ -299,7 +287,7 @@ class ExecutionSession:
             if delta > 0:
                 reg.counter("session.crc_skips").inc(delta)
             self._crc_skips_seen = skips
-        if self.engine is not None and self.engine.cache is not None:
+        if self.engine.cache is not None:
             st = self.engine.cache.stats
             reg.gauge("session.hit_rate").set(st.hit_rate)
             reg.gauge("session.resident_bytes").set(st.current_bytes)
@@ -332,7 +320,6 @@ class ExecutionSession:
         # (and re-accounts) its stream honestly.
         self._warm = (
             self.reuse
-            and self.engine is not None
             and self.engine.cache is not None
             and stats.degraded_blocks == 0
             and faults.active() is None
@@ -374,7 +361,7 @@ class ExecutionSession:
 
     def stats(self) -> dict:
         """Cumulative session counters (steady-state observability)."""
-        cache = self.engine.cache.stats if self.engine and self.engine.cache else None
+        cache = self.engine.cache.stats if self.engine.cache is not None else None
         return {
             "matrix_id": self.matrix_id,
             "calls": self.calls,
@@ -387,5 +374,5 @@ class ExecutionSession:
             "cache_misses": cache.misses if cache else 0,
             "cache_hit_rate": cache.hit_rate if cache else 0.0,
             "resident_bytes": cache.current_bytes if cache else 0,
-            "engine": self.engine.stats.as_dict() if self.engine else None,
+            "engine": self.engine.stats.as_dict(),
         }

@@ -9,18 +9,19 @@
    run the actual cycle-level UDP programs;
 3. the CPU multiplies the block (traffic edge ``udp -> cpu``).
 
-Two execution modes share one contract:
+Both execution modes run the same tiled loop (the blocked kernel with a
+``recode`` hook in front of each multiply, Fig. 7) and differ only in
+where the hook gets block *i* from:
 
-* ``mode="serial"`` — decode block *i*, multiply block *i*, advance. The
-  original executor; also the reference the pipelined mode is tested
-  bit-exactly against.
+* ``mode="serial"`` — decode block *i* when the loop reaches it. The
+  reference the pipelined mode is tested bit-exactly against.
 * ``mode="pipelined"`` — the paper's overlap (UDP recodes block *i+1*
-  while the CPU multiplies block *i*): block decodes are submitted
-  asynchronously to a :class:`~repro.codecs.engine.RecodeEngine` pool
-  with bounded prefetch ``depth``, and decoded blocks multiply as they
-  complete. See :mod:`repro.core.executor`. Result vector, TrafficLog
-  byte totals, ``dma_seconds``, degraded-block accounting, and raised
-  error types are all bit-identical to serial.
+  while the CPU multiplies block *i*): block decodes run ahead
+  asynchronously in a :class:`~repro.codecs.engine.RecodeEngine` pool
+  with bounded prefetch ``depth``, and the loop takes each block, in
+  order, as it lands. See :mod:`repro.core.executor`. Result vector,
+  TrafficLog byte totals, ``dma_seconds``, degraded-block accounting, and
+  raised errors are all bit-identical to serial.
 
 :func:`recoded_spmm` fuses multiple right-hand sides: each block is
 streamed and decoded **once** and multiplied against all ``k`` columns,
@@ -42,25 +43,17 @@ import numpy as np
 from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
-from repro.codecs.errors import BlockDecodeError, CodecError, block_error
 from repro.codecs.pipeline import MatrixCompression
 from repro.core.executor import (
     DEFAULT_DEPTH,
-    MmapBlockSource,
-    PlanBlockSource,
-    RunCancelled,
-    RunCounters,
+    RecodeHook,
     run_pipelined,
-    run_sharded,
+    serial_decoder,
 )
-from repro.memsys.dma import DMAEngine
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
-from repro.sparse.blocked import CSRBlock
 from repro.sparse.spmm import spmm_blocked
 from repro.sparse.spmv import spmv_blocked
-from repro.udp.lane import Lane
-from repro.udp.runtime import DecoderToolchain
 
 #: Execution modes accepted by :func:`recoded_spmv` / :func:`recoded_spmm`.
 MODES = ("serial", "pipelined")
@@ -84,14 +77,12 @@ class PipelineStats:
     #: bit-exact — the substitution streams raw bytes, costing compression
     #: benefit, not correctness.
     degraded_blocks: int = 0
-    #: Executor that produced this run (``serial`` | ``pipelined`` |
-    #: ``sharded``).
+    #: Executor that produced this run (``serial`` | ``pipelined``).
     mode: str = "serial"
     #: Right-hand-side count: 1 for SpMV, ``k`` for fused SpMM.
     nrhs: int = 1
     #: Out-of-core measurements when the run streamed an mmap-backed
-    #: container (bytes mapped, pages touched, shard wall seconds/skew);
-    #: None for in-memory plans.
+    #: container (bytes mapped, pages touched); None for in-memory plans.
     oocore: dict | None = None
 
     @property
@@ -123,26 +114,6 @@ def _validate(
             )
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-
-
-def _validate_shards(
-    shards: int, reader, mode: str, engine, use_udp_simulator: bool
-) -> None:
-    if shards < 0:
-        raise ValueError(f"shards must be >= 0, got {shards}")
-    if shards == 0:
-        return
-    if reader is None or reader.path is None:
-        raise ValueError(
-            "shards>0 needs a path-backed container: pass a .dsh path or a "
-            "ContainerReader opened from one (workers re-map the file)"
-        )
-    if mode == "pipelined":
-        raise ValueError("shards>0 is its own executor; use mode='serial'")
-    if engine is not None:
-        raise ValueError("shards>0 decodes in shard workers; engine must be None")
-    if use_udp_simulator:
-        raise ValueError("shards>0 cannot run the cycle-level UDP simulator")
 
 
 def _resolve(
@@ -181,151 +152,57 @@ def _execute(
     prefix: str,
     nrhs: int,
     reader: ContainerReader | None = None,
-    shards: int = 0,
     cancel=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
     """Shared executor body for recoded SpMV (``prefix="spmv"``, 1-D ``x``)
-    and fused SpMM (``prefix="spmm"``, 2-D ``x``).
+    and fused SpMM (``prefix="spmm"``, 2-D ``x``): the blocked ``kernel``
+    is the one block loop, and ``mode`` only picks its recode hook's
+    decoder.
 
     ``out`` is an optional preallocated accumulator (zero-filled by the
-    executor) that sessions reuse across iterations; results are
+    kernel) that sessions reuse across iterations; results are
     bit-identical with or without it.
     """
     _validate(policy, mode, depth, engine, use_udp_simulator)
-    _validate_shards(shards, reader, mode, engine, use_udp_simulator)
-    if cancel is not None and shards:
-        raise ValueError(
-            "cancel is cooperative per-block and cannot reach shard worker "
-            "processes; use shards=0"
-        )
-    source = MmapBlockSource(reader, plan) if reader is not None else PlanBlockSource(plan)
-    pages_before = source.pages_touched
+    pages_before = reader.pages_touched if reader is not None else 0
     log = TrafficLog()
-    dma = DMAEngine(memory, log=log)
-    dma_seconds = 0.0
     start = time.perf_counter()
-    counters = RunCounters()
-    oocore_info: dict | None = None
-
-    if shards:
-        n = plan.blocked.shape[1]
-        if x.ndim == 1 and x.shape[0] != n:
-            raise ValueError(f"x must have shape ({n},), got {x.shape}")
-        with obs.trace(
-            f"{prefix}.recoded",
-            nblocks=plan.nblocks,
-            matrix=matrix_id,
-            mode="sharded",
-        ):
-            y, dma_seconds, oocore_info = run_sharded(
-                reader,
-                x,
-                shards=shards,
-                memory=memory,
-                log=log,
-                policy=policy,
-                counters=counters,
-                out=out,
-            )
-    elif mode == "pipelined":
+    if mode == "pipelined":
+        decode = run_pipelined(plan, engine, matrix_id, depth)
+    else:
+        decode = serial_decoder(plan, engine, matrix_id, use_udp_simulator)
+    hook = RecodeHook(
+        plan,
+        memory=memory,
+        log=log,
+        decode=decode,
+        # degrade substitutes the retained CSR partition of an in-memory
+        # plan, or decodes the pristine mapped records of a streamed one.
+        raw_block=(
+            plan.decompress_block if reader is not None
+            else lambda i: plan.blocked.blocks[i]
+        ),
+        policy=policy,
+        cancel=cancel,
+        prefix=prefix,
+    )
+    try:
         with obs.trace(
             f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id, mode=mode
         ):
-            y, dma_seconds = run_pipelined(
-                plan,
-                x,
-                memory=memory,
-                dma=dma,
-                log=log,
-                engine=engine,
-                matrix_id=matrix_id,
-                policy=policy,
-                depth=depth,
-                counters=counters,
-                source=source,
-                cancel=cancel,
-                out=out,
-            )
-    else:
-        toolchain = DecoderToolchain(plan) if use_udp_simulator else None
-        lane = Lane() if use_udp_simulator else None
+            y = kernel(plan.blocked, x, recode=hook, out=out)
+    finally:
+        if mode == "pipelined":
+            decode.close()
 
-        def decode_one(i: int, idx_rec, val_rec) -> CSRBlock:
-            """Decode one block from its (DMA-streamed) records; raises
-            CodecError on failure."""
-            if toolchain is not None:
-                idx_chain = toolchain.run_chain(i, "index", lane=lane)
-                val_chain = toolchain.run_chain(i, "value", lane=lane)
-                if not (idx_chain.verified and val_chain.verified):
-                    raise BlockDecodeError(
-                        f"UDP decode failed verification at block {i}", block_id=i
-                    )
-                ref = plan.blocked.blocks[i]
-                return CSRBlock(
-                    row_start=ref.row_start,
-                    row_end=ref.row_end,
-                    row_ptr=ref.row_ptr,
-                    col_idx=np.frombuffer(idx_chain.output, dtype="<i4"),
-                    val=np.frombuffer(val_chain.output, dtype="<f8"),
-                    nnz_start=ref.nnz_start,
-                    leading_partial=ref.leading_partial,
-                )
-            streamed_faulty = (
-                idx_rec is not plan.index_records[i]
-                or val_rec is not plan.value_records[i]
-            )
-            if engine is not None and not streamed_faulty:
-                return engine.decode_block(plan, i, matrix_id=matrix_id)
-            # A DRAM-side fault corrupted the streamed copy: decode exactly
-            # what arrived (never the engine's cached/pristine view).
-            return plan.decompress_block(i, index_record=idx_rec, value_record=val_rec)
-
-        def recode(_stored: CSRBlock) -> CSRBlock:
-            if cancel is not None and cancel():
-                raise RunCancelled(blocks_done=counters.blocks_started)
-            i = counters.next_block()
-            idx_rec = memory.stream_record(plan.index_records[i], i, "index")
-            val_rec = memory.stream_record(plan.value_records[i], i, "value")
-            nonlocal dma_seconds
-            with obs.trace(f"{prefix}.block", block=i):
-                dma_seconds += dma.transfer(
-                    idx_rec.stored_bytes, "dram", "udp"
-                ).seconds
-                dma_seconds += dma.transfer(
-                    val_rec.stored_bytes, "dram", "udp"
-                ).seconds
-                try:
-                    block = decode_one(i, idx_rec, val_rec)
-                except CodecError as exc:
-                    if policy == "strict":
-                        raise block_error(i, exc)
-                    # degrade: substitute the source's pristine raw block —
-                    # the retained CSR partition for in-memory plans, an
-                    # on-demand decode of the pristine mapped records for
-                    # mmap-backed ones. Result stays bit-exact either way;
-                    # the block streams uncompressed.
-                    counters.add_degraded()
-                    block = source.raw_block(i)
-                    dma_seconds += dma.transfer(
-                        12 * block.nnz, "dram", "cpu"
-                    ).seconds
-                    obs.registry().counter("spmv.degraded_blocks").inc()
-                    return block
-                log.record("udp", "cpu", 12 * block.nnz)
-            return block
-
-        with obs.trace(f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id):
-            y = kernel(plan.blocked, x, recode=recode, out=out)
-
-    if reader is not None and oocore_info is None:
+    oocore_info = None
+    if reader is not None:
         oocore_info = {
-            "shards": 0,
-            "mapped_bytes": source.mapped_bytes,
-            "pages_touched": source.pages_touched - pages_before,
-            "shard_seconds": [],
-            "shard_skew": 1.0,
+            "mapped_bytes": reader.nbytes,
+            "pages_touched": reader.pages_touched - pages_before,
         }
+    dma_seconds = hook.dma_seconds
     stats = PipelineStats(
         traffic=log,
         dram_bytes=log.bytes_on("dram", "udp") + log.bytes_on("dram", "cpu"),
@@ -333,8 +210,8 @@ def _execute(
         dma_seconds=dma_seconds,
         engine_stats=engine.stats.as_dict() if engine is not None else None,
         policy=policy,
-        degraded_blocks=counters.degraded,
-        mode="sharded" if shards else mode,
+        degraded_blocks=hook.degraded,
+        mode=mode,
         nrhs=nrhs,
         oocore=oocore_info,
     )
@@ -345,9 +222,6 @@ def _execute(
         reg.counter(f"{prefix}.oocore.pages_touched").inc(
             oocore_info["pages_touched"]
         )
-        if shards:
-            reg.counter(f"{prefix}.oocore.shards").inc(oocore_info["shards"])
-            reg.gauge(f"{prefix}.oocore.shard_skew").set(oocore_info["shard_skew"])
     reg.counter(f"{prefix}.iterations").inc()
     reg.counter(f"{prefix}.blocks").inc(plan.nblocks)
     reg.counter(f"{prefix}.nnz").inc(plan.nnz)
@@ -357,7 +231,7 @@ def _execute(
     reg.counter(f"{prefix}.bytes.baseline").inc(stats.baseline_dram_bytes)
     reg.counter(f"{prefix}.dma_seconds").inc(dma_seconds)
     reg.gauge(f"{prefix}.traffic_ratio").set(stats.traffic_ratio)
-    if counters.degraded:
+    if hook.degraded:
         reg.counter(f"{prefix}.degraded_iterations").inc()
     reg.histogram(f"{prefix}.seconds").observe(time.perf_counter() - start)
     return y, stats
@@ -373,7 +247,6 @@ def recoded_spmv(
     policy: str = "strict",
     mode: str = "serial",
     depth: int = DEFAULT_DEPTH,
-    shards: int = 0,
     cancel=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
@@ -411,17 +284,11 @@ def recoded_spmv(
             Both modes produce bit-identical results, traffic, and errors.
         depth: pipelined prefetch depth — max decode chunk tasks in
             flight (``mode="pipelined"`` only).
-        shards: split the container into this many contiguous block
-            shards and scatter-gather them over worker processes, each
-            mapping the file independently (``y`` stays bit-identical to
-            serial). Requires a path-backed container; incompatible with
-            ``engine`` / ``mode="pipelined"`` / ``use_udp_simulator``.
         cancel: optional zero-arg callable polled at every block
             boundary; returning True abandons the run with
             :class:`~repro.core.executor.RunCancelled` (deadline-bound
             callers — the serve layer — use this to stop a request past
             its deadline from borrowing further decode/DMA capacity).
-            Incompatible with ``shards`` (workers cannot poll it).
         out: optional preallocated ``(nrows,)`` float64 accumulator,
             zero-filled and returned as ``y`` — lets iterative callers
             (:class:`~repro.core.session.ExecutionSession`) reuse one
@@ -446,7 +313,6 @@ def recoded_spmv(
             prefix="spmv",
             nrhs=1,
             reader=reader,
-            shards=shards,
             cancel=cancel,
             out=out,
         )
@@ -464,7 +330,6 @@ def recoded_spmm(
     policy: str = "strict",
     mode: str = "serial",
     depth: int = DEFAULT_DEPTH,
-    shards: int = 0,
     cancel=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
@@ -477,7 +342,7 @@ def recoded_spmm(
     bit-identical to ``recoded_spmv(plan, X[:, j])``.
 
     Accepts the same ``engine`` / ``matrix_id`` / ``policy`` / ``mode`` /
-    ``depth`` / ``shards`` knobs (and the same polymorphic ``plan``) as
+    ``depth`` / ``cancel`` knobs (and the same polymorphic ``plan``) as
     :func:`recoded_spmv`; metrics are recorded under the ``spmm.*`` prefix
     with ``flops = 2 * k * nnz``.
 
@@ -506,7 +371,6 @@ def recoded_spmm(
             prefix="spmm",
             nrhs=int(x.shape[1]),
             reader=reader,
-            shards=shards,
             cancel=cancel,
             out=out,
         )

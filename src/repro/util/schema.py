@@ -432,7 +432,7 @@ BENCH_FIG16_SCHEMA: dict = _with_common(
 
 #: ``BENCH_oocore.json`` — written by ``benchmarks/bench_oocore.py``.
 #: Byte sizes, page counts, and parity hashes are deterministic at a
-#: fixed seed; RSS samples and shard skew are host-dependent and live
+#: fixed seed; RSS samples and wall seconds are host-dependent and live
 #: under ``timings``.
 BENCH_OOCORE_SCHEMA: dict = _with_common(
     {
@@ -446,9 +446,8 @@ BENCH_OOCORE_SCHEMA: dict = _with_common(
         ],
         "properties": {
             "context": {
-                "required": ["shards", "block_bytes"],
+                "required": ["block_bytes"],
                 "properties": {
-                    "shards": {"type": "integer", "minimum": 1},
                     "block_bytes": {"type": "integer", "minimum": 12},
                 },
             },
@@ -462,13 +461,11 @@ BENCH_OOCORE_SCHEMA: dict = _with_common(
                 "required": [
                     "serial_sha256",
                     "mmap_sha256",
-                    "sharded_sha256",
                     "bit_identical",
                 ],
                 "properties": {
                     "serial_sha256": {"type": "string"},
                     "mmap_sha256": {"type": "string"},
-                    "sharded_sha256": {"type": "string"},
                     "bit_identical": {"type": "boolean"},
                 },
             },

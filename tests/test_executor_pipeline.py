@@ -8,17 +8,24 @@ under both failure policies. Fused SpMM must decode each block once and
 match per-column SpMV bit-exactly.
 """
 
+import inspect
+import os
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.codecs.engine import DecodedBlockCache, RecodeEngine
+from repro.codecs import engine as engine_mod
+from repro.codecs.engine import AsyncDecode, DecodedBlockCache, RecodeEngine
 from repro.codecs.errors import BlockDecodeError
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import recoded_spmm, recoded_spmv
-from repro.core.executor import BlockAccumulator, RunCounters, multiply_block
+from repro.core import RunCancelled
+from repro.core.executor import multiply_block
 from repro.faults import FaultPlan
 from repro.sparse.blocked import partition_csr
 
@@ -361,67 +368,143 @@ class TestPipelineMetrics:
         assert "spmv.iterations" not in names
 
 
-class TestRunCounters:
-    def test_cursor_and_degraded(self):
-        c = RunCounters()
-        assert [c.next_block() for _ in range(3)] == [0, 1, 2]
-        c.add_degraded()
-        c.add_degraded(2)
-        assert c.degraded == 3
-        assert c.blocks_started == 3
+class TestInputShape:
+    """Every mode rejects a wrong-shape operand with serial's ValueError."""
 
-    def test_thread_safety(self):
-        import threading
+    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
+    @pytest.mark.parametrize("kind", ["long", "short", "2d"])
+    def test_spmv_wrong_x(self, plan, mode, kind):
+        n = plan.blocked.shape[1]
+        bad = {"long": np.ones(n + 5), "short": np.ones(n - 1), "2d": np.ones((n, 2))}[kind]
+        msg = re.escape(f"x must have shape ({n},), got {bad.shape}")
+        with pytest.raises(ValueError, match=msg):
+            recoded_spmv(plan, bad, engine=make_engine(2), mode=mode)
 
-        c = RunCounters()
-        seen = []
-
-        def claim():
-            for _ in range(500):
-                seen.append(c.next_block())
-                c.add_degraded()
-
-        threads = [threading.Thread(target=claim) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sorted(seen) == list(range(2000))
-        assert c.degraded == 2000
+    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
+    @pytest.mark.parametrize("rows", [-1, 5])
+    def test_spmm_wrong_row_count(self, plan, mode, rows):
+        n = plan.blocked.shape[1]
+        bad = np.ones((n + rows, 2))
+        msg = re.escape(f"X must have shape ({n}, k), got {bad.shape}")
+        with pytest.raises(ValueError, match=msg):
+            recoded_spmm(plan, bad, engine=make_engine(2), mode=mode)
 
 
-class TestBlockAccumulator:
-    def _blocked(self):
-        m = generators.unstructured(40, density=0.6, seed=4)
-        return partition_csr(m, block_bytes=48)  # 4 entries/block: many splits
+class TestInOrderConsumption:
+    def test_out_of_order_completion_matches_serial(self, plan, x, monkeypatch):
+        """Block 0's chunk finishes last; the hook still multiplies in
+        block order, so every serial observable is reproduced."""
+        real_chunk = engine_mod._decode_pair_chunk
 
-    def test_out_of_order_equals_in_order(self):
-        blocked = self._blocked()
-        xs = np.random.default_rng(3).standard_normal(blocked.shape[1])
-        order = np.random.default_rng(4).permutation(blocked.nblocks)
+        def slow_first_chunk(task):
+            if 0 in task[0]:
+                time.sleep(0.2)
+            return real_chunk(task)
 
-        out_fwd = np.zeros(blocked.shape[0])
-        acc = BlockAccumulator(blocked.blocks, out_fwd)
-        for i in range(blocked.nblocks):
-            multiply_block(blocked.blocks[i], xs, acc, i)
-        acc.finalize()
+        yielded = []
+        real_next = AsyncDecode.__next__
 
-        out_perm = np.zeros(blocked.shape[0])
-        acc2 = BlockAccumulator(blocked.blocks, out_perm)
-        for i in order:
-            multiply_block(blocked.blocks[int(i)], xs, acc2, int(i))
-        acc2.finalize()
+        def spy_next(self):
+            item = real_next(self)
+            yielded.append(item[0])
+            return item
 
-        np.testing.assert_array_equal(out_fwd, out_perm)
+        fp = FaultPlan(seed=4, bitflip_blocks=(6,))
+        with fp.activate():
+            ys, ss = recoded_spmv(
+                plan, x, engine=make_engine(0), mode="serial", policy="degrade"
+            )
+            monkeypatch.setattr(engine_mod, "_decode_pair_chunk", slow_first_chunk)
+            monkeypatch.setattr(AsyncDecode, "__next__", spy_next)
+            eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2,
+                               retry_base_s=0.0)
+            try:
+                yp, sp = recoded_spmv(
+                    plan, x, engine=eng, mode="pipelined", depth=4, policy="degrade"
+                )
+            finally:
+                eng.close()
+        assert yielded[0] != 0 and sorted(yielded) == list(range(plan.nblocks))
+        np.testing.assert_array_equal(ys, yp)
+        assert ss.traffic.edges() == sp.traffic.edges()
+        assert ss.dma_seconds == sp.dma_seconds
+        assert ss.degraded_blocks == sp.degraded_blocks == 1
 
-    def test_matches_serial_kernel(self):
+
+class TestPipelinedLifecycle:
+    """However a pipelined run ends, its handle is closed, no fd leaks,
+    and the engine serves the next call bit-identically."""
+
+    @staticmethod
+    def _fds() -> int:
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_success_strict_degrade_cancel(self, plan, x, monkeypatch):
+        handles = []
+        real_async = RecodeEngine.decode_blocks_async
+
+        def spy_async(self, *args, **kwargs):
+            handle = real_async(self, *args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(RecodeEngine, "decode_blocks_async", spy_async)
+        y_ref, _ = recoded_spmv(plan, x, mode="serial")
+        eng = RecodeEngine(workers=2, executor="process", chunk_blocks=2,
+                           retry_base_s=0.0)
+        fault = FaultPlan(seed=11, bitflip_blocks=(5,))
+        calls = []
+
+        def cancel_after_three():
+            calls.append(None)
+            return len(calls) > 3
+
+        def check(mid):
+            y, _ = recoded_spmv(plan, x, engine=eng, matrix_id=mid, mode="pipelined")
+            np.testing.assert_array_equal(y, y_ref)
+
+        try:
+            check("warmup")  # the pool's own fds open here, once
+            fds = self._fds()
+            for ending in ("success", "strict", "degrade", "cancel"):
+                handles.clear()
+                kwargs = dict(engine=eng, matrix_id=ending, mode="pipelined", depth=2)
+                if ending == "success":
+                    y, _ = recoded_spmv(plan, x, **kwargs)
+                    np.testing.assert_array_equal(y, y_ref)
+                elif ending == "cancel":
+                    with pytest.raises(RunCancelled):
+                        recoded_spmv(plan, x, cancel=cancel_after_three, **kwargs)
+                else:
+                    with fault.activate():
+                        if ending == "strict":
+                            with pytest.raises(BlockDecodeError):
+                                recoded_spmv(plan, x, policy="strict", **kwargs)
+                        else:
+                            y, st = recoded_spmv(plan, x, policy="degrade", **kwargs)
+                            np.testing.assert_array_equal(y, y_ref)
+                            assert st.degraded_blocks == 1
+                assert len(handles) == 1
+                assert inspect.getgeneratorstate(handles[0]._gen) == inspect.GEN_CLOSED
+                assert self._fds() == fds, ending
+                check(f"after-{ending}")
+        finally:
+            eng.close()
+
+
+class TestMultiplyBlock:
+    def test_matches_serial_kernel(self, split_plan):
+        from repro.sparse.spmm import spmm_blocked
         from repro.sparse.spmv import spmv_blocked
 
-        blocked = self._blocked()
-        xs = np.random.default_rng(5).standard_normal(blocked.shape[1])
-        out = np.zeros(blocked.shape[0])
-        acc = BlockAccumulator(blocked.blocks, out)
-        for i in reversed(range(blocked.nblocks)):
-            multiply_block(blocked.blocks[i], xs, acc, i)
-        acc.finalize()
-        np.testing.assert_array_equal(out, spmv_blocked(blocked, xs))
+        blocked = split_plan.blocked
+        rng = np.random.default_rng(5)
+        for xs, kernel in (
+            (rng.standard_normal(blocked.shape[1]), spmv_blocked),
+            (rng.standard_normal((blocked.shape[1], 3)), spmm_blocked),
+        ):
+            out = np.zeros((blocked.shape[0],) + xs.shape[1:])
+            for block in blocked.blocks:
+                multiply_block(block, xs, out)
+            np.testing.assert_array_equal(out, kernel(blocked, xs))

@@ -1,16 +1,13 @@
 """Out-of-core differential test layer: mmap streaming vs in-memory truth.
 
-The contract under test (ISSUE acceptance): an mmap-backed
-:class:`~repro.codecs.container.ContainerReader` — streamed serially,
-pipelined, or scatter-gathered over sharded worker processes — must be
-*bit-identical* to the in-memory executor: result vector (sha256 of
-``y``), ``dma_seconds``, TrafficLog edge totals, degraded-block counts,
-and raised error types/messages, across policies and injected faults.
-Lazy verification must surface the same errors eager loading raises for
-the same corruption, just at access time instead of load time. Shard
-boundaries are adversarial: any contiguous partition, folded in any
-shard order, must reproduce the serial sum exactly — split rows at the
-boundary included.
+The contract under test: an mmap-backed
+:class:`~repro.codecs.container.ContainerReader` — streamed serially or
+pipelined, from a reader or a ``.dsh`` path — must be *bit-identical* to
+the in-memory executor: result vector (sha256 of ``y``),
+``dma_seconds``, TrafficLog edge totals, degraded-block counts, and
+raised error types/messages, across policies and injected faults. Lazy
+verification must surface the same errors eager loading raises for the
+same corruption, just at access time instead of load time.
 """
 
 import hashlib
@@ -19,7 +16,6 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.codecs.container import (
     ContainerReader,
@@ -35,16 +31,7 @@ from repro.codecs.errors import (
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import recoded_spmm, recoded_spmv
-from repro.core.executor import (
-    BlockAccumulator,
-    RunCounters,
-    block_row_sums,
-    run_sharded,
-    shard_ranges,
-)
 from repro.faults import FaultPlan
-from repro.memsys.dram import DDR4_100GBS
-from repro.memsys.traffic import TrafficLog
 
 
 def sha(y: np.ndarray) -> str:
@@ -72,7 +59,7 @@ def x(plan):
 @pytest.fixture(scope="module")
 def split_plan():
     """Tiny byte budget on a dense-ish matrix: most blocks are split-row
-    continuations (``leading_partial``) — the shard-boundary hard case."""
+    continuations (``leading_partial``) — the block-boundary hard case."""
     m = generators.unstructured(60, density=0.5, seed=9)
     p = compress_matrix(m, block_bytes=60)
     assert any(b.leading_partial for b in p.blocked.blocks)
@@ -243,8 +230,8 @@ class TestCorruptionParity:
         self, pristine, victim, x, tmp_path
     ):
         """Streaming SpMV over a genuinely corrupt container surfaces the
-        *same* error eager loading raises — in serial mmap mode and from a
-        sharded worker process alike. (Real media corruption is not a
+        *same* error eager loading raises — from a borrowed reader and from
+        a ``.dsh`` path alike. (Real media corruption is not a
         decode failure: there is no pristine copy to degrade to, so it
         must not be swallowed by the policy machinery.)"""
         data = bytearray(pristine)
@@ -260,9 +247,9 @@ class TestCorruptionParity:
 
         path = tmp_path / "corrupt.dsh"
         path.write_bytes(data)
-        with pytest.raises(ContainerError) as shard_exc:
-            recoded_spmv(str(path), x, policy="degrade", shards=2)
-        assert str(shard_exc.value) == str(eager_err)
+        with pytest.raises(ContainerError) as path_exc:
+            recoded_spmv(str(path), x, policy="degrade")
+        assert str(path_exc.value) == str(eager_err)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +288,7 @@ class TestScrubReaderAgreement:
 
 
 # ---------------------------------------------------------------------------
-# Execution parity matrix: in-memory x mmap x sharded x policy x faults
+# Execution parity matrix: in-memory x mmap x policy x faults
 # ---------------------------------------------------------------------------
 
 
@@ -318,14 +305,6 @@ class TestExecutionParity:
         assert_stats_parity(stats, truth[1])
         assert stats.oocore is not None and stats.oocore["mapped_bytes"] > 0
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_sharded_bit_identical(self, plan, container, x, truth, shards):
-        y, stats = recoded_spmv(container, x, shards=shards)
-        assert sha(y) == truth[0]
-        assert_stats_parity(stats, truth[1])
-        assert stats.mode == "sharded"
-        assert stats.oocore["shards"] == min(shards, plan.nblocks)
-
     @pytest.mark.parametrize("workers,depth", [(0, 1), (2, 4)])
     def test_pipelined_mmap_matrix(self, container, x, truth, workers, depth):
         from repro.codecs.engine import RecodeEngine
@@ -340,7 +319,7 @@ class TestExecutionParity:
 
     @pytest.mark.parametrize("policy", ["strict", "degrade"])
     def test_fault_free_policies_identical(self, container, x, truth, policy):
-        y, _ = recoded_spmv(container, x, policy=policy, shards=2)
+        y, _ = recoded_spmv(container, x, policy=policy)
         assert sha(y) == truth[0]
 
     def test_dram_fault_degrade_parity(self, plan, container, x):
@@ -350,12 +329,9 @@ class TestExecutionParity:
         with fp.activate():
             with ContainerReader(container, verify="lazy") as reader:
                 y_map, s_map = recoded_spmv(reader, x, policy="degrade")
-        with fp.activate():
-            y_shd, s_shd = recoded_spmv(container, x, policy="degrade", shards=3)
-        assert sha(y_mem) == sha(y_map) == sha(y_shd)
-        assert s_mem.degraded_blocks == s_map.degraded_blocks == s_shd.degraded_blocks == 2
+        assert sha(y_mem) == sha(y_map)
+        assert s_mem.degraded_blocks == s_map.degraded_blocks == 2
         assert_stats_parity(s_mem, s_map)
-        assert_stats_parity(s_mem, s_shd)
 
     def test_dram_fault_strict_identical_errors(self, plan, container, x):
         fp = FaultPlan(seed=5, dram_bitflip_blocks=(2,))
@@ -371,7 +347,7 @@ class TestExecutionParity:
             errors.append(e.value)
         with fp.activate():
             with pytest.raises(BlockDecodeError) as e:
-                recoded_spmv(container, x, policy="strict", shards=2)
+                recoded_spmv(container, x, policy="strict")
             errors.append(e.value)
         assert len({str(err) for err in errors}) == 1
         assert len({err.block_id for err in errors}) == 1
@@ -379,123 +355,28 @@ class TestExecutionParity:
     def test_spmm_parity(self, plan, container, x):
         X = np.stack([x, 2.0 * x, x - 1.0], axis=1)
         Y_mem, s_mem = recoded_spmm(plan, X)
-        Y_shd, s_shd = recoded_spmm(container, X, shards=2)
-        np.testing.assert_array_equal(Y_mem, Y_shd)
-        assert_stats_parity(s_mem, s_shd)
+        Y_map, s_map = recoded_spmm(container, X)
+        np.testing.assert_array_equal(Y_mem, Y_map)
+        assert_stats_parity(s_mem, s_map)
         for j in range(X.shape[1]):
             y_col, _ = recoded_spmv(plan, X[:, j])
             np.testing.assert_array_equal(Y_mem[:, j], y_col)
 
-    def test_shards_need_path_backed_container(self, plan, x):
-        with pytest.raises(ValueError):
-            recoded_spmv(plan, x, shards=2)
+    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
+    def test_split_rows_stream_bit_identical(self, split_plan, split_container, mode):
+        """Rows split across blocks (``leading_partial``) fold exactly the
+        in-memory way when the blocks stream from a mapped container."""
+        from repro.codecs.engine import RecodeEngine
 
-    def test_shards_reject_pipelined(self, container, x):
-        with pytest.raises(ValueError):
-            recoded_spmv(container, x, shards=2, mode="pipelined")
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis: shard boundaries and fold order are free parameters
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def split_truth(split_plan):
-    xs = np.random.default_rng(1).standard_normal(split_plan.blocked.shape[1])
-    y, stats = recoded_spmv(split_plan, xs)
-    return xs, y, stats
-
-
-@settings(max_examples=6, deadline=None)
-@given(cuts=st.lists(st.integers(min_value=1, max_value=10_000), max_size=3))
-def test_any_contiguous_partition_is_bit_identical(
-    split_container, split_truth, cuts
-):
-    """run_sharded with *arbitrary* contiguous bounds — shard boundaries
-    landing mid split-row included — reproduces serial ``y``, TrafficLog
-    edges, and ``dma_seconds`` exactly."""
-    xs, y_serial, s_serial = split_truth
-    with ContainerReader(split_container, verify="lazy") as reader:
-        points = sorted({c % (reader.nblocks + 1) for c in cuts})
-        edges_pts = [0] + points + [reader.nblocks]
-        bounds = [
-            range(a, b) for a, b in zip(edges_pts, edges_pts[1:]) if a < b
-        ]
-        log = TrafficLog()
-        y, dma_seconds, info = run_sharded(
-            reader,
-            xs,
-            shards=len(bounds),
-            memory=DDR4_100GBS,
-            log=log,
-            policy="strict",
-            counters=RunCounters(),
-            bounds=bounds,
-        )
-    np.testing.assert_array_equal(y, y_serial)
-    assert log.edges() == s_serial.traffic.edges()
-    assert dma_seconds == s_serial.dma_seconds
-    assert info["shards"] == len(bounds)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    cuts=st.lists(st.integers(min_value=1, max_value=10_000), max_size=5),
-    order_seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_accumulator_folds_any_shard_order(split_plan, split_truth, cuts, order_seed):
-    """Satellite invariant, in-process: per-block segment sums grouped
-    into any contiguous shard partition and folded in any *shard order*
-    reproduce the serial result bitwise, and per-shard TrafficLog totals
-    replayed in that order sum to the serial edge totals exactly."""
-    xs, y_serial, s_serial = split_truth
-    blocks = split_plan.blocked.blocks
-    n = len(blocks)
-    points = sorted({c % (n + 1) for c in cuts})
-    edges_pts = [0] + points + [n]
-    bounds = [range(a, b) for a, b in zip(edges_pts, edges_pts[1:]) if a < b]
-    perm = np.random.default_rng(order_seed).permutation(len(bounds))
-
-    out = np.zeros(split_plan.blocked.shape[0], dtype=np.float64)
-    acc = BlockAccumulator(blocks, out)
-    log = TrafficLog()
-    for s in perm:
-        shard_edges: dict[tuple[str, str], int] = {}
-        for i in bounds[s]:
-            sums = block_row_sums(blocks[i], xs)
-            if sums is not None:
-                acc.add(i, sums[0], sums[1])
-            rec_bytes = (
-                split_plan.index_records[i].stored_bytes
-                + split_plan.value_records[i].stored_bytes
-            )
-            shard_edges[("dram", "udp")] = (
-                shard_edges.get(("dram", "udp"), 0) + rec_bytes
-            )
-            shard_edges[("udp", "cpu")] = (
-                shard_edges.get(("udp", "cpu"), 0) + 12 * blocks[i].nnz
-            )
-        for (src, dst), nbytes in sorted(shard_edges.items()):
-            log.record(src, dst, nbytes)
-    acc.finalize()
-
-    np.testing.assert_array_equal(out, y_serial)
-    assert log.bytes_on("dram", "udp") == s_serial.traffic.bytes_on("dram", "udp")
-    assert log.bytes_on("udp", "cpu") == s_serial.traffic.bytes_on("udp", "cpu")
-
-
-def test_shard_ranges_cover_and_balance():
-    for nblocks in (0, 1, 7, 29, 360):
-        for shards in (1, 2, 5, 16):
-            bounds = shard_ranges(nblocks, shards)
-            covered = [i for r in bounds for i in r]
-            assert covered == list(range(nblocks))
-            if bounds:
-                sizes = [len(r) for r in bounds]
-                assert max(sizes) - min(sizes) <= 1
-    with pytest.raises(ValueError):
-        shard_ranges(4, 0)
+        xs = np.random.default_rng(1).standard_normal(split_plan.blocked.shape[1])
+        y_mem, s_mem = recoded_spmv(split_plan, xs)
+        engine = RecodeEngine(workers=2, executor="thread", retry_base_s=0.0)
+        try:
+            y_map, s_map = recoded_spmv(split_container, xs, engine=engine, mode=mode)
+        finally:
+            engine.close()
+        assert sha(y_map) == sha(y_mem)
+        assert_stats_parity(s_map, s_mem)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +471,6 @@ class TestCooperativeCancel:
         y_plain, _ = recoded_spmv(plan, x)
         y_cancel, _ = recoded_spmv(plan, x, cancel=lambda: False)
         assert sha(y_cancel) == sha(y_plain)
-
-    def test_cancel_rejects_shards(self, container, x):
-        with pytest.raises(ValueError, match="cancel"):
-            recoded_spmv(container, x, shards=2, cancel=lambda: False)
 
     def test_spmm_cancel(self, plan, x):
         from repro.core import RunCancelled

@@ -183,19 +183,6 @@ class TestReaderBacked:
             sess.spmv(x)
             assert sess.stats()["crc_skips"] == 0
 
-    def test_sharded_session_bit_identical_never_warm(
-        self, plan, vectors, reference, tmp_path
-    ):
-        x, _ = vectors
-        path = tmp_path / "m.dsh"
-        save_plan(plan, path)
-        with ExecutionSession(path, shards=2) as sess:
-            assert sess.engine is None
-            for _ in range(2):
-                y, _ = sess.spmv(x)
-                assert y.tobytes() == reference[0]
-            assert sess.warm_calls == 0  # decode happens in shard workers
-
 
 class TestLifecycle:
     def test_borrowed_engine_not_closed(self, plan, vectors):
@@ -214,16 +201,6 @@ class TestLifecycle:
         sess.close()
         with pytest.raises(RuntimeError, match="closed"):
             sess.spmv(x)
-
-    def test_shards_reject_engine(self, plan, tmp_path):
-        path = tmp_path / "m.dsh"
-        save_plan(plan, path)
-        engine = RecodeEngine(workers=0)
-        try:
-            with pytest.raises(ValueError, match="shards"):
-                ExecutionSession(path, shards=2, engine=engine)
-        finally:
-            engine.close()
 
     def test_rejects_unknown_source_type(self):
         with pytest.raises(TypeError, match="plan must be"):

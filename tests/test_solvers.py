@@ -3,7 +3,7 @@
 Three contracts:
 
 * **Bit-parity everywhere** — CG and PageRank results are bit-identical
-  across serial/pipelined/sharded executors, both kernel backends, and
+  across serial/pipelined executors, both kernel backends, and
   with/without session reuse, and identical to the hand-rolled loops the
   examples used before ``repro.solvers`` existed.
 * **CG converges within theory** — on an SPD fixture the iteration count
@@ -123,16 +123,16 @@ class TestBitParity:
         assert result.iterations == iters_ref
         assert result.x.tobytes() == r_ref
 
-    def test_cg_identical_on_sharded_executor(self, spd, tmp_path):
-        """Sharded sessions (decode in shard workers, never warm) still
-        produce the exact same float sequence — compare a truncated run."""
+    def test_cg_identical_on_container_session(self, spd, tmp_path):
+        """A pipelined session over an mmap-streamed ``.dsh`` path produces
+        the exact same float sequence — compare a truncated run."""
         _m, plan, b, _x_ref, _ = spd
         x_trunc, _ = _cg_reference(plan, b, max_iter=3)
         path = tmp_path / "spd.dsh"
         save_plan(plan, path)
-        with ExecutionSession(path, shards=2) as sess:
+        with ExecutionSession(path, workers=2, mode="pipelined") as sess:
             result = cg(sess, b, max_iter=3)
-            assert sess.warm_calls == 0
+            assert sess.warm_calls > 0
         assert result.x.tobytes() == x_trunc.tobytes()
 
     def test_power_iteration_identical_warm_vs_cold(self, spd):
