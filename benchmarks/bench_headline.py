@@ -30,10 +30,8 @@ def _executor_comparison(lab) -> dict:
     x = np.ones(m.ncols)
     rows = {}
     for mode in ("serial", "pipelined"):
-        eng = RecodeEngine(
-            workers=2, executor="process", chunk_blocks=4, retry_base_s=0.0
-        )
-        recoded_spmv(plan, x, engine=eng, mode=mode)  # warm the pool
+        eng = RecodeEngine(retry_base_s=0.0)
+        recoded_spmv(plan, x, engine=eng, mode=mode)  # warm-up
         t0 = time.perf_counter()
         recoded_spmv(plan, x, engine=eng, mode=mode)
         rows[mode] = time.perf_counter() - t0

@@ -195,7 +195,6 @@ def _measure() -> dict:
     config = ServeConfig(
         root=tmpdir,
         port=0,
-        workers=0,
         mode="serial",
         max_fuse=MAX_FUSE,
         fusion_window_ms=FUSION_WINDOW_MS,
@@ -245,7 +244,6 @@ def _measure() -> dict:
         "title": "SpMV-as-a-service: overload sheds, admitted p99 bounded",
         "context": {
             "seed": SEED,
-            "workers": config.workers,
             "mode": config.mode,
             "max_fuse": config.max_fuse,
             "tenants": TENANTS,

@@ -2,8 +2,8 @@
 
 Enumerates baseline-plus-one-off configurations over every runtime
 switch the codebase exposes (decoded-block cache, kernel backend,
-pipelined executor, prefetch depth, worker pool, degrade policy, SpMM
-fusion), measures the headline SpMV/SpMM workload per configuration
+pipelined executor, degrade policy, SpMM fusion, adaptive block codecs,
+session reuse), measures the headline SpMV/SpMM workload per configuration
 with cold/warm phases, and emits a ranked component-importance report
 (``BENCH_ablation.json``) that flags any component whose removal
 *helps*. The same run doubles as a cross-configuration conformance

@@ -13,10 +13,8 @@ The axes mirror every runtime switch the codebase exposes:
 axis                baseline                 ablated
 ==================  =======================  =====================
 ``cache``           decoded-block cache on   no cache (cold decode)
-``kernel_backend``  ``numpy`` fast paths     ``python`` reference
-``executor``        ``pipelined`` overlap    ``serial`` block loop
-``depth``           prefetch depth 4         depth 1 (no prefetch)
-``workers``         2-wide decode pool       in-process serial
+``kernel_backend``  ``native`` C kernels     ``python`` reference
+``executor``        ``pipelined`` handle     ``serial`` per-block calls
 ``policy``          ``degrade`` substitute   ``strict`` fail-fast
 ``spmm_fusion``     fused multi-RHS SpMM     k independent SpMVs
 ``block_codec``     adaptive per-block tags  fixed DSH pipeline
@@ -31,21 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.executor import DEFAULT_DEPTH
-
-
-#: Axis kinds. A ``removal`` axis switches a component off entirely; its
-#: removal must never *help* (the CI harmful gate). A ``variation`` axis
-#: flips a numeric knob to an alternative whose best value is
-#: hardware-dependent (worker count and prefetch depth hinge on the host
-#: core count — a 1-core container and an 8-core runner disagree), so it
-#: is ranked and flagged in the report but exempt from the CI gate.
-KINDS = ("removal", "variation")
-
 
 @dataclass(frozen=True)
 class Axis:
-    """One switchable component: its baseline and ablated settings."""
+    """One switchable component: its baseline and ablated settings.
+
+    Every axis switches a component off entirely, so its removal must
+    never *help* (the CI harmful gate).
+    """
 
     #: Axis key — also the :class:`AblationConfig` field it controls.
     name: str
@@ -57,8 +48,6 @@ class Axis:
     ablated: object
     #: What removal means, for the report.
     description: str
-    #: ``removal`` (gated) or ``variation`` (ranked, not gated).
-    kind: str = "removal"
 
 
 #: The switchable-component axes, in stable report order.
@@ -72,8 +61,8 @@ AXES: tuple[Axis, ...] = (
     ),
     Axis(
         "kernel_backend",
-        "numpy kernel backend",
-        "numpy",
+        "native kernel backend",
+        "native",
         "python",
         "codec hot loops fall back to the pure-python reference",
     ),
@@ -82,23 +71,8 @@ AXES: tuple[Axis, ...] = (
         "pipelined executor",
         "pipelined",
         "serial",
-        "block decode no longer overlaps the multiply",
-    ),
-    Axis(
-        "depth",
-        f"prefetch depth {DEFAULT_DEPTH}",
-        DEFAULT_DEPTH,
-        1,
-        "at most one decode chunk in flight (no lookahead)",
-        kind="variation",
-    ),
-    Axis(
-        "workers",
-        "decode worker pool",
-        2,
-        0,
-        "block decodes run in-process instead of across the pool",
-        kind="variation",
+        "each block asks the engine on its own instead of one run-long "
+        "decode handle",
     ),
     Axis(
         "policy",
@@ -137,7 +111,7 @@ _AXES_BY_NAME: dict[str, Axis] = {axis.name: axis for axis in AXES}
 BASELINE_RUN_ID = "baseline"
 
 #: Separator joining the two axis names of a pairwise ablation
-#: (``ablated_axis="executor+workers"``, ``run_id="no-executor+workers"``).
+#: (``ablated_axis="cache+executor"``, ``run_id="no-cache+executor"``).
 PAIR_SEP = "+"
 
 
@@ -154,8 +128,6 @@ class AblationConfig:
     cache: bool
     kernel_backend: str
     executor: str
-    depth: int
-    workers: int
     policy: str
     spmm_fusion: bool
     block_codec: str
@@ -171,8 +143,6 @@ class AblationConfig:
             "cache": self.cache,
             "kernel_backend": self.kernel_backend,
             "executor": self.executor,
-            "depth": self.depth,
-            "workers": self.workers,
             "policy": self.policy,
             "spmm_fusion": self.spmm_fusion,
             "block_codec": self.block_codec,

@@ -6,13 +6,6 @@ metric — i.e. how much slower the system gets when that one component is
 removed. ``contribution > 1`` means the component pays for itself;
 ``contribution < 1 - harmful_threshold`` flags a **harmful** component
 whose removal actually helps (the condition the CI gate fails on).
-
-The gate applies to **removal** axes only. **Variation** axes (worker
-count, prefetch depth — knobs whose best value depends on the host core
-count) are ranked and flagged informationally: an ``alt wins`` verdict
-records that the alternate knob value beat the default on this host,
-without failing CI, because the same artifact produced on a 1-core
-container and an 8-core runner legitimately disagree.
 """
 
 from __future__ import annotations
@@ -38,12 +31,9 @@ class RankedComponent:
     axis: str
     component: str
     run_id: str
-    #: ``removal`` (gated) or ``variation`` (host-dependent knob, ungated).
-    kind: str
     #: geomean slowdown from removing the component (>1 = it helps).
     contribution: float
-    #: removal improves the headline geomean beyond the threshold
-    #: (removal axes only — variations never gate).
+    #: removal improves the headline geomean beyond the threshold.
     harmful: bool
     #: per-phase geomean ratios (diagnostic: *where* the component pays).
     cold_ratio: float
@@ -79,11 +69,8 @@ def rank_components(report: AblationReport) -> tuple[RankedComponent, ...]:
                 axis=ax.name,
                 component=ax.component,
                 run_id=res.config.run_id,
-                kind=ax.kind,
                 contribution=contribution,
-                harmful=(
-                    ax.kind == "removal" and contribution < 1.0 - threshold
-                ),
+                harmful=contribution < 1.0 - threshold,
                 cold_ratio=_phase_ratio(res, report.baseline, "cold_seconds"),
                 warm_ratio=_phase_ratio(res, report.baseline, "warm_seconds"),
                 spmm_ratio=_phase_ratio(res, report.baseline, "spmm_seconds"),
@@ -191,9 +178,6 @@ def build_artifact(report: AblationReport) -> dict:
     """The schema-validated content of ``BENCH_ablation.json``."""
     s = report.settings
     ranking = rank_components(report)
-    # The CI gate only watches removal axes; variation knobs are
-    # host-dependent and reported without gating.
-    removal_gains = [r.contribution for r in ranking if r.kind == "removal"]
     artifact = {
         "exp_id": EXP_ID,
         "title": TITLE,
@@ -204,7 +188,6 @@ def build_artifact(report: AblationReport) -> dict:
             "warm_iters": s.warm_iters,
             "nrhs": s.nrhs,
             "block_bytes": s.block_bytes,
-            "executor_kind": s.executor_kind,
             "profile": s.profile,
             "matrices": [case.name for case in s.cases],
         },
@@ -215,7 +198,6 @@ def build_artifact(report: AblationReport) -> dict:
                 "axis": r.axis,
                 "component": r.component,
                 "run_id": r.run_id,
-                "kind": r.kind,
                 "contribution": r.contribution,
                 "harmful": r.harmful,
                 "cold_ratio": r.cold_ratio,
@@ -230,7 +212,7 @@ def build_artifact(report: AblationReport) -> dict:
             "mismatches": list(report.mismatches),
         },
         "gates": {
-            "worst_removal_gain": min(removal_gains) if removal_gains else 1.0,
+            "worst_removal_gain": min((r.contribution for r in ranking), default=1.0),
             "harmful_threshold": s.harmful_threshold,
             "num_harmful": sum(1 for r in ranking if r.harmful),
         },
@@ -260,8 +242,6 @@ def render_ranking(report: AblationReport) -> str:
     for r in rank_components(report):
         if r.harmful:
             verdict = "HARMFUL"
-        elif r.kind == "variation" and r.contribution < 0.98:
-            verdict = "alt wins"
         elif r.contribution < 1.02:
             verdict = "~neutral"
         else:

@@ -4,8 +4,8 @@ For each enumerated :class:`~repro.ablation.config.AblationConfig` the
 runner executes one workload per suite matrix:
 
 * **cold phase** — best-of-``repeats`` timed SpMV with the session reset
-  before every attempt (decode-bound: where the worker pool, pipeline
-  overlap, prefetch depth, and kernel backend pay);
+  before every attempt (decode-bound: where the executor and kernel
+  backend pay);
 * **warm phase** — best-of-``repeats`` timed SpMV with the session left
   warm (steady-state: where the cache and session fast path pay);
 * **SpMM burst** — best-of-``repeats`` timed ``k``-RHS multiply, fused
@@ -101,10 +101,6 @@ class RunnerSettings:
     nrhs: int = 4
     seed: int = 2019
     block_bytes: int = 8192
-    #: Engine pool kind for worker configs: ``process`` (honest decode
-    #: parallelism; the CLI/bench default) or ``thread`` (cheap spin-up
-    #: for tier-1 tests — scheduling paths identical, fork cost zero).
-    executor_kind: str = "process"
     #: A component is *harmful* when its removal improves the headline
     #: geomean by more than this fraction (the CI gate).
     harmful_threshold: float = 0.05
@@ -145,7 +141,7 @@ class RunnerSettings:
 
     @classmethod
     def tiny(cls) -> "RunnerSettings":
-        """Unit-test scale: small matrices, thread pools, one repeat."""
+        """Unit-test scale: small matrices, one repeat."""
         return cls(
             cases=(
                 MatrixCase(
@@ -161,7 +157,6 @@ class RunnerSettings:
             warm_iters=1,
             nrhs=2,
             block_bytes=2048,
-            executor_kind="thread",
             profile="tiny",
         )
 
@@ -272,9 +267,6 @@ class AblationRunner:
 
     def _build_engine(self, config: AblationConfig) -> RecodeEngine:
         return RecodeEngine(
-            workers=config.workers,
-            executor=self.settings.executor_kind,
-            chunk_blocks=4,
             cache=DecodedBlockCache() if config.cache else None,
             retry_base_s=0.0,
         )
@@ -315,7 +307,6 @@ class AblationRunner:
             matrix_id=name,
             engine=engine,
             mode=config.executor,
-            depth=config.depth,
             policy=config.policy,
             reuse=config.session,
         )

@@ -6,15 +6,15 @@ Usage::
     python -m repro compress MATRIX [--scheme dsh|delta-snappy|snappy|auto]
                                      [--block-bytes N] [--verify] [--simulate]
                                      [--workers N]
-    python -m repro spmv   MATRIX [--memory ddr4|hbm2] [--workers N]
+    python -m repro spmv   MATRIX [--memory ddr4|hbm2]
                                    [--iterations N] [--metrics-out PATH]
                                    [--trace-out PATH] [--policy strict|degrade]
-                                   [--fault-plan SPEC] [--pipeline] [--depth D]
+                                   [--fault-plan SPEC] [--pipeline]
                                    [--mmap] [--nrhs K]
     python -m repro autotune MATRIX [--block-bytes N] [--seed S]
                             [--calibrate | --default-profile] [--json]
     python -m repro scrub  CONTAINER [--json] [--verbose]
-    python -m repro serve  --root DIR [--host H] [--port N] [--workers N]
+    python -m repro serve  --root DIR [--host H] [--port N]
                             [--pipeline] [--tenant-rate R] [--max-fuse K]
                             [--fusion-window-ms W] [--inflight-budget-mb M]
                             [--cache-mb M] [--max-queue Q] [--drain-s S]
@@ -152,7 +152,7 @@ def cmd_spmv(args) -> int:
         obs.enable_tracing()
     m = load_matrix(args.matrix)
     memory = _MEMORIES[args.memory]
-    plan = compress_matrix(m, workers=args.workers)
+    plan = compress_matrix(m)
     udp = simulate_plan(plan, sample=args.sample_blocks)
     cpu = CPURecoder().simulate_plan(plan, sample=args.sample_blocks)
     cmp_ = HeterogeneousSystem(memory).compare("cli", plan, udp, cpu)
@@ -193,7 +193,7 @@ def cmd_spmv(args) -> int:
         from repro.core import recoded_spmm, recoded_spmv
 
         mode = "pipelined" if args.pipeline else "serial"
-        engine = RecodeEngine(workers=args.workers, cache=DecodedBlockCache())
+        engine = RecodeEngine(cache=DecodedBlockCache())
         x = (np.ones(m.ncols) if args.nrhs == 1
              else np.ones((m.ncols, args.nrhs)))
         ctx = fault_plan.activate() if fault_plan else contextlib.nullcontext()
@@ -214,19 +214,18 @@ def cmd_spmv(args) -> int:
                     y, stats = recoded_spmv(
                         target, x, memory=memory, engine=engine,
                         matrix_id=args.matrix, policy=args.policy,
-                        mode=mode, depth=args.depth)
+                        mode=mode)
                 else:
                     y, stats = recoded_spmm(
                         target, x, memory=memory, engine=engine,
                         matrix_id=args.matrix, policy=args.policy,
-                        mode=mode, depth=args.depth)
+                        mode=mode)
                 scale = float(np.abs(y).max())
                 x = y / scale if scale else y
         kind = "SpMV" if args.nrhs == 1 else f"SpMM k={args.nrhs}"
         s = stats.engine_stats
         cache = engine.cache.stats
         print(f"engine ({iterations} {mode} {kind} iterations): "
-              f"workers={s['workers']:.0f}, "
               f"{s['blocks_decoded']:.0f} blocks decoded, "
               f"{cache.hits} cache hits ({cache.hit_rate:.0%}), "
               f"{s['decode_mb_per_s']:.1f} MB/s")
@@ -237,15 +236,14 @@ def cmd_spmv(args) -> int:
                   f"pages_touched={oc['pages_touched']}")
         if args.pipeline:
             reg = obs.registry()
-            print(f"pipeline: depth={args.depth} "
+            print(f"pipeline: "
                   f"multiply_idle={reg.value('spmv.pipeline.multiply_idle_seconds'):.3f}s "
                   f"decode_idle={reg.value('spmv.pipeline.decode_idle_seconds'):.3f}s")
         if fault_plan is not None:
             reg = obs.registry()
             print(f"chaos: quarantined={reg.value('faults.blocks_quarantined'):.0f} "
                   f"retries={reg.value('faults.retries'):.0f} "
-                  f"degraded_blocks={reg.value('spmv.degraded_blocks'):.0f} "
-                  f"pool_rebuilds={reg.value('faults.pool_rebuilds'):.0f}")
+                  f"degraded_blocks={reg.value('spmv.degraded_blocks'):.0f}")
     if args.metrics_out:
         obs.write_metrics(args.metrics_out)
         print(f"wrote {args.metrics_out}")
@@ -388,10 +386,7 @@ def cmd_serve(args) -> int:
         root=args.root,
         host=args.host,
         port=args.port,
-        workers=args.workers,
-        executor=args.executor,
         mode="pipelined" if args.pipeline else "serial",
-        depth=args.depth,
         cache_bytes=args.cache_mb * mb,
         max_matrix_frac=args.max_matrix_frac,
         inflight_budget_bytes=args.inflight_budget_mb * mb,
@@ -428,8 +423,7 @@ def cmd_serve(args) -> int:
                 f"serving {len(server.library)} matrices "
                 f"({', '.join(server.library.names())}) on "
                 f"{config.host}:{server.port} "
-                f"[mode={config.mode} workers={config.workers} "
-                f"max_fuse={config.max_fuse}]",
+                f"[mode={config.mode} max_fuse={config.max_fuse}]",
                 flush=True,
             )
 
@@ -537,9 +531,9 @@ def cmd_ablate(args) -> int:
     try:
         report = AblationRunner(settings).run(configs)
     except KeyboardInterrupt:
-        # The runner's ``finally`` already drained its engine pool; exit
-        # with the conventional interrupt status, no traceback spam.
-        print("interrupted; worker pools drained", file=sys.stderr)
+        # The runner's ``finally`` already closed its engine; exit with
+        # the conventional interrupt status, no traceback spam.
+        print("interrupted", file=sys.stderr)
         return 130
     artifact = build_artifact(report)
 
@@ -606,10 +600,7 @@ def cmd_solve(args) -> int:
     session = ExecutionSession(
         source,
         matrix_id=f"solve-{args.algorithm}",
-        workers=args.workers,
-        executor="thread",
         mode=args.mode,
-        depth=args.depth,
         policy=args.policy,
         reuse=not args.no_session,
     )
@@ -698,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--sample-blocks", type=int, default=2)
     p.add_argument("--workers", type=int, default=0,
-                   help="recode-engine pool width (0 = serial)")
+                   help="encode pool width in processes (0 = serial)")
     _add_kernel_backend_arg(p)
     p.set_defaults(fn=cmd_compress)
 
@@ -706,8 +697,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--memory", default="ddr4", choices=sorted(_MEMORIES))
     p.add_argument("--sample-blocks", type=int, default=2)
-    p.add_argument("--workers", type=int, default=0,
-                   help="recode-engine pool width (0 = serial)")
     p.add_argument("--iterations", type=int, default=0, metavar="N",
                    help="also run N functional SpMV iterations through the "
                         "engine's decoded-block cache and report its stats")
@@ -721,15 +710,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "iterations (degrade substitutes raw CSR, bit-exact)")
     p.add_argument("--fault-plan", metavar="SPEC",
                    help="arm a deterministic chaos plan around the functional "
-                        "iterations, e.g. 'seed=7,bitflip=0.05,kill=3' "
+                        "iterations, e.g. 'seed=7,bitflip=0.05' "
                         "(forces one iteration if --iterations is 0)")
     p.add_argument("--pipeline", action="store_true",
                    help="run the functional iterations with the pipelined "
-                        "executor (overlap block decode with the multiply); "
+                        "executor (one decode handle per run); "
                         "bit-identical to serial")
-    p.add_argument("--depth", type=int, default=4, metavar="D",
-                   help="pipelined prefetch depth: max decode chunk tasks "
-                        "in flight (default 4; needs --pipeline)")
     p.add_argument("--mmap", action="store_true",
                    help="stream the compressed matrix from an mmap-backed "
                         ".dsh container instead of holding it in memory")
@@ -805,12 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row-normalize + transpose into a column-stochastic "
                         "P^T first (graph adjacency -> random-walk operator)")
     p.add_argument("--block-bytes", type=int, default=8192)
-    p.add_argument("--workers", type=int, default=0,
-                   help="session engine pool width (0 = serial)")
     p.add_argument("--mode", default="serial", choices=["serial", "pipelined"],
                    help="executor for cold calls (default %(default)s)")
-    p.add_argument("--depth", type=int, default=4, metavar="D",
-                   help="pipelined prefetch depth")
     p.add_argument("--policy", default="strict", choices=["strict", "degrade"])
     p.add_argument("--no-session", action="store_true",
                    help="disable steady-state reuse: every iteration pays "
@@ -829,11 +811,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="reduced grid (CI): smaller matrices, fewer repeats")
     p.add_argument("--axes", metavar="LIST",
-                   help="comma-separated axis subset, e.g. 'cache,workers' "
+                   help="comma-separated axis subset, e.g. 'cache,executor' "
                         "(default: every switchable axis)")
     p.add_argument("--pairs", metavar="LIST",
                    help="also run pairwise ablations over these axes, e.g. "
-                        "'executor,workers' (every pair among the listed "
+                        "'cache,executor' (every pair among the listed "
                         "axes; their one-off runs are added if --axes "
                         "omitted them) and report interaction ratios")
     p.add_argument("--out", default="BENCH_ablation.json", metavar="PATH",
@@ -849,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-harmful", type=float, default=None, metavar="FRAC",
                    help="exit 1 if removing any component improves the "
                         "headline geomean by more than FRAC (e.g. 0.05); "
-                        "host-dependent knobs (workers, depth) are ranked "
+                        "host-dependent knobs (kernel_backend) are ranked "
                         "but never gate")
     p.add_argument("--json", action="store_true",
                    help="print the artifact JSON instead of the table")
@@ -864,14 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7077,
                    help="TCP port (0 = ephemeral; default %(default)s)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="recode-engine pool width (0 = serial decode)")
-    p.add_argument("--executor", default="thread", choices=["thread", "process"],
-                   help="engine pool kind (default thread: no fork cost "
-                        "per request)")
     p.add_argument("--pipeline", action="store_true",
-                   help="pipelined executor per request (needs --workers >= 1)")
-    p.add_argument("--depth", type=int, default=4, metavar="D")
+                   help="pipelined executor per request")
     p.add_argument("--cache-mb", type=int, default=256, metavar="M",
                    help="shared decoded-block cache budget (default %(default)s)")
     p.add_argument("--max-matrix-frac", type=float, default=0.5, metavar="F",

@@ -365,9 +365,9 @@ class _LazyRecords(Sequence):
         return rec
 
     def __reduce__(self):
-        # A process-pool engine pickles the whole plan; the mmap behind this
-        # view cannot cross the process boundary, so ship materialized
-        # records instead (loses laziness, keeps correctness).
+        # The mmap behind this view cannot cross a process boundary, so a
+        # pickled plan ships materialized records instead (loses laziness,
+        # keeps correctness).
         return (tuple, (tuple(self),))
 
 

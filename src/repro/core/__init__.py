@@ -12,7 +12,7 @@
 """
 
 from repro.core.attach import AttachReport, on_die_udp, pcie_attached
-from repro.core.executor import DEFAULT_DEPTH, RunCancelled, run_pipelined
+from repro.core.executor import RunCancelled, run_pipelined
 from repro.core.hetero import HeterogeneousSystem, ScenarioResult, SpMVComparison
 from repro.core.pipeline_timing import PipelineTiming, simulate_recoded_spmv_timing
 from repro.core.power import PowerScenario, iso_performance_power
@@ -38,7 +38,6 @@ __all__ = [
     "PipelineStats",
     "recoded_spmv",
     "recoded_spmm",
-    "DEFAULT_DEPTH",
     "RunCancelled",
     "run_pipelined",
 ]

@@ -11,16 +11,13 @@ executor is only the hook it calls for block *i*, in block order:
   block, and applies the strict/degrade failure policy;
 * :func:`serial_decoder` decodes block *i* on the spot — the cycle-level
   UDP programs, ``engine.decode_block``, or ``plan.decompress_block``;
-* :func:`run_pipelined` is the paper's overlap (the UDP recodes block
-  *i+1* while the CPU multiplies block *i*): one
+* :func:`run_pipelined` reads block *i* off one
   :meth:`~repro.codecs.engine.RecodeEngine.decode_blocks_async` handle
-  keeps up to ``depth`` chunk decodes in flight, and completions wait in
-  a small reorder stash until the kernel reaches them.
+  for the whole run, which decodes it inline when asked.
 
 Because the kernel consumes blocks in order whatever the decoder, the
 multiply, the ``TrafficLog``, the ``dma_seconds`` float-addition
-sequence and the raised errors are the serial ones bit for bit — a
-decoder changes *when* decode work happens, never *what* happens.
+sequence and the raised errors are the serial ones bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro import obs
-from repro.codecs.engine import BlockFailure, DEFAULT_PREFETCH_CHUNKS, RecodeEngine
+from repro.codecs.engine import BlockFailure, RecodeEngine
 from repro.codecs.errors import BlockDecodeError, CodecError, block_error
 from repro.codecs.pipeline import MatrixCompression
 from repro.memsys.dma import DMAEngine
@@ -40,9 +37,6 @@ from repro.memsys.traffic import TrafficLog
 from repro.sparse.blocked import CSRBlock
 from repro.udp.lane import Lane
 from repro.udp.runtime import DecoderToolchain
-
-#: Default prefetch depth (chunk tasks in flight) for ``mode="pipelined"``.
-DEFAULT_DEPTH = DEFAULT_PREFETCH_CHUNKS
 
 #: ``decoder(i, idx_rec, val_rec) -> CSRBlock``; raises CodecError.
 Decoder = Callable[[int, object, object], CSRBlock]
@@ -54,7 +48,7 @@ class RunCancelled(RuntimeError):
     Cooperative cancellation for deadline-bound callers (the serve layer):
     the executor polls the callback between blocks and abandons the run
     as soon as it returns True, so a request past its deadline stops
-    borrowing decode workers, DMA model time, and cache capacity. The
+    borrowing decode time, DMA model time, and cache capacity. The
     partial result is discarded — nothing observable is half-updated.
     """
 
@@ -115,61 +109,37 @@ def serial_decoder(
 
 
 class PipelinedDecoder:
-    """The pipelined decoder: one async engine handle, read in block order.
+    """The pipelined decoder: one engine handle for the whole run, read in
+    block order.
 
-    Cache hits, then decoded chunks, arrive in completion order; each
-    block waits in a reorder stash until the kernel asks for it. A DRAM-
-    faulted block still takes its engine result off the handle but decodes
-    what arrived instead. :meth:`close` (called however the run ends)
-    closes the handle — in-flight pool chunks finish and are dropped — and
-    flushes the ``spmv.pipeline.*`` telemetry.
+    The handle yields block *i* when the kernel asks for it. A DRAM-
+    faulted block still takes its engine result off the handle but
+    decodes what arrived instead. :meth:`close` (called however the run
+    ends) closes the handle and flushes the ``spmv.pipeline.*``
+    telemetry: ``multiply_idle_seconds`` is the time the kernel waited on
+    decode, and ``decode_idle_seconds`` and ``multiply_seconds`` the time
+    it spent multiplying, with the inline decoder idle.
     """
 
-    def __init__(
-        self, plan: MatrixCompression, engine: RecodeEngine, matrix_id: str, depth: int
-    ):
+    def __init__(self, plan: MatrixCompression, engine: RecodeEngine, matrix_id: str):
         self._plan = plan
-        self._handle = engine.decode_blocks_async(
-            plan, matrix_id=matrix_id, max_inflight=depth
-        )
-        self._it = iter(self._handle)
-        self._stash: dict[int, CSRBlock | BlockFailure] = {}
-        reg = obs.registry()
-        self._queue = reg.histogram("spmv.pipeline.queue_depth")
-        self._inflight = reg.gauge("spmv.pipeline.inflight")
-        self._wait_s = self._idle_s = self._multiply_s = 0.0
-        # When the last block went to the multiply, and whether the
-        # decoders were idle (nothing in flight) while it ran.
+        self._handle = engine.decode_blocks_async(plan, matrix_id=matrix_id)
+        self._wait_s = self._multiply_s = 0.0
+        # When the last block went to the multiply.
         self._handed_at: float | None = None
-        self._starved = False
 
     def _charge_multiply(self) -> None:
         if self._handed_at is not None:
-            dt = time.perf_counter() - self._handed_at
-            self._multiply_s += dt
-            if self._starved:
-                self._idle_s += dt
+            self._multiply_s += time.perf_counter() - self._handed_at
             self._handed_at = None
 
     def __call__(self, i: int, idx_rec, val_rec) -> CSRBlock:
         self._charge_multiply()
-        # Checked before pulling: the handle's lookahead may push block i's
-        # records out of a lazy reader's identity memo.
-        faulty = _arrived_faulty(self._plan, i, idx_rec, val_rec)
-        handle, stash = self._handle, self._stash
         t0 = time.perf_counter()
-        while i not in stash:
-            self._queue.observe(handle.ready)
-            self._inflight.set(handle.inflight)
-            j, res = next(self._it)
-            stash[j] = res
-        self._wait_s += time.perf_counter() - t0
-        res = stash.pop(i)
-        # With nothing left in flight the decoders sit idle while the
-        # kernel multiplies — the signal that a deeper prefetch would help.
-        self._starved = handle.inflight == 0
+        _, res = next(self._handle)
         self._handed_at = time.perf_counter()
-        if faulty:
+        self._wait_s += self._handed_at - t0
+        if _arrived_faulty(self._plan, i, idx_rec, val_rec):
             return self._plan.decompress_block(
                 i, index_record=idx_rec, value_record=val_rec
             )
@@ -181,19 +151,18 @@ class PipelinedDecoder:
         self._charge_multiply()
         self._handle.close()
         reg = obs.registry()
-        self._inflight.set(0)
         reg.counter("spmv.pipeline.runs").inc()
         reg.counter("spmv.pipeline.multiply_idle_seconds").inc(self._wait_s)
-        reg.counter("spmv.pipeline.decode_idle_seconds").inc(self._idle_s)
+        reg.counter("spmv.pipeline.decode_idle_seconds").inc(self._multiply_s)
         reg.counter("spmv.pipeline.multiply_seconds").inc(self._multiply_s)
 
 
 def run_pipelined(
-    plan: MatrixCompression, engine: RecodeEngine, matrix_id: str, depth: int
+    plan: MatrixCompression, engine: RecodeEngine, matrix_id: str
 ) -> PipelinedDecoder:
-    """Start a pipelined run's decodes (``mode="pipelined"``): every block
-    is submitted to ``engine`` with at most ``depth`` chunks in flight."""
-    return PipelinedDecoder(plan, engine, matrix_id, depth)
+    """Start a pipelined run's decoder (``mode="pipelined"``): one engine
+    handle over every block of ``plan``."""
+    return PipelinedDecoder(plan, engine, matrix_id)
 
 
 class RecodeHook:

@@ -1,15 +1,15 @@
 """Persistent execution sessions: steady-state SpMV/SpMM over one plan.
 
 Every :func:`~repro.core.spmv_pipeline.recoded_spmv` call is single-shot:
-it re-pays pool spin-up, reader structural walks, row-index
+it re-pays engine and cache set-up, reader structural walks, row-index
 materialization, per-record CRC checks, and a fresh output allocation —
 even when iterating over the same immutable plan. The paper's throughput
 claim (and SpArch / SparseZipper's framing of sparse accelerators) is
 about *sustained* steady-state loops, where decode traffic amortizes over
 repeated accesses. :class:`ExecutionSession` makes that path first-class:
 
-* **Warm engine pool** — one :class:`~repro.codecs.engine.RecodeEngine`
-  lives for the session, so process/thread pool spin-up is paid once.
+* **One engine** — one :class:`~repro.codecs.engine.RecodeEngine` lives
+  for the session, with its cache and quarantine memo.
 * **Session-scoped decoded-block cache sized to the matrix** — every
   decoded block stays resident (12 B/nnz budget covers the whole plan),
   so iterations after the first skip decode entirely.
@@ -52,7 +52,6 @@ from repro import faults, obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine, plan_fingerprint
 from repro.codecs.pipeline import MatrixCompression
-from repro.core.executor import DEFAULT_DEPTH
 from repro.core.spmv_pipeline import PipelineStats, recoded_spmm, recoded_spmv
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
@@ -79,11 +78,9 @@ class ExecutionSession:
         memory: memory system for DMA timing/energy on cold runs.
         engine: borrow an existing engine (its cache too); by default the
             session builds its own with a cache sized to the matrix.
-        workers / executor: pool shape for the session-owned engine
-            (ignored when ``engine`` is passed).
         mode: ``"serial"`` or ``"pipelined"`` — the executor cold calls
             run under.
-        depth / policy: forwarded to the executor on cold calls.
+        policy: forwarded to the executor on cold calls.
         reuse: ``False`` makes every call cold-per-call (the ablation
             axis): the cache is cleared before each call, no warm fast
             path, no CRC memo, fresh output buffers. Results are
@@ -102,17 +99,13 @@ class ExecutionSession:
         matrix_id: str = "",
         memory: MemorySystem = DDR4_100GBS,
         engine: RecodeEngine | None = None,
-        workers: int = 0,
-        executor: str = "thread",
         mode: str = "serial",
-        depth: int = DEFAULT_DEPTH,
         policy: str = "strict",
         reuse: bool = True,
     ):
         self.matrix_id = matrix_id or f"session-{next(_session_ids)}"
         self.memory = memory
         self.mode = mode
-        self.depth = depth
         self.policy = policy
         self.reuse = reuse
         self._closed = False
@@ -146,9 +139,7 @@ class ExecutionSession:
             # Budget covers every decoded block at 12 B/nnz, so nothing
             # evicts and the whole plan goes resident after one pass.
             cache = DecodedBlockCache(max_bytes=max(12 * self.plan.nnz, 4096))
-            self.engine = RecodeEngine(
-                workers=workers, executor=executor, cache=cache
-            )
+            self.engine = RecodeEngine(cache=cache)
             self._owns_engine = True
 
         self._fingerprint = plan_fingerprint(self.plan)
@@ -168,7 +159,7 @@ class ExecutionSession:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release session-owned resources (engine pool, reader)."""
+        """Release session-owned resources (engine, reader)."""
         if self._closed:
             return
         self._closed = True
@@ -266,7 +257,6 @@ class ExecutionSession:
             matrix_id=self.matrix_id,
             policy=self.policy,
             mode=self.mode,
-            depth=self.depth,
         )
 
     def _record_call(self, warm: bool, nblocks: int, seconds: float) -> None:

@@ -15,13 +15,11 @@ where the hook gets block *i* from:
 
 * ``mode="serial"`` — decode block *i* when the loop reaches it. The
   reference the pipelined mode is tested bit-exactly against.
-* ``mode="pipelined"`` — the paper's overlap (UDP recodes block *i+1*
-  while the CPU multiplies block *i*): block decodes run ahead
-  asynchronously in a :class:`~repro.codecs.engine.RecodeEngine` pool
-  with bounded prefetch ``depth``, and the loop takes each block, in
-  order, as it lands. See :mod:`repro.core.executor`. Result vector,
-  TrafficLog byte totals, ``dma_seconds``, degraded-block accounting, and
-  raised errors are all bit-identical to serial.
+* ``mode="pipelined"`` — the loop reads every block, in order, off one
+  :class:`~repro.codecs.engine.RecodeEngine` decode handle for the whole
+  run, which decodes it inline when asked. See :mod:`repro.core.executor`.
+  Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
+  accounting, and raised errors are all bit-identical to serial.
 
 :func:`recoded_spmm` fuses multiple right-hand sides: each block is
 streamed and decoded **once** and multiplied against all ``k`` columns,
@@ -44,12 +42,7 @@ from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
 from repro.codecs.pipeline import MatrixCompression
-from repro.core.executor import (
-    DEFAULT_DEPTH,
-    RecodeHook,
-    run_pipelined,
-    serial_decoder,
-)
+from repro.core.executor import RecodeHook, run_pipelined, serial_decoder
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
 from repro.sparse.spmm import spmm_blocked
@@ -68,7 +61,7 @@ class PipelineStats:
     baseline_dram_bytes: int
     dma_seconds: float
     #: Snapshot of the recode engine's cumulative counters (blocks decoded,
-    #: cache hits, workers, MB/s, ...) when one drove the decode; else None.
+    #: cache hits, MB/s, ...) when one drove the decode; else None.
     engine_stats: dict | None = None
     #: Failure policy the run executed under (``strict`` | ``degrade``).
     policy: str = "strict"
@@ -97,9 +90,7 @@ class PipelineStats:
         return self.dram_bytes / self.baseline_dram_bytes
 
 
-def _validate(
-    policy: str, mode: str, depth: int, engine, use_udp_simulator: bool
-) -> None:
+def _validate(policy: str, mode: str, engine, use_udp_simulator: bool) -> None:
     if policy not in ("strict", "degrade"):
         raise ValueError(f"policy must be 'strict' or 'degrade', got {policy!r}")
     if mode not in MODES:
@@ -112,8 +103,6 @@ def _validate(
                 "mode='pipelined' cannot run the cycle-level UDP simulator; "
                 "use mode='serial' with use_udp_simulator=True"
             )
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
 
 
 def _resolve(
@@ -147,7 +136,6 @@ def _execute(
     matrix_id: str,
     policy: str,
     mode: str,
-    depth: int,
     kernel,
     prefix: str,
     nrhs: int,
@@ -164,12 +152,12 @@ def _execute(
     kernel) that sessions reuse across iterations; results are
     bit-identical with or without it.
     """
-    _validate(policy, mode, depth, engine, use_udp_simulator)
+    _validate(policy, mode, engine, use_udp_simulator)
     pages_before = reader.pages_touched if reader is not None else 0
     log = TrafficLog()
     start = time.perf_counter()
     if mode == "pipelined":
-        decode = run_pipelined(plan, engine, matrix_id, depth)
+        decode = run_pipelined(plan, engine, matrix_id)
     else:
         decode = serial_decoder(plan, engine, matrix_id, use_udp_simulator)
     hook = RecodeHook(
@@ -246,7 +234,6 @@ def recoded_spmv(
     matrix_id: str = "",
     policy: str = "strict",
     mode: str = "serial",
-    depth: int = DEFAULT_DEPTH,
     cancel=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
@@ -278,17 +265,15 @@ def recoded_spmv(
             plan's retained raw CSR partition — the result stays
             bit-exact; the substituted block just streams uncompressed
             (counted in ``stats.degraded_blocks`` and the traffic ratio).
-        mode: ``"serial"`` decodes then multiplies block by block;
-            ``"pipelined"`` overlaps decode with multiply by prefetching
-            block decodes through the engine pool (requires ``engine``).
-            Both modes produce bit-identical results, traffic, and errors.
-        depth: pipelined prefetch depth — max decode chunk tasks in
-            flight (``mode="pipelined"`` only).
+        mode: ``"serial"`` asks ``engine`` for each block on its own;
+            ``"pipelined"`` reads every block off one engine decode handle
+            (requires ``engine``). Both decode inline, block by block, and
+            produce bit-identical results, traffic, and errors.
         cancel: optional zero-arg callable polled at every block
             boundary; returning True abandons the run with
             :class:`~repro.core.executor.RunCancelled` (deadline-bound
             callers — the serve layer — use this to stop a request past
-            its deadline from borrowing further decode/DMA capacity).
+            its deadline from spending further decode/DMA time).
         out: optional preallocated ``(nrows,)`` float64 accumulator,
             zero-filled and returned as ``y`` — lets iterative callers
             (:class:`~repro.core.session.ExecutionSession`) reuse one
@@ -308,7 +293,6 @@ def recoded_spmv(
             matrix_id=matrix_id,
             policy=policy,
             mode=mode,
-            depth=depth,
             kernel=spmv_blocked,
             prefix="spmv",
             nrhs=1,
@@ -329,7 +313,6 @@ def recoded_spmm(
     matrix_id: str = "",
     policy: str = "strict",
     mode: str = "serial",
-    depth: int = DEFAULT_DEPTH,
     cancel=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
@@ -342,7 +325,7 @@ def recoded_spmm(
     bit-identical to ``recoded_spmv(plan, X[:, j])``.
 
     Accepts the same ``engine`` / ``matrix_id`` / ``policy`` / ``mode`` /
-    ``depth`` / ``cancel`` knobs (and the same polymorphic ``plan``) as
+    ``cancel`` knobs (and the same polymorphic ``plan``) as
     :func:`recoded_spmv`; metrics are recorded under the ``spmm.*`` prefix
     with ``flops = 2 * k * nnz``.
 
@@ -366,7 +349,6 @@ def recoded_spmm(
             matrix_id=matrix_id,
             policy=policy,
             mode=mode,
-            depth=depth,
             kernel=spmm_blocked,
             prefix="spmm",
             nrhs=int(x.shape[1]),

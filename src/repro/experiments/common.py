@@ -32,7 +32,8 @@ class ExperimentContext:
     rep_nnz: int = 40_000
     sample_blocks: int = 2
     seed: int = 2019
-    #: Recode-engine pool width for software encode/decode (0 = serial).
+    #: Recode-engine pool width for software encode (0 = serial); decode
+    #: always runs inline.
     workers: int = 0
 
     @classmethod

@@ -86,7 +86,7 @@ def run(ctx: ExperimentContext | None = None, lab: MatrixLab | None = None) -> E
     # Software recode engine over the same DSH plans: measured wall-clock,
     # cold (every block decompressed) vs steady-state (decoded-block cache
     # hot — the paper's repeated-SpMV reuse regime).
-    sw = RecodeEngine(workers=ctx.workers, cache=DecodedBlockCache())
+    sw = RecodeEngine(cache=DecodedBlockCache())
     for rep, plan in zip(lab.representatives(), plans):
         sw.decode_blocked(plan, matrix_id=rep.name)
     sw_cold = sw.stats.decode_mb_per_s
@@ -124,7 +124,7 @@ def run(ctx: ExperimentContext | None = None, lab: MatrixLab | None = None) -> E
             "CPU runs Snappy-only on 32 KB blocks (its best case); UDP runs "
             "full DSH on 8 KB blocks. Shape check: every row >1x, UDP in "
             "the tens of GB/s. sw_* rows are the measured software recode "
-            f"engine ({sw.stats.workers} workers): cold decode vs "
+            "engine (inline decode): cold decode vs "
             "steady-state over the decoded-block cache. hf_* rows compare "
             "the Huffman stage alone across kernel backends (reference "
             "loops vs vectorized DFA; see docs/PERFORMANCE.md). "

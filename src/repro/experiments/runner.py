@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, help="override cycle-simulated blocks/matrix")
     parser.add_argument(
         "--workers", type=int,
-        help="recode-engine pool width for software encode/decode (0 = serial)",
+        help="recode-engine pool width for software encode (0 = serial)",
     )
     parser.add_argument(
         "--metrics-out", metavar="PATH", help="write a metrics JSON snapshot here"

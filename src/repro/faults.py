@@ -6,9 +6,8 @@ injects that path's real failure modes on purpose, reproducibly:
 
 * **bit flips / truncation** of encoded block payloads (record site — what
   the recode engine reads; dram site — what the SpMV DMA streams);
-* **worker exceptions** and **worker kills** inside the engine's process
-  pool (crash mid-chunk, exactly like a real pool worker OOMing);
-* **artificial latency** per block (a slow lane, a throttled channel);
+* **artificial latency** per block decode (a slow lane, a throttled
+  channel);
 * **container bit flips** applied to ``.dsh`` bytes at load time.
 
 Every decision is a pure function of ``(plan.seed, site, key)`` via
@@ -21,7 +20,7 @@ path adds no measurable overhead.
 
 Usage::
 
-    plan = FaultPlan(seed=7, bitflip_rate=0.05, worker_kill_blocks=(3,))
+    plan = FaultPlan(seed=7, bitflip_rate=0.05, latency_s=0.002, latency_rate=0.1)
     with plan.activate():
         y, stats = recoded_spmv(cplan, x, engine=engine, policy="degrade")
 
@@ -34,7 +33,6 @@ degradation machinery real corruption would.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,22 +59,18 @@ _RATE_FIELDS = (
     "truncate_rate",
     "dram_bitflip_rate",
     "container_bitflip_rate",
-    "worker_exc_rate",
     "latency_rate",
 )
 
-#: CLI spec keys (``repro spmv --fault-plan "seed=7,bitflip=0.05,kill=3"``).
+#: CLI spec keys (``repro spmv --fault-plan "seed=7,bitflip=0.05"``).
 _SPEC_KEYS = {
     "seed": ("seed", int),
     "bitflip": ("bitflip_rate", float),
     "truncate": ("truncate_rate", float),
     "dram": ("dram_bitflip_rate", float),
     "container": ("container_bitflip_rate", float),
-    "worker-exc": ("worker_exc_rate", float),
     "latency": ("latency_s", float),
     "latency-rate": ("latency_rate", float),
-    "kill": ("worker_kill_blocks", "blocks"),
-    "exc-blocks": ("worker_exc_blocks", "blocks"),
     "bitflip-blocks": ("bitflip_blocks", "blocks"),
     "truncate-blocks": ("truncate_blocks", "blocks"),
     "dram-blocks": ("dram_bitflip_blocks", "blocks"),
@@ -89,7 +83,7 @@ class FaultPlan:
 
     Rates are per-(block, stream) probabilities in [0, 1]; ``*_blocks``
     tuples target specific block ids deterministically (rate-independent).
-    The plan is immutable and safe to ship into pool workers.
+    The plan is immutable.
     """
 
     seed: int = 0
@@ -101,18 +95,13 @@ class FaultPlan:
     dram_bitflip_rate: float = 0.0
     #: P(flip one bit of a .dsh byte stream) per load.
     container_bitflip_rate: float = 0.0
-    #: P(raise InjectedFault) per block inside a pool worker.
-    worker_exc_rate: float = 0.0
-    #: P(sleep latency_s) per block inside a pool worker.
+    #: P(sleep latency_s) per block decode attempt in the engine.
     latency_rate: float = 0.0
     #: Injected sleep duration (seconds).
     latency_s: float = 0.0
     bitflip_blocks: tuple[int, ...] = ()
     truncate_blocks: tuple[int, ...] = ()
     dram_bitflip_blocks: tuple[int, ...] = ()
-    worker_exc_blocks: tuple[int, ...] = ()
-    #: Blocks whose in-worker decode kills the worker process (os._exit).
-    worker_kill_blocks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -136,17 +125,6 @@ class FaultPlan:
             yield self
         finally:
             _ACTIVE = prev
-
-    @property
-    def wants_worker_faults(self) -> bool:
-        """True when any worker-site fault (latency, exception, kill) can
-        fire — the engine only wraps pool tasks when this is set."""
-        return bool(
-            self.worker_exc_blocks
-            or self.worker_kill_blocks
-            or self.worker_exc_rate > 0.0
-            or (self.latency_s > 0.0 and self.latency_rate > 0.0)
-        )
 
     # -- deterministic decisions ---------------------------------------------
 
@@ -219,29 +197,14 @@ class FaultPlan:
             return self._flip_bit(data, "container", len(data))
         return data
 
-    # -- worker-site faults ----------------------------------------------------
+    # -- decode-site latency --------------------------------------------------
 
-    def fire_worker_faults(self, block_id: int, allow_kill: bool) -> None:
-        """Run inside a pool worker before decoding ``block_id``.
-
-        May sleep (latency), kill the worker process outright (process
-        pools only — the parent sees BrokenProcessPool and recovers), or
-        raise :class:`InjectedFault` (thread pools downgrade kills to
-        exceptions, since a thread cannot be killed).
-        """
+    def delay(self, block_id: int) -> None:
+        """Run by the engine before each decode attempt of ``block_id``:
+        may sleep ``latency_s``."""
         if self.latency_s > 0 and self._fires(self.latency_rate, "latency", block_id):
             obs.registry().counter("faults.injected.latency_events").inc()
             time.sleep(self.latency_s)
-        if block_id in self.worker_kill_blocks:
-            if allow_kill:
-                os._exit(23)
-            raise InjectedFault(
-                f"injected worker kill at block {block_id} (thread pool: raised)"
-            )
-        if block_id in self.worker_exc_blocks or self._fires(
-            self.worker_exc_rate, "worker-exc", block_id
-        ):
-            raise InjectedFault(f"injected worker exception at block {block_id}")
 
     # -- CLI spec --------------------------------------------------------------
 
@@ -250,11 +213,11 @@ class FaultPlan:
         """Build a plan from a ``key=value,...`` spec string.
 
         Keys: ``seed``, ``bitflip``, ``truncate``, ``dram``, ``container``,
-        ``worker-exc``, ``latency``, ``latency-rate`` (scalars) and
-        ``kill``, ``exc-blocks``, ``bitflip-blocks``, ``truncate-blocks``,
-        ``dram-blocks`` (``|``-separated block ids). Example::
+        ``latency``, ``latency-rate`` (scalars) and ``bitflip-blocks``,
+        ``truncate-blocks``, ``dram-blocks`` (``|``-separated block ids).
+        Example::
 
-            seed=7,bitflip=0.05,kill=3|9,latency=0.002,latency-rate=0.1
+            seed=7,bitflip=0.05,bitflip-blocks=3|9,latency=0.002,latency-rate=0.1
         """
         kwargs: dict[str, object] = {}
         for pair in spec.split(","):

@@ -25,8 +25,8 @@ The scheduler owns the window between admission and execution:
   deadline has passed, returning borrowed decode/cache capacity early.
 
 Compute runs on a small thread pool (numpy multiplies release the GIL;
-block decodes go through the shared engine, which may fan out to its own
-worker pool) so the asyncio loop never blocks on linear algebra.
+block decodes run inline on the compute thread through the shared
+engine) so the asyncio loop never blocks on linear algebra.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class FusionScheduler:
         engine,
         *,
         mode: str = "serial",
-        depth: int = 4,
         memory=None,
         compute_threads: int = 2,
         fusion_window_ms: float = 2.0,
@@ -135,7 +134,6 @@ class FusionScheduler:
         self.library = library
         self.engine = engine
         self.mode = mode
-        self.depth = depth
         self.memory = memory
         self.fusion_window_s = max(0.0, fusion_window_ms) / 1000.0
         self.max_fuse = max_fuse
@@ -332,7 +330,6 @@ class FusionScheduler:
             matrix_id=name,
             policy=policy,
             mode=self.mode,
-            depth=self.depth,
             cancel=cancelled,
         )
         if self.memory is not None:

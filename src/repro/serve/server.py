@@ -19,7 +19,7 @@ movement and when. Under ``strict`` a decode failure is a typed ``500``;
 under ``degrade`` the executor substitutes identity blocks and the
 response accounts for every degraded block. Shutdown is graceful: stop
 accepting, shed new work as ``draining``, drain in-flight batches, then
-tear down the engine pool and the mmap readers.
+close the engine and the mmap readers.
 """
 
 from __future__ import annotations
@@ -60,12 +60,8 @@ class ServeConfig:
     root: str
     host: str = "127.0.0.1"
     port: int = 0
-    #: Engine pool width (0 = serial in-process decode).
-    workers: int = 0
-    executor: str = "thread"
     #: Execution mode for every request: "serial" | "pipelined".
     mode: str = "serial"
-    depth: int = 4
     cache_bytes: int = DEFAULT_SERVE_CACHE_BYTES
     max_matrix_frac: float = DEFAULT_MAX_MATRIX_FRAC
     inflight_budget_bytes: int = DEFAULT_INFLIGHT_BUDGET
@@ -84,8 +80,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("serial", "pipelined"):
             raise ValueError(f"mode must be serial|pipelined, got {self.mode!r}")
-        if self.mode == "pipelined" and self.workers == 0:
-            raise ValueError("mode=pipelined needs workers >= 1 (async decode)")
 
 
 class MatrixServer:
@@ -99,11 +93,7 @@ class MatrixServer:
         self.cache = SharedDecodedCache(
             max_bytes=config.cache_bytes, max_matrix_frac=config.max_matrix_frac
         )
-        self.engine = RecodeEngine(
-            workers=config.workers,
-            executor=config.executor,
-            cache=self.cache,
-        )
+        self.engine = RecodeEngine(cache=self.cache)
         self.admission = AdmissionController(
             inflight_budget_bytes=config.inflight_budget_bytes,
             tenant_rate=config.tenant_rate,
@@ -114,7 +104,6 @@ class MatrixServer:
             self.library,
             self.engine,
             mode=config.mode,
-            depth=config.depth,
             compute_threads=config.compute_threads,
             fusion_window_ms=config.fusion_window_ms,
             max_fuse=config.max_fuse,
@@ -152,7 +141,7 @@ class MatrixServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful: stop accepting, drain, tear down pools and mmaps."""
+        """Graceful: stop accepting, drain, tear down the compute pool and mmaps."""
         self._draining = True
         if self._server is not None:
             self._server.close()

@@ -222,19 +222,17 @@ BENCH_HEADLINE_SCHEMA: dict = _with_common(
 #: ``BENCH_pipeline.json`` — written by ``benchmarks/bench_pipeline.py``.
 BENCH_PIPELINE_SCHEMA: dict = _with_common(
     {
-        "required": ["pipeline_speedup", "spmm_per_rhs_ratio"],
+        "required": ["pipelined_over_engineless_ratio", "spmm_per_rhs_ratio"],
         "properties": {
             "context": {
-                "required": ["workers", "depth", "nrhs"],
+                "required": ["nrhs"],
                 "properties": {
-                    "workers": {"type": "integer", "minimum": 0},
-                    "depth": {"type": "integer", "minimum": 1},
                     "nrhs": {"type": "integer", "minimum": 1},
                 },
             },
-            "pipeline_speedup": {"type": "number", "minimum": 0},
+            "pipelined_over_engineless_ratio": {"type": "number", "minimum": 0},
             "spmm_per_rhs_ratio": {"type": "number", "minimum": 0},
-            "serial_seconds": {"type": "number", "minimum": 0},
+            "engineless_seconds": {"type": "number", "minimum": 0},
             "pipelined_seconds": {"type": "number", "minimum": 0},
         },
     }
@@ -287,14 +285,13 @@ BENCH_ABLATION_SCHEMA: dict = _with_common(
                 "items": {
                     "type": "object",
                     "required": [
-                        "axis", "component", "run_id", "kind",
+                        "axis", "component", "run_id",
                         "contribution", "harmful",
                     ],
                     "properties": {
                         "axis": {"type": "string"},
                         "component": {"type": "string"},
                         "run_id": {"type": "string"},
-                        "kind": {"type": "string"},
                         "contribution": {"type": "number", "minimum": 0},
                         "harmful": {"type": "boolean"},
                     },
@@ -508,9 +505,8 @@ BENCH_SERVE_SCHEMA: dict = _with_common(
         "properties": {
             "title": {"type": "string"},
             "context": {
-                "required": ["workers", "mode", "max_fuse", "tenants"],
+                "required": ["mode", "max_fuse", "tenants"],
                 "properties": {
-                    "workers": {"type": "integer", "minimum": 0},
                     "mode": {"type": "string"},
                     "max_fuse": {"type": "integer", "minimum": 1},
                     "tenants": {"type": "integer", "minimum": 1},

@@ -8,10 +8,8 @@ its switches imply. This is the correctness oracle for every switch the
 codebase exposes — a new switch that silently changes results cannot
 land without tripping it.
 
-Engines here use thread pools (identical scheduling paths to process
-pools, none of the fork cost) so the whole grid stays tier-1 fast; the
-process-pool leg of the same contract runs in ``repro ablate --smoke``
-and ``benchmarks/bench_ablations.py``.
+The same contract, at larger scale, is checked by ``repro ablate
+--smoke``.
 """
 
 from __future__ import annotations
@@ -73,9 +71,6 @@ def fixture(request):
 
 def _engine(config: AblationConfig) -> RecodeEngine:
     return RecodeEngine(
-        workers=config.workers,
-        executor="thread",
-        chunk_blocks=2,
         cache=DecodedBlockCache() if config.cache else None,
         retry_base_s=0.0,
     )
@@ -86,7 +81,6 @@ def _run_kwargs(config: AblationConfig, name: str) -> dict:
         matrix_id=name,
         policy=config.policy,
         mode=config.executor,
-        depth=config.depth,
     )
 
 
@@ -151,7 +145,6 @@ def _metric_names(config: AblationConfig, fixture) -> frozenset[str]:
             matrix_id=name,
             engine=engine,
             mode=config.executor,
-            depth=config.depth,
             policy=config.policy,
             reuse=config.session,
         )

@@ -1,7 +1,8 @@
-"""Parallel recode engine: byte-identical equivalence vs the serial path
-across worker counts, decoded-block cache correctness, and deterministic
-results regardless of test ordering (run with ``pytest -p no:randomly`` to
-pin collection order; nothing here depends on it)."""
+"""Recode engine: byte-identical equivalence vs the serial path across
+encode-pool widths, inline decode that never spawns the pool,
+decoded-block cache correctness, and deterministic results regardless of
+test ordering (run with ``pytest -p no:randomly`` to pin collection order;
+nothing here depends on it)."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.codecs.engine import (
 )
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
+from repro.core import recoded_spmv
 from repro.sparse.blocked import CSRBlock
 
 
@@ -70,10 +72,6 @@ class TestEncodeEquivalence:
         ser = compress_matrix(matrix, **kwargs)
         assert _records(par) == _records(ser)
 
-    def test_thread_executor_matches_process(self, matrix, serial_plan):
-        plan = RecodeEngine(workers=2, executor="thread").encode_blocked(matrix)
-        assert _records(plan) == _records(serial_plan)
-
     def test_small_chunks_preserve_block_order(self, matrix, serial_plan):
         plan = RecodeEngine(workers=2, chunk_blocks=2).encode_blocked(matrix)
         assert _records(plan) == _records(serial_plan)
@@ -113,6 +111,22 @@ class TestDecodeEquivalence:
     def test_out_of_range_block_id_raises(self, serial_plan, bad):
         with pytest.raises(ValueError, match="out of range"):
             RecodeEngine().decode_blocked(serial_plan, [bad])
+
+    def test_decode_never_spawns_the_pool(self, matrix, serial_plan):
+        # Decode runs inline on the caller's thread at any pool width;
+        # only encode fans out across the pool.
+        engine = RecodeEngine(workers=2)
+        try:
+            engine.decode_blocked(serial_plan)
+            engine.decode_block(serial_plan, 1)
+            x = np.random.default_rng(0).standard_normal(serial_plan.blocked.shape[1])
+            recoded_spmv(serial_plan, x, engine=engine, mode="pipelined")
+            assert engine._pool is None
+            plan = engine.encode_blocked(matrix)
+            assert engine._pool is not None
+            assert _records(plan) == _records(serial_plan)
+        finally:
+            engine.close()
 
     def test_decode_stats_accounting(self, serial_plan):
         engine = RecodeEngine()
@@ -218,10 +232,6 @@ class TestEngineValidation:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             RecodeEngine(workers=-1)
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            RecodeEngine(executor="greenlet")
 
     def test_bad_chunk_blocks_rejected(self):
         with pytest.raises(ValueError, match="chunk_blocks"):

@@ -1,9 +1,9 @@
 """Pipelined executor: bit-equality with the serial path, SpMM fusion.
 
-The contract under test (ISSUE acceptance): ``mode="pipelined"`` must be
-bit-identical to ``mode="serial"`` — result vector, TrafficLog byte
-totals, ``dma_seconds``, degraded-block accounting, raised error types —
-across worker counts, cache on/off, prefetch depths, and injected faults
+The contract under test: ``mode="pipelined"`` must be bit-identical to
+``mode="serial"`` — result vector, TrafficLog byte totals,
+``dma_seconds``, degraded-block accounting, raised error types — across
+engine pool widths, cache on/off, repeated runs, and injected faults
 under both failure policies. Fused SpMM must decode each block once and
 match per-column SpMV bit-exactly.
 """
@@ -11,14 +11,13 @@ match per-column SpMV bit-exactly.
 import inspect
 import os
 import re
-import time
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.codecs import engine as engine_mod
 from repro.codecs.engine import AsyncDecode, DecodedBlockCache, RecodeEngine
 from repro.codecs.errors import BlockDecodeError
 from repro.codecs.pipeline import compress_matrix
@@ -33,7 +32,6 @@ from repro.sparse.blocked import partition_csr
 def make_engine(workers=0, cache=False):
     return RecodeEngine(
         workers=workers,
-        executor="thread",
         cache=DecodedBlockCache(max_bytes=1 << 22) if cache else None,
         retry_base_s=0.0,
     )
@@ -79,18 +77,18 @@ def assert_stats_parity(serial, pipelined):
 class TestPipelinedParity:
     @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("cache", [False, True])
-    @pytest.mark.parametrize("depth", [1, 4])
-    def test_bit_identical_to_serial(self, plan, x, workers, cache, depth):
-        ys, ss = recoded_spmv(
-            plan, x, engine=make_engine(workers, cache), matrix_id="m", mode="serial"
-        )
-        yp, sp = recoded_spmv(
-            plan, x, engine=make_engine(workers, cache), matrix_id="m",
-            mode="pipelined", depth=depth,
-        )
-        np.testing.assert_array_equal(ys, yp)
-        assert_stats_parity(ss, sp)
-        assert ss.mode == "serial" and sp.mode == "pipelined"
+    @pytest.mark.parametrize("passes", [1, 4])
+    def test_bit_identical_to_serial(self, plan, x, workers, cache, passes):
+        eng_s, eng_p = make_engine(workers, cache), make_engine(workers, cache)
+        for _ in range(passes):
+            ys, ss = recoded_spmv(plan, x, engine=eng_s, matrix_id="m", mode="serial")
+            yp, sp = recoded_spmv(
+                plan, x, engine=eng_p, matrix_id="m", mode="pipelined"
+            )
+            np.testing.assert_array_equal(ys, yp)
+            assert_stats_parity(ss, sp)
+            assert ss.mode == "serial" and sp.mode == "pipelined"
+        assert eng_s._pool is eng_p._pool is None
 
     def test_warm_cache_parity(self, plan, x):
         eng_s = make_engine(2, cache=True)
@@ -107,22 +105,24 @@ class TestPipelinedParity:
         assert es["blocks_decoded"] == ep["blocks_decoded"]
         assert es["bytes_decoded"] == ep["bytes_decoded"]
 
-    def test_split_rows_all_depths(self, split_plan):
+    def test_split_rows_parity(self, split_plan):
         xs = np.random.default_rng(1).standard_normal(split_plan.blocked.shape[1])
         ys, ss = recoded_spmv(split_plan, xs, mode="serial")
         for workers in (0, 2):
-            for depth in (1, 3):
-                yp, sp = recoded_spmv(
-                    split_plan, xs, engine=make_engine(workers),
-                    mode="pipelined", depth=depth,
-                )
-                np.testing.assert_array_equal(ys, yp)
-                assert ss.dma_seconds == sp.dma_seconds
+            yp, sp = recoded_spmv(
+                split_plan, xs, engine=make_engine(workers), mode="pipelined"
+            )
+            np.testing.assert_array_equal(ys, yp)
+            assert ss.dma_seconds == sp.dma_seconds
 
     def test_process_pool_parity(self, plan, x):
+        # A plan encoded on the engine's process pool runs pipelined
+        # bit-identically to the serially encoded one.
+        m = generators.unstructured(400, density=0.03, seed=3)
         ys, _ = recoded_spmv(plan, x, mode="serial")
-        eng = RecodeEngine(workers=2, executor="process", retry_base_s=0.0)
-        yp, _ = recoded_spmv(plan, x, engine=eng, mode="pipelined", depth=2)
+        with RecodeEngine(workers=2, retry_base_s=0.0) as eng:
+            pooled = eng.encode_blocked(m, block_bytes=2048)
+            yp, _ = recoded_spmv(pooled, x, engine=eng, mode="pipelined")
         np.testing.assert_array_equal(ys, yp)
 
     def test_pipelined_requires_engine(self, plan, x):
@@ -132,8 +132,9 @@ class TestPipelinedParity:
     def test_bad_mode_and_depth(self, plan, x):
         with pytest.raises(ValueError, match="mode"):
             recoded_spmv(plan, x, mode="overlapped")
-        with pytest.raises(ValueError, match="depth"):
-            recoded_spmv(plan, x, engine=make_engine(), mode="pipelined", depth=0)
+        # Decode runs inline: there is no prefetch depth to set.
+        with pytest.raises(TypeError, match="depth"):
+            recoded_spmv(plan, x, engine=make_engine(), mode="pipelined", depth=4)
 
     def test_pipelined_rejects_udp_simulator(self, plan, x):
         with pytest.raises(ValueError, match="simulator"):
@@ -145,7 +146,7 @@ class TestPipelinedParity:
 
 class TestFaultParity:
     def test_degrade_policy_parity(self, plan, x):
-        fp = FaultPlan(seed=11, bitflip_blocks=(2, 7), worker_exc_blocks=(4,))
+        fp = FaultPlan(seed=11, bitflip_blocks=(2, 7), truncate_blocks=(4,))
         with fp.activate():
             ys, ss = recoded_spmv(
                 plan, x, engine=make_engine(2), matrix_id="f",
@@ -186,7 +187,7 @@ class TestFaultParity:
             with pytest.raises(BlockDecodeError) as err_p:
                 recoded_spmv(
                     plan, x, engine=make_engine(2), matrix_id="g2",
-                    mode="pipelined", depth=4, policy="strict",
+                    mode="pipelined", policy="strict",
                 )
         assert str(err_s.value) == str(err_p.value)
         assert err_s.value.block_id == err_p.value.block_id == 1
@@ -206,35 +207,18 @@ class TestFaultParity:
         assert_stats_parity(ss, sp)
         assert ss.degraded_blocks == 2
 
-    def test_worker_kill_recovery_parity(self, plan, x):
-        fp = FaultPlan(seed=13, worker_kill_blocks=(3,))
-        eng_s = RecodeEngine(workers=2, executor="process", retry_base_s=0.0)
-        eng_p = RecodeEngine(workers=2, executor="process", retry_base_s=0.0)
-        with fp.activate():
-            ys, ss = recoded_spmv(
-                plan, x, engine=eng_s, matrix_id="k",
-                mode="serial", policy="degrade",
-            )
-            yp, sp = recoded_spmv(
-                plan, x, engine=eng_p, matrix_id="k",
-                mode="pipelined", policy="degrade",
-            )
-        np.testing.assert_array_equal(ys, yp)
-        assert_stats_parity(ss, sp)
-
     @settings(max_examples=8, deadline=None)
     @given(
         bitflips=st.sets(st.integers(0, 11), max_size=3),
-        excs=st.sets(st.integers(0, 11), max_size=2),
+        truncates=st.sets(st.integers(0, 11), max_size=2),
         seed=st.integers(0, 500),
         policy=st.sampled_from(["strict", "degrade"]),
-        depth=st.integers(1, 5),
     )
-    def test_random_fault_plans_parity(self, plan, x, bitflips, excs, seed, policy, depth):
+    def test_random_fault_plans_parity(self, plan, x, bitflips, truncates, seed, policy):
         fp = FaultPlan(
             seed=seed,
             bitflip_blocks=tuple(sorted(bitflips)),
-            worker_exc_blocks=tuple(sorted(excs)),
+            truncate_blocks=tuple(sorted(truncates)),
         )
         outcome_s = outcome_p = None
         with fp.activate():
@@ -248,7 +232,7 @@ class TestFaultParity:
             try:
                 outcome_p = recoded_spmv(
                     plan, x, engine=make_engine(0), matrix_id=f"h{seed}",
-                    mode="pipelined", depth=depth, policy=policy,
+                    mode="pipelined", policy=policy,
                 )
             except BlockDecodeError as e:
                 outcome_p = (str(e), e.block_id)
@@ -288,7 +272,7 @@ class TestFusedSpMM:
         Ys, ss = recoded_spmm(plan, X, engine=make_engine(0), mode="serial")
         for workers in (0, 2):
             Yp, sp = recoded_spmm(
-                plan, X, engine=make_engine(workers), mode="pipelined", depth=2
+                plan, X, engine=make_engine(workers), mode="pipelined"
             )
             np.testing.assert_array_equal(Ys, Yp)
             assert_stats_parity(ss, sp)
@@ -330,27 +314,39 @@ class TestPipelineMetrics:
             recoded_spmv(plan, x, engine=make_engine(2), mode="pipelined")
             names = set(obs.aggregate_by_name(reg.snapshot()))
         assert "spmv.pipeline.runs" in names
-        assert "spmv.pipeline.queue_depth" in names
-        assert "spmv.pipeline.inflight" in names
         assert "spmv.pipeline.multiply_idle_seconds" in names
         assert "spmv.pipeline.decode_idle_seconds" in names
         assert "spmv.pipeline.multiply_seconds" in names
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pool_decode_emits_inline_span_count(self, plan, x, executor):
-        # One codecs.engine.decode span per chunk, wherever the chunk runs.
-        def decode_spans(workers):
-            eng = RecodeEngine(workers=workers, executor=executor, chunk_blocks=4)
-            try:
-                with obs.scoped_tracer(obs.Tracer(enabled=True)) as tracer:
-                    recoded_spmv(plan, x, engine=eng, mode="pipelined")
-            finally:
-                eng.close()
-            return [e for e in tracer.events() if e["name"] == "codecs.engine.decode"]
+    @pytest.mark.parametrize("caller", ["process", "thread"])
+    def test_pool_decode_emits_inline_span_count(self, plan, x, caller):
+        # One codecs.engine.decode span per block, all on the caller's
+        # thread: an engine with a live encode pool ("process") still
+        # decodes in-process, and a run driven from a worker thread
+        # ("thread") decodes on that thread.
+        eng = make_engine(2 if caller == "process" else 0)
+        tids = []
 
-        inline = decode_spans(0)
-        assert len(inline) == -(-plan.nblocks // 4)
-        assert len(decode_spans(2)) == len(inline)
+        def run():
+            tids.append(threading.get_native_id())
+            recoded_spmv(plan, x, engine=eng, mode="pipelined")
+
+        try:
+            if caller == "process":
+                eng.encode_blocked(generators.unstructured(60, density=0.1, seed=1))
+                assert eng._pool is not None
+            with obs.scoped_tracer(obs.Tracer(enabled=True)) as tracer:
+                if caller == "thread":
+                    t = threading.Thread(target=run)
+                    t.start()
+                    t.join()
+                else:
+                    run()
+        finally:
+            eng.close()
+        spans = [e for e in tracer.events() if e["name"] == "codecs.engine.decode"]
+        assert [e["args"]["block"] for e in spans] == list(range(plan.nblocks))
+        assert {(e["pid"], e["tid"]) for e in spans} == {(os.getpid(), tids[0])}
 
     def test_serial_run_does_not(self, plan, x):
         with obs.scoped_registry() as reg:
@@ -391,16 +387,10 @@ class TestInputShape:
 
 
 class TestInOrderConsumption:
-    def test_out_of_order_completion_matches_serial(self, plan, x, monkeypatch):
-        """Block 0's chunk finishes last; the hook still multiplies in
-        block order, so every serial observable is reproduced."""
-        real_chunk = engine_mod._decode_pair_chunk
-
-        def slow_first_chunk(task):
-            if 0 in task[0]:
-                time.sleep(0.2)
-            return real_chunk(task)
-
+    def test_in_order_handle_matches_serial(self, plan, x, monkeypatch):
+        """The run's one decode handle yields every block in block order,
+        decoding each when the kernel asks, so every serial observable is
+        reproduced."""
         yielded = []
         real_next = AsyncDecode.__next__
 
@@ -414,17 +404,11 @@ class TestInOrderConsumption:
             ys, ss = recoded_spmv(
                 plan, x, engine=make_engine(0), mode="serial", policy="degrade"
             )
-            monkeypatch.setattr(engine_mod, "_decode_pair_chunk", slow_first_chunk)
             monkeypatch.setattr(AsyncDecode, "__next__", spy_next)
-            eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2,
-                               retry_base_s=0.0)
-            try:
-                yp, sp = recoded_spmv(
-                    plan, x, engine=eng, mode="pipelined", depth=4, policy="degrade"
-                )
-            finally:
-                eng.close()
-        assert yielded[0] != 0 and sorted(yielded) == list(range(plan.nblocks))
+            yp, sp = recoded_spmv(
+                plan, x, engine=make_engine(2), mode="pipelined", policy="degrade"
+            )
+        assert yielded == list(range(plan.nblocks))
         np.testing.assert_array_equal(ys, yp)
         assert ss.traffic.edges() == sp.traffic.edges()
         assert ss.dma_seconds == sp.dma_seconds
@@ -451,8 +435,7 @@ class TestPipelinedLifecycle:
 
         monkeypatch.setattr(RecodeEngine, "decode_blocks_async", spy_async)
         y_ref, _ = recoded_spmv(plan, x, mode="serial")
-        eng = RecodeEngine(workers=2, executor="process", chunk_blocks=2,
-                           retry_base_s=0.0)
+        eng = RecodeEngine(workers=2, retry_base_s=0.0)
         fault = FaultPlan(seed=11, bitflip_blocks=(5,))
         calls = []
 
@@ -465,11 +448,11 @@ class TestPipelinedLifecycle:
             np.testing.assert_array_equal(y, y_ref)
 
         try:
-            check("warmup")  # the pool's own fds open here, once
+            check("warmup")
             fds = self._fds()
             for ending in ("success", "strict", "degrade", "cancel"):
                 handles.clear()
-                kwargs = dict(engine=eng, matrix_id=ending, mode="pipelined", depth=2)
+                kwargs = dict(engine=eng, matrix_id=ending, mode="pipelined")
                 if ending == "success":
                     y, _ = recoded_spmv(plan, x, **kwargs)
                     np.testing.assert_array_equal(y, y_ref)
@@ -488,6 +471,7 @@ class TestPipelinedLifecycle:
                 assert len(handles) == 1
                 assert inspect.getgeneratorstate(handles[0]._gen) == inspect.GEN_CLOSED
                 assert self._fds() == fds, ending
+                assert eng._pool is None, ending
                 check(f"after-{ending}")
         finally:
             eng.close()

@@ -1,11 +1,11 @@
 """Fault-injection framework + graceful-degradation tests.
 
 Covers the chaos acceptance scenario (seeded plan corrupting ~5% of
-blocks plus one worker kill: ``degrade`` completes bit-exact with nonzero
-quarantine/retry counters, ``strict`` raises one typed error naming the
-block), the engine's per-block isolation/retry/quarantine machinery, the
-pool-leak regression, and the Hypothesis property that *any* single
-injected block fault under ``degrade`` leaves SpMV bit-exact.
+blocks: ``degrade`` completes bit-exact with nonzero quarantine/retry
+counters, ``strict`` raises one typed error naming the block), the
+engine's per-block isolation/retry/quarantine machinery, the encode-pool
+leak regression, and the Hypothesis property that *any* single injected
+block fault under ``degrade`` leaves SpMV bit-exact.
 """
 
 import numpy as np
@@ -24,12 +24,17 @@ from repro.codecs.errors import (
 from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core.spmv_pipeline import recoded_spmv
-from repro.faults import FaultPlan, InjectedFault
+from repro.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
-def plan():
-    return dsh_plan(generators.banded(1600, bandwidth=5, seed=3))
+def matrix():
+    return generators.banded(1600, bandwidth=5, seed=3)
+
+
+@pytest.fixture(scope="module")
+def plan(matrix):
+    return dsh_plan(matrix)
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +52,12 @@ def serial_engine(**kw):
 
 class TestFaultPlan:
     def test_parse_round_trip(self):
-        fp = FaultPlan.parse("seed=7,bitflip=0.05,kill=3|9,latency=0.002,latency-rate=0.1")
+        fp = FaultPlan.parse(
+            "seed=7,bitflip=0.05,bitflip-blocks=3|9,latency=0.002,latency-rate=0.1"
+        )
         assert fp.seed == 7
         assert fp.bitflip_rate == 0.05
-        assert fp.worker_kill_blocks == (3, 9)
+        assert fp.bitflip_blocks == (3, 9)
         assert fp.latency_s == 0.002 and fp.latency_rate == 0.1
 
     def test_parse_rejects_unknown_key(self):
@@ -149,28 +156,6 @@ class TestEngineIsolation:
         assert isinstance(exc_info.value, ValueError)  # backward compat
         assert isinstance(exc_info.value.__cause__, CodecError)
 
-    def test_worker_exception_in_thread_pool_is_isolated(self, plan):
-        eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2,
-                           retry_base_s=0.0)
-        try:
-            fp = FaultPlan(seed=7, worker_exc_blocks=(0,))
-            with fp.activate():
-                blocks, failures = eng.decode_resilient(plan)
-            assert [f.block_id for f in failures] == [0]
-            assert isinstance(failures[0].error.__cause__, InjectedFault)
-            assert len(blocks) == plan.nblocks - 1
-        finally:
-            eng.close()
-
-    def test_kill_downgrades_to_exception_outside_process_pools(self, plan):
-        # A kill block must never take the main process down when there is
-        # no process pool to sacrifice.
-        eng = serial_engine()
-        fp = FaultPlan(seed=7, worker_kill_blocks=(1,))
-        with fp.activate():
-            blocks, failures = eng.decode_resilient(plan)
-        assert [f.block_id for f in failures] == [1]
-
     def test_decode_without_faults_matches_reference(self, plan):
         eng = serial_engine()
         blocks, failures = eng.decode_resilient(plan)
@@ -229,15 +214,17 @@ _TIMING_COUNTERS = {
 
 class TestDecodeEntryPointParity:
     """The four decode entry points are views of one decode loop: under
-    bit flips and worker exceptions they agree on the decoded blocks, the
+    bit flips and injected latency they agree on the decoded blocks, the
     failures, the quarantine set, and the work counters, over a cold pass
     and a second pass that hits the cache and the quarantine memo."""
 
-    FAULTS = FaultPlan(seed=11, bitflip_blocks=(2, 5), worker_exc_blocks=(4,))
+    FAULTS = FaultPlan(
+        seed=11, bitflip_blocks=(2, 4, 5), latency_s=1e-4, latency_rate=0.5
+    )
 
     def _run(self, plan, entry, workers, cache):
         eng = RecodeEngine(
-            workers=workers, executor="thread", chunk_blocks=2, retry_base_s=0.0,
+            workers=workers, retry_base_s=0.0,
             cache=DecodedBlockCache() if cache else None,
         )
         try:
@@ -269,6 +256,7 @@ class TestDecodeEntryPointParity:
             assert block.val.tobytes() == ref.val.tobytes()
         assert ref_counters["faults.blocks_quarantined"] == 3
         assert ref_counters["faults.quarantine_hits"] == 3
+        assert ref_counters["faults.injected.latency_events"] > 0
 
         def payload(blocks):
             return {i: (b.col_idx.tobytes(), b.val.tobytes()) for i, b in blocks.items()}
@@ -288,71 +276,42 @@ class TestDecodeEntryPointParity:
                 assert failures == ref_failures, entry
 
 
-class TestPoolCrashRecovery:
-    def test_worker_kill_rebuilds_pool_and_quarantines(self, plan):
-        with obs.scoped_registry() as reg:
-            eng = RecodeEngine(workers=2, executor="process", chunk_blocks=4,
-                               retry_base_s=0.0)
-            try:
-                fp = FaultPlan(seed=5, worker_kill_blocks=(3,))
-                with fp.activate():
-                    blocks, failures = eng.decode_resilient(plan)
-                assert [f.block_id for f in failures] == [3]
-                assert reg.value("faults.pool_rebuilds") == 1
-                assert reg.value("faults.injected.worker_kills") == 1
-                assert reg.value("faults.blocks_quarantined") == 1
-                # every surviving block is bit-exact
-                for i, ref in enumerate(plan.blocked.blocks):
-                    if i == 3:
-                        continue
-                    np.testing.assert_array_equal(blocks[i].val, ref.val)
-                # the next parallel call runs on a fresh pool; the kill
-                # block is memo-quarantined, so no second crash
-                with fp.activate():
-                    _, failures2 = eng.decode_resilient(plan)
-                assert [f.block_id for f in failures2] == [3]
-                assert reg.value("faults.pool_rebuilds") == 1
-            finally:
-                eng.close()
-
-
 class TestPoolLeakRegression:
-    def test_escaping_exception_closes_pool(self, plan, monkeypatch):
-        # Regression: an exception escaping a decode used to leave
-        # the executor running until GC. Non-CodecError escapes must shut
-        # it down deterministically.
-        eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2)
-        eng.decode_blocked(plan, [0, 1])
+    def test_escaping_exception_closes_pool(self, matrix, monkeypatch):
+        # Regression: an exception escaping an encode used to leave the
+        # pool running until GC. Escapes must shut it down deterministically.
+        eng = RecodeEngine(workers=2)
+        eng.encode_blocked(matrix)
         assert eng._pool is not None
 
-        def boom(args):
-            raise RuntimeError("synthetic non-codec failure")
+        def boom(*args):
+            raise RuntimeError("synthetic failure between encode stages")
 
-        monkeypatch.setattr(engine_mod, "_decode_pair_chunk", boom)
+        monkeypatch.setattr(engine_mod, "sampled_tables", boom)
         with pytest.raises(RuntimeError, match="synthetic"):
-            eng.decode_blocked(plan)
+            eng.encode_blocked(matrix)
         assert eng._pool is None, "worker pool leaked"
 
-    def test_engine_still_usable_after_close(self, plan):
-        eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2)
-        eng.decode_blocked(plan, [0])
+    def test_engine_still_usable_after_close(self, matrix):
+        eng = RecodeEngine(workers=2)
+        first = eng.encode_blocked(matrix)
         eng.close()
-        blocks = eng.decode_blocked(plan, [0, 1])  # pool rebuilt lazily
-        assert len(blocks) == 2
+        again = eng.encode_blocked(matrix)  # pool rebuilt lazily
+        assert again.index_records == first.index_records
         eng.close()
 
 
 class TestSpMVPolicies:
-    def test_chaos_degrade_bit_exact_with_worker_kill(self, plan, reference):
-        # The acceptance scenario: ~5% of blocks corrupted plus one worker
-        # kill; degrade completes bit-exact with nonzero quarantine/retry
-        # counters.
+    def test_chaos_degrade_bit_exact(self, plan, reference):
+        # The acceptance scenario: ~5% of blocks corrupted plus injected
+        # latency; degrade completes bit-exact with nonzero
+        # quarantine/retry counters.
         x, y_ref = reference
         with obs.scoped_registry() as reg:
-            eng = RecodeEngine(workers=2, executor="process", chunk_blocks=4,
-                               retry_base_s=0.0)
+            eng = RecodeEngine(workers=2, retry_base_s=0.0)
             try:
-                fp = FaultPlan(seed=42, bitflip_rate=0.05, worker_kill_blocks=(1,))
+                fp = FaultPlan(seed=42, bitflip_rate=0.05, latency_s=1e-4,
+                               latency_rate=0.2)
                 with fp.activate():
                     y, stats = recoded_spmv(plan, x, engine=eng,
                                             policy="degrade", matrix_id="chaos")
@@ -369,7 +328,7 @@ class TestSpMVPolicies:
     def test_chaos_strict_raises_single_typed_error(self, plan, reference):
         x, _ = reference
         eng = serial_engine()
-        fp = FaultPlan(seed=42, bitflip_rate=0.05, worker_kill_blocks=(1,))
+        fp = FaultPlan(seed=42, bitflip_rate=0.05)
         with fp.activate(), pytest.raises(BlockDecodeError) as exc_info:
             recoded_spmv(plan, x, engine=eng, policy="strict", matrix_id="strict")
         assert exc_info.value.block_id is not None
@@ -414,7 +373,7 @@ SMALL_PLAN = dsh_plan(generators.banded(500, bandwidth=3, seed=17))
 SMALL_X = np.random.default_rng(1).standard_normal(SMALL_PLAN.blocked.shape[1])
 SMALL_Y, _ = recoded_spmv(SMALL_PLAN, SMALL_X)
 
-FAULT_KINDS = ("bitflip", "truncate", "dram", "worker-exc")
+FAULT_KINDS = ("bitflip", "truncate", "dram")
 
 
 class TestDegradeProperty:
@@ -431,7 +390,6 @@ class TestDegradeProperty:
             "bitflip": "bitflip_blocks",
             "truncate": "truncate_blocks",
             "dram": "dram_bitflip_blocks",
-            "worker-exc": "worker_exc_blocks",
         }[kind]
         fp = FaultPlan(seed=seed, **{field: (block,)})
         eng = serial_engine()

@@ -305,17 +305,17 @@ class TestExecutionParity:
         assert_stats_parity(stats, truth[1])
         assert stats.oocore is not None and stats.oocore["mapped_bytes"] > 0
 
-    @pytest.mark.parametrize("workers,depth", [(0, 1), (2, 4)])
-    def test_pipelined_mmap_matrix(self, container, x, truth, workers, depth):
+    @pytest.mark.parametrize("workers,passes", [(0, 1), (2, 4)])
+    def test_pipelined_mmap_matrix(self, container, x, truth, workers, passes):
         from repro.codecs.engine import RecodeEngine
 
-        engine = RecodeEngine(workers=workers, executor="thread", retry_base_s=0.0)
+        engine = RecodeEngine(workers=workers, retry_base_s=0.0)
         with ContainerReader(container, verify="lazy") as reader:
-            y, stats = recoded_spmv(
-                reader, x, engine=engine, mode="pipelined", depth=depth
-            )
-        assert sha(y) == truth[0]
-        assert_stats_parity(stats, truth[1])
+            for _ in range(passes):
+                y, stats = recoded_spmv(reader, x, engine=engine, mode="pipelined")
+                assert sha(y) == truth[0]
+                assert_stats_parity(stats, truth[1])
+        assert engine._pool is None
 
     @pytest.mark.parametrize("policy", ["strict", "degrade"])
     def test_fault_free_policies_identical(self, container, x, truth, policy):
@@ -370,7 +370,7 @@ class TestExecutionParity:
 
         xs = np.random.default_rng(1).standard_normal(split_plan.blocked.shape[1])
         y_mem, s_mem = recoded_spmv(split_plan, xs)
-        engine = RecodeEngine(workers=2, executor="thread", retry_base_s=0.0)
+        engine = RecodeEngine(workers=2, retry_base_s=0.0)
         try:
             y_map, s_map = recoded_spmv(split_container, xs, engine=engine, mode=mode)
         finally:
@@ -386,14 +386,12 @@ class TestExecutionParity:
 
 
 class TestPipelinedSourceParity:
-    def _pipelined(self, source, x, workers=2, executor="thread", **kw):
+    def _pipelined(self, source, x, **kw):
         from repro.codecs.engine import RecodeEngine
 
-        engine = RecodeEngine(workers=workers, executor=executor, retry_base_s=0.0)
+        engine = RecodeEngine(workers=2, retry_base_s=0.0)
         try:
-            return recoded_spmv(
-                source, x, engine=engine, mode="pipelined", depth=4, **kw
-            )
+            return recoded_spmv(source, x, engine=engine, mode="pipelined", **kw)
         finally:
             engine.close()
 
@@ -404,13 +402,6 @@ class TestPipelinedSourceParity:
         assert_stats_parity(s_path, s_mem)
         assert s_path.mode == "pipelined"
         assert s_path.oocore is not None and s_path.oocore["mapped_bytes"] > 0
-
-    def test_reader_source_process_executor(self, plan, container, x):
-        y_mem, s_mem = self._pipelined(plan, x)
-        with ContainerReader(container, verify="lazy") as reader:
-            y_proc, s_proc = self._pipelined(reader, x, executor="process")
-        assert sha(y_proc) == sha(y_mem)
-        assert_stats_parity(s_proc, s_mem)
 
     def test_pipelined_container_fault_parity(self, plan, container, x):
         """Degrade over a pipelined container source: same degraded count
@@ -456,12 +447,12 @@ class TestCooperativeCancel:
         from repro.codecs.engine import RecodeEngine
         from repro.core import RunCancelled
 
-        engine = RecodeEngine(workers=2, executor="thread", retry_base_s=0.0)
+        engine = RecodeEngine(workers=2, retry_base_s=0.0)
         try:
             with ContainerReader(container, verify="lazy") as reader:
                 with pytest.raises(RunCancelled):
                     recoded_spmv(
-                        reader, x, engine=engine, mode="pipelined", depth=2,
+                        reader, x, engine=engine, mode="pipelined",
                         cancel=lambda: True,
                     )
         finally:

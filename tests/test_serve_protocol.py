@@ -315,9 +315,8 @@ class TestSelectBatch:
 
 
 class TestConfigAndCost:
-    def test_pipelined_needs_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            ServeConfig(root=".", mode="pipelined", workers=0)
+    def test_pipelined_default_config_is_valid(self):
+        assert ServeConfig(root=".", mode="pipelined").mode == "pipelined"
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="mode"):

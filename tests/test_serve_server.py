@@ -58,11 +58,8 @@ async def _one(port, op="spmv", tenant="t", **kw):
 
 
 SERVER_VARIANTS = [
-    pytest.param({"workers": 0, "mode": "serial"}, id="serial"),
-    pytest.param(
-        {"workers": 2, "executor": "thread", "mode": "pipelined", "depth": 3},
-        id="pipelined",
-    ),
+    pytest.param({"mode": "serial"}, id="serial"),
+    pytest.param({"mode": "pipelined"}, id="pipelined"),
 ]
 
 
@@ -268,7 +265,7 @@ class TestHttpEndpoints:
 
 class TestLifecycle:
     def test_clean_shutdown_under_load(self, root, x):
-        st = ServerThread(ServeConfig(root=root, port=0, workers=2))
+        st = ServerThread(ServeConfig(root=root, port=0))
         st.start()
 
         async def fire():
@@ -280,6 +277,13 @@ class TestLifecycle:
         resps = run(fire())
         assert all(r.get("ok") for r in resps)
         st.stop()  # raises if the server thread crashed
+
+    def test_pipelined_default_boots_bit_identical_to_serial(self, root, x):
+        answers = []
+        for mode in ("serial", "pipelined"):
+            with ServerThread(ServeConfig(root=root, port=0, mode=mode)) as st:
+                answers.append(run(_one(st.server.port, args=("m", x)))["y"])
+        assert sha(answers[0]) == sha(answers[1])
 
     def test_double_boot_distinct_ports(self, root):
         with ServerThread(ServeConfig(root=root, port=0)) as a:

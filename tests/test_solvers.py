@@ -130,7 +130,7 @@ class TestBitParity:
         x_trunc, _ = _cg_reference(plan, b, max_iter=3)
         path = tmp_path / "spd.dsh"
         save_plan(plan, path)
-        with ExecutionSession(path, workers=2, mode="pipelined") as sess:
+        with ExecutionSession(path, mode="pipelined") as sess:
             result = cg(sess, b, max_iter=3)
             assert sess.warm_calls > 0
         assert result.x.tobytes() == x_trunc.tobytes()
