@@ -2,9 +2,10 @@
 
 Gates (ISSUE acceptance; mirrored in docs/SOLVERS.md):
 
-* a warm per-iteration session SpMV must cost <= 0.5x a cold
+* a warm per-iteration session SpMV must cost <= 0.05x a cold
   single-shot SpMV (geomean over the suite) — the session's
-  decoded-block cache has to actually pay;
+  decoded-block cache has to actually pay; the assembled warm path
+  measures ~0.01, so a 5x warm-path regression fails;
 * CG end-to-end matrix traffic must stay within one decode plus the
   modeled per-iteration vector traffic — steady state decodes the
   matrix exactly once;
@@ -38,6 +39,8 @@ SEED = 7
 BLOCK_BYTES = 8192
 #: Best-of repeats for the warm-phase timing.
 WARM_REPEATS = 5
+#: Gate on the warm/cold per-SpMV geomean ratio.
+WARM_OVER_COLD_MAX = 0.05
 #: The cross-config identity grid: executor mode x session reuse.
 PARITY_CONFIGS = tuple(
     (mode, reuse) for mode in ("serial", "pipelined") for reuse in (True, False)
@@ -168,11 +171,11 @@ def _measure() -> dict:
     parity, pagerank_block = _parity()
     traffic_ok = cg_block["dram_bytes"] <= cg_block["decode_once_bytes"]
     gates = {
-        "warm_over_cold_max": 0.5,
+        "warm_over_cold_max": WARM_OVER_COLD_MAX,
         "traffic_within_budget": traffic_ok,
         "bit_identical": parity["bit_identical"],
         "passed": (
-            geomean <= 0.5 and traffic_ok and parity["bit_identical"]
+            geomean <= WARM_OVER_COLD_MAX and traffic_ok and parity["bit_identical"]
         ),
     }
     return {
@@ -206,9 +209,9 @@ def test_solver_gates(benchmark):
 
     # Gate 1: the warm fast path pays — steady-state iterations must be
     # far cheaper than re-decoding.
-    assert res["warm_over_cold_geomean_ratio"] <= 0.5, (
+    assert res["warm_over_cold_geomean_ratio"] <= WARM_OVER_COLD_MAX, (
         f"warm/cold geomean {res['warm_over_cold_geomean_ratio']:.3f} > "
-        f"0.5 gate: {[(r['name'], round(r['warm_over_cold_ratio'], 3)) for r in res['matrices']]}"
+        f"{WARM_OVER_COLD_MAX} gate: {[(r['name'], round(r['warm_over_cold_ratio'], 3)) for r in res['matrices']]}"
     )
     # Gate 2: decode-once traffic — a whole CG solve moves no more
     # matrix bytes than a single cold SpMV.

@@ -179,6 +179,7 @@ class DecodedBlockCache:
         self.cache_id = f"c{next(_cache_ids)}"
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[CSRBlock, int]] = OrderedDict()
+        self._changes = 0  # bumped by clear() and every eviction
         _register_cache_collector(obs.registry(), self)
 
     def __len__(self) -> int:
@@ -209,11 +210,31 @@ class DecodedBlockCache:
                 _, (_, evicted_bytes) = self._entries.popitem(last=False)
                 self.stats.current_bytes -= evicted_bytes
                 self.stats.evictions += 1
+                self._changes += 1
+
+    def peek_all(self, keys: list[tuple]) -> tuple[list[CSRBlock] | None, int]:
+        """The blocks under ``keys`` (None if any is missing) and the change
+        count, without counting hits or touching LRU order."""
+        with self._lock:
+            entries = [self._entries.get(key) for key in keys]
+            return (None if None in entries else [e[0] for e in entries]), self._changes
+
+    def hit_all(self, keys: list[tuple], changes: int) -> bool:
+        """Count a hit on every key, moved to the LRU tail, in one locked
+        update — if no entry left since change count ``changes``."""
+        with self._lock:
+            if self._changes != changes:
+                return False
+            for key in keys:
+                self._entries.move_to_end(key)
+            self.stats.hits += len(keys)
+            return True
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self.stats.current_bytes = 0
+            self._changes += 1
 
 
 # ---------------------------------------------------------------------------

@@ -110,22 +110,25 @@ class _Telemetry:
         self.dram_bytes = 0
         self.vector_bytes = 0
         self.history: list[IterationRecord] = []
+        reg = obs.registry()  # handles resolved once per solve
+        self._iterations = reg.counter("solver.iterations", solver=alg)
+        self._traffic = reg.counter("solver.traffic_bytes", solver=alg)
+        self._vector = reg.counter("solver.vector_bytes", solver=alg)
+        self._residual = reg.gauge("solver.residual", solver=alg)
+        self._hit_rate = reg.gauge("solver.cache_hit_rate", solver=alg)
+        self._seconds = reg.histogram("solver.iteration_seconds", solver=alg)
 
     def record(self, iteration: int, residual: float, stats, seconds: float):
         self.dram_bytes += stats.dram_bytes
         self.vector_bytes += self.vector_bytes_per_spmv
-        hit_rate = 0.0
-        eng = self.session.engine
-        if eng is not None and eng.cache is not None:
-            hit_rate = eng.cache.stats.hit_rate
-        reg = obs.registry()
-        labels = {"solver": self.alg}
-        reg.counter("solver.iterations", **labels).inc()
-        reg.counter("solver.traffic_bytes", **labels).inc(stats.dram_bytes)
-        reg.counter("solver.vector_bytes", **labels).inc(self.vector_bytes_per_spmv)
-        reg.gauge("solver.residual", **labels).set(residual)
-        reg.gauge("solver.cache_hit_rate", **labels).set(hit_rate)
-        reg.histogram("solver.iteration_seconds", **labels).observe(seconds)
+        cache = self.session.engine.cache
+        hit_rate = cache.stats.hit_rate if cache is not None else 0.0
+        self._iterations.inc()
+        self._traffic.inc(stats.dram_bytes)
+        self._vector.inc(self.vector_bytes_per_spmv)
+        self._residual.set(residual)
+        self._hit_rate.set(hit_rate)
+        self._seconds.observe(seconds)
         self.history.append(
             IterationRecord(
                 iteration=iteration,

@@ -13,7 +13,8 @@ and the value stream (8 B/entry) — which are what the codecs compress
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -106,13 +107,34 @@ class BlockedCSR:
     blocks: tuple[CSRBlock, ...]
     block_bytes: int
 
-    @property
+    @cached_property
     def nnz(self) -> int:
         return sum(b.nnz for b in self.blocks)
 
     @property
     def nblocks(self) -> int:
         return len(self.blocks)
+
+    @cached_property
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every block's ``(col_idx, val)`` concatenated in block order."""
+        return (
+            np.concatenate([b.col_idx for b in self.blocks] or [np.empty(0, INDEX_DTYPE)]),
+            np.concatenate([b.val for b in self.blocks] or [np.empty(0, VALUE_DTYPE)]),
+        )
+
+    def consolidated(self) -> "BlockedCSR":
+        """An equal matrix whose blocks are read-only views into its
+        :attr:`flat` pair, costing no memory beyond it."""
+        col, val = self.flat
+        col.flags.writeable = val.flags.writeable = False
+        cuts = np.cumsum([b.nnz for b in self.blocks[:-1]], dtype=np.int64)
+        blocks = zip(self.blocks, np.split(col, cuts), np.split(val, cuts))
+        out = BlockedCSR(
+            self.shape, tuple(replace(b, col_idx=c, val=v) for b, c, v in blocks), self.block_bytes
+        )
+        out.__dict__["flat"] = (col, val)
+        return out
 
 
 def partition_csr(a: CSRMatrix, block_bytes: int = UDP_BLOCK_BYTES) -> BlockedCSR:

@@ -8,7 +8,8 @@ Three implementations with one contract:
   ``np.add.reduceat``), the production path.
 * :func:`spmv_blocked` — the tiled loop of paper Fig. 7 operating over a
   :class:`~repro.sparse.blocked.BlockedCSR`, with a ``recode`` hook where
-  the UDP decompression calls sit in the paper's listing.
+  the UDP decompression calls sit in the paper's listing (without a hook,
+  one CSR SpMV over the concatenated blocks, bit-identical to the loop).
 
 All three accept an ``out=`` buffer for in-place accumulation. The
 mutation contract: ``out`` must be a C-contiguous float64 vector of shape
@@ -114,6 +115,29 @@ def spmv(
     return out
 
 
+def _flat_layout(blocked: BlockedCSR) -> tuple:
+    """``(col, val, starts, passes)`` for the hook-less kernel, memoized:
+    :attr:`BlockedCSR.flat`, every block's segment starts offset into it
+    (one ``reduceat`` then yields each block's per-row partials), and per
+    occurrence ``k`` the ``(rows, positions)`` of every row's ``k``-th
+    partial, so split rows fold in block order as the loop folds them."""
+    cached = blocked.__dict__.get("_flat_layout")
+    if cached is None:
+        segs = [b.row_segments() for b in blocked.blocks]
+        at = np.cumsum([0] + [b.nnz for b in blocked.blocks[:-1]])
+        rows = np.concatenate([np.empty(0, np.int64)] + [r for r, _ in segs])
+        starts = np.concatenate([np.empty(0, np.int64)] + [s + a for (_, s), a in zip(segs, at)])
+        order = np.argsort(rows, kind="stable")
+        occ = np.empty_like(order)
+        occ[order] = np.arange(rows.size) - np.searchsorted(rows[order], rows[order])
+        passes = tuple(
+            (rows[occ == k], np.flatnonzero(occ == k)) for k in range(occ.max(initial=-1) + 1)
+        )
+        cached = (*blocked.flat, starts, passes)
+        object.__setattr__(blocked, "_flat_layout", cached)
+    return cached
+
+
 def spmv_blocked(
     blocked: BlockedCSR,
     x: np.ndarray,
@@ -126,15 +150,19 @@ def spmv_blocked(
     ``recode`` stands in for the paper's ``recode(DSH_unpack, ...)`` calls:
     it receives each block before the multiply and returns the block whose
     ``col_idx`` / ``val`` are used. In the compressed pipeline the hook is
-    the UDP decompressor; ``None`` multiplies the stored block directly.
+    the UDP decompressor; ``None`` multiplies the stored blocks as one
+    CSR SpMV over their concatenation (see :func:`_flat_layout`).
     """
     x = _check_x(blocked.shape, x)
     out = _prepare_out(blocked.shape[0], y, out)
+    if recode is None:
+        col, val, starts, passes = _flat_layout(blocked)
+        seg = np.add.reduceat(val * x[col], starts)
+        for rows, pos in passes:
+            out[rows] += seg[pos]
+        return out
     for block in blocked.blocks:
-        if recode is not None:
-            block = recode(block)
-        if block.nnz == 0:
-            continue
+        block = recode(block)
         rows, seg_starts = block.row_segments()
         if rows.size == 0:
             continue

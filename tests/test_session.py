@@ -19,6 +19,7 @@ from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmm, recoded_spmv
 from repro.faults import FaultPlan
+from repro.sparse.blocked import CSRBlock
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,83 @@ class TestWarmPath:
             assert sess.cold_calls == 2 and sess.warm_calls == 0
             y, stats = sess.spmv(x)  # and the fallback re-warmed it
             assert stats.dram_bytes == 0
+
+
+class TestAssembleOnce:
+    """The warm path multiplies one consolidated matrix assembled from the
+    cached blocks; the cache's change counter guards it."""
+
+    def test_clear_after_warm_call_forces_cold(self, plan, vectors, reference):
+        x, _ = vectors
+        with ExecutionSession(plan, matrix_id="clear-after-warm") as sess:
+            sess.spmv(x)
+            _, stats = sess.spmv(x)
+            assert stats.dram_bytes == 0 and sess.warm_calls == 1
+            sess.engine.cache.clear()
+            y, stats = sess.spmv(x)
+            assert y.tobytes() == reference[0]
+            assert stats.dram_bytes > 0
+            assert sess.cold_calls == 2 and sess.warm_calls == 1
+            y, stats = sess.spmv(x)
+            assert y.tobytes() == reference[0]
+            assert stats.dram_bytes == 0 and sess.warm_calls == 2
+
+    def test_eviction_in_borrowed_engine_forces_cold_then_rewarms(
+        self, plan, vectors, reference
+    ):
+        x, _ = vectors
+        cache = DecodedBlockCache(max_bytes=12 * plan.nnz + 12 * 10)
+        engine = RecodeEngine(workers=0, cache=cache)
+        foreign = CSRBlock(0, 1, np.array([0, 50]), np.zeros(50), np.zeros(50), 0)
+        try:
+            with ExecutionSession(plan, matrix_id="evicted", engine=engine) as sess:
+                sess.spmv(x)
+                sess.spmv(x)
+                assert sess.warm_calls == 1
+                cache.put(("other", 0, "fp"), foreign)
+                assert cache.stats.evictions > 0
+                y, stats = sess.spmv(x)
+                assert y.tobytes() == reference[0]
+                assert stats.dram_bytes > 0 and sess.cold_calls == 2
+                y, stats = sess.spmv(x)
+                assert y.tobytes() == reference[0]
+                assert stats.dram_bytes == 0 and sess.warm_calls == 2
+        finally:
+            engine.close()
+
+    def test_warm_blocks_share_one_allocation(self, plan, vectors):
+        x, _ = vectors
+        with ExecutionSession(plan, matrix_id="views") as sess:
+            sess.spmv(x)
+            resident = sess.stats()["resident_bytes"]
+            assert resident == 12 * plan.nnz
+            sess.spmv(x)
+            keys = [("views", i, sess._fingerprint) for i in range(plan.nblocks)]
+            blocks, _ = sess.engine.cache.peek_all(keys)
+            col, val = sess._warm_blocked.flat
+            assert val.size == plan.nnz
+            for block in blocks:
+                assert np.shares_memory(block.val, val)
+                assert np.shares_memory(block.col_idx, col)
+            assert sess.stats()["resident_bytes"] == resident
+
+    def test_warm_call_credits_every_block_as_a_hit(self, plan, vectors):
+        x, _ = vectors
+        with ExecutionSession(plan, matrix_id="hits") as sess:
+            sess.spmv(x)
+            before = sess.engine.cache.stats.hits
+            _, stats = sess.spmv(x)
+            assert sess.engine.cache.stats.hits == before + plan.nblocks
+            assert stats.traffic.bytes_on("udp", "cpu") == 12 * plan.nnz
+
+    def test_warm_spmm_bit_identical_to_cold(self, plan, vectors, reference):
+        _, X = vectors
+        with ExecutionSession(plan, matrix_id="spmm-warm") as sess:
+            cold, cold_stats = sess.spmm(X)
+            cold = cold.tobytes()
+            warm, warm_stats = sess.spmm(X)
+            assert cold_stats.dram_bytes > 0 and warm_stats.dram_bytes == 0
+            assert warm.tobytes() == cold == reference[1]
 
 
 class TestColdPerCall:

@@ -336,3 +336,85 @@ class TestAdversarialDifferential:
         np.testing.assert_allclose(
             spmv(a, x, y=out, out=out), ref, rtol=1e-12, atol=1e-14
         )
+
+
+def _loop(blocked, x, **kw):
+    """The per-block loop: an identity hook forces it."""
+    return spmv_blocked(blocked, x, recode=lambda blk: blk, **kw)
+
+
+def _oracle_csr(counts, ncols, seed, neg_zero=False) -> CSRMatrix:
+    """Rows with the given entry counts; columns unique and sorted per row."""
+    rng = np.random.default_rng(seed)
+    row_ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=row_ptr[1:])
+    col_idx = np.concatenate(
+        [np.empty(0, np.int64)]
+        + [np.sort(rng.choice(ncols, size=c, replace=False)) for c in counts]
+    )
+    val = rng.normal(size=col_idx.size)
+    if neg_zero:
+        val[::3] = -0.0
+    return CSRMatrix((len(counts), ncols), row_ptr, col_idx, val)
+
+
+class TestHooklessOracle:
+    """The hook-less kernel (one gather, one segment sum, one scatter-add
+    per split-row pass over the concatenated blocks) against the per-block
+    loop, byte for byte."""
+
+    def _check(self, a, block_bytes=UDP_BLOCK_BYTES, seed=0):
+        blocked = partition_csr(a, block_bytes=block_bytes)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=a.ncols)
+        y0 = rng.normal(size=a.nrows)
+        want = _loop(blocked, x).tobytes()
+        assert spmv_blocked(blocked, x).tobytes() == want
+        assert spmv_blocked(blocked.consolidated(), x).tobytes() == want
+        assert spmv_blocked(blocked, x, y=y0).tobytes() == _loop(blocked, x, y=y0).tobytes()
+        out = np.full(a.nrows, np.nan)
+        assert spmv_blocked(blocked, x, out=out) is out
+        assert out.tobytes() == want
+        return blocked
+
+    def test_row_split_over_three_blocks_with_empty_rows(self):
+        # 8 KB blocks hold 682 entries: a 2000-entry row spans >= 3 blocks.
+        counts = [0, 0, 5, 2000, 0, 7, 0, 0, 1500, 3, 0, 0]
+        a = _oracle_csr(counts, 2500, seed=1)
+        blocked = self._check(a)
+        spans = [b for b in blocked.blocks if b.row_start <= 3 < b.row_end]
+        assert len(spans) >= 3
+
+    def test_all_empty_matrix(self):
+        a = _oracle_csr([0] * 6, 4, seed=2)
+        self._check(a)
+        assert not spmv_blocked(partition_csr(a), np.ones(4)).any()
+
+    def test_single_block(self):
+        blocked = self._check(_oracle_csr([3, 0, 4, 1], 9, seed=3))
+        assert blocked.nblocks == 1
+
+    def test_negative_zero_values(self):
+        a = _oracle_csr([0, 4, 900, 0, 2, 800, 0], 1000, seed=4, neg_zero=True)
+        x = np.zeros(a.ncols)
+        x[::2] = -0.0
+        blocked = partition_csr(a)
+        assert spmv_blocked(blocked, x).tobytes() == _loop(blocked, x).tobytes()
+        self._check(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_adversarial_byte_equal(self, data):
+        a = adversarial_csr(data.draw)
+        self._check(a, block_bytes=data.draw(st.integers(1, 6)) * 12,
+                    seed=data.draw(st.integers(0, 10_000)))
+
+    def test_consolidated_blocks_are_readonly_views(self):
+        blocked = partition_csr(_oracle_csr([5, 2000, 0, 9], 2500, seed=5))
+        merged = blocked.consolidated()
+        col, val = merged.flat
+        assert merged.nnz == blocked.nnz and merged.nblocks == blocked.nblocks
+        for mine, orig in zip(merged.blocks, blocked.blocks):
+            assert np.shares_memory(mine.val, val) and np.shares_memory(mine.col_idx, col)
+            assert np.array_equal(mine.val, orig.val)
+            assert not mine.val.flags.writeable
