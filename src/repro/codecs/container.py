@@ -1027,8 +1027,6 @@ def _scrub_record(
 ) -> tuple[RecordHealth | None, int | None]:
     """Walk one record leniently. Returns (health, next_pos); (None, None)
     when the stream is too mangled to even skip past the record."""
-    from repro.codecs.pipeline import decode_record
-
     hdr_len = 17 if tagged else 16
     if pos + hdr_len + 4 > end:
         return None, None
@@ -1051,16 +1049,23 @@ def _scrub_record(
         orig_len, snappy_len, bit_len, payload,
         payload_crc=zlib.crc32(payload), tag=tag,
     )
-    needs_table = (tag & STAGE_HUFFMAN) if tag is not None else use_huffman
-    decode_ok, error = True, None
-    if needs_table and table is None:
-        decode_ok, error = False, "no usable huffman table"
-    else:
-        try:
-            decode_record(record, table, use_huffman=use_huffman, apply_delta=apply_delta)
-        except CodecError as exc:
-            decode_ok, error = False, str(exc)
+    decode_ok, error = _decode_health(record, table, use_huffman, apply_delta)
     return RecordHealth(stream, crc_ok, decode_ok, payload_len, error), pos
+
+
+def _decode_health(
+    record: BlockRecord, table: "HuffmanTable | None", use_huffman: bool, apply_delta: bool
+) -> tuple[bool, str | None]:
+    """``(decode_ok, error)`` of one record, never raising a codec error."""
+    from repro.codecs.pipeline import decode_record, record_stages
+
+    if record_stages(record, use_huffman, apply_delta) & STAGE_HUFFMAN and table is None:
+        return False, "no usable huffman table"
+    try:
+        decode_record(record, table, use_huffman=use_huffman, apply_delta=apply_delta)
+    except CodecError as exc:
+        return False, str(exc)
+    return True, None
 
 
 def _scrub_via_reader(reader: ContainerReader) -> ScrubReport:
@@ -1071,8 +1076,6 @@ def _scrub_via_reader(reader: ContainerReader) -> ScrubReport:
     :attr:`ContainerReader.extents`; only the CRC and decode layers are
     (tolerantly) exercised here.
     """
-    from repro.codecs.pipeline import decode_record
-
     try:
         reader.verify_stream()
         trailer_ok = True
@@ -1086,25 +1089,9 @@ def _scrub_via_reader(reader: ContainerReader) -> ScrubReport:
             ("value", reader.value_table, False),
         ):
             record, crc_ok = reader.record_health(ext.block_id, stream)
-            decode_ok, error = True, None
-            needs_table = (
-                bool(record.tag & STAGE_HUFFMAN)
-                if record.tag is not None
-                else reader.use_huffman
-            )
-            if needs_table and table is None:
-                decode_ok, error = False, "no usable huffman table"
-            else:
-                try:
-                    decode_record(
-                        record, table,
-                        use_huffman=reader.use_huffman, apply_delta=apply_delta,
-                    )
-                except CodecError as exc:
-                    decode_ok, error = False, str(exc)
+            decode_ok, error = _decode_health(record, table, reader.use_huffman, apply_delta)
             healths[stream] = RecordHealth(
-                stream, crc_ok, decode_ok,
-                len(record.payload), error,
+                stream, crc_ok, decode_ok, len(record.payload), error,
             )
         blocks.append(
             BlockHealth(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs
+from repro import kernels, obs
 from repro.codecs.base import Codec
 from repro.codecs.delta import DeltaCodec, delta_decode
 from repro.codecs.errors import CodecError, CorruptPayloadError, CorruptStreamError
@@ -42,6 +42,17 @@ STAGE_DELTA = 1
 STAGE_SNAPPY = 2
 STAGE_HUFFMAN = 4
 TAG_MASK = STAGE_DELTA | STAGE_SNAPPY | STAGE_HUFFMAN
+
+#: Decode stages in the order a record undoes them, as labelled on
+#: ``codecs.decode.stage_seconds``.
+DECODE_STAGES = ("huffman", "snappy", "delta")
+
+#: Decode telemetry, bound once per active registry (ticked per record).
+STAGE_SECONDS = obs.BoundMetrics(
+    lambda reg, stage: reg.counter("codecs.decode.stage_seconds", stage=stage)
+)
+_DECODE_COUNTERS = obs.BoundMetrics(lambda reg, name: reg.counter(name))
+_RECORD_SECONDS = obs.BoundMetrics(lambda reg, name: reg.histogram(name))
 
 
 @dataclass(frozen=True)
@@ -174,16 +185,6 @@ class MatrixCompression:
 
     # -- decompression --------------------------------------------------------
 
-    def _decode_record(
-        self, record: BlockRecord, table: HuffmanTable | None, is_index: bool
-    ) -> bytes:
-        return decode_record(
-            record,
-            table,
-            use_huffman=self.use_huffman,
-            apply_delta=is_index and self.use_delta,
-        )
-
     def decompress_block(
         self,
         i: int,
@@ -196,14 +197,15 @@ class MatrixCompression:
         ``index_record`` / ``value_record`` override the plan's stored
         records — the SpMV pipeline passes the DMA-streamed copies here so
         a DRAM-side fault hits exactly the bytes that moved.
+
+        Both records decode in one ``dsh_decode_block`` kernel call (one C
+        call on the ``native`` backend; :func:`decode_block_reference`
+        elsewhere). The arrays are read-only.
         """
         ref = self.blocked.blocks[i]
         irec = self.index_records[i] if index_record is None else index_record
         vrec = self.value_records[i] if value_record is None else value_record
-        idx_bytes = self._decode_record(irec, self.index_table, True)
-        val_bytes = self._decode_record(vrec, self.value_table, False)
-        col_idx = np.frombuffer(idx_bytes, dtype="<i4")
-        val = np.frombuffer(val_bytes, dtype="<f8")
+        col_idx, val = kernels.dispatch("dsh_decode_block", self, irec, vrec)
         return CSRBlock(
             row_start=ref.row_start,
             row_end=ref.row_end,
@@ -234,13 +236,14 @@ def decode_record(
 ) -> bytes:
     """Decode one stream record back to its raw bytes.
 
-    This is the single functional model of the UDP's per-record
-    ``recode(DSH_unpack, ...)`` call; both the serial
-    :meth:`MatrixCompression.decompress_block` path and the parallel
-    :mod:`repro.codecs.engine` workers run exactly this function. The
+    This is the reference model of the UDP's per-record
+    ``recode(DSH_unpack, ...)`` call: :func:`decode_block_reference` runs
+    it for both records of a block, and the ``native`` backend's fused
+    block decoder must match it byte for byte and error for error. The
     Huffman and Snappy stages route through :mod:`repro.kernels`, so the
     active backend (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``)
-    applies here — with byte-identical output either way.
+    applies here — with byte-identical output either way. Each stage's
+    wall-clock adds to ``codecs.decode.stage_seconds{stage=...}``.
 
     A record carrying a codec ``tag`` overrides both keyword flags: the
     tag names exactly the stages to undo (mixed-plan containers), including
@@ -253,12 +256,7 @@ def decode_record(
         CodecError: any other malformed stream (truncation, bad codes, or
             a decoded length that disagrees with ``record.orig_len``).
     """
-    if record.tag is not None:
-        use_huffman = bool(record.tag & STAGE_HUFFMAN)
-        apply_delta = bool(record.tag & STAGE_DELTA)
-        use_snappy = bool(record.tag & STAGE_SNAPPY)
-    else:
-        use_snappy = True
+    stages = record_stages(record, use_huffman, apply_delta)
     start = time.perf_counter()
     with obs.trace("codecs.decode_record", bytes_in=len(record.payload)):
         data = record.payload
@@ -267,11 +265,13 @@ def decode_record(
                 f"record payload CRC mismatch (stored {record.payload_crc:#010x}, "
                 f"payload is {len(data)} bytes)"
             )
-        if use_huffman:
+        t0 = time.perf_counter()
+        if stages & STAGE_HUFFMAN:
             if table is None:
                 raise CodecError("huffman record without table")
             data = table.decode_bits(data, record.snappy_len)
-        if use_snappy:
+        t1 = time.perf_counter()
+        if stages & STAGE_SNAPPY:
             # The record header bounds the output: a corrupt Snappy preamble
             # can never allocate beyond what the header promised.
             data = snappy_decompress(data, max_output=record.orig_len)
@@ -279,23 +279,60 @@ def decode_record(
             raise CorruptStreamError(
                 f"decompressed {len(data)} bytes, expected {record.orig_len}"
             )
-        if apply_delta:
+        t2 = time.perf_counter()
+        if stages & STAGE_DELTA:
             arr = delta_decode(np.frombuffer(data, dtype="<i4"))
             data = arr.astype("<i4").tobytes()
-    reg = obs.registry()
-    reg.counter("codecs.decode.records").inc()
-    reg.counter("codecs.decode.bytes_in").inc(len(record.payload))
-    reg.counter("codecs.decode.bytes_out").inc(len(data))
-    if record.tag is not None:
-        reg.counter("codec.mix.decode_records").inc()
-        if not use_snappy:
-            reg.counter("codec.mix.snappy_skipped").inc()
-    if use_huffman:
-        reg.counter("codecs.huffman.decode_records").inc()
-    if apply_delta:
-        reg.counter("codecs.delta.decode_records").inc()
-    reg.histogram("codecs.decode.record_seconds").observe(time.perf_counter() - start)
+        t3 = time.perf_counter()
+    count_decoded(record, stages, len(data), t3 - start)
+    for stage, seconds in zip(DECODE_STAGES, (t1 - t0, t2 - t1, t3 - t2)):
+        STAGE_SECONDS[stage].inc(seconds)
     return data
+
+
+def record_stages(record: BlockRecord, use_huffman: bool, apply_delta: bool) -> int:
+    """The ``STAGE_*`` bits to undo for ``record``: its codec tag, else the
+    plan-level flags (Snappy always)."""
+    if record.tag is not None:
+        return record.tag & TAG_MASK
+    return (
+        STAGE_SNAPPY
+        | (STAGE_HUFFMAN if use_huffman else 0)
+        | (STAGE_DELTA if apply_delta else 0)
+    )
+
+
+def count_decoded(record: BlockRecord, stages: int, bytes_out: int, seconds: float) -> None:
+    """The ``codecs.decode.*`` telemetry of one decoded record."""
+    counters = _DECODE_COUNTERS
+    counters["codecs.decode.records"].inc()
+    counters["codecs.decode.bytes_in"].inc(len(record.payload))
+    counters["codecs.decode.bytes_out"].inc(bytes_out)
+    if record.tag is not None:
+        counters["codec.mix.decode_records"].inc()
+        if not stages & STAGE_SNAPPY:
+            counters["codec.mix.snappy_skipped"].inc()
+    if stages & STAGE_HUFFMAN:
+        counters["codecs.huffman.decode_records"].inc()
+    if stages & STAGE_DELTA:
+        counters["codecs.delta.decode_records"].inc()
+    _RECORD_SECONDS["codecs.decode.record_seconds"].observe(seconds)
+
+
+@kernels.REGISTRY.register("dsh_decode_block", "numpy")
+@kernels.REGISTRY.register("dsh_decode_block", "python")
+def decode_block_reference(
+    plan: MatrixCompression, index_record: BlockRecord, value_record: BlockRecord
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ``dsh_decode_block``: ``(col_idx, val)`` of one block,
+    its two records decoded by :func:`decode_record`."""
+    idx = decode_record(
+        index_record, plan.index_table, use_huffman=plan.use_huffman, apply_delta=plan.use_delta
+    )
+    val = decode_record(
+        value_record, plan.value_table, use_huffman=plan.use_huffman, apply_delta=False
+    )
+    return np.frombuffer(idx, dtype="<i4"), np.frombuffer(val, dtype="<f8")
 
 
 def block_streams(

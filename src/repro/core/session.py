@@ -63,6 +63,12 @@ from repro.sparse.spmm import spmm_blocked
 from repro.sparse.spmv import spmv_blocked
 
 _session_ids = itertools.count()
+_METRICS = obs.BoundMetrics(lambda reg, key: getattr(reg, key[1])(key[0]))
+
+
+def _metric(name: str, kind: str = "counter"):
+    """``name`` on the active registry, bound once per registry."""
+    return _METRICS[name, kind]
 
 
 class ExecutionSession:
@@ -147,7 +153,6 @@ class ExecutionSession:
         self._warm_blocked: BlockedCSR | None = None
         self._warm_changes = 0
         self._out: dict[tuple, np.ndarray] = {}
-        self._registry, self._handles = None, {}
 
         # Cumulative session counters (plain ints; mirrored into the
         # active registry's ``session.*`` counters at event time).
@@ -194,16 +199,6 @@ class ExecutionSession:
         """Whether the next call can take the assembled warm path."""
         return self._warm_blocked is not None and faults.active() is None
 
-    def _metric(self, name: str, kind: str = "counter"):
-        """``name`` on the active registry, bound once per registry."""
-        reg = obs.registry()
-        if reg is not self._registry:
-            self._registry, self._handles = reg, {}
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = self._handles[name] = getattr(reg, kind)(name)
-        return handle
-
     def _claim_buffer(self, shape: tuple, out: np.ndarray | None) -> np.ndarray:
         if out is not None:
             return out
@@ -215,7 +210,7 @@ class ExecutionSession:
             self._out[shape] = buf
         else:
             self.out_reuses += 1
-            self._metric("session.out_buffer_reuses").inc()
+            _metric("session.out_buffer_reuses").inc()
         return buf
 
     def _assemble(self) -> None:
@@ -243,7 +238,7 @@ class ExecutionSession:
         for name, n in (("iterations", 1), ("blocks", nblocks), ("nnz", nnz),
                         ("flops", 2 * nrhs * nnz), ("bytes.udp_to_cpu", 12 * nnz),
                         ("bytes.baseline", 12 * nnz)):
-            self._metric(f"{prefix}.{name}").inc(n)
+            _metric(f"{prefix}.{name}").inc(n)
         return y, PipelineStats(
             traffic=log,
             dram_bytes=0,
@@ -266,7 +261,7 @@ class ExecutionSession:
         )
 
     def _record_call(self, warm: bool, nblocks: int, seconds: float) -> None:
-        metric = self._metric
+        metric = _metric
         self.calls += 1
         metric("session.calls").inc()
         if warm:

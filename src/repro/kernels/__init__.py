@@ -11,10 +11,12 @@ holds their fast paths. Three backends exist:
   packing), a stride-8 DFA Huffman decode run as an array automaton,
   a two-phase Snappy decompressor (tag scan, then slice-op
   materialization), and batch varint/zigzag codecs.
-* ``native`` — the two sequential decode loops (the Huffman DFA walk and
-  the Snappy tag scan) in C, compiled on first use with the system ``cc``
-  and loaded through :mod:`ctypes`; its other ops are ``numpy``'s. Absent
-  when no compiler is (see :mod:`repro.kernels.native`).
+* ``native`` — the sequential decode loops in C (a lookup-table
+  Huffman decoder, the Snappy tag scan, and ``dsh_decode_block``: a whole
+  block's Huffman → Snappy → delta chain in one call), compiled on first
+  use with the system ``cc`` and loaded through :mod:`ctypes`; its other
+  ops are ``numpy``'s. Absent when no compiler is (see
+  :mod:`repro.kernels.native`).
 
 Usage::
 
@@ -27,8 +29,8 @@ Usage::
 Selection: :func:`set_backend` > ``REPRO_KERNEL_BACKEND`` env var >
 autodetect (``native``, else ``numpy``). Ops a backend cannot serve fall
 back to the reference implementation and tick ``kernels.fallback``; every
-dispatch ticks ``kernels.dispatch`` labelled by op and backend. See
-docs/PERFORMANCE.md.
+outermost dispatch ticks ``kernels.dispatch`` labelled by op and backend.
+See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations

@@ -1,45 +1,85 @@
-/* Native decode kernels: the two codec loops that are sequential by nature.
+/* Native decode kernels: the DSH decode chain of one block in one call.
  *
  * Built on first use by repro/kernels/native.py with the system C compiler
  * and loaded through ctypes. Each function returns 0 on success and non-zero
  * on corrupt input; the statuses carry no detail, because the Python wrapper
  * re-runs the reference decoder to raise the exact typed error. Every read is
  * bounded by the input length and every write by the caller-sized output
- * buffer, checked before the write.
+ * buffer, checked before the write. No state is shared between calls.
  */
+#define _POSIX_C_SOURCE 199309L
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
-/* Walk the stride-8 Huffman DFA, one transition per payload byte.
- *
- * Entry e = state * 256 + byte. emit[e * 8 ..] holds the emit_n[e] symbols
- * completed inside that byte; next[e] is the successor state, or -1 when the
- * byte leaves every code (symbols completed before that bit still count).
- * Returns 1 when the payload ends early and 2 on an invalid code.
+/* Record stage bits, as repro.codecs.pipeline.STAGE_*. */
+#define STAGE_DELTA 1
+#define STAGE_SNAPPY 2
+#define STAGE_HUFFMAN 4
+
+#define LUT_BITS 11
+#define MAX_CODE 56
+
+/* The reference's canonical decoder (repro.kernels.ref._decode_tables):
+ * codes of length L are [first[L], first[L] + count[L]), naming
+ * symbols[index[L] + code - first[L]]. lut[p] is the first of those interval
+ * tests to accept a prefix of the 11-bit window p, as symbol | length << 8
+ * (0: none does).
  */
-int huffman_decode(const int32_t *next, const uint8_t *emit, const uint8_t *emit_n,
-                   const uint8_t *payload, int64_t nbytes, uint8_t *out, int64_t out_len)
+typedef struct {
+    uint16_t lut[1 << LUT_BITS];
+    uint64_t first[MAX_CODE + 1];
+    uint32_t count[MAX_CODE + 1];
+    uint32_t index[MAX_CODE + 1];
+    uint8_t symbols[256];
+    int32_t max_len;
+} huff_table;
+
+/* Decode out_len symbols: a table lookup while 11 bits are buffered, else
+ * the reference's bit-by-bit walk (long codes, the stream's tail, invalid
+ * codes). Returns 1 when the payload ends early and 2 on an invalid code.
+ */
+int huffman_decode(const huff_table *t, const uint8_t *in, int64_t n,
+                   uint8_t *out, int64_t out_len)
 {
-    int64_t produced = 0;
-    int32_t state = 0;
-    for (int64_t i = 0; i < nbytes; i++) {
-        int64_t e = (int64_t)state * 256 + payload[i];
-        const uint8_t *sym = emit + e * 8;
-        int n = emit_n[e];
-        if (out_len - produced >= 8) {
-            memcpy(out + produced, sym, 8); /* n <= 8 valid, the rest overwritten */
-            produced += n;
-        } else {
-            for (int k = 0; k < n && produced < out_len; k++)
-                out[produced++] = sym[k];
+    uint64_t buf = 0; /* buffered bits, MSB first */
+    int nb = 0;
+    int64_t ip = 0, op = 0;
+    while (op < out_len) {
+        while (nb <= 56 && ip < n) {
+            buf |= (uint64_t)in[ip++] << (56 - nb);
+            nb += 8;
         }
-        if (produced >= out_len)
-            return 0;
-        state = next[e];
-        if (state < 0)
-            return 2;
+        if (nb >= LUT_BITS) {
+            unsigned e = t->lut[buf >> (64 - LUT_BITS)], len = e >> 8;
+            if (len) {
+                out[op++] = (uint8_t)e;
+                buf <<= len;
+                nb -= len;
+                continue;
+            }
+        }
+        uint64_t acc = 0;
+        for (int len = 1;; len++) {
+            if (nb == 0) {
+                if (ip == n)
+                    return 1;
+                buf = (uint64_t)in[ip++] << 56;
+                nb = 8;
+            }
+            acc = acc << 1 | buf >> 63;
+            buf <<= 1;
+            nb--;
+            if (len > t->max_len)
+                return 2;
+            if (acc >= t->first[len] && acc - t->first[len] < t->count[len]) {
+                out[op++] = t->symbols[t->index[len] + (acc - t->first[len])];
+                break;
+            }
+        }
     }
-    return 1;
+    return 0;
 }
 
 /* Snappy block-format decode of src[pos:n] into exactly `expected` bytes.
@@ -109,4 +149,86 @@ int snappy_decompress(const uint8_t *src, int64_t n, int64_t pos,
         op += len;
     }
     return op == expected ? 0 : 1;
+}
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* One record: undo its stages (Huffman, Snappy, delta) into exactly orig_len
+ * bytes at out, adding each stage's nanoseconds to ns[0..2]. The Snappy
+ * preamble is a uvarint as repro.codecs.varint.read_varint takes it (at most
+ * 6 bytes and 32 bits) and must equal orig_len.
+ */
+static int decode_record(const uint8_t *in, int64_t n, int64_t snappy_len, int64_t stages,
+                         const huff_table *t, uint8_t *out, int64_t orig_len, int64_t *ns)
+{
+    uint8_t *scratch = NULL;
+    int status = 0;
+    int64_t t0 = now_ns();
+    if (stages & STAGE_HUFFMAN) {
+        /* A symbol takes at least one bit, so more than 8n cannot decode. */
+        if (t == NULL || snappy_len < 0 || snappy_len > 8 * n
+            || (!(stages & STAGE_SNAPPY) && snappy_len != orig_len))
+            return 1;
+        if ((stages & STAGE_SNAPPY) && (scratch = malloc((size_t)snappy_len + 1)) == NULL)
+            return 3;
+        status = huffman_decode(t, in, n, scratch ? scratch : out, snappy_len);
+        in = scratch ? scratch : out;
+        n = snappy_len;
+    }
+    int64_t t1 = now_ns();
+    ns[0] += t1 - t0;
+    if (status == 0 && (stages & STAGE_SNAPPY)) {
+        uint64_t expected = 0;
+        int64_t pos = 0;
+        int shift = 0;
+        for (; pos < n && (in[pos] & 0x80) && shift < 35; shift += 7)
+            expected |= (uint64_t)(in[pos++] & 0x7f) << shift;
+        status = pos == n || (in[pos] & 0x80);
+        if (status == 0) {
+            expected |= (uint64_t)in[pos++] << shift;
+            status = expected > 0xffffffffu || expected != (uint64_t)orig_len;
+        }
+        if (status == 0)
+            status = snappy_decompress(in, n, pos, out, orig_len);
+    } else if (status == 0 && !(stages & STAGE_HUFFMAN)) {
+        status = n != orig_len;
+        if (status == 0)
+            memcpy(out, in, (size_t)n);
+    }
+    free(scratch);
+    int64_t t2 = now_ns();
+    ns[1] += t2 - t1;
+    if (status == 0 && (stages & STAGE_DELTA)) {
+        if (orig_len % 4)
+            return 1;
+        uint32_t acc = 0; /* wrapping int32 prefix sum over little-endian lanes */
+        for (int64_t i = 0; i < orig_len; i += 4) {
+            acc += (uint32_t)out[i] | (uint32_t)out[i + 1] << 8
+                 | (uint32_t)out[i + 2] << 16 | (uint32_t)out[i + 3] << 24;
+            for (int k = 0; k < 4; k++)
+                out[i + k] = (uint8_t)(acc >> (8 * k));
+        }
+        ns[2] += now_ns() - t2;
+    }
+    return status;
+}
+
+/* One 8 KB block: its index record into idx_out and its value record into
+ * val_out. ns[0..2] and ns[3..5] receive the index and value records'
+ * Huffman, Snappy and delta nanoseconds.
+ */
+int dsh_decode_block(const uint8_t *ipay, int64_t ilen, int64_t isnappy, int64_t istages,
+                     const huff_table *itab, uint8_t *idx_out, int64_t iorig,
+                     const uint8_t *vpay, int64_t vlen, int64_t vsnappy, int64_t vstages,
+                     const huff_table *vtab, uint8_t *val_out, int64_t vorig, int64_t *ns)
+{
+    int status = decode_record(ipay, ilen, isnappy, istages, itab, idx_out, iorig, ns);
+    if (status)
+        return status;
+    return decode_record(vpay, vlen, vsnappy, vstages, vtab, val_out, vorig, ns + 3);
 }

@@ -1,20 +1,27 @@
-"""Native (``native``) kernels: Huffman and Snappy decode in C.
+"""Native (``native``) kernels: the DSH decode chain of a block in C.
 
-Both decode loops are sequential — one DFA transition per payload byte,
-one Snappy tag at a time — so vectorizing cannot remove their per-step
-interpreter cost. ``native.c`` runs them as plain C loops, loaded through
-:mod:`ctypes`; no package beyond the system C compiler is needed.
+The decode loops are sequential — one Huffman code, one Snappy tag at a
+time — so vectorizing cannot remove their per-step interpreter cost.
+``native.c`` runs them as plain C loops, loaded through :mod:`ctypes`; no
+package beyond the system C compiler is needed.
 
-* **Huffman decode** walks the same stride-8 automaton the ``numpy``
-  backend compiles (:func:`repro.kernels.np_kernels._compiled_dfa`),
-  flattened once per table fingerprint, so byte parity holds by
-  construction.
+* **Block decode** (``dsh_decode_block``): one C call decodes a block's
+  index and value records — Huffman, Snappy, delta, as each record's tag
+  or the plan's flags say — straight into read-only ``col_idx``/``val``
+  arrays, adding each stage's ``clock_gettime`` nanoseconds to a
+  caller-owned array that feeds ``codecs.decode.stage_seconds``. No state
+  is shared and ctypes releases the GIL, so threads decode in parallel.
+* **Huffman decode**: an 11-bit first-match lookup table built from the
+  reference's own interval test (:func:`_huffman_table`), then the
+  reference's bit-by-bit walk for longer codes. The standalone
+  ``huffman_decode`` op runs the same routine.
 * **Snappy decompress** parses and materializes each tag in one pass,
   bounds-checked before every write.
 * **Errors**: C returns only a status. On a non-zero status the wrapper
-  re-runs the ``python`` reference directly (not through dispatch), which
-  raises the exact typed error and message; if the reference accepts the
-  input, the C code is wrong and :class:`RuntimeError` says so.
+  re-runs the reference directly (not through dispatch; for a block,
+  :func:`~repro.codecs.pipeline.decode_block_reference`), which raises the
+  exact typed error and message; if the reference accepts the input, the
+  C code is wrong and :class:`RuntimeError` says so.
 
 Every other op resolves to the ``numpy`` implementation (see
 :data:`repro.kernels.registry.BASE_BACKEND`).
@@ -36,13 +43,22 @@ import os
 import shutil
 import subprocess
 import tempfile
+import zlib
 from functools import lru_cache
 from typing import NoReturn
 
 import numpy as np
 
+from repro.codecs.pipeline import (
+    DECODE_STAGES,
+    STAGE_HUFFMAN,
+    STAGE_SECONDS,
+    count_decoded,
+    decode_block_reference,
+    record_stages,
+)
 from repro.codecs.varint import read_varint
-from repro.kernels import np_kernels, ref
+from repro.kernels import ref
 from repro.kernels.registry import REGISTRY, KernelUnavailable
 
 _register = REGISTRY.register
@@ -51,11 +67,32 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _lib: ctypes.CDLL | None = None
 
+#: Window of the first-match lookup table, and the longest code the C
+#: walk takes (its canonical first codes must fit in 64 bits).
+_LUT_BITS = 11
+_MAX_CODE = 56
+
+
+class _HuffTable(ctypes.Structure):
+    """``huff_table`` in ``native.c``."""
+
+    _fields_ = [
+        ("lut", ctypes.c_uint16 * (1 << _LUT_BITS)),
+        ("first", ctypes.c_uint64 * (_MAX_CODE + 1)),
+        ("count", ctypes.c_uint32 * (_MAX_CODE + 1)),
+        ("index", ctypes.c_uint32 * (_MAX_CODE + 1)),
+        ("symbols", ctypes.c_uint8 * 256),
+        ("max_len", ctypes.c_int32),
+    ]
+
+
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
+_TABLE = ctypes.POINTER(_HuffTable)
 _SIGNATURES = {
-    "huffman_decode": (_P, _P, _P, _P, _I64, _P, _I64),
+    "huffman_decode": (_TABLE, _P, _I64, _P, _I64),
     "snappy_decompress": (_P, _I64, _I64, _P, _I64),
+    "dsh_decode_block": (ctypes.c_char_p, _I64, _I64, _I64, _TABLE, _P, _I64) * 2 + (_P,),
 }
 
 
@@ -129,39 +166,50 @@ def _reference_raise(fn, *args) -> NoReturn:
 
 
 @lru_cache(maxsize=64)
-def _flat_dfa(lengths_blob: bytes, codes_blob: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numpy backend's automaton as C arrays: ``(next, emit, emit_n)``.
+def _huffman_table(lengths_blob: bytes) -> _HuffTable:
+    """The reference's canonical decoder as a C table, per fingerprint.
 
-    ``next`` is -1 on dead entries, folding the dead flag into the walk.
+    Each entry of the 11-bit lookup table is the first length ``L`` whose
+    interval test (:func:`repro.kernels.ref._decode_tables`) accepts the
+    window's ``L``-bit prefix, tried in the reference's order, so the C
+    decoder and the reference agree by construction.
+
+    Raises:
+        KernelUnavailable: a code longer than 56 bits.
     """
-    dfa = np_kernels._compiled_dfa(lengths_blob, codes_blob)
-    nxt = np.where(dfa.dead, -1, dfa.next_state).astype(np.int32)
-    return nxt, np.ascontiguousarray(dfa.emit), dfa.emit_n.astype(np.uint8)
+    max_len, first, count, index, symbols = ref._decode_tables(lengths_blob)
+    if max_len > _MAX_CODE:
+        raise KernelUnavailable(f"{max_len}-bit codes; reference semantics")
+    table = _HuffTable(max_len=max_len)
+    table.first[: max_len + 1] = first[: max_len + 1]
+    table.count[: max_len + 1] = count[: max_len + 1]
+    table.index[: max_len + 1] = index[: max_len + 1]
+    table.symbols[: len(symbols)] = symbols
+    window = np.arange(1 << _LUT_BITS)
+    syms = np.asarray(symbols, dtype=np.int64)
+    lut = np.zeros(window.size, dtype=np.uint16)
+    for length in range(1, min(_LUT_BITS, max_len) + 1):
+        offset = (window >> (_LUT_BITS - length)) - first[length]
+        hit = (lut == 0) & (offset >= 0) & (offset < count[length])
+        lut[hit] = syms[index[length] + offset[hit]] | (length << 8)
+    ctypes.memmove(table.lut, lut.ctypes.data, lut.nbytes)
+    return table
 
 
 @_register("huffman_decode", "native")
 def huffman_decode(
     lengths: np.ndarray, codes: np.ndarray, payload: bytes, out_len: int
 ) -> bytes:
-    lengths = np.ascontiguousarray(lengths, dtype=np.uint8)
-    codes = np.ascontiguousarray(codes, dtype=np.uint64)
-    lengths_blob, codes_blob = lengths.tobytes(), codes.tobytes()
-    if not np_kernels._codes_fit(lengths_blob, codes_blob):
-        raise KernelUnavailable("code value overflows its length; reference semantics")
+    table = _huffman_table(np.ascontiguousarray(lengths, dtype=np.uint8).tobytes())
     if out_len <= 0:
         return b""
-    nxt, emit, emit_n = _flat_dfa(lengths_blob, codes_blob)
     src = np.frombuffer(payload, dtype=np.uint8)
-    # One byte completes at most 8 symbols; a larger out_len cannot be met
-    # and must not size the output buffer.
+    # A symbol takes at least one bit; a larger out_len cannot be met and
+    # must not size the output buffer.
     if out_len > 8 * src.size:
         _reference_raise(ref.huffman_decode, lengths, codes, payload, out_len)
     out = np.empty(out_len, dtype=np.uint8)
-    status = _lib.huffman_decode(
-        nxt.ctypes.data, emit.ctypes.data, emit_n.ctypes.data,
-        src.ctypes.data, src.size, out.ctypes.data, out_len,
-    )
-    if status:
+    if _lib.huffman_decode(table, src.ctypes.data, src.size, out.ctypes.data, out_len):
         _reference_raise(ref.huffman_decode, lengths, codes, payload, out_len)
     return out.tobytes()
 
@@ -183,3 +231,54 @@ def snappy_decompress(data: bytes, max_output: int | None = None) -> bytes:
     if _lib.snappy_decompress(src.ctypes.data, src.size, pos, out.ctypes.data, expected):
         _reference_raise(ref.snappy_decompress, data, max_output)
     return out.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Block decode
+# ---------------------------------------------------------------------------
+
+
+def _record_args(record, stages: int, table, itemsize: int) -> tuple | None:
+    """One record's C arguments, its output buffer among them; ``None``
+    when the reference must decide without C: a CRC mismatch, or an
+    ``orig_len`` no valid record has (which must not size a buffer)."""
+    payload = bytes(record.payload)
+    # A payload byte holds at most 8 Huffman symbols, a Snappy byte yields
+    # at most 64/3 bytes: no valid record decodes to more than 171x.
+    if (
+        (record.payload_crc is not None and zlib.crc32(payload) != record.payload_crc)
+        or record.orig_len % itemsize
+        or not 0 <= record.orig_len <= 171 * len(payload)
+    ):
+        return None
+    if stages & STAGE_HUFFMAN and table is not None:
+        table = _huffman_table(table.lengths.tobytes())
+    else:
+        table = None  # C rejects a Huffman stage without a table
+    # A ctypes buffer passes to C without numpy's per-call ctypes adapter.
+    out = ctypes.create_string_buffer(record.orig_len)
+    return payload, len(payload), record.snappy_len, stages, table, out, record.orig_len
+
+
+#: Where :func:`_record_args` puts the output buffer.
+_OUT = 5
+
+
+@_register("dsh_decode_block", "native")
+def dsh_decode_block(plan, index_record, value_record) -> tuple[np.ndarray, np.ndarray]:
+    istages = record_stages(index_record, plan.use_huffman, plan.use_delta)
+    vstages = record_stages(value_record, plan.use_huffman, False)
+    iargs = _record_args(index_record, istages, plan.index_table, 4)
+    vargs = _record_args(value_record, vstages, plan.value_table, 8)
+    ns = (ctypes.c_int64 * 6)()
+    if iargs is None or vargs is None or _lib.dsh_decode_block(*iargs, *vargs, ns):
+        _reference_raise(decode_block_reference, plan, index_record, value_record)
+    col_idx = np.frombuffer(iargs[_OUT], dtype="<i4")
+    val = np.frombuffer(vargs[_OUT], dtype="<f8")
+    col_idx.flags.writeable = False
+    val.flags.writeable = False
+    count_decoded(index_record, istages, col_idx.nbytes, sum(ns[0:3]) * 1e-9)
+    count_decoded(value_record, vstages, val.nbytes, sum(ns[3:6]) * 1e-9)
+    for k, stage in enumerate(DECODE_STAGES):
+        STAGE_SECONDS[stage].inc((ns[k] + ns[3 + k]) * 1e-9)
+    return col_idx, val

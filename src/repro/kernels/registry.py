@@ -8,9 +8,10 @@ implementations:
   correct; the byte-level ground truth everything else is checked against.
 * ``numpy`` — vectorized fast paths that produce **byte-identical** output
   (and raise the same :mod:`repro.codecs.errors` types on corrupt input).
-* ``native`` — the sequential decode loops (Huffman, Snappy) in C, built
-  on first use; available only when a C compiler is. Its other ops
-  resolve to ``numpy`` (:data:`BASE_BACKEND`).
+* ``native`` — the sequential decode loops (Huffman, Snappy, and the
+  fused per-block ``dsh_decode_block``) in C, built on first use;
+  available only when a C compiler is. Its other ops resolve to
+  ``numpy`` (:data:`BASE_BACKEND`).
 
 A *kernel op* is a name like ``"huffman_decode"``; each backend registers
 one callable per op. :func:`dispatch` resolves the active backend per
@@ -24,9 +25,9 @@ Selection order: :func:`set_backend` (CLI / code) > the
 available of ``native``, ``numpy``, ``python``). An op missing from the
 selected backend and its base — or raising :class:`KernelUnavailable` at
 call time — falls back to the ``python`` reference and ticks the
-``kernels.fallback`` counter; every successful dispatch ticks
+``kernels.fallback`` counter; every successful outermost dispatch ticks
 ``kernels.dispatch`` labelled ``op``/``backend`` (the backend that served
-it).
+it). Dispatches made from inside a kernel count as part of it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class KernelUnavailable(RuntimeError):
     """A backend cannot service this op/call; dispatch retries on the
     reference backend. Raise it early — before any output is produced —
     so the fallback re-runs the op from scratch."""
+
+
+#: Per-thread "a dispatch is running" flag. Ops a kernel dispatches inside
+#: its own call (the reference ``dsh_decode_block``'s per-record Huffman and
+#: Snappy) are part of it: only the outermost call ticks ``kernels.dispatch``.
+_nesting = threading.local()
 
 
 class KernelRegistry:
@@ -152,6 +159,7 @@ class KernelRegistry:
             backend = BASE_BACKEND[backend]
             fn = self._impls.get((op, backend))
         reg = obs.registry()
+        outermost = not getattr(_nesting, "active", False)
         if fn is None:
             if backend != REFERENCE_BACKEND:
                 reg.counter("kernels.fallback", op=op, backend=backend).inc()
@@ -159,6 +167,7 @@ class KernelRegistry:
             fn = self._impls.get((op, backend))
             if fn is None:
                 raise KeyError(f"kernel op {op!r} has no implementation")
+        _nesting.active = True
         try:
             result = fn(*args, **kwargs)
         except KernelUnavailable:
@@ -167,7 +176,10 @@ class KernelRegistry:
             reg.counter("kernels.fallback", op=op, backend=backend).inc()
             result = self._impls[(op, REFERENCE_BACKEND)](*args, **kwargs)
             backend = REFERENCE_BACKEND
-        reg.counter("kernels.dispatch", op=op, backend=backend).inc()
+        finally:
+            _nesting.active = not outermost
+        if outermost:
+            reg.counter("kernels.dispatch", op=op, backend=backend).inc()
         return result
 
 

@@ -23,6 +23,10 @@ from repro.memsys.traffic import TrafficLog
 #: engine is an on-die L2 agent, not a PCIe device.
 DEFAULT_STARTUP_S = 50e-9
 
+#: Per-transfer counters, bound once per active registry (one transfer
+#: per streamed record, so a registry lookup each would dominate).
+_COUNTERS = obs.BoundMetrics(lambda reg, name: reg.counter(name))
+
 
 @dataclass(frozen=True)
 class DMATransfer:
@@ -57,12 +61,12 @@ class DMAEngine:
         seconds = self.startup_s + self.memory.transfer_seconds(nbytes)
         energy = self.memory.transfer_energy_j(nbytes)
         self.log.record(src, dst, nbytes)
-        reg = obs.registry()
-        reg.counter("memsys.dma.transfers").inc()
-        reg.counter("memsys.dma.startup_seconds").inc(self.startup_s)
-        reg.counter("memsys.dram.bytes_read").inc(nbytes)
-        reg.counter("memsys.dram.seconds").inc(seconds)
-        reg.counter("memsys.dram.energy_j").inc(energy)
+        counters = _COUNTERS
+        counters["memsys.dma.transfers"].inc()
+        counters["memsys.dma.startup_seconds"].inc(self.startup_s)
+        counters["memsys.dram.bytes_read"].inc(nbytes)
+        counters["memsys.dram.seconds"].inc(seconds)
+        counters["memsys.dram.energy_j"].inc(energy)
         return DMATransfer(src=src, dst=dst, nbytes=nbytes, seconds=seconds, energy_j=energy)
 
     def effective_bandwidth(self, block_bytes: int) -> float:

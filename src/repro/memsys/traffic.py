@@ -11,6 +11,11 @@ from collections import defaultdict
 
 from repro import obs
 
+#: ``memsys.traffic.bytes`` per edge, bound once per active registry.
+_EDGE_BYTES = obs.BoundMetrics(
+    lambda reg, edge: reg.counter("memsys.traffic.bytes", src=edge[0], dst=edge[1])
+)
+
 
 class TrafficLog:
     """Accumulates byte counts on (src, dst) edges.
@@ -28,7 +33,7 @@ class TrafficLog:
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self._edges[(src, dst)] += nbytes
-        obs.registry().counter("memsys.traffic.bytes", src=src, dst=dst).inc(nbytes)
+        _EDGE_BYTES[(src, dst)].inc(nbytes)
 
     def bytes_on(self, src: str, dst: str) -> int:
         """Total bytes moved on one edge."""

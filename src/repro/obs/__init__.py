@@ -12,6 +12,7 @@ Three layers (see docs/OBSERVABILITY.md for the metric-name catalogue):
 """
 
 from repro.obs.metrics import (
+    BoundMetrics,
     Counter,
     Gauge,
     Histogram,
@@ -48,6 +49,7 @@ from repro.obs.export import (
 )
 
 __all__ = [
+    "BoundMetrics",
     "Counter",
     "Gauge",
     "Histogram",

@@ -430,6 +430,32 @@ def scoped_registry(reg: MetricsRegistry | None = None) -> Iterator[MetricsRegis
             _current_registry = previous
 
 
+class BoundMetrics:
+    """Metric handles by key, resolved once per active registry.
+
+    ``make(registry, key)`` creates ``key``'s metric on first use; the
+    handles are re-resolved when :func:`registry` changes. Hot paths use
+    this instead of the registry's locked get-or-create on every event.
+    """
+
+    __slots__ = ("_make", "_bound")
+
+    def __init__(self, make: Callable[["MetricsRegistry", object], object]):
+        self._make = make
+        self._bound: tuple[MetricsRegistry | None, dict] = (None, {})
+
+    def __getitem__(self, key):
+        reg = _current_registry
+        bound, handles = self._bound
+        if bound is not reg:
+            handles = {}
+            self._bound = (reg, handles)
+        metric = handles.get(key)
+        if metric is None:
+            metric = handles[key] = self._make(reg, key)
+        return metric
+
+
 def counter(name: str, **labels) -> Counter:
     """Get-or-create a counter on the current registry."""
     return _current_registry.counter(name, **labels)

@@ -157,7 +157,8 @@ def spmv_blocked(
     out = _prepare_out(blocked.shape[0], y, out)
     if recode is None:
         col, val, starts, passes = _flat_layout(blocked)
-        seg = np.add.reduceat(val * x[col], starts)
+        # np.take: fancy indexing converts the int32 indices to intp per call.
+        seg = np.add.reduceat(val * np.take(x, col), starts)
         for rows, pos in passes:
             out[rows] += seg[pos]
         return out

@@ -12,18 +12,31 @@ backend inheritance are covered alongside, as are the native backend's
 build, its bounds checks and the registry's first-use thread safety.
 """
 
+import ctypes
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import threading
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels, obs
+from repro.codecs.autotune import encode_stream_record, reencode_with_tags
 from repro.codecs.huffman import HuffmanTable
+from repro.codecs.pipeline import (
+    STAGE_DELTA,
+    STAGE_HUFFMAN,
+    STAGE_SNAPPY,
+    TAG_MASK,
+    compress_matrix,
+    record_stages,
+)
 from repro.codecs.snappy import snappy_compress, snappy_decompress
 from repro.codecs.varint import (
     read_varint,
@@ -33,6 +46,7 @@ from repro.codecs.varint import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.collection import generators
 
 #: Every backend this process can run, the reference first.
 BACKENDS = tuple(reversed(kernels.available_backends()))
@@ -342,6 +356,191 @@ class TestVarintParity:
 
 
 # ---------------------------------------------------------------------------
+# Fused block decode (dsh_decode_block)
+# ---------------------------------------------------------------------------
+
+_BLOCK_PLAN = compress_matrix(generators.banded(300, bandwidth=4, seed=5), block_bytes=1024)
+
+
+def _plan_with_table(table: HuffmanTable):
+    """The fused-test plan re-encoded, DSH on every record, under ``table``."""
+    plan = dataclasses.replace(_BLOCK_PLAN, index_table=table, value_table=table)
+    dsh = STAGE_SNAPPY | STAGE_HUFFMAN
+    n = plan.nblocks
+    return reencode_with_tags(plan, [dsh | STAGE_DELTA] * n, [dsh] * n)
+
+
+def _block_bytes(plan, index_record, value_record):
+    """``dsh_decode_block`` on the active backend, as comparable bytes."""
+    col_idx, val = kernels.dispatch("dsh_decode_block", plan, index_record, value_record)
+    return col_idx.tobytes(), val.tobytes()
+
+
+def _recrc(record, payload):
+    return dataclasses.replace(record, payload=payload, payload_crc=zlib.crc32(payload))
+
+
+def _with_snappy_stream(record, table, stream):
+    """``record`` carrying ``stream`` in place of its Snappy stream."""
+    with kernels.use_backend("python"):
+        payload, bit_len = table.encode_bits(stream)
+    return dataclasses.replace(
+        _recrc(record, payload), snappy_len=len(stream), bit_len=bit_len
+    )
+
+
+def _corrupt_blocks():
+    """``(label, plan, index_record, value_record)`` the reference rejects."""
+    plan = _BLOCK_PLAN
+    irec, vrec = plan.index_records[1], plan.value_records[1]
+    with kernels.use_backend("python"):
+        stream = plan.index_table.decode_bits(irec.payload, irec.snappy_len)
+    body = stream[read_varint(stream, 0)[1]:]
+    flipped = bytearray(irec.payload)
+    flipped[len(flipped) // 3] ^= 0x5A
+    cases = [
+        ("crc mismatch", irec, dataclasses.replace(vrec, payload=vrec.payload[:-1])),
+        ("bit flips, crc recomputed", _recrc(irec, bytes(flipped)), vrec),
+        ("truncated huffman", _recrc(irec, irec.payload[: len(irec.payload) // 2]), vrec),
+        ("truncated value huffman", irec, _recrc(vrec, vrec.payload[:-3])),
+        ("oversized preamble", _with_snappy_stream(
+            irec, plan.index_table, write_varint(irec.orig_len + 64) + body), vrec),
+        ("overlong preamble", _with_snappy_stream(
+            irec, plan.index_table, b"\xff" * 6 + body), vrec),
+        ("33-bit preamble", _with_snappy_stream(
+            irec, plan.index_table, b"\xff\xff\xff\xff\x7f" + body), vrec),
+        ("orig_len short", dataclasses.replace(irec, orig_len=irec.orig_len - 4), vrec),
+        ("orig_len long", irec, dataclasses.replace(vrec, orig_len=vrec.orig_len + 8)),
+        ("orig_len huge", dataclasses.replace(irec, orig_len=1 << 31), vrec),
+        ("orig_len negative", irec, dataclasses.replace(vrec, orig_len=-8)),
+        ("snappy_len negative", dataclasses.replace(irec, snappy_len=-1), vrec),
+    ]
+    no_table = dataclasses.replace(plan, index_table=None)
+    return [(label, plan, i, v) for label, i, v in cases] + [("no table", no_table, irec, vrec)]
+
+
+class TestFusedBlockDecode:
+    """``dsh_decode_block`` against the per-record ``python`` composition:
+    the same bytes on every record kind, the same typed error (and
+    message) on every corruption, and one dispatch per block."""
+
+    def test_every_record_kind_byte_identical(self):
+        n = _BLOCK_PLAN.nblocks
+        raw, dsh = 0, STAGE_SNAPPY | STAGE_HUFFMAN
+        plans = {
+            "untagged": _BLOCK_PLAN,
+            # Every stage combination, stored-raw (Snappy skipped) included.
+            "tagged": reencode_with_tags(
+                _BLOCK_PLAN, [t % (TAG_MASK + 1) for t in range(n)],
+                [(t + 3) % (TAG_MASK + 1) for t in range(n)],
+            ),
+            "stored raw": reencode_with_tags(_BLOCK_PLAN, [raw] * n, [STAGE_DELTA] * n),
+            "huffman only": reencode_with_tags(
+                _BLOCK_PLAN, [STAGE_HUFFMAN | STAGE_DELTA] * n, [STAGE_HUFFMAN] * n),
+            "snappy only": compress_matrix(
+                generators.banded(300, bandwidth=4, seed=5), block_bytes=1024, use_huffman=False),
+            # 10 codes of 1-10 bits, the other 246 symbols 18 bits: most
+            # symbols miss the 11-bit lookup table and take the bit walk.
+            "long codes": _plan_with_table(
+                HuffmanTable.from_lengths(list(range(1, 11)) + [18] * 246)),
+        }
+        for name, plan in plans.items():
+            for i in range(plan.nblocks):
+                got = _assert_parity_ok(
+                    _block_bytes, plan, plan.index_records[i], plan.value_records[i])
+                block = _BLOCK_PLAN.blocked.blocks[i]
+                assert got == (block.index_bytes(), block.value_bytes()), (name, i)
+
+    def test_empty_block(self):
+        plan = _BLOCK_PLAN
+        empty = [
+            dataclasses.replace(
+                encode_stream_record(b"", STAGE_SNAPPY | STAGE_HUFFMAN, table), tag=None)
+            for table in (plan.index_table, plan.value_table)
+        ]
+        assert _assert_parity_ok(_block_bytes, plan, *empty) == (b"", b"")
+
+    def test_codes_past_56_bits_go_to_the_reference(self):
+        plan = _plan_with_table(HuffmanTable.from_lengths(list(range(1, 51)) + [58] * 206))
+        for backend in BACKENDS:
+            with obs.scoped_registry() as reg, kernels.use_backend(backend):
+                got = _block_bytes(plan, plan.index_records[0], plan.value_records[0])
+                fallbacks = reg.value(
+                    "kernels.fallback", op="dsh_decode_block", backend="native")
+            block = _BLOCK_PLAN.blocked.blocks[0]
+            assert got == (block.index_bytes(), block.value_bytes()), backend
+            assert fallbacks == (backend == "native"), backend
+
+    @pytest.mark.parametrize("case", range(len(_corrupt_blocks())))
+    def test_typed_error_parity(self, case):
+        label, plan, irec, vrec = _corrupt_blocks()[case]
+        outcome = _assert_parity(_block_bytes, plan, irec, vrec)
+        assert outcome[0] == "err" and outcome[1] in (
+            "CorruptStreamError", "CorruptPayloadError", "CodecError"), (label, outcome)
+
+    def test_one_dispatch_per_block_and_no_fallback(self):
+        plan = _BLOCK_PLAN
+        for backend in BACKENDS:
+            with obs.scoped_registry() as reg, kernels.use_backend(backend):
+                for i in range(plan.nblocks):
+                    plan.decompress_block(i)
+                snapshot = reg.snapshot()
+            dispatched = {
+                key: rec["value"] for key, rec in snapshot.items()
+                if rec["name"] == "kernels.dispatch"
+            }
+            assert dispatched == {
+                f"kernels.dispatch{{backend={backend},op=dsh_decode_block}}": plan.nblocks
+            }, backend
+            assert not [r for r in snapshot.values() if r["name"] == "kernels.fallback"]
+
+    def test_threads_decode_concurrently(self):
+        """Six threads decode every block at once (ctypes drops the GIL
+        for the C call): every block is right and no counter update is
+        lost."""
+        plan, passes, nthreads = _BLOCK_PLAN, 3, 6
+        want = [(b.index_bytes(), b.value_bytes()) for b in plan.blocked.blocks]
+        errors: list = []
+
+        def work():
+            try:
+                for _ in range(passes):
+                    for i in range(plan.nblocks):
+                        block = plan.decompress_block(i)
+                        if (block.col_idx.tobytes(), block.val.tobytes()) != want[i]:
+                            errors.append(i)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.scoped_registry() as reg:
+                threads = [threading.Thread(target=work) for _ in range(nthreads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        decoded = 2 * nthreads * passes * plan.nblocks
+        assert reg.value("codecs.decode.records") == decoded
+        assert reg.value("codecs.decode.record_seconds") == decoded
+
+    def test_stage_seconds_split_the_decode(self):
+        plan = _BLOCK_PLAN
+        for backend in BACKENDS:
+            with obs.scoped_registry() as reg, kernels.use_backend(backend):
+                for i in range(plan.nblocks):
+                    plan.decompress_block(i)
+            for stage in ("huffman", "snappy", "delta"):
+                assert reg.value("codecs.decode.stage_seconds", stage=stage) > 0, backend
+            assert reg.value("codecs.decode.record_seconds") == 2 * plan.nblocks
+
+
+# ---------------------------------------------------------------------------
 # Engine: pool workers inherit the parent's backend
 # ---------------------------------------------------------------------------
 
@@ -424,12 +623,32 @@ def _guards_intact(buf: np.ndarray, size: int, guard: int = 64) -> bool:
     return bool((buf[:guard] == 0xA5).all() and (buf[guard + size :] == 0xA5).all())
 
 
+#: A stored-raw empty record: ``(payload, snappy_len, stages, table, orig_len)``.
+_EMPTY_RAW = (b"", 0, 0, None, 0)
+
+
+def _c_decode_guarded(native, index, value, both=False):
+    """Call the C ``dsh_decode_block`` on two ``(payload, snappy_len,
+    stages, table, orig_len)`` records, each into a guarded buffer of
+    ``orig_len`` bytes. Returns the index buffer (and the value buffer
+    when ``both``) and the status."""
+    args, bufs = [], []
+    for payload, snappy_len, stages, table, orig_len in (index, value):
+        buf, out = _guarded(orig_len)
+        ctable = native._huffman_table(table.lengths.tobytes()) if table is not None else None
+        args += [payload, len(payload), snappy_len, stages, ctable, out, orig_len]
+        bufs.append(buf)
+    status = native._lib.dsh_decode_block(*args, (ctypes.c_int64 * 6)())
+    return (*bufs, status) if both else (bufs[0], status)
+
+
 @needs_native
 class TestNativeBackend:
     def test_autodetect_prefers_native(self):
         assert kernels.REGISTRY.autodetect() == "native"
         assert kernels.backends_for("huffman_decode")[0] == "native"
         assert kernels.backends_for("snappy_decompress")[0] == "native"
+        assert kernels.backends_for("dsh_decode_block")[0] == "native"
 
     def test_unimplemented_ops_resolve_to_numpy_without_fallback(self):
         data, table, _payload = _huffman_case()
@@ -443,10 +662,11 @@ class TestNativeBackend:
             assert not [r for r in reg.snapshot().values() if r["name"] == "kernels.fallback"]
 
     def test_truncated_huffman_and_out_len_overrun_stay_in_bounds(self):
+        """Huffman-only records through the fused entry point, which then
+        decodes straight into the caller's guarded output."""
         from repro.kernels import native
 
         data, table, payload = _huffman_case()
-        nxt, emit, emit_n = native._flat_dfa(table.lengths.tobytes(), table.codes.tobytes())
         # (payload, out_len, outcome kind); None = parity only (the zero
         # padding of the last byte may decode as a few extra symbols).
         cases = [(payload[:cut], len(data), "err") for cut in (0, 1, len(payload) // 2)]
@@ -459,13 +679,33 @@ class TestNativeBackend:
                 assert outcome == ("ok", data[:out_len])
             elif kind == "err":
                 assert outcome[:2] == ("err", "CorruptStreamError"), outcome
-            src = np.frombuffer(blob, dtype=np.uint8)
-            buf, out = _guarded(out_len)
-            native._lib.huffman_decode(
-                nxt.ctypes.data, emit.ctypes.data, emit_n.ctypes.data,
-                src.ctypes.data, src.size, out, out_len,
-            )
+            buf, status = _c_decode_guarded(
+                native, (blob, out_len, STAGE_HUFFMAN, table, out_len), _EMPTY_RAW)
+            assert (status == 0) == (outcome[0] == "ok"), (len(blob), out_len)
+            if status == 0:
+                assert buf[64 : 64 + out_len].tobytes() == outcome[1]
             assert _guards_intact(buf, out_len), (len(blob), out_len)
+
+    def test_corrupt_blocks_stay_in_bounds(self):
+        """Every corrupt block of the parity corpus, through the C entry
+        point with guarded outputs: rejected, and nothing written past
+        either output. (A huge or negative ``orig_len`` never reaches C:
+        the wrapper refuses to size an output no valid record can fill.)"""
+        from repro.kernels import native
+
+        for label, plan, irec, vrec in _corrupt_blocks():
+            if not (0 <= irec.orig_len < 1 << 20 and 0 <= vrec.orig_len):
+                continue
+            records = []
+            for rec, table, delta in ((irec, plan.index_table, plan.use_delta),
+                                      (vrec, plan.value_table, False)):
+                stages = record_stages(rec, plan.use_huffman, delta)
+                records.append((rec.payload, rec.snappy_len, stages, table, rec.orig_len))
+            idx_buf, val_buf, status = _c_decode_guarded(native, *records, both=True)
+            if label != "crc mismatch":  # CRC is the wrapper's check
+                assert status != 0, label
+            assert _guards_intact(idx_buf, irec.orig_len), label
+            assert _guards_intact(val_buf, vrec.orig_len), label
 
     def test_corrupt_snappy_streams_stay_in_bounds(self):
         from repro.kernels import native
@@ -502,13 +742,24 @@ class TestNativeBackend:
             def snappy_decompress(self, *args):
                 return 1
 
+            def dsh_decode_block(self, *args):
+                return 1
+
         data, table, payload = _huffman_case()
+        real = native._lib
         monkeypatch.setattr(native, "_lib", Rejecting())
         with kernels.use_backend("native"):
             with pytest.raises(RuntimeError, match="reference accepts"):
                 table.decode_bits(payload, len(data))
             with pytest.raises(RuntimeError, match="reference accepts"):
                 snappy_decompress(snappy_compress(data))
+            # The fused op alone rejecting: its reference run (whose
+            # per-record ops still run in C) accepts the block.
+            monkeypatch.setattr(Rejecting, "huffman_decode", staticmethod(real.huffman_decode))
+            monkeypatch.setattr(
+                Rejecting, "snappy_decompress", staticmethod(real.snappy_decompress))
+            with pytest.raises(RuntimeError, match="decode_block_reference .*reference accepts"):
+                _BLOCK_PLAN.decompress_block(0)
 
     def test_build_is_cached_per_user(self, tmp_path):
         script = """
