@@ -4,7 +4,7 @@ These time the *host implementation* (useful for library users and
 regressions), unlike the figure benches which report *modeled accelerator*
 numbers. The codec benches are parameterized over every kernel backend
 this process can run (``python`` reference loops, the vectorized
-``numpy`` fast paths and, with a C compiler, the ``native`` decode
+``numpy`` fast paths and, with a C compiler, the ``native`` codec
 loops), so a single run shows the baseline and each dispatch-layer win.
 """
 
@@ -41,7 +41,7 @@ def block_bytes(matrix):
     return blocked.blocks[0].index_bytes() + blocked.blocks[0].value_bytes()
 
 
-def test_bench_snappy_compress(benchmark, block_bytes):
+def test_bench_snappy_compress(benchmark, block_bytes, backend):
     out = benchmark(snappy_compress, block_bytes)
     assert snappy_decompress(out) == block_bytes
 

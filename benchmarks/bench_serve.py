@@ -160,7 +160,9 @@ async def _open_loop(port, xs, rps, queue_probe):
 
 
 async def _parity(port, plan, xs, engine_kwargs):
-    """Served vs direct: single, fused, and degrade-policy results."""
+    """Served vs direct: single, fused, and degrade-policy results, and the
+    widest fused batch (how many requests fuse depends on load, so it is
+    reported apart from the verdicts)."""
     out = {}
     async with ServeClient("127.0.0.1", port, tenant="parity") as c:
         r = await c.spmv("m", xs[0])
@@ -173,7 +175,7 @@ async def _parity(port, plan, xs, engine_kwargs):
             for r, x in zip(fused, xs)
         )
         out["fused_bit_identical"] = bool(fused_ok)
-        out["max_fused_width"] = max(r["fused"] for r in fused)
+        max_fused_width = max(r["fused"] for r in fused)
         rd = await c.spmv("m", xs[0], policy="degrade")
         out["degrade_bit_identical"] = bool(np.array_equal(rd["y"], y_direct))
     out["bit_identical"] = (
@@ -181,7 +183,7 @@ async def _parity(port, plan, xs, engine_kwargs):
         and out["fused_bit_identical"]
         and out["degrade_bit_identical"]
     )
-    return out
+    return out, max_fused_width
 
 
 def _measure() -> dict:
@@ -204,7 +206,7 @@ def _measure() -> dict:
     queue_probe: list[int] = []
     with ServerThread(config) as st:
         port = st.server.port
-        parity = asyncio.run(_parity(port, plan, xs, {}))
+        parity, max_fused_width = asyncio.run(_parity(port, plan, xs, {}))
         base = asyncio.run(_closed_loop(port, xs))
         capacity_rps = base["completed"] / base["elapsed_s"]
         offered_rps = OVERLOAD_FACTOR * capacity_rps
@@ -256,6 +258,7 @@ def _measure() -> dict:
         "timings": {
             "p99_bound_ms": P99_BOUND_MS,
             "overload_factor": OVERLOAD_FACTOR,
+            "max_fused_width": max_fused_width,
             "baseline": {
                 "offered_rps": base["offered"] / base["elapsed_s"],
                 "completed": base["completed"],

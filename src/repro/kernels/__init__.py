@@ -11,9 +11,10 @@ holds their fast paths. Three backends exist:
   packing), a stride-8 DFA Huffman decode run as an array automaton,
   a two-phase Snappy decompressor (tag scan, then slice-op
   materialization), and batch varint/zigzag codecs.
-* ``native`` — the sequential decode loops in C (a lookup-table
-  Huffman decoder, the Snappy tag scan, and ``dsh_decode_block``: a whole
-  block's Huffman → Snappy → delta chain in one call), compiled on first
+* ``native`` — the sequential codec loops in C (a lookup-table
+  Huffman decoder, the Snappy tag scan, the reference's Snappy matcher
+  with byte-identical output, and ``dsh_decode_block``: a whole block's
+  Huffman → Snappy → delta chain in one call), compiled on first
   use with the system ``cc`` and loaded through :mod:`ctypes`; its other
   ops are ``numpy``'s. Absent when no compiler is (see
   :mod:`repro.kernels.native`).

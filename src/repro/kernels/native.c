@@ -1,7 +1,8 @@
-/* Native decode kernels: the DSH decode chain of one block in one call.
+/* Native codec kernels: the DSH decode chain of one block in one call, and
+ * the Snappy compressor.
  *
  * Built on first use by repro/kernels/native.py with the system C compiler
- * and loaded through ctypes. Each function returns 0 on success and non-zero
+ * and loaded through ctypes. Each decoder returns 0 on success and non-zero
  * on corrupt input; the statuses carry no detail, because the Python wrapper
  * re-runs the reference decoder to raise the exact typed error. Every read is
  * bounded by the input length and every write by the caller-sized output
@@ -149,6 +150,121 @@ int snappy_decompress(const uint8_t *src, int64_t n, int64_t pos,
         op += len;
     }
     return op == expected ? 0 : 1;
+}
+
+/* Snappy compress: repro.kernels.ref.snappy_compress's greedy matcher,
+ * byte for byte. Its table is an exact map (a Python dict) from each 4-byte
+ * key to its last position, so this one stores full keys in an
+ * open-addressing table with linear probing, a power of two >= 2x the
+ * fragment, reset per fragment. Every write is checked against cap first.
+ */
+typedef struct {
+    uint32_t key;
+    int32_t pos; /* in the fragment; -1: empty */
+} key_slot;
+
+static int emit(uint8_t *out, int64_t cap, int64_t *op, const void *src, int64_t len)
+{
+    if (len > cap - *op)
+        return 1;
+    memcpy(out + *op, src, (size_t)len);
+    *op += len;
+    return 0;
+}
+
+static int emit_literal(uint8_t *out, int64_t cap, int64_t *op, const uint8_t *src, int64_t len)
+{
+    if (len <= 0)
+        return 0;
+    uint32_t n = (uint32_t)(len - 1);
+    int extra = n < 60 ? 0 : n < 1u << 8 ? 1 : n < 1u << 16 ? 2 : n < 1u << 24 ? 3 : 4;
+    uint8_t head[5] = {(uint8_t)(extra ? (59 + extra) << 2 : n << 2)};
+    for (int k = 0; k < extra; k++)
+        head[1 + k] = (uint8_t)(n >> (8 * k));
+    return emit(out, cap, op, head, 1 + extra) || emit(out, cap, op, src, len);
+}
+
+/* Copy-1 (2 bytes), copy-2 (3) or copy-4 (5): the tag, then the offset. */
+static int emit_one_copy(uint8_t *out, int64_t cap, int64_t *op, uint32_t off, int64_t len)
+{
+    int width = len >= 4 && len <= 11 && off < 2048 ? 1 : off < 1u << 16 ? 2 : 4;
+    uint8_t e[5] = {(uint8_t)(width == 1 ? 1 | (len - 4) << 2 | (off >> 8) << 5
+                                         : (width == 2 ? 2 : 3) | (len - 1) << 2)};
+    for (int k = 0; k < width; k++)
+        e[1 + k] = (uint8_t)(off >> (8 * k));
+    return emit(out, cap, op, e, 1 + width);
+}
+
+static int emit_copy(uint8_t *out, int64_t cap, int64_t *op, uint32_t off, int64_t len)
+{
+    int status = 0;
+    for (; len >= 68 && !status; len -= 64) /* long matches split into 64s */
+        status = emit_one_copy(out, cap, op, off, 64);
+    if (len > 64 && !status) { /* leave a >= 4-byte tail */
+        status = emit_one_copy(out, cap, op, off, len - 4);
+        len = 4;
+    }
+    return status || emit_one_copy(out, cap, op, off, len);
+}
+
+/* Map key to pos; returns the position key held before, or -1. */
+static int64_t put_key(key_slot *table, uint32_t mask, const uint8_t *p, int32_t pos)
+{
+    uint32_t key;
+    memcpy(&key, p, 4); /* unaligned-safe */
+    uint32_t i = (key * 0x9E3779B1u) >> 15 & mask;
+    while (table[i].pos >= 0 && table[i].key != key)
+        i = (i + 1) & mask;
+    int64_t before = table[i].pos;
+    table[i].key = key;
+    table[i].pos = pos;
+    return before;
+}
+
+/* Compress src[0:n] (the stream after its uvarint preamble, which the caller
+ * writes) into out[0:cap]; *out_len receives the bytes written. Returns 1 when
+ * the output would pass cap and 3 when the table cannot be allocated.
+ */
+int snappy_compress(const uint8_t *src, int64_t n, uint8_t *out, int64_t cap, int64_t *out_len)
+{
+    uint32_t size = 16;
+    while (size < 2 * (n < 65536 ? n : 65536))
+        size <<= 1;
+    key_slot *table = malloc(size * sizeof *table);
+    int64_t op = 0;
+    int status = table == NULL ? 3 : 0;
+    for (int64_t start = 0; start < n && !status; start += 65536) {
+        int64_t end = n - start < 65536 ? n : start + 65536;
+        uint32_t mask = 15;
+        while (mask + 1 < 2 * (end - start))
+            mask = mask << 1 | 1;
+        memset(table, 0xff, (mask + 1) * sizeof *table);
+        int64_t ip = start, lit = start, fails = 0, last = end - 4;
+        while (ip <= last && !status) {
+            int64_t cand = put_key(table, mask, src + ip, (int32_t)(ip - start));
+            if (cand < 0) {
+                fails++; /* skip faster through incompressible runs */
+                ip += 1 + (fails >> 5);
+                continue;
+            }
+            cand += start;
+            int64_t len = 4;
+            while (ip + len < end && src[cand + len] == src[ip + len])
+                len++;
+            status = emit_literal(out, cap, &op, src + lit, ip - lit)
+                  || emit_copy(out, cap, &op, (uint32_t)(ip - cand), len);
+            int64_t stop = ip + len < last + 1 ? ip + len : last + 1;
+            for (int64_t seed = ip + 1; seed < stop; seed += 7) /* seed inside the match */
+                put_key(table, mask, src + seed, (int32_t)(seed - start));
+            ip = lit = ip + len;
+            fails = 0;
+        }
+        if (!status)
+            status = emit_literal(out, cap, &op, src + lit, end - lit);
+    }
+    free(table);
+    *out_len = op;
+    return status;
 }
 
 static int64_t now_ns(void)

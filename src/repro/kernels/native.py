@@ -1,9 +1,10 @@
-"""Native (``native``) kernels: the DSH decode chain of a block in C.
+"""Native (``native``) kernels: the DSH decode chain of a block, and the
+Snappy compressor, in C.
 
-The decode loops are sequential — one Huffman code, one Snappy tag at a
-time — so vectorizing cannot remove their per-step interpreter cost.
-``native.c`` runs them as plain C loops, loaded through :mod:`ctypes`; no
-package beyond the system C compiler is needed.
+The codec loops are sequential — one Huffman code, one Snappy tag, one
+match at a time — so vectorizing cannot remove their per-step interpreter
+cost. ``native.c`` runs them as plain C loops, loaded through
+:mod:`ctypes`; no package beyond the system C compiler is needed.
 
 * **Block decode** (``dsh_decode_block``): one C call decodes a block's
   index and value records — Huffman, Snappy, delta, as each record's tag
@@ -17,7 +18,10 @@ package beyond the system C compiler is needed.
   ``huffman_decode`` op runs the same routine.
 * **Snappy decompress** parses and materializes each tag in one pass,
   bounds-checked before every write.
-* **Errors**: C returns only a status. On a non-zero status the wrapper
+* **Snappy compress** is the reference matcher ported as is, its exact
+  key map an open-addressing table, so it emits the same bytes. A
+  non-zero status on valid input is a bug: :class:`RuntimeError`.
+* **Decode errors**: C returns only a status. On a non-zero status the wrapper
   re-runs the reference directly (not through dispatch; for a block,
   :func:`~repro.codecs.pipeline.decode_block_reference`), which raises the
   exact typed error and message; if the reference accepts the input, the
@@ -57,7 +61,7 @@ from repro.codecs.pipeline import (
     decode_block_reference,
     record_stages,
 )
-from repro.codecs.varint import read_varint
+from repro.codecs.varint import read_varint, write_varint
 from repro.kernels import ref
 from repro.kernels.registry import REGISTRY, KernelUnavailable
 
@@ -92,6 +96,7 @@ _TABLE = ctypes.POINTER(_HuffTable)
 _SIGNATURES = {
     "huffman_decode": (_TABLE, _P, _I64, _P, _I64),
     "snappy_decompress": (_P, _I64, _I64, _P, _I64),
+    "snappy_compress": (_P, _I64, _P, _I64, _P),
     "dsh_decode_block": (ctypes.c_char_p, _I64, _I64, _I64, _TABLE, _P, _I64) * 2 + (_P,),
 }
 
@@ -231,6 +236,22 @@ def snappy_decompress(data: bytes, max_output: int | None = None) -> bytes:
     if _lib.snappy_decompress(src.ctypes.data, src.size, pos, out.ctypes.data, expected):
         _reference_raise(ref.snappy_decompress, data, max_output)
     return out.tobytes()
+
+
+@_register("snappy_compress", "native")
+def snappy_compress(data: bytes) -> bytes:
+    preamble = write_varint(len(data))  # raises exactly as the reference does
+    src = np.frombuffer(bytes(data), dtype=np.uint8)
+    # Snappy's worst-case bound; the matcher never needs more, so running
+    # out of room (or memory) on valid bytes is a bug, not a fallback.
+    cap = 32 + src.size + src.size // 6
+    out = np.empty(cap, dtype=np.uint8)
+    size = ctypes.c_int64()
+    status = _lib.snappy_compress(
+        src.ctypes.data, src.size, out.ctypes.data, cap, ctypes.byref(size))
+    if status:
+        raise RuntimeError(f"native snappy_compress failed (status {status}) on valid input")
+    return preamble + out[: size.value].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ These are the ground-truth loops the vectorized backend is differentially
 tested against: the exact per-bit Huffman codec and per-element Snappy
 decoder the repo has carried since the seed, plus sequential batch
 varint/zigzag built on :mod:`repro.codecs.varint`.
+The greedy Snappy matcher serves ``python`` and ``numpy`` alike (it has
+no vectorized form); ``native``'s C matcher must match it byte for byte.
 
 Canonical-decoder table construction is memoized by table fingerprint
 (the 256-byte lengths blob), so steady-state loops that decode thousands
@@ -18,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.codecs.errors import CorruptStreamError
+from repro.codecs.varint import read_varint, write_varint
 from repro.kernels.registry import REGISTRY
 
 _register = REGISTRY.register
@@ -135,11 +138,131 @@ def huffman_decode(
 # ---------------------------------------------------------------------------
 
 
+#: Reference implementation works in 64 KiB input fragments; back-references
+#: never cross a fragment boundary, so 2-byte offsets always suffice.
+FRAGMENT_SIZE = 65536
+
+_MIN_MATCH = 4
+_MAX_COPY_LEN = 64
+
+
+def _emit_literal(out: bytearray, data: bytes, start: int, end: int) -> None:
+    """Append a literal element for data[start:end]."""
+    length = end - start
+    if length <= 0:
+        return
+    n = length - 1
+    if n < 60:
+        out.append(n << 2)
+    elif n < (1 << 8):
+        out.append(60 << 2)
+        out.append(n)
+    elif n < (1 << 16):
+        out.append(61 << 2)
+        out += n.to_bytes(2, "little")
+    elif n < (1 << 24):
+        out.append(62 << 2)
+        out += n.to_bytes(3, "little")
+    else:
+        out.append(63 << 2)
+        out += n.to_bytes(4, "little")
+    out += data[start:end]
+
+
+def _emit_copy(out: bytearray, offset: int, length: int) -> None:
+    """Append copy elements covering ``length`` bytes at ``offset`` back."""
+    # Long matches are split into <=64-byte copies.
+    while length >= _MAX_COPY_LEN + _MIN_MATCH:
+        _emit_one_copy(out, offset, _MAX_COPY_LEN)
+        length -= _MAX_COPY_LEN
+    if length > _MAX_COPY_LEN:
+        # Leave a >=MIN_MATCH tail so the final copy is well-formed.
+        half = length - _MIN_MATCH
+        _emit_one_copy(out, offset, half)
+        length -= half
+    _emit_one_copy(out, offset, length)
+
+
+def _emit_one_copy(out: bytearray, offset: int, length: int) -> None:
+    if 4 <= length <= 11 and offset < 2048:
+        out.append(1 | ((length - 4) << 2) | ((offset >> 8) << 5))
+        out.append(offset & 0xFF)
+    elif offset < (1 << 16):
+        out.append(2 | ((length - 1) << 2))
+        out += offset.to_bytes(2, "little")
+    else:
+        out.append(3 | ((length - 1) << 2))
+        out += offset.to_bytes(4, "little")
+
+
+def _match_length(data: bytes, a: int, b: int, end: int) -> int:
+    """Length of the common prefix of data[a:] and data[b:], capped at end-b."""
+    n = 0
+    limit = end - b
+    # Chunked comparison: big strides first, then 8-byte words, then bytes —
+    # near-misses past a 32-byte boundary no longer degrade to per-byte scans.
+    while n + 32 <= limit and data[a + n : a + n + 32] == data[b + n : b + n + 32]:
+        n += 32
+    while n + 8 <= limit and data[a + n : a + n + 8] == data[b + n : b + n + 8]:
+        n += 8
+    while n < limit and data[a + n] == data[b + n]:
+        n += 1
+    return n
+
+
+def _compress_fragment(data: bytes, start: int, end: int, out: bytearray) -> None:
+    """Greedy LZ77 over one fragment; back-references stay inside it."""
+    table: dict[bytes, int] = {}
+    ip = start
+    literal_start = start
+    skip_fails = 0
+    # Last position where a 4-byte key can start.
+    last = end - _MIN_MATCH
+    while ip <= last:
+        key = data[ip : ip + _MIN_MATCH]
+        candidate = table.get(key)
+        table[key] = ip
+        if candidate is not None and data[candidate : candidate + _MIN_MATCH] == key:
+            # Found a match: flush pending literal, then extend.
+            _emit_literal(out, data, literal_start, ip)
+            length = _MIN_MATCH + _match_length(
+                data, candidate + _MIN_MATCH, ip + _MIN_MATCH, end
+            )
+            _emit_copy(out, ip - candidate, length)
+            # Seed the table inside the match so nearby repeats are found.
+            match_end = ip + length
+            seed = ip + 1
+            seed_stop = min(match_end, last + 1)
+            while seed < seed_stop:
+                table[data[seed : seed + _MIN_MATCH]] = seed
+                seed += 7
+            ip = match_end
+            literal_start = ip
+            skip_fails = 0
+        else:
+            # Reference "skip" heuristic: accelerate through incompressible
+            # regions by stepping further after repeated misses.
+            skip_fails += 1
+            ip += 1 + (skip_fails >> 5)
+    _emit_literal(out, data, literal_start, end)
+
+
+@_register("snappy_compress", "numpy")
+@_register("snappy_compress", "python")
+def snappy_compress(data: bytes) -> bytes:
+    """Compress ``data`` into a Snappy block-format stream."""
+    data = bytes(data)
+    out = bytearray(write_varint(len(data)))
+    for frag_start in range(0, len(data), FRAGMENT_SIZE):
+        frag_end = min(frag_start + FRAGMENT_SIZE, len(data))
+        _compress_fragment(data, frag_start, frag_end, out)
+    return bytes(out)
+
+
 @_register("snappy_decompress", "python")
 def snappy_decompress(data: bytes, max_output: int | None = None) -> bytes:
     """Per-element Snappy block-format decode (see
     :func:`repro.codecs.snappy.snappy_decompress` for the contract)."""
-    from repro.codecs.varint import read_varint
 
     expected, pos = read_varint(data, 0)
     if max_output is not None and expected > max_output:
@@ -212,8 +335,6 @@ def snappy_decompress(data: bytes, max_output: int | None = None) -> bytes:
 @_register("varint_encode_batch", "python")
 def varint_encode_batch(values) -> bytes:
     """Concatenated uvarints, identical to sequential ``write_varint``."""
-    from repro.codecs.varint import write_varint
-
     vals = np.asarray(values).tolist() if not isinstance(values, (list, tuple)) else values
     return b"".join(write_varint(int(v)) for v in vals)
 
@@ -225,7 +346,6 @@ def varint_decode_batch(data: bytes, count: int, offset: int = 0) -> tuple[np.nd
     Returns ``(uint32 array, next_offset)``; raises
     :class:`CorruptStreamError` exactly like sequential ``read_varint``.
     """
-    from repro.codecs.varint import read_varint
 
     out = np.empty(count, dtype=np.uint32)
     pos = offset

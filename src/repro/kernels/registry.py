@@ -1,17 +1,17 @@
 """Backend-dispatch registry for the hot codec kernels.
 
 The codec stack's inner loops (Huffman bit packing/unpacking, Snappy
-element materialization, batch varints) exist in up to three
+matching and element materialization, batch varints) exist in up to three
 implementations:
 
 * ``python`` — the from-scratch reference loops. Always available, always
   correct; the byte-level ground truth everything else is checked against.
 * ``numpy`` — vectorized fast paths that produce **byte-identical** output
   (and raise the same :mod:`repro.codecs.errors` types on corrupt input).
-* ``native`` — the sequential decode loops (Huffman, Snappy, and the
-  fused per-block ``dsh_decode_block``) in C, built on first use;
-  available only when a C compiler is. Its other ops resolve to
-  ``numpy`` (:data:`BASE_BACKEND`).
+* ``native`` — the sequential codec loops (Huffman decode, Snappy
+  compress and decompress, and the fused per-block ``dsh_decode_block``)
+  in C, built on first use; available only when a C compiler is. Its
+  other ops resolve to ``numpy`` (:data:`BASE_BACKEND`).
 
 A *kernel op* is a name like ``"huffman_decode"``; each backend registers
 one callable per op. :func:`dispatch` resolves the active backend per

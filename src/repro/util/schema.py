@@ -497,8 +497,9 @@ BENCH_OOCORE_SCHEMA: dict = _with_common(
 #: ``BENCH_serve.json`` — written by ``benchmarks/bench_serve.py``.
 #: Parity hashes and gate verdicts are deterministic at a fixed seed;
 #: every load-dependent number (latencies, throughput, shed counts, RSS
-#: and queue-depth samples) lives under ``timings`` — how *much* load a
-#: host absorbs varies, that overload was shed and accounted does not.
+#: and queue-depth samples, the widest fused batch) lives under
+#: ``timings`` — how *much* load a host absorbs varies, that overload was
+#: shed and accounted does not.
 BENCH_SERVE_SCHEMA: dict = _with_common(
     {
         "required": ["title", "parity", "gates", "timings"],
@@ -549,8 +550,9 @@ BENCH_SERVE_SCHEMA: dict = _with_common(
             },
             "timings": {
                 "type": "object",
-                "required": ["baseline", "overload"],
+                "required": ["baseline", "overload", "max_fused_width"],
                 "properties": {
+                    "max_fused_width": {"type": "integer", "minimum": 1},
                     "baseline": {
                         "type": "object",
                         "required": ["offered_rps", "completed", "shed", "p99_ms"],

@@ -14,6 +14,7 @@ build, its bounds checks and the registry's first-use thread safety.
 
 import ctypes
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -28,12 +29,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import kernels, obs
 from repro.codecs.autotune import encode_stream_record, reencode_with_tags
+from repro.codecs.container import save_plan
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.pipeline import (
     STAGE_DELTA,
     STAGE_HUFFMAN,
     STAGE_SNAPPY,
     TAG_MASK,
+    block_streams,
     compress_matrix,
     record_stages,
 )
@@ -46,7 +49,9 @@ from repro.codecs.varint import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.collection import generators
+from repro.collection import generators, representative_suite
+from repro.kernels import ref
+from repro.sparse.blocked import partition_csr
 
 #: Every backend this process can run, the reference first.
 BACKENDS = tuple(reversed(kernels.available_backends()))
@@ -274,6 +279,72 @@ class TestSnappyParity:
             assert outcome == ("ok", data)
         else:
             assert outcome[:2] == ("err", "CorruptStreamError"), outcome
+
+
+# ---------------------------------------------------------------------------
+# Snappy compress
+# ---------------------------------------------------------------------------
+
+
+def _compress_cases() -> dict[str, bytes]:
+    """Inputs that reach every path of the matcher: each emitter, the
+    copy splits, the skip heuristic and the 64 KiB fragment boundaries."""
+    rng = np.random.default_rng(19)
+    low = rng.integers(0, 4, 140_000, dtype=np.uint8).tobytes()
+    cases = {"empty": b""}
+    cases |= {f"{n} bytes": b"abcd"[:n] for n in range(1, 5)}
+    cases |= {f"low entropy, {n} bytes": low[:n] for n in (65_535, 65_536, 65_537, 140_000)}
+    # Runs whose copies split at 64 and 68 bytes (and every length between).
+    cases |= {f"run of {n}": b"xy" + b"z" * n + b"xy" for n in range(56, 150)}
+    cases["incompressible"] = rng.integers(0, 256, 70_000, dtype=np.uint8).tobytes()
+    cases["0/255"] = bytes([0, 255]) * 40_000
+    cases["period 3001"] = rng.integers(0, 256, 3001, dtype=np.uint8).tobytes() * 30
+    return cases
+
+
+def _assert_compress_parity(data: bytes) -> bytes:
+    """``snappy_compress`` gives the reference's bytes on every backend."""
+    want = ref.snappy_compress(data)
+    for backend in BACKENDS:
+        with kernels.use_backend(backend):
+            assert kernels.dispatch("snappy_compress", data) == want, (len(data), backend)
+    return want
+
+
+class TestSnappyCompressParity:
+    """The ``native`` C matcher against the Python oracle: the same bytes
+    on every backend, so containers are identical whichever one wrote them."""
+
+    def test_byte_identical_to_the_reference(self):
+        for name, data in _compress_cases().items():
+            stream = _assert_compress_parity(data)
+            assert ref.snappy_decompress(stream) == data, name
+
+    def test_representative_block_streams(self):
+        for entry in representative_suite(target_nnz=25_000, seed=1):
+            idx, val = block_streams(partition_csr(entry.build()), use_delta=True)
+            for stream in idx + val:
+                _assert_compress_parity(stream)
+
+    def test_containers_identical_on_every_backend(self, tmp_path):
+        m = generators.banded(2000, bandwidth=5, seed=19)
+        digests = {}
+        for backend in BACKENDS:
+            path = tmp_path / f"{backend}.dsh"
+            with kernels.use_backend(backend):
+                save_plan(compress_matrix(m), path)
+            digests[backend] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert len(set(digests.values())) == 1, digests
+
+    def test_one_dispatch_per_stream_and_no_fallback(self):
+        m = generators.banded(2000, bandwidth=5, seed=19)
+        for backend in BACKENDS:
+            with obs.scoped_registry() as reg, kernels.use_backend(backend):
+                plan = compress_matrix(m)
+                dispatched = reg.value("kernels.dispatch", op="snappy_compress", backend=backend)
+                fallbacks = [r for r in reg.snapshot().values() if r["name"] == "kernels.fallback"]
+            assert dispatched == 2 * plan.nblocks, backend
+            assert fallbacks == [], backend
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +720,7 @@ class TestNativeBackend:
         assert kernels.backends_for("huffman_decode")[0] == "native"
         assert kernels.backends_for("snappy_decompress")[0] == "native"
         assert kernels.backends_for("dsh_decode_block")[0] == "native"
+        assert kernels.backends_for("snappy_compress")[0] == "native"
 
     def test_unimplemented_ops_resolve_to_numpy_without_fallback(self):
         data, table, _payload = _huffman_case()
@@ -732,6 +804,34 @@ class TestNativeBackend:
             assert status != 0
             assert _guards_intact(buf, expected), blob
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=4096),
+        st.tuples(st.binary(min_size=1, max_size=9), st.integers(0, 3000)).map(
+            lambda pr: pr[0] * pr[1]),
+    ))
+    def test_compress_roundtrip(self, data):
+        with kernels.use_backend("native"):
+            stream = snappy_compress(data)
+            assert snappy_decompress(stream) == data
+        assert stream == ref.snappy_compress(data)
+
+    def test_compress_stays_in_bounds(self):
+        """An output buffer too small for the stream is refused before
+        any byte lands past it."""
+        from repro.kernels import native
+
+        data = _compress_cases()["low entropy, 65537 bytes"]
+        body = len(ref.snappy_compress(data)) - len(write_varint(len(data)))
+        src = np.frombuffer(data, dtype=np.uint8)
+        for cap in (0, 1, body // 2, body - 1, body):
+            buf, out = _guarded(cap)
+            size = ctypes.c_int64()
+            status = native._lib.snappy_compress(
+                src.ctypes.data, src.size, out, cap, ctypes.byref(size))
+            assert (status == 0) == (cap == body), cap
+            assert _guards_intact(buf, cap), cap
+
     def test_c_rejecting_valid_input_is_an_internal_error(self, monkeypatch):
         from repro.kernels import native
 
@@ -742,17 +842,25 @@ class TestNativeBackend:
             def snappy_decompress(self, *args):
                 return 1
 
+            def snappy_compress(self, *args):
+                return 1
+
             def dsh_decode_block(self, *args):
                 return 1
 
         data, table, payload = _huffman_case()
+        stream = snappy_compress(data)
         real = native._lib
         monkeypatch.setattr(native, "_lib", Rejecting())
         with kernels.use_backend("native"):
             with pytest.raises(RuntimeError, match="reference accepts"):
                 table.decode_bits(payload, len(data))
             with pytest.raises(RuntimeError, match="reference accepts"):
-                snappy_decompress(snappy_compress(data))
+                snappy_decompress(stream)
+            # A compressor has no corrupt input: refusing is a bug, never
+            # a fallback.
+            with pytest.raises(RuntimeError, match="native snappy_compress failed"):
+                snappy_compress(data)
             # The fused op alone rejecting: its reference run (whose
             # per-record ops still run in C) accepts the block.
             monkeypatch.setattr(Rejecting, "huffman_decode", staticmethod(real.huffman_decode))
