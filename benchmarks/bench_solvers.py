@@ -2,17 +2,19 @@
 
 Gates (ISSUE acceptance; mirrored in docs/SOLVERS.md):
 
-* a warm per-iteration session SpMV must cost <= 0.05x a cold
-  single-shot SpMV (geomean over the suite) — the session's
-  decoded-block cache has to actually pay; the assembled warm path
-  measures ~0.01, so a 5x warm-path regression fails;
+* a warm per-iteration session SpMV must cost <= 1.5x a plain CSR SpMV
+  (:func:`repro.sparse.spmv.spmv`) of the same matrix (geomean over the
+  suite) — the steady state has to cost a CSR SpMV, not a block walk. It
+  measures ~1.0-1.2; a warm session forced through the per-block hooked
+  loop reads ~2.3, and fails. (The gate used to divide by a cold
+  single-shot recoded SpMV, which decode speedups kept moving.)
 * CG end-to-end matrix traffic must stay within one decode plus the
   modeled per-iteration vector traffic — steady state decodes the
   matrix exactly once;
 * CG and PageRank results must be sha256-identical across
   serial/pipelined executors x session reuse on/off.
 
-Writes a ``BENCH_solvers.json`` artifact (per-matrix warm/cold split,
+Writes a ``BENCH_solvers.json`` artifact (per-matrix warm/CSR split,
 solver traffic accounting, parity hashes) for CI to upload; set
 ``BENCH_SOLVERS_OUT`` to redirect.
 """
@@ -31,6 +33,7 @@ from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmv
 from repro.solvers import cg, pagerank
 from repro.sparse.coo import COOMatrix
+from repro.sparse.spmv import spmv
 from repro.util import BENCH_SCHEMAS, check_schema
 
 #: Matrix / vector seed.
@@ -39,8 +42,8 @@ SEED = 7
 BLOCK_BYTES = 8192
 #: Best-of repeats for the warm-phase timing.
 WARM_REPEATS = 5
-#: Gate on the warm/cold per-SpMV geomean ratio.
-WARM_OVER_COLD_MAX = 0.05
+#: Gate on the warm-session / plain-CSR per-SpMV geomean ratio.
+WARM_OVER_CSR_MAX = 1.5
 #: The cross-config identity grid: executor mode x session reuse.
 PARITY_CONFIGS = tuple(
     (mode, reuse) for mode in ("serial", "pipelined") for reuse in (True, False)
@@ -78,8 +81,8 @@ def _sha(arr) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def _warm_vs_cold():
-    """Per-matrix warm session SpMV vs cold single-shot, plus geomean."""
+def _warm_vs_csr():
+    """Per-matrix warm session SpMV vs plain CSR SpMV, plus geomean."""
     rows = []
     for name, m in _suite():
         plan = compress_matrix(m, block_bytes=BLOCK_BYTES)
@@ -88,20 +91,21 @@ def _warm_vs_cold():
             sess.spmv(x)  # decode once; the session goes warm
             assert sess.warm, f"{name}: session failed to warm"
             t_warm = _best_of(WARM_REPEATS, lambda: sess.spmv(x))
-        # Cold single-shot: no engine, no cache — every run decodes.
-        t_cold = _best_of(3, lambda: recoded_spmv(plan, x, mode="serial"))
+        # The same product on the uncompressed matrix: what no decode
+        # work can move.
+        t_csr = _best_of(WARM_REPEATS, lambda: spmv(m, x))
         rows.append(
             {
                 "name": name,
                 "nblocks": plan.nblocks,
                 "nnz": plan.nnz,
-                "cold_seconds": t_cold,
+                "csr_seconds": t_csr,
                 "warm_seconds": t_warm,
-                "warm_over_cold_ratio": t_warm / t_cold,
+                "warm_over_csr_ratio": t_warm / t_csr,
             }
         )
     geomean = math.exp(
-        sum(math.log(r["warm_over_cold_ratio"]) for r in rows) / len(rows)
+        sum(math.log(r["warm_over_csr_ratio"]) for r in rows) / len(rows)
     )
     return rows, geomean
 
@@ -166,16 +170,16 @@ def _parity():
 
 
 def _measure() -> dict:
-    matrices, geomean = _warm_vs_cold()
+    matrices, geomean = _warm_vs_csr()
     cg_block = _cg_traffic()
     parity, pagerank_block = _parity()
     traffic_ok = cg_block["dram_bytes"] <= cg_block["decode_once_bytes"]
     gates = {
-        "warm_over_cold_max": WARM_OVER_COLD_MAX,
+        "warm_over_csr_max": WARM_OVER_CSR_MAX,
         "traffic_within_budget": traffic_ok,
         "bit_identical": parity["bit_identical"],
         "passed": (
-            geomean <= WARM_OVER_COLD_MAX and traffic_ok and parity["bit_identical"]
+            geomean <= WARM_OVER_CSR_MAX and traffic_ok and parity["bit_identical"]
         ),
     }
     return {
@@ -186,7 +190,7 @@ def _measure() -> dict:
             "warm_repeats": WARM_REPEATS,
         },
         "matrices": matrices,
-        "warm_over_cold_geomean_ratio": geomean,
+        "warm_over_csr_geomean_ratio": geomean,
         "cg": cg_block,
         "pagerank": pagerank_block,
         "parity": parity,
@@ -207,11 +211,11 @@ def test_solver_gates(benchmark):
     res = run_once(benchmark, _measure)
     path = _write_artifact(res)
 
-    # Gate 1: the warm fast path pays — steady-state iterations must be
-    # far cheaper than re-decoding.
-    assert res["warm_over_cold_geomean_ratio"] <= WARM_OVER_COLD_MAX, (
-        f"warm/cold geomean {res['warm_over_cold_geomean_ratio']:.3f} > "
-        f"{WARM_OVER_COLD_MAX} gate: {[(r['name'], round(r['warm_over_cold_ratio'], 3)) for r in res['matrices']]}"
+    # Gate 1: the warm fast path costs a CSR SpMV — steady-state
+    # iterations must not walk the blocks.
+    assert res["warm_over_csr_geomean_ratio"] <= WARM_OVER_CSR_MAX, (
+        f"warm/CSR geomean {res['warm_over_csr_geomean_ratio']:.3f} > "
+        f"{WARM_OVER_CSR_MAX} gate: {[(r['name'], round(r['warm_over_csr_ratio'], 3)) for r in res['matrices']]}"
     )
     # Gate 2: decode-once traffic — a whole CG solve moves no more
     # matrix bytes than a single cold SpMV.
@@ -227,4 +231,4 @@ def test_solver_gates(benchmark):
     assert res["gates"]["passed"]
     with open(path, "r", encoding="utf-8") as fh:
         artifact = json.load(fh)
-    assert artifact["warm_over_cold_geomean_ratio"] == res["warm_over_cold_geomean_ratio"]
+    assert artifact["warm_over_csr_geomean_ratio"] == res["warm_over_csr_geomean_ratio"]

@@ -81,7 +81,7 @@ from repro.codecs.pipeline import (
     BlockRecord,
     MatrixCompression,
 )
-from repro.sparse.blocked import BlockedCSR, CSRBlock
+from repro.sparse.blocked import BlockedCSR, CSRBlock, row_segments
 from repro.sparse.csr import CSRMatrix
 from repro import faults
 
@@ -196,15 +196,16 @@ def save_plan(plan: MatrixCompression, dest: str | PathLike | io.BufferedIOBase)
         flags |= _FLAG_HUFFMAN if has_itab else 0
         flags |= _FLAG_VTABLE if has_vtab else 0
     else:
-        has_itab = has_vtab = plan.use_huffman
-        flags |= _FLAG_HUFFMAN if plan.use_huffman else 0
+        # A blockless plan has nothing to Huffman-decode, hence no tables.
+        has_itab = has_vtab = plan.use_huffman and plan.nblocks > 0
+        if has_itab and (plan.index_table is None or plan.value_table is None):
+            raise ValueError("cannot serialize huffman records without tables")
+        flags |= _FLAG_HUFFMAN if has_itab else 0
     m, n = plan.blocked.shape
     buf.write(struct.pack("<BIIIIQ", flags, plan.block_bytes, m, n, plan.nblocks, plan.nnz))
     if has_itab:
-        assert plan.index_table is not None
         buf.write(plan.index_table.serialize())
     if has_vtab:
-        assert plan.value_table is not None
         buf.write(plan.value_table.serialize())
     buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     for block, irec, vrec in zip(
@@ -363,6 +364,10 @@ class _LazyRecords(Sequence):
         while len(self._memo) > _LAZY_RECORD_MEMO:
             self._memo.popitem(last=False)
         return rec
+
+    def stored_sizes(self) -> list[int]:
+        """Each record's stored bytes, from the extents: no payload read."""
+        return [getattr(ext, self._stream).stored_bytes for ext in self._reader.extents]
 
     def __reduce__(self):
         # The mmap behind this view cannot cross a process boundary, so a
@@ -558,6 +563,7 @@ class ContainerReader:
 
         extents: list[BlockExtent] = []
         row_ptrs: list[np.ndarray] = []
+        segments: list[tuple[np.ndarray, np.ndarray]] = []
         prev_row_end = 0
         running_nnz = 0
         for k in range(nblocks):
@@ -587,7 +593,8 @@ class ContainerReader:
             if zlib.crc32(data[meta_start:pos]) != meta_crc:
                 raise ContainerError("container corruption: block meta CRC mismatch")
             pos += 4
-            if row_ptr[0] != 0 or np.any(np.diff(row_ptr) < 0):
+            row_nnz = row_ptr[1:] - row_ptr[:-1]
+            if row_ptr[0] != 0 or (row_nnz < 0).any():
                 raise ContainerError("container corruption: row_ptr not monotone from 0")
             block_nnz = int(row_ptr[-1])
             if block_nnz > entries_cap:
@@ -614,6 +621,7 @@ class ContainerReader:
                 )
             )
             row_ptrs.append(row_ptr)
+            segments.append(row_segments(row_start, row_ptr, row_nnz))
             # The walk itself faults in meta pages across the whole file;
             # under a residency budget, release behind the cursor as we go
             # so even construction peaks at O(budget). Safe: row_ptr was
@@ -636,6 +644,7 @@ class ContainerReader:
         self.value_table = value_table
         self.extents: tuple[BlockExtent, ...] = tuple(extents)
         self._row_ptrs = row_ptrs
+        self._segments = segments
 
     def _walk_record(self, pos: int, table_present: bool) -> tuple[RecordExtent, int]:
         """Capture one record's extent; same framing checks (and, when
@@ -696,11 +705,6 @@ class ContainerReader:
         if stream == "value":
             return self.extents[block_id].value
         raise ValueError(f"stream must be 'index' or 'value', got {stream!r}")
-
-    def record_window(self, block_id: int, stream: str) -> tuple[int, int]:
-        """``(offset, length)`` of one record — header plus payload."""
-        ext = self._extent(block_id, stream)
-        return ext.offset, ext.end - ext.offset
 
     def enable_crc_memo(self) -> None:
         """Opt in to verified-once record CRCs.
@@ -801,21 +805,28 @@ class ContainerReader:
     def shell_blocks(self) -> tuple[CSRBlock, ...]:
         """Structure-only CSR blocks: real row metadata, zero payloads.
 
-        ``np.zeros`` payload arrays stay copy-on-write untouched pages, so
-        a shell of a multi-GB matrix costs O(rows), not O(nnz), resident.
+        The payloads are read-only views of one zero buffer, so a shell of
+        a multi-GB matrix costs O(rows), not O(nnz). Each shell's row
+        segments come from the walk, which decoded blocks then share
+        (:meth:`CSRBlock.with_payload`).
         """
-        return tuple(
-            CSRBlock(
+        widest = max((int(ptr[-1]) for ptr in self._row_ptrs), default=0)
+        col_zeros, val_zeros = np.zeros(widest, np.int32), np.zeros(widest, np.float64)
+        col_zeros.flags.writeable = val_zeros.flags.writeable = False
+        shells = []
+        for ext, ptr, segments in zip(self.extents, self._row_ptrs, self._segments):
+            shell = CSRBlock(
                 row_start=ext.row_start,
                 row_end=ext.row_end,
                 row_ptr=ptr,
-                col_idx=np.zeros(int(ptr[-1]), dtype=np.int32),
-                val=np.zeros(int(ptr[-1]), dtype=np.float64),
+                col_idx=col_zeros[: int(ptr[-1])],
+                val=val_zeros[: int(ptr[-1])],
                 nnz_start=ext.nnz_start,
                 leading_partial=ext.leading_partial,
             )
-            for ext, ptr in zip(self.extents, self._row_ptrs)
-        )
+            shell.__dict__["_row_segments"] = segments
+            shells.append(shell)
+        return tuple(shells)
 
     def plan(self) -> MatrixCompression:
         """A streaming :class:`MatrixCompression` view over the mapping.

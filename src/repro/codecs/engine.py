@@ -45,6 +45,7 @@ from repro.codecs.errors import BlockDecodeError, CodecError
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.pipeline import (
     BlockRecord,
+    DecodeRun,
     MatrixCompression,
     _finish_record,
     _record_plan_metrics,
@@ -716,7 +717,10 @@ class AsyncDecode:
         self._misses = 0
         self._decoded_blocks = 0
         self._yielded_bytes = 0
-        self._gen = self._run()
+        # One decode run per handle: the kernel bound once, telemetry
+        # published when the handle's stats are.
+        self._run = DecodeRun(plan)
+        self._gen = self._iterate()
 
     def __iter__(self) -> "AsyncDecode":
         return self
@@ -736,7 +740,7 @@ class AsyncDecode:
 
     # -- internals -----------------------------------------------------------
 
-    def _run(self):
+    def _iterate(self):
         """:meth:`_produce`, flushing stats however iteration ends."""
         try:
             yield from self._produce()
@@ -744,6 +748,7 @@ class AsyncDecode:
             self._flush_stats()
 
     def _flush_stats(self) -> None:
+        self._run.flush()
         stats = self._engine.stats
         if self._hits:
             stats.add("cache_hits", self._hits)
@@ -803,7 +808,7 @@ class AsyncDecode:
                     if fault_plan is not None:
                         fault_plan.delay(i)
                     return plan.decompress_block(
-                        i, index_record=idx_rec, value_record=val_rec
+                        i, index_record=idx_rec, value_record=val_rec, run=self._run
                     )
             except CodecError as exc:
                 last_exc = exc

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +192,7 @@ class MatrixCompression:
         i: int,
         index_record: BlockRecord | None = None,
         value_record: BlockRecord | None = None,
+        run: "DecodeRun | None" = None,
     ) -> CSRBlock:
         """Reconstruct block *i* (the functional model of the UDP's
         ``recode(DSH_unpack, ...)`` calls).
@@ -200,21 +203,18 @@ class MatrixCompression:
 
         Both records decode in one ``dsh_decode_block`` kernel call (one C
         call on the ``native`` backend; :func:`decode_block_reference`
-        elsewhere). The arrays are read-only.
+        elsewhere) of ``run``, a :class:`DecodeRun` over this plan;
+        without one the call is a one-block run. The arrays are read-only.
         """
-        ref = self.blocked.blocks[i]
         irec = self.index_records[i] if index_record is None else index_record
         vrec = self.value_records[i] if value_record is None else value_record
-        col_idx, val = kernels.dispatch("dsh_decode_block", self, irec, vrec)
-        return CSRBlock(
-            row_start=ref.row_start,
-            row_end=ref.row_end,
-            row_ptr=ref.row_ptr,
-            col_idx=col_idx,
-            val=val,
-            nnz_start=ref.nnz_start,
-            leading_partial=ref.leading_partial,
-        )
+        if run is not None:
+            return run(i, irec, vrec)
+        run = DecodeRun(self)
+        try:
+            return run(i, irec, vrec)
+        finally:
+            run.flush()
 
     def verify(self) -> bool:
         """Round-trip every block against the stored originals."""
@@ -233,6 +233,7 @@ def decode_record(
     *,
     use_huffman: bool,
     apply_delta: bool,
+    tally: "DecodeTally | None" = None,
 ) -> bytes:
     """Decode one stream record back to its raw bytes.
 
@@ -242,8 +243,8 @@ def decode_record(
     block decoder must match it byte for byte and error for error. The
     Huffman and Snappy stages route through :mod:`repro.kernels`, so the
     active backend (``REPRO_KERNEL_BACKEND`` / ``--kernel-backend``)
-    applies here — with byte-identical output either way. Each stage's
-    wall-clock adds to ``codecs.decode.stage_seconds{stage=...}``.
+    applies here — with byte-identical output either way. The record's
+    telemetry goes to ``tally`` (published at once without one).
 
     A record carrying a codec ``tag`` overrides both keyword flags: the
     tag names exactly the stages to undo (mixed-plan containers), including
@@ -284,10 +285,19 @@ def decode_record(
             arr = delta_decode(np.frombuffer(data, dtype="<i4"))
             data = arr.astype("<i4").tobytes()
         t3 = time.perf_counter()
-    count_decoded(record, stages, len(data), t3 - start)
-    for stage, seconds in zip(DECODE_STAGES, (t1 - t0, t2 - t1, t3 - t2)):
-        STAGE_SECONDS[stage].inc(seconds)
+    once = tally is None
+    tally = DecodeTally() if once else tally
+    tally.add(record, stages, len(data), t3 - start, t1 - t0, t2 - t1, t3 - t2)
+    if once:
+        tally.flush()
     return data
+
+
+def stored_sizes(records: Sequence[BlockRecord]) -> list[int]:
+    """Each record's :attr:`~BlockRecord.stored_bytes`; the lazy records of
+    a container-backed plan answer from their extents, unread."""
+    sizes = getattr(records, "stored_sizes", None)
+    return sizes() if sizes is not None else [r.stored_bytes for r in records]
 
 
 def record_stages(record: BlockRecord, use_huffman: bool, apply_delta: bool) -> int:
@@ -302,35 +312,100 @@ def record_stages(record: BlockRecord, use_huffman: bool, apply_delta: bool) -> 
     )
 
 
-def count_decoded(record: BlockRecord, stages: int, bytes_out: int, seconds: float) -> None:
-    """The ``codecs.decode.*`` telemetry of one decoded record."""
-    counters = _DECODE_COUNTERS
-    counters["codecs.decode.records"].inc()
-    counters["codecs.decode.bytes_in"].inc(len(record.payload))
-    counters["codecs.decode.bytes_out"].inc(bytes_out)
-    if record.tag is not None:
-        counters["codec.mix.decode_records"].inc()
-        if not stages & STAGE_SNAPPY:
-            counters["codec.mix.snappy_skipped"].inc()
-    if stages & STAGE_HUFFMAN:
-        counters["codecs.huffman.decode_records"].inc()
-    if stages & STAGE_DELTA:
-        counters["codecs.delta.decode_records"].inc()
-    _RECORD_SECONDS["codecs.decode.record_seconds"].observe(seconds)
+class DecodeTally:
+    """The ``codecs.decode.*`` telemetry of a run's decoded records, added
+    up per record and published by :meth:`flush` (a counter update per
+    record costs more than the C decode of a small record)."""
+
+    def __init__(self) -> None:
+        self.counts: defaultdict[str, int] = defaultdict(int)
+        #: ``codecs.decode.record_seconds`` observations, in decode order.
+        self.seconds: list[float] = []
+        self.stage_seconds = [0.0] * len(DECODE_STAGES)
+
+    def add(
+        self, record: BlockRecord, stages: int, bytes_out: int, seconds: float,
+        *stage_seconds: float,
+    ) -> None:
+        """Count one decoded record: its ``stages``, output size, decode
+        seconds and the seconds of each of :data:`DECODE_STAGES`."""
+        counts = self.counts
+        counts["codecs.decode.records"] += 1
+        counts["codecs.decode.bytes_in"] += len(record.payload)
+        counts["codecs.decode.bytes_out"] += bytes_out
+        if record.tag is not None:
+            counts["codec.mix.decode_records"] += 1
+            if not stages & STAGE_SNAPPY:
+                counts["codec.mix.snappy_skipped"] += 1
+        if stages & STAGE_HUFFMAN:
+            counts["codecs.huffman.decode_records"] += 1
+        if stages & STAGE_DELTA:
+            counts["codecs.delta.decode_records"] += 1
+        self.seconds.append(seconds)
+        for k, s in enumerate(stage_seconds):
+            self.stage_seconds[k] += s
+
+    def flush(self) -> None:
+        """Publish what was counted since the last flush."""
+        if self.seconds:
+            for name, n in self.counts.items():
+                _DECODE_COUNTERS[name].inc(n)
+            histogram = _RECORD_SECONDS["codecs.decode.record_seconds"]
+            for seconds in self.seconds:
+                histogram.observe(seconds)
+            for stage, seconds in zip(DECODE_STAGES, self.stage_seconds):
+                STAGE_SECONDS[stage].inc(seconds)
+            self.__init__()
+
+
+class DecodeRun:
+    """A run of block decodes over one plan (one recoded SpMV, one engine
+    decode handle): ``dsh_decode_block`` resolved to its backend at the
+    first decode, telemetry tallied and published by :meth:`flush`.
+
+    Calling it decodes block ``i`` from the given records; the block
+    shares the plan's block structure (:meth:`CSRBlock.with_payload`).
+    """
+
+    __slots__ = ("plan", "_decode", "tally")
+
+    def __init__(self, plan: MatrixCompression):
+        self.plan = plan
+        self._decode = None
+        self.tally = DecodeTally()
+
+    def __call__(self, i: int, index_record: BlockRecord, value_record: BlockRecord) -> CSRBlock:
+        if self._decode is None:
+            self._decode = kernels.bind("dsh_decode_block")
+        col_idx, val = self._decode(self.plan, index_record, value_record, self.tally)
+        return self.plan.blocked.blocks[i].with_payload(col_idx, val)
+
+    def flush(self) -> None:
+        """Publish the ``codecs.decode.*`` and ``kernels.dispatch``
+        telemetry of the decodes so far."""
+        self.tally.flush()
+        if self._decode is not None:
+            self._decode.flush()
 
 
 @kernels.REGISTRY.register("dsh_decode_block", "numpy")
 @kernels.REGISTRY.register("dsh_decode_block", "python")
 def decode_block_reference(
-    plan: MatrixCompression, index_record: BlockRecord, value_record: BlockRecord
+    plan: MatrixCompression,
+    index_record: BlockRecord,
+    value_record: BlockRecord,
+    tally: DecodeTally | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference ``dsh_decode_block``: ``(col_idx, val)`` of one block,
-    its two records decoded by :func:`decode_record`."""
+    its two records decoded by :func:`decode_record` (telemetry to
+    ``tally``, published at once without one)."""
     idx = decode_record(
-        index_record, plan.index_table, use_huffman=plan.use_huffman, apply_delta=plan.use_delta
+        index_record, plan.index_table, use_huffman=plan.use_huffman,
+        apply_delta=plan.use_delta, tally=tally,
     )
     val = decode_record(
-        value_record, plan.value_table, use_huffman=plan.use_huffman, apply_delta=False
+        value_record, plan.value_table, use_huffman=plan.use_huffman, apply_delta=False,
+        tally=tally,
     )
     return np.frombuffer(idx, dtype="<i4"), np.frombuffer(val, dtype="<f8")
 

@@ -7,10 +7,12 @@ The paper's executor (Fig. 7) is one tiled loop over blocks with a
 executor is only the hook it calls for block *i*, in block order:
 
 * :class:`RecodeHook` polls ``cancel``, streams block *i*'s compressed
-  records out of DRAM and charges their DMA, asks a *decoder* for the
-  block, and applies the strict/degrade failure policy;
+  records out of DRAM, asks a *decoder* for the block, and applies the
+  strict/degrade failure policy; the DMA model is charged per run, from
+  a per-plan :func:`dma_ledger`;
 * :func:`serial_decoder` decodes block *i* on the spot — the cycle-level
-  UDP programs, ``engine.decode_block``, or ``plan.decompress_block``;
+  UDP programs, ``engine.decode_block``, or ``plan.decompress_block``
+  through the run's :class:`~repro.codecs.pipeline.DecodeRun`;
 * :func:`run_pipelined` reads block *i* off one
   :meth:`~repro.codecs.engine.RecodeEngine.decode_blocks_async` handle
   for the whole run, which decodes it inline when asked.
@@ -30,16 +32,17 @@ import numpy as np
 from repro import obs
 from repro.codecs.engine import BlockFailure, RecodeEngine
 from repro.codecs.errors import BlockDecodeError, CodecError, block_error
-from repro.codecs.pipeline import MatrixCompression
-from repro.memsys.dma import DMAEngine
+from repro.codecs.pipeline import DecodeRun, MatrixCompression, stored_sizes
+from repro.memsys.dma import DMAEngine, DMALedger
 from repro.memsys.dram import MemorySystem
 from repro.memsys.traffic import TrafficLog
 from repro.sparse.blocked import CSRBlock
 from repro.udp.lane import Lane
 from repro.udp.runtime import DecoderToolchain
 
-#: ``decoder(i, idx_rec, val_rec) -> CSRBlock``; raises CodecError.
-Decoder = Callable[[int, object, object], CSRBlock]
+#: ``decoder(i, idx_rec, val_rec, faulty) -> CSRBlock``, ``faulty`` when
+#: a DRAM fault changed the streamed records; raises CodecError.
+Decoder = Callable[[int, object, object, bool], CSRBlock]
 
 
 class RunCancelled(RuntimeError):
@@ -66,24 +69,19 @@ def multiply_block(block: CSRBlock, x: np.ndarray, out: np.ndarray) -> None:
         out[rows] += np.add.reduceat(vals * x[block.col_idx], seg_starts, axis=0)
 
 
-def _arrived_faulty(plan: MatrixCompression, i: int, idx_rec, val_rec) -> bool:
-    """Whether a DRAM-side fault corrupted block ``i``'s streamed copy, in
-    which case the block must decode exactly what arrived — never the
-    engine's cached or pristine view."""
-    return idx_rec is not plan.index_records[i] or val_rec is not plan.value_records[i]
-
-
 def serial_decoder(
     plan: MatrixCompression,
     engine: RecodeEngine | None,
     matrix_id: str,
     use_udp_simulator: bool,
+    run: DecodeRun,
 ) -> Decoder:
-    """Decode each block when the kernel reaches it (``mode="serial"``)."""
+    """Decode each block when the kernel reaches it (``mode="serial"``),
+    through ``run`` unless the UDP programs or ``engine`` do."""
     toolchain = DecoderToolchain(plan) if use_udp_simulator else None
     lane = Lane() if use_udp_simulator else None
 
-    def decode(i: int, idx_rec, val_rec) -> CSRBlock:
+    def decode(i: int, idx_rec, val_rec, faulty: bool) -> CSRBlock:
         if toolchain is not None:
             idx_chain = toolchain.run_chain(i, "index", lane=lane)
             val_chain = toolchain.run_chain(i, "value", lane=lane)
@@ -91,19 +89,13 @@ def serial_decoder(
                 raise BlockDecodeError(
                     f"UDP decode failed verification at block {i}", block_id=i
                 )
-            ref = plan.blocked.blocks[i]
-            return CSRBlock(
-                row_start=ref.row_start,
-                row_end=ref.row_end,
-                row_ptr=ref.row_ptr,
-                col_idx=np.frombuffer(idx_chain.output, dtype="<i4"),
-                val=np.frombuffer(val_chain.output, dtype="<f8"),
-                nnz_start=ref.nnz_start,
-                leading_partial=ref.leading_partial,
+            return plan.blocked.blocks[i].with_payload(
+                np.frombuffer(idx_chain.output, dtype="<i4"),
+                np.frombuffer(val_chain.output, dtype="<f8"),
             )
-        if engine is not None and not _arrived_faulty(plan, i, idx_rec, val_rec):
+        if engine is not None and not faulty:
             return engine.decode_block(plan, i, matrix_id=matrix_id)
-        return plan.decompress_block(i, index_record=idx_rec, value_record=val_rec)
+        return plan.decompress_block(i, index_record=idx_rec, value_record=val_rec, run=run)
 
     return decode
 
@@ -121,8 +113,11 @@ class PipelinedDecoder:
     it spent multiplying, with the inline decoder idle.
     """
 
-    def __init__(self, plan: MatrixCompression, engine: RecodeEngine, matrix_id: str):
+    def __init__(
+        self, plan: MatrixCompression, engine: RecodeEngine, matrix_id: str, run: DecodeRun
+    ):
         self._plan = plan
+        self._run = run
         self._handle = engine.decode_blocks_async(plan, matrix_id=matrix_id)
         self._wait_s = self._multiply_s = 0.0
         # When the last block went to the multiply.
@@ -133,15 +128,15 @@ class PipelinedDecoder:
             self._multiply_s += time.perf_counter() - self._handed_at
             self._handed_at = None
 
-    def __call__(self, i: int, idx_rec, val_rec) -> CSRBlock:
+    def __call__(self, i: int, idx_rec, val_rec, faulty: bool) -> CSRBlock:
         self._charge_multiply()
         t0 = time.perf_counter()
         _, res = next(self._handle)
         self._handed_at = time.perf_counter()
         self._wait_s += self._handed_at - t0
-        if _arrived_faulty(self._plan, i, idx_rec, val_rec):
+        if faulty:
             return self._plan.decompress_block(
-                i, index_record=idx_rec, value_record=val_rec
+                i, index_record=idx_rec, value_record=val_rec, run=self._run
             )
         if isinstance(res, BlockFailure):
             raise res.error
@@ -158,23 +153,43 @@ class PipelinedDecoder:
 
 
 def run_pipelined(
-    plan: MatrixCompression, engine: RecodeEngine, matrix_id: str
+    plan: MatrixCompression, engine: RecodeEngine, matrix_id: str, run: DecodeRun
 ) -> PipelinedDecoder:
     """Start a pipelined run's decoder (``mode="pipelined"``): one engine
-    handle over every block of ``plan``."""
-    return PipelinedDecoder(plan, engine, matrix_id)
+    handle over every block of ``plan``; ``run`` decodes faulted blocks."""
+    return PipelinedDecoder(plan, engine, matrix_id, run)
+
+
+def dma_ledger(plan: MatrixCompression, memory: MemorySystem) -> DMALedger:
+    """The DMA of streaming ``plan``'s blocks (index record, then value
+    record, block by block) out of ``memory``, costed once per plan and
+    memory. DRAM faults flip bits, never sizes, so it holds on every run."""
+    ledgers = plan.__dict__.setdefault("_dma_ledgers", {})
+    ledger = ledgers.get(memory)
+    if ledger is None:
+        sizes = np.column_stack(
+            (stored_sizes(plan.index_records), stored_sizes(plan.value_records))
+        ).reshape(-1)
+        ledger = ledgers[memory] = DMALedger(memory, sizes)
+    return ledger
 
 
 class RecodeHook:
     """The ``recode`` hook the blocked kernels call in front of block *i*.
 
     The kernel calls it once per block, in block order. It polls
-    ``cancel``, streams both records out of ``memory`` and charges their
-    DMA (one block at a time, so an mmap-backed plan stays at bounded
-    residency), decodes through ``decode``, and on a codec error raises
-    the :class:`BlockDecodeError` naming the block (``strict``) or
-    substitutes ``raw_block(i)`` — the pristine raw block, streamed
-    uncompressed — and counts it (``degrade``).
+    ``cancel``, streams both records out of ``memory`` (one block at a
+    time, so an mmap-backed plan stays at bounded residency), decodes
+    through ``decode``, and on a codec error raises the
+    :class:`BlockDecodeError` naming the block (``strict``) or substitutes
+    ``raw_block(i)`` — the pristine raw block, streamed uncompressed —
+    and counts it (``degrade``).
+
+    The model is charged per run, not per block: :meth:`charge` books the
+    streamed records' DMA from the plan's :func:`dma_ledger` and the
+    decoded blocks' ``udp -> cpu`` bytes, before a degraded block's own
+    transfer and when the run ends, so ``dma_seconds``, the log and the
+    counters come out as per-block charging leaves them.
     """
 
     def __init__(
@@ -192,38 +207,56 @@ class RecodeHook:
         self.plan = plan
         self.memory = memory
         self.log = log
-        self.dma = DMAEngine(memory, log=log)
+        self.ledger = dma_ledger(plan, memory)
         self.decode = decode
         self.raw_block = raw_block
         self.policy = policy
         self.cancel = cancel
-        self.prefix = prefix
+        self.span = f"{prefix}.block"
         self.blocks = 0
         self.degraded = 0
         self.dma_seconds = 0.0
+        # Blocks streamed / charged to the ledger, and the decoded blocks'
+        # udp -> cpu bytes not yet logged.
+        self._streamed = self._charged = 0
+        self._decoded = self._cpu_bytes = 0
 
     def __call__(self, _stored: CSRBlock) -> CSRBlock:
         i = self.blocks
         if self.cancel is not None and self.cancel():
             raise RunCancelled(blocks_done=i)
         self.blocks = i + 1
-        plan, dma = self.plan, self.dma
-        idx_rec = self.memory.stream_record(plan.index_records[i], i, "index")
-        val_rec = self.memory.stream_record(plan.value_records[i], i, "value")
-        with obs.trace(f"{self.prefix}.block", block=i):
-            self.dma_seconds += dma.transfer(idx_rec.stored_bytes, "dram", "udp").seconds
-            self.dma_seconds += dma.transfer(val_rec.stored_bytes, "dram", "udp").seconds
+        plan, memory = self.plan, self.memory
+        stored_idx, stored_val = plan.index_records[i], plan.value_records[i]
+        idx_rec = memory.stream_record(stored_idx, i, "index")
+        val_rec = memory.stream_record(stored_val, i, "value")
+        self._streamed = i + 1
+        faulty = idx_rec is not stored_idx or val_rec is not stored_val
+        with obs.trace(self.span, block=i):
             try:
-                block = self.decode(i, idx_rec, val_rec)
+                block = self.decode(i, idx_rec, val_rec, faulty)
             except CodecError as exc:
                 if self.policy == "strict":
                     raise block_error(i, exc)
                 # degrade: the result stays bit-exact; the block just
                 # streams uncompressed.
                 self.degraded += 1
+                self.charge()
                 block = self.raw_block(i)
+                dma = DMAEngine(memory, log=self.log)
                 self.dma_seconds += dma.transfer(12 * block.nnz, "dram", "cpu").seconds
                 obs.registry().counter("spmv.degraded_blocks").inc()
                 return block
-            self.log.record("udp", "cpu", 12 * block.nnz)
+        self._decoded += 1
+        self._cpu_bytes += 12 * block.nnz
         return block
+
+    def charge(self) -> None:
+        """Charge what was streamed and decoded since the last charge."""
+        self.dma_seconds = self.ledger.charge(
+            self.log, 2 * self._charged, 2 * self._streamed, self.dma_seconds
+        )
+        self._charged = self._streamed
+        if self._decoded:
+            self.log.record("udp", "cpu", self._cpu_bytes)
+            self._decoded = self._cpu_bytes = 0

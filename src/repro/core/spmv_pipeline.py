@@ -41,7 +41,7 @@ import numpy as np
 from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
-from repro.codecs.pipeline import MatrixCompression
+from repro.codecs.pipeline import DecodeRun, MatrixCompression
 from repro.core.executor import RecodeHook, run_pipelined, serial_decoder
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
@@ -50,6 +50,15 @@ from repro.sparse.spmv import spmv_blocked
 
 #: Execution modes accepted by :func:`recoded_spmv` / :func:`recoded_spmm`.
 MODES = ("serial", "pipelined")
+
+
+def _prefix_counters(_reg, prefix: str) -> obs.BoundMetrics:
+    """``{prefix}.*`` counters by name, each created on first use."""
+    return obs.BoundMetrics(lambda reg, name: reg.counter(f"{prefix}.{name}"))
+
+
+#: A run's ``{prefix}.*`` counters, bound once per prefix and registry.
+_RUN_COUNTERS = obs.BoundMetrics(_prefix_counters)
 
 
 @dataclass(frozen=True)
@@ -156,10 +165,11 @@ def _execute(
     pages_before = reader.pages_touched if reader is not None else 0
     log = TrafficLog()
     start = time.perf_counter()
+    run = DecodeRun(plan)
     if mode == "pipelined":
-        decode = run_pipelined(plan, engine, matrix_id)
+        decode = run_pipelined(plan, engine, matrix_id, run)
     else:
-        decode = serial_decoder(plan, engine, matrix_id, use_udp_simulator)
+        decode = serial_decoder(plan, engine, matrix_id, use_udp_simulator, run)
     hook = RecodeHook(
         plan,
         memory=memory,
@@ -183,6 +193,8 @@ def _execute(
     finally:
         if mode == "pipelined":
             decode.close()
+        hook.charge()
+        run.flush()
 
     oocore_info = None
     if reader is not None:
@@ -203,24 +215,23 @@ def _execute(
         nrhs=nrhs,
         oocore=oocore_info,
     )
-    reg = obs.registry()
+    counters = _RUN_COUNTERS[prefix]
     if oocore_info is not None:
-        reg.counter(f"{prefix}.oocore.runs").inc()
-        reg.counter(f"{prefix}.oocore.bytes_mapped").inc(oocore_info["mapped_bytes"])
-        reg.counter(f"{prefix}.oocore.pages_touched").inc(
-            oocore_info["pages_touched"]
-        )
-    reg.counter(f"{prefix}.iterations").inc()
-    reg.counter(f"{prefix}.blocks").inc(plan.nblocks)
-    reg.counter(f"{prefix}.nnz").inc(plan.nnz)
-    reg.counter(f"{prefix}.flops").inc(2 * nrhs * plan.nnz)
-    reg.counter(f"{prefix}.bytes.dram_to_udp").inc(log.bytes_on("dram", "udp"))
-    reg.counter(f"{prefix}.bytes.udp_to_cpu").inc(log.bytes_on("udp", "cpu"))
-    reg.counter(f"{prefix}.bytes.baseline").inc(stats.baseline_dram_bytes)
-    reg.counter(f"{prefix}.dma_seconds").inc(dma_seconds)
-    reg.gauge(f"{prefix}.traffic_ratio").set(stats.traffic_ratio)
+        counters["oocore.runs"].inc()
+        counters["oocore.bytes_mapped"].inc(oocore_info["mapped_bytes"])
+        counters["oocore.pages_touched"].inc(oocore_info["pages_touched"])
+    counters["iterations"].inc()
+    counters["blocks"].inc(plan.nblocks)
+    counters["nnz"].inc(plan.nnz)
+    counters["flops"].inc(2 * nrhs * plan.nnz)
+    counters["bytes.dram_to_udp"].inc(log.bytes_on("dram", "udp"))
+    counters["bytes.udp_to_cpu"].inc(log.bytes_on("udp", "cpu"))
+    counters["bytes.baseline"].inc(stats.baseline_dram_bytes)
+    counters["dma_seconds"].inc(dma_seconds)
     if hook.degraded:
-        reg.counter(f"{prefix}.degraded_iterations").inc()
+        counters["degraded_iterations"].inc()
+    reg = obs.registry()
+    reg.gauge(f"{prefix}.traffic_ratio").set(stats.traffic_ratio)
     reg.histogram(f"{prefix}.seconds").observe(time.perf_counter() - start)
     return y, stats
 

@@ -76,6 +76,13 @@ def dispatch(op: str, *args, **kwargs):
     return REGISTRY.dispatch(op, *args, **kwargs)
 
 
+def bind(op: str):
+    """Kernel ``op`` resolved once for a run of calls
+    (:class:`~repro.kernels.registry.BoundOp`)."""
+    _ensure_backends()
+    return REGISTRY.bind(op)
+
+
 def backend() -> str:
     """The backend dispatch would use right now."""
     _ensure_backends()
@@ -119,6 +126,7 @@ __all__ = [
     "available_backends",
     "backend",
     "backends_for",
+    "bind",
     "dispatch",
     "ops",
     "set_backend",

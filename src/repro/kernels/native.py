@@ -9,9 +9,11 @@ cost. ``native.c`` runs them as plain C loops, loaded through
 * **Block decode** (``dsh_decode_block``): one C call decodes a block's
   index and value records — Huffman, Snappy, delta, as each record's tag
   or the plan's flags say — straight into read-only ``col_idx``/``val``
-  arrays, adding each stage's ``clock_gettime`` nanoseconds to a
-  caller-owned array that feeds ``codecs.decode.stage_seconds``. No state
-  is shared and ctypes releases the GIL, so threads decode in parallel.
+  arrays over one buffer, adding each stage's ``clock_gettime``
+  nanoseconds to a caller-owned array that feeds the run's
+  :class:`~repro.codecs.pipeline.DecodeTally`. A Huffman table's C form
+  is looked up by the table's identity. No state is shared and ctypes
+  releases the GIL, so threads decode in parallel.
 * **Huffman decode**: an 11-bit first-match lookup table built from the
   reference's own interval test (:func:`_huffman_table`), then the
   reference's bit-by-bit walk for longer codes. The standalone
@@ -54,10 +56,8 @@ from typing import NoReturn
 import numpy as np
 
 from repro.codecs.pipeline import (
-    DECODE_STAGES,
     STAGE_HUFFMAN,
-    STAGE_SECONDS,
-    count_decoded,
+    DecodeTally,
     decode_block_reference,
     record_stages,
 )
@@ -259,10 +259,26 @@ def snappy_compress(data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+#: The C table of each Huffman table a run decodes with, by identity, so
+#: a plan's records find theirs without re-serializing the code lengths.
+_BOUND_TABLES: dict[int, tuple[object, _HuffTable]] = {}
+
+
+def _bound_table(table) -> _HuffTable:
+    hit = _BOUND_TABLES.get(id(table))
+    if hit is not None and hit[0] is table:
+        return hit[1]
+    ctable = _huffman_table(table.lengths.tobytes())
+    if len(_BOUND_TABLES) >= 64:
+        _BOUND_TABLES.clear()
+    _BOUND_TABLES[id(table)] = (table, ctable)
+    return ctable
+
+
 def _record_args(record, stages: int, table, itemsize: int) -> tuple | None:
-    """One record's C arguments, its output buffer among them; ``None``
-    when the reference must decide without C: a CRC mismatch, or an
-    ``orig_len`` no valid record has (which must not size a buffer)."""
+    """One record's C arguments up to its output buffer; ``None`` when the
+    reference must decide without C: a CRC mismatch, or an ``orig_len``
+    no valid record has (which must not size a buffer)."""
     payload = bytes(record.payload)
     # A payload byte holds at most 8 Huffman symbols, a Snappy byte yields
     # at most 64/3 bytes: no valid record decodes to more than 171x.
@@ -273,33 +289,43 @@ def _record_args(record, stages: int, table, itemsize: int) -> tuple | None:
     ):
         return None
     if stages & STAGE_HUFFMAN and table is not None:
-        table = _huffman_table(table.lengths.tobytes())
+        table = _bound_table(table)
     else:
         table = None  # C rejects a Huffman stage without a table
-    # A ctypes buffer passes to C without numpy's per-call ctypes adapter.
-    out = ctypes.create_string_buffer(record.orig_len)
-    return payload, len(payload), record.snappy_len, stages, table, out, record.orig_len
+    return payload, len(payload), record.snappy_len, stages, table
 
 
-#: Where :func:`_record_args` puts the output buffer.
-_OUT = 5
+_STAGE_NS = ctypes.c_int64 * 6
 
 
 @_register("dsh_decode_block", "native")
-def dsh_decode_block(plan, index_record, value_record) -> tuple[np.ndarray, np.ndarray]:
+def dsh_decode_block(
+    plan, index_record, value_record, tally: DecodeTally | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     istages = record_stages(index_record, plan.use_huffman, plan.use_delta)
     vstages = record_stages(value_record, plan.use_huffman, False)
     iargs = _record_args(index_record, istages, plan.index_table, 4)
     vargs = _record_args(value_record, vstages, plan.value_table, 8)
-    ns = (ctypes.c_int64 * 6)()
-    if iargs is None or vargs is None or _lib.dsh_decode_block(*iargs, *vargs, ns):
-        _reference_raise(decode_block_reference, plan, index_record, value_record)
-    col_idx = np.frombuffer(iargs[_OUT], dtype="<i4")
-    val = np.frombuffer(vargs[_OUT], dtype="<f8")
+    ilen, vlen = index_record.orig_len, value_record.orig_len
+    ns = _STAGE_NS()
+    if iargs is not None and vargs is not None:
+        # One output buffer, values first so both arrays are aligned (and
+        # a spare byte, so an empty block still has an address). A
+        # bytearray's address costs less than a ctypes or numpy buffer's.
+        buf = bytearray(vlen + ilen + 1)
+        at = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        status = _lib.dsh_decode_block(*iargs, at + vlen, ilen, *vargs, at, vlen, ns)
+    if iargs is None or vargs is None or status:
+        _reference_raise(decode_block_reference, plan, index_record, value_record, tally)
+    val = np.frombuffer(buf, dtype="<f8", count=vlen // 8)
+    col_idx = np.frombuffer(buf, dtype="<i4", count=ilen // 4, offset=vlen)
     col_idx.flags.writeable = False
     val.flags.writeable = False
-    count_decoded(index_record, istages, col_idx.nbytes, sum(ns[0:3]) * 1e-9)
-    count_decoded(value_record, vstages, val.nbytes, sum(ns[3:6]) * 1e-9)
-    for k, stage in enumerate(DECODE_STAGES):
-        STAGE_SECONDS[stage].inc((ns[k] + ns[3 + k]) * 1e-9)
+    once = tally is None
+    tally = DecodeTally() if once else tally
+    hi, si, di, hv, sv, dv = ns
+    tally.add(index_record, istages, ilen, (hi + si + di) * 1e-9, hi * 1e-9, si * 1e-9, di * 1e-9)
+    tally.add(value_record, vstages, vlen, (hv + sv + dv) * 1e-9, hv * 1e-9, sv * 1e-9, dv * 1e-9)
+    if once:
+        tally.flush()
     return col_idx, val

@@ -18,7 +18,9 @@ one callable per op. :func:`dispatch` resolves the active backend per
 call, so a backend switch (env var, CLI flag, :func:`use_backend`) takes
 effect immediately — including inside recode-engine pool workers, which
 inherit the parent's selection explicitly (see
-:meth:`repro.codecs.engine.RecodeEngine`).
+:meth:`repro.codecs.engine.RecodeEngine`). A run of calls (the blocks of
+one recoded SpMV) binds the op once instead (:meth:`KernelRegistry.bind`):
+one resolution, and one ``kernels.dispatch`` update when it flushes.
 
 Selection order: :func:`set_backend` (CLI / code) > the
 ``REPRO_KERNEL_BACKEND`` environment variable > autodetect (the first
@@ -151,36 +153,71 @@ class KernelRegistry:
 
     # -- dispatch ------------------------------------------------------------
 
+    def bind(self, op: str) -> "BoundOp":
+        """``op`` on the backend active now, for a run of calls (one
+        resolution; :meth:`BoundOp.flush` publishes their count)."""
+        return BoundOp(self, op)
+
     def dispatch(self, op: str, *args, **kwargs):
         """Run ``op`` on the active backend, reference-falling-back."""
-        backend = self.resolve_backend()
-        fn = self._impls.get((op, backend))
+        bound = self.bind(op)
+        result = bound(*args, **kwargs)
+        bound.flush()
+        return result
+
+
+class BoundOp:
+    """One op resolved to a backend once, for a run of calls.
+
+    A call behaves as :meth:`KernelRegistry.dispatch` does (reference
+    fallback, ``kernels.fallback`` ticks, the nesting rule), but the
+    ``kernels.dispatch`` ticks of outermost calls are counted here and
+    published by :meth:`flush`. A backend switch applies from the next
+    bind on.
+    """
+
+    __slots__ = ("op", "backend", "_fn", "_impls", "_served")
+
+    def __init__(self, registry: KernelRegistry, op: str):
+        backend = registry.resolve_backend()
+        fn = registry._impls.get((op, backend))
         if fn is None and backend in BASE_BACKEND:
             backend = BASE_BACKEND[backend]
-            fn = self._impls.get((op, backend))
-        reg = obs.registry()
+            fn = registry._impls.get((op, backend))
+        if fn is None and (op, REFERENCE_BACKEND) not in registry._impls:
+            raise KeyError(f"kernel op {op!r} has no implementation")
+        self.op, self.backend, self._fn, self._impls = op, backend, fn, registry._impls
+        # Outermost calls served, per backend.
+        self._served: dict[str, int] = {}
+
+    def __call__(self, *args, **kwargs):
         outermost = not getattr(_nesting, "active", False)
-        if fn is None:
-            if backend != REFERENCE_BACKEND:
-                reg.counter("kernels.fallback", op=op, backend=backend).inc()
-            backend = REFERENCE_BACKEND
-            fn = self._impls.get((op, backend))
-            if fn is None:
-                raise KeyError(f"kernel op {op!r} has no implementation")
+        backend = self.backend
         _nesting.active = True
         try:
-            result = fn(*args, **kwargs)
-        except KernelUnavailable:
-            if backend == REFERENCE_BACKEND:
-                raise
-            reg.counter("kernels.fallback", op=op, backend=backend).inc()
-            result = self._impls[(op, REFERENCE_BACKEND)](*args, **kwargs)
-            backend = REFERENCE_BACKEND
+            try:
+                if self._fn is None:
+                    raise KernelUnavailable(self.op)
+                result = self._fn(*args, **kwargs)
+            except KernelUnavailable:
+                if backend == REFERENCE_BACKEND:
+                    raise
+                obs.registry().counter("kernels.fallback", op=self.op, backend=backend).inc()
+                backend = REFERENCE_BACKEND
+                result = self._impls[(self.op, backend)](*args, **kwargs)
         finally:
             _nesting.active = not outermost
         if outermost:
-            reg.counter("kernels.dispatch", op=op, backend=backend).inc()
+            self._served[backend] = self._served.get(backend, 0) + 1
         return result
+
+    def flush(self) -> None:
+        """Tick ``kernels.dispatch`` for the calls served since the last flush."""
+        if self._served:
+            reg = obs.registry()
+            for backend, n in self._served.items():
+                reg.counter("kernels.dispatch", op=self.op, backend=backend).inc(n)
+            self._served.clear()
 
 
 #: The process-wide registry; module-level helpers in

@@ -8,12 +8,17 @@ with the LLC controller."
 
 The model charges a small per-descriptor startup cost plus the wire time
 on the memory system, and records every transfer in a
-:class:`~repro.memsys.traffic.TrafficLog`.
+:class:`~repro.memsys.traffic.TrafficLog`. A stream whose record sizes
+are fixed (a plan's blocks) is costed once into a :class:`DMALedger` and
+charged from it, with the same results as one transfer per record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from repro import obs
 from repro.memsys.dram import MemorySystem
@@ -76,3 +81,36 @@ class DMAEngine:
             raise ValueError("block_bytes must be positive")
         per_block = self.startup_s + self.memory.transfer_seconds(block_bytes)
         return block_bytes / per_block
+
+
+class DMALedger:
+    """The ``dram -> udp`` transfers of a fixed sequence of record sizes,
+    costed once (in numpy, which rounds as the scalar model does).
+    :meth:`charge` leaves the log, the ``memsys.*`` counters and the
+    running seconds as one default :meth:`DMAEngine.transfer` per record
+    would: the same values, added in the same order."""
+
+    def __init__(self, memory: MemorySystem, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self.startup_s = DEFAULT_STARTUP_S
+        self.seconds = self.startup_s + memory.transfer_seconds(sizes)
+        self.energy_j = memory.transfer_energy_j(sizes)
+        self._offsets = np.concatenate(([0], np.cumsum(sizes)))
+
+    def charge(self, log: TrafficLog, start: int, stop: int, seconds: float) -> float:
+        """Charge records ``[start, stop)``; returns ``seconds`` plus
+        their transfer seconds."""
+        if stop <= start:
+            return seconds
+        nbytes = int(self._offsets[stop] - self._offsets[start])
+        per_record = self.seconds[start:stop].tolist()
+        log.record("dram", "udp", nbytes)
+        counters = _COUNTERS
+        counters["memsys.dma.transfers"].inc(stop - start)
+        counters["memsys.dma.startup_seconds"].inc_each(repeat(self.startup_s, stop - start))
+        counters["memsys.dram.bytes_read"].inc(nbytes)
+        counters["memsys.dram.seconds"].inc_each(per_record)
+        counters["memsys.dram.energy_j"].inc_each(self.energy_j[start:stop].tolist())
+        for s in per_record:
+            seconds += s
+        return seconds

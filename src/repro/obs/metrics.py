@@ -87,6 +87,19 @@ class Counter:
         with self._lock:
             self._value += amount
 
+    def inc_each(self, amounts) -> None:
+        """:meth:`inc` by each of ``amounts`` in order, under one lock: the
+        same float additions as one call per amount."""
+        if not _ENABLED:
+            return
+        with self._lock:
+            value = self._value
+            for amount in amounts:
+                if amount < 0:
+                    raise ValueError(f"counter increments must be >= 0, got {amount}")
+                value += amount
+            self._value = value
+
     @property
     def value(self) -> float:
         return self._value

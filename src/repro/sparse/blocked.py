@@ -78,13 +78,27 @@ class CSRBlock:
         """
         cached = self.__dict__.get("_row_segments")
         if cached is None:
-            starts = self.row_ptr[:-1]
-            nonempty = np.diff(self.row_ptr) > 0
-            rows = np.arange(self.row_start, self.row_end)[nonempty]
-            seg_starts = np.minimum(starts[nonempty], max(self.nnz - 1, 0))
-            cached = (rows, seg_starts)
+            ptr = self.row_ptr
+            cached = row_segments(self.row_start, ptr, ptr[1:] - ptr[:-1])
             object.__setattr__(self, "_row_segments", cached)
         return cached
+
+    def with_payload(self, col_idx: np.ndarray, val: np.ndarray) -> "CSRBlock":
+        """This block's structure over another payload of the same length
+        (a decode of its records): ``row_ptr`` and the memoized
+        :meth:`row_segments` are shared, not rebuilt or re-validated."""
+        if len(col_idx) != self.nnz:
+            raise ValueError("local row_ptr must span the block payload")
+        if len(val) != len(col_idx):
+            raise ValueError("col_idx/val length mismatch")
+        block = object.__new__(CSRBlock)
+        block.__dict__.update(
+            self.__dict__,
+            col_idx=np.ascontiguousarray(col_idx, dtype=INDEX_DTYPE),
+            val=np.ascontiguousarray(val, dtype=VALUE_DTYPE),
+            _row_segments=self.row_segments(),
+        )
+        return block
 
     def index_bytes(self) -> bytes:
         """Raw little-endian column-index stream (codec input)."""
@@ -97,6 +111,16 @@ class CSRBlock:
     def payload_bytes(self) -> int:
         """Uncompressed payload size: 12 bytes per stored entry."""
         return _BYTES_PER_ENTRY * self.nnz
+
+
+def row_segments(
+    row_start: int, row_ptr: np.ndarray, row_nnz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`CSRBlock.row_segments` of the block starting at global row
+    ``row_start`` with local ``row_ptr`` and ``row_nnz = np.diff(row_ptr)``."""
+    nonempty = row_nnz > 0
+    rows = nonempty.nonzero()[0] + row_start
+    return rows, np.minimum(row_ptr[:-1][nonempty], max(int(row_ptr[-1]) - 1, 0))
 
 
 @dataclass(frozen=True)

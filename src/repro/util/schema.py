@@ -689,7 +689,7 @@ BENCH_ADAPTIVE_SCHEMA: dict = _with_common(
 #: ``BENCH_solvers.json`` — written by ``benchmarks/bench_solvers.py``.
 #: Iteration counts, byte totals, residuals, and parity hashes are
 #: deterministic at a fixed seed; per-call SpMV timings and the
-#: warm-over-cold ratios are wall-clock and carry timing-key suffixes.
+#: warm-over-CSR ratios are wall-clock and carry timing-key suffixes.
 BENCH_SOLVERS_SCHEMA: dict = _with_common(
     {
         "required": ["matrices", "cg", "pagerank", "parity", "gates"],
@@ -707,20 +707,20 @@ BENCH_SOLVERS_SCHEMA: dict = _with_common(
                 "items": {
                     "type": "object",
                     "required": [
-                        "name", "nblocks", "nnz", "cold_seconds",
-                        "warm_seconds", "warm_over_cold_ratio",
+                        "name", "nblocks", "nnz", "csr_seconds",
+                        "warm_seconds", "warm_over_csr_ratio",
                     ],
                     "properties": {
                         "name": {"type": "string"},
                         "nblocks": {"type": "integer", "minimum": 1},
                         "nnz": {"type": "integer", "minimum": 1},
-                        "cold_seconds": {"type": "number", "minimum": 0},
+                        "csr_seconds": {"type": "number", "minimum": 0},
                         "warm_seconds": {"type": "number", "minimum": 0},
-                        "warm_over_cold_ratio": {"type": "number", "minimum": 0},
+                        "warm_over_csr_ratio": {"type": "number", "minimum": 0},
                     },
                 },
             },
-            "warm_over_cold_geomean_ratio": {"type": "number", "minimum": 0},
+            "warm_over_csr_geomean_ratio": {"type": "number", "minimum": 0},
             "cg": {
                 "type": "object",
                 "required": [
@@ -761,11 +761,11 @@ BENCH_SOLVERS_SCHEMA: dict = _with_common(
             "gates": {
                 "type": "object",
                 "required": [
-                    "warm_over_cold_max", "traffic_within_budget",
+                    "warm_over_csr_max", "traffic_within_budget",
                     "bit_identical", "passed",
                 ],
                 "properties": {
-                    "warm_over_cold_max": {"type": "number", "minimum": 0},
+                    "warm_over_csr_max": {"type": "number", "minimum": 0},
                     "traffic_within_budget": {"type": "boolean"},
                     "bit_identical": {"type": "boolean"},
                     "passed": {"type": "boolean"},

@@ -1,5 +1,6 @@
 """Tests for the .dsh on-disk container."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codecs import load_csr, load_plan, save_plan
+from repro.codecs.container import ContainerReader
 from repro.codecs.pipeline import compress_matrix
 from repro.codecs.stats import dsh_plan
 from repro.collection import generators
+from repro.core import recoded_spmm, recoded_spmv
 from repro.sparse import CSRMatrix, spmv
 
 
@@ -72,6 +75,27 @@ class TestRoundTrip:
         back = roundtrip(plan)
         assert back.verify()
         assert back.index_table is None
+
+    def test_blockless_plan_round_trip(self, tmp_path):
+        """A 0-row matrix compresses to a 0-block plan without tables; it
+        saves without them and runs the same from memory, a reader and a
+        reloaded plan."""
+        plan = compress_matrix(CSRMatrix((0, 4), np.zeros(1, np.int64), [], []))
+        assert plan.nblocks == 0 and plan.use_huffman and plan.index_table is None
+        path = tmp_path / "empty.dsh"
+        save_plan(plan, path)
+        with ContainerReader(path) as reader:
+            sources = (plan, reader, load_plan(path), path)
+            for source in sources:
+                y, _ = recoded_spmv(source, np.ones(4))
+                Y, _ = recoded_spmm(source, np.ones((4, 2)))
+                assert y.shape == (0,) and Y.shape == (0, 2)
+        assert load_plan(path).index_table is None
+
+    def test_missing_table_is_refused(self, plan):
+        for side in ("index_table", "value_table"):
+            with pytest.raises(ValueError, match="without tables"):
+                save_plan(dataclasses.replace(plan, **{side: None}), io.BytesIO())
 
     def test_split_row_matrix(self):
         dense = np.zeros((3, 3000))
