@@ -50,10 +50,8 @@ from repro.codecs.engine import (
     plan_fingerprint,
 )
 from repro.codecs.container import (
-    BlockExtent,
     BlockHealth,
     ContainerReader,
-    RecordExtent,
     RecordHealth,
     ScrubReport,
     load_csr,
@@ -105,8 +103,6 @@ __all__ = [
     "load_csr",
     "scrub_container",
     "ContainerReader",
-    "BlockExtent",
-    "RecordExtent",
     "ScrubReport",
     "BlockHealth",
     "RecordHealth",

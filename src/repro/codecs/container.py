@@ -63,7 +63,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from os import PathLike
 
 import numpy as np
@@ -75,11 +75,14 @@ from repro.codecs.errors import (
 )
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.pipeline import (
+    RECORD_HEADER_BYTES,
     STAGE_HUFFMAN,
     STAGE_SNAPPY,
     TAG_MASK,
     BlockRecord,
     MatrixCompression,
+    decode_record,
+    record_stages,
 )
 from repro.sparse.blocked import BlockedCSR, CSRBlock, row_segments
 from repro.sparse.csr import CSRMatrix
@@ -119,34 +122,6 @@ def _write_record(out: io.BufferedIOBase, record: BlockRecord, tagged: bool) -> 
     out.write(header)
     out.write(struct.pack("<I", zlib.crc32(record.payload, zlib.crc32(header))))
     out.write(record.payload)
-
-
-def _read_record(
-    data: memoryview, pos: int, tagged: bool = False
-) -> tuple[BlockRecord, int]:
-    tag: int | None = None
-    if tagged:
-        (tag,) = struct.unpack_from("<B", data, pos)
-        if tag > TAG_MASK:
-            raise ContainerError("container corruption: invalid codec tag")
-    hdr_len = 17 if tagged else 16
-    header = bytes(data[pos : pos + hdr_len])
-    orig_len, snappy_len, bit_len, payload_len = struct.unpack_from(
-        "<IIII", data, pos + (1 if tagged else 0)
-    )
-    (crc,) = struct.unpack_from("<I", data, pos + hdr_len)
-    pos += hdr_len + 4
-    payload = bytes(data[pos : pos + payload_len])
-    if len(payload) != payload_len:
-        raise TruncatedContainerError("truncated container: record payload")
-    if zlib.crc32(payload, zlib.crc32(header)) != crc:
-        raise ContainerError("container corruption: record CRC mismatch")
-    pos += payload_len
-    record = BlockRecord(
-        orig_len, snappy_len, bit_len, payload,
-        payload_crc=zlib.crc32(payload), tag=tag,
-    )
-    return record, pos
 
 
 def _plan_tagged(plan: MatrixCompression) -> bool:
@@ -243,15 +218,78 @@ def load_plan(source: str | PathLike | io.BufferedIOBase | bytes) -> MatrixCompr
     fault_plan = faults.active()
     if fault_plan is not None:
         source = fault_plan.mutate_container(source)
-    try:
-        return _parse_plan(memoryview(source))
-    except struct.error as exc:
-        # struct.unpack_from past the end of a truncated stream.
-        raise TruncatedContainerError(f"truncated container: {exc}") from exc
+    return ContainerReader(memoryview(source), verify="eager").materialize()
 
 
-def _parse_plan(data: memoryview) -> MatrixCompression:
-    return ContainerReader(data, verify="eager").materialize()
+# ---------------------------------------------------------------------------
+# Format parsing, shared by the strict reader and the tolerant scrubber.
+# The helpers only frame: they return fields and positions and check
+# nothing, so each caller applies its own policy (raise, or report).
+# ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct("<BIIIIQ")
+_META = struct.Struct("<IIBQ")
+_RECORD = struct.Struct("<IIIII")  # orig, snappy, bit, payload lengths; CRC
+_TAGGED_RECORD = struct.Struct("<BIIIII")  # the codec tag, then as above
+_U32 = struct.Struct("<I")
+_TABLE_POS = len(MAGIC) + _HEADER.size
+
+#: Record columns hold both streams interleaved: block ``k``'s index record
+#: at ``2 * k``, its value record at ``2 * k + 1``.
+_STREAM_SLOT = {"index": 0, "value": 1}
+
+
+def _frame_header(data: memoryview) -> tuple:
+    """Parse the fixed header: ``(flags, block_bytes, nrows, ncols,
+    nblocks, nnz, tables, crc_pos)``. ``tables`` says which stream sides
+    (index, value) carry a Huffman table; ``crc_pos`` is the offset of the
+    header CRC, right after them. ``struct.error`` on a stream shorter
+    than the fixed header."""
+    flags, *fields = _HEADER.unpack_from(data, len(MAGIC))
+    has_itab = bool(flags & _FLAG_HUFFMAN)
+    tables = (has_itab, bool(flags & _FLAG_VTABLE) if flags & _FLAG_TAGGED else has_itab)
+    return (flags, *fields, tables, _TABLE_POS + 256 * sum(tables))
+
+
+def _read_table(data: memoryview, tables: tuple[bool, bool], slot: int) -> HuffmanTable | None:
+    """Stream ``slot``'s Huffman table, ``None`` when the header has none
+    (a :class:`CodecError` when the stored table is malformed)."""
+    if not tables[slot]:
+        return None
+    pos = _TABLE_POS + 256 * (slot and tables[0])
+    return HuffmanTable.deserialize(bytes(data[pos : pos + 256]))
+
+
+def _crc_ok(data: memoryview, start: int, crc_pos: int) -> bool:
+    """Whether ``data[start:crc_pos]`` matches the CRC stored at ``crc_pos``."""
+    return zlib.crc32(data[start:crc_pos]) == _U32.unpack_from(data, crc_pos)[0]
+
+
+def _frame_block(data: memoryview, pos: int, tagged: bool) -> tuple:
+    """Frame the block whose meta starts at ``pos``.
+
+    Returns ``(row_start, row_end, leading_partial, nnz_start, crc_pos,
+    records)``: the meta fields, the offset of the meta CRC (the local
+    row_ptr spans ``[pos + _META.size, crc_pos)``), and the frames of the
+    index then the value record, each ``(offset, tag, orig_len,
+    snappy_len, bit_len, payload_len, crc, payload_offset)``. ``records``
+    stops short where a record header would run past the end of ``data``
+    (or the row range is empty); only the fixed meta raises
+    ``struct.error``.
+    """
+    row_start, row_end, leading, nnz_start = _META.unpack_from(data, pos)
+    crc_pos = pos + _META.size + 4 * (row_end - row_start + 1)
+    header = _TAGGED_RECORD if tagged else _RECORD
+    records = []
+    rpos = crc_pos + 4
+    while len(records) < 2 and row_end > row_start and rpos + header.size <= len(data):
+        fields = header.unpack_from(data, rpos)
+        if not tagged:
+            fields = (None, *fields)
+        payload_pos = rpos + header.size
+        records.append((rpos, *fields, payload_pos))
+        rpos = payload_pos + fields[4]
+    return row_start, row_end, leading, nnz_start, crc_pos, records
 
 
 # ---------------------------------------------------------------------------
@@ -268,58 +306,6 @@ PAGE_BYTES = 4096
 _LAZY_RECORD_MEMO = 32
 
 
-@dataclass(frozen=True)
-class RecordExtent:
-    """Byte extent of one stream record inside the container.
-
-    ``offset`` is the first byte of the record on the wire — the codec tag
-    byte in tagged containers, the 16-byte record header otherwise; the
-    payload spans ``[payload_offset, end)``. The header fields, the codec
-    tag, and the record CRC are captured at walk time (cheap), the payload
-    bytes are not.
-    """
-
-    offset: int
-    orig_len: int
-    snappy_len: int
-    bit_len: int
-    payload_len: int
-    crc: int
-    tag: int | None = None
-
-    @property
-    def payload_offset(self) -> int:
-        return self.offset + (21 if self.tag is not None else 20)
-
-    @property
-    def end(self) -> int:
-        return self.payload_offset + self.payload_len
-
-    @property
-    def stored_bytes(self) -> int:
-        """Bytes the record occupies in DRAM once materialized (see
-        :attr:`BlockRecord.stored_bytes`)."""
-        return 12 + self.payload_len
-
-
-@dataclass(frozen=True)
-class BlockExtent:
-    """Byte extents and row metadata of one block, payloads untouched."""
-
-    block_id: int
-    offset: int
-    row_start: int
-    row_end: int
-    leading_partial: bool
-    nnz_start: int
-    index: RecordExtent
-    value: RecordExtent
-
-    @property
-    def end(self) -> int:
-        return self.value.end
-
-
 def _page_span(start: int, end: int) -> int:
     """Number of PAGE_BYTES pages the byte range [start, end) touches."""
     if end <= start:
@@ -330,13 +316,13 @@ def _page_span(start: int, end: int) -> int:
 class _LazyRecords(Sequence):
     """Sequence view over one stream's records, materialized on access.
 
-    ``__getitem__`` resolves the record's extent, slices header+payload out
-    of the reader's mapping, and verifies the record CRC — so a lazy reader
-    raises the exact same record-layer errors eager loading would, just at
-    access time. A small LRU memo keeps the *same object* coming back for
-    repeated accesses within a working window (the executor compares
-    streamed records by identity to detect DRAM-side faults) without
-    retaining every payload.
+    ``__getitem__`` slices header+payload out of the reader's mapping via
+    the reader's record columns and verifies the record CRC — so a lazy
+    reader raises the exact same record-layer errors eager loading would,
+    just at access time. A small LRU memo keeps the *same object* coming
+    back for repeated accesses within a working window (the executor
+    compares streamed records by identity to detect DRAM-side faults)
+    without retaining every payload.
     """
 
     def __init__(self, reader: "ContainerReader", stream: str):
@@ -365,9 +351,10 @@ class _LazyRecords(Sequence):
             self._memo.popitem(last=False)
         return rec
 
-    def stored_sizes(self) -> list[int]:
-        """Each record's stored bytes, from the extents: no payload read."""
-        return [getattr(ext, self._stream).stored_bytes for ext in self._reader.extents]
+    def stored_sizes(self) -> np.ndarray:
+        """Each record's stored bytes, from the columns: no payload read."""
+        lengths = self._reader.payload_len[_STREAM_SLOT[self._stream] :: 2]
+        return RECORD_HEADER_BYTES + np.array(lengths, dtype=np.int64)
 
     def __reduce__(self):
         # The mmap behind this view cannot cross a process boundary, so a
@@ -379,14 +366,22 @@ class _LazyRecords(Sequence):
 class ContainerReader:
     """Lazily-addressable view of a ``.dsh`` container.
 
-    Maps the file with ``mmap`` (or wraps an in-memory buffer) and resolves
-    per-block record *extents* from the block metadata without materializing
-    payload bytes. Structural validation — magic, header fields and CRC,
-    table deserialization, block row-range chaining, row_ptr monotonicity,
-    byte budgets, nnz chaining, record framing and truncation, row
-    coverage, trailing bytes — always runs at construction, with the exact
-    error types and messages of :func:`load_plan`. What ``verify`` controls
-    is the CRC layers over *payload bytes*:
+    Maps the file with ``mmap`` (or wraps an in-memory buffer) and walks
+    the block metadata once into columns, without materializing payload
+    bytes. Per record (``2 * nblocks`` entries, block ``k``'s index record
+    at ``2k`` and its value record at ``2k + 1``): ``record_offset`` (the
+    first byte on the wire: the codec tag in tagged containers, else the
+    record header), ``payload_offset``, ``payload_len``, ``orig_len``,
+    ``snappy_len``, ``bit_len``, ``record_crc`` and ``record_tag``. Per
+    block: ``block_offset`` (its meta), ``row_start``, ``row_end``,
+    ``leading_partial`` and ``nnz_start``.
+
+    Structural validation — magic, header fields and CRC, table
+    deserialization, block row-range chaining, row_ptr monotonicity, byte
+    budgets, nnz chaining, record framing and truncation, row coverage,
+    trailing bytes — always runs at construction, with the exact error
+    types and messages of :func:`load_plan`. What ``verify`` controls is
+    the CRC layers over *payload bytes*:
 
     * ``verify="eager"`` — the stream trailer CRC is checked up front and
       every record CRC is checked during the walk, reproducing
@@ -506,7 +501,8 @@ class ContainerReader:
 
     def _walk(self) -> None:
         data = self._data
-        if len(data) < len(MAGIC) + 4:
+        size = len(data)
+        if size < len(MAGIC) + 4:
             raise TruncatedContainerError(
                 "truncated container: shorter than magic + trailer"
             )
@@ -514,62 +510,46 @@ class ContainerReader:
             raise ContainerError("not a repro DSH container (bad magic)")
         if self.verify == "eager":
             self.verify_stream()
-        end = len(data) - 4
-        pos = 8
-        flags, block_bytes, m, n, nblocks, nnz = struct.unpack_from("<BIIIIQ", data, pos)
-        pos += struct.calcsize("<BIIIIQ")
-        use_delta = bool(flags & _FLAG_DELTA)
+        end = size - 4
+        flags, block_bytes, m, n, nblocks, nnz, tables, crc_pos = _frame_header(data)
         tagged = bool(flags & _FLAG_TAGGED)
         if flags & _FLAG_VTABLE and not tagged:
             raise ContainerError(
                 "container corruption: value-table flag without codec tags"
             )
-        has_itab = bool(flags & _FLAG_HUFFMAN)
-        has_vtab = bool(flags & _FLAG_VTABLE) if tagged else has_itab
-        use_huffman = has_itab or has_vtab
         if not 12 <= block_bytes <= MAX_BLOCK_BYTES:
             raise ContainerError(
                 f"container corruption: implausible block_bytes {block_bytes}"
             )
         if nblocks == 0 and (m or nnz):
             raise ContainerError("container corruption: blockless container with rows/nnz")
-        # _walk_record consults these while the walk is still in flight.
-        self.tagged = tagged
-        self.use_delta = use_delta
-        self.use_huffman = use_huffman
-        self._has_itab = has_itab
-        self._has_vtab = has_vtab
-        entries_cap = block_bytes // 12
-        table_pos = pos
-        table_bytes = 256 * (int(has_itab) + int(has_vtab))
-        if table_bytes:
-            if pos + table_bytes + 4 > end:
-                raise TruncatedContainerError("truncated container: huffman tables")
-            pos += table_bytes
+        if crc_pos > _TABLE_POS and crc_pos + 4 > end:
+            raise TruncatedContainerError("truncated container: huffman tables")
         # Header CRC is verified before the tables are even deserialized, so
         # a corrupt length byte can never reach the table constructor.
-        (header_crc,) = struct.unpack_from("<I", data, pos)
-        if zlib.crc32(data[:pos]) != header_crc:
+        if not _crc_ok(data, 0, crc_pos):
             raise ContainerError("container corruption: header CRC mismatch")
-        pos += 4
-        index_table = value_table = None
-        if has_itab:
-            index_table = HuffmanTable.deserialize(
-                bytes(data[table_pos : table_pos + 256])
-            )
-        if has_vtab:
-            voff = table_pos + (256 if has_itab else 0)
-            value_table = HuffmanTable.deserialize(bytes(data[voff : voff + 256]))
+        self.index_table = _read_table(data, tables, 0)
+        self.value_table = _read_table(data, tables, 1)
+        self.shape = (m, n)
+        self.nrows, self.ncols, self.nblocks, self.nnz = m, n, nblocks, nnz
+        self.block_bytes = block_bytes
+        self.use_delta = bool(flags & _FLAG_DELTA)
+        self.use_huffman = any(tables)
 
-        extents: list[BlockExtent] = []
+        eager = self.verify == "eager"
+        entries_cap = block_bytes // 12
+        blocks: list[tuple] = []
+        records: list[tuple] = []
         row_ptrs: list[np.ndarray] = []
         segments: list[tuple[np.ndarray, np.ndarray]] = []
+        pos = crc_pos + 4
         prev_row_end = 0
         running_nnz = 0
-        for k in range(nblocks):
-            meta_start = pos
-            row_start, row_end, leading, nnz_start = struct.unpack_from("<IIBQ", data, pos)
-            pos += struct.calcsize("<IIBQ")
+        for _ in range(nblocks):
+            row_start, row_end, leading, nnz_start, crc_pos, frames = _frame_block(
+                data, pos, tagged
+            )
             nrows_local = row_end - row_start
             if nrows_local < 1:
                 raise ContainerError("container corruption: empty block row range")
@@ -582,17 +562,13 @@ class ContainerReader:
             if row_start != max(expected_start, 0) or (leading and prev_row_end == 0):
                 raise ContainerError("container corruption: block row ranges do not chain")
             prev_row_end = row_end
-            ptr_bytes = 4 * (nrows_local + 1)
-            if pos + ptr_bytes + 4 > end:
+            if crc_pos + 4 > end:
                 raise TruncatedContainerError("truncated container: row_ptr")
-            row_ptr = np.frombuffer(data[pos : pos + ptr_bytes], dtype="<u4").astype(
+            row_ptr = np.frombuffer(data[pos + _META.size : crc_pos], dtype="<u4").astype(
                 np.int64
             )
-            pos += ptr_bytes
-            (meta_crc,) = struct.unpack_from("<I", data, pos)
-            if zlib.crc32(data[meta_start:pos]) != meta_crc:
+            if not _crc_ok(data, pos, crc_pos):
                 raise ContainerError("container corruption: block meta CRC mismatch")
-            pos += 4
             row_nnz = row_ptr[1:] - row_ptr[:-1]
             if row_ptr[0] != 0 or (row_nnz < 0).any():
                 raise ContainerError("container corruption: row_ptr not monotone from 0")
@@ -602,24 +578,35 @@ class ContainerReader:
             if nnz_start != running_nnz:
                 raise ContainerError("container corruption: nnz_start does not chain")
             running_nnz += block_nnz
-            iext, pos = self._walk_record(pos, self._has_itab)
-            vext, pos = self._walk_record(pos, self._has_vtab)
-            if iext.orig_len != 4 * block_nnz or vext.orig_len != 8 * block_nnz:
+            for slot in (0, 1):
+                if slot == len(frames):
+                    raise TruncatedContainerError("truncated container: record header")
+                offset, tag, orig_len, snappy_len, _, payload_len, crc, payload_pos = frames[slot]
+                if tag is not None:
+                    if tag > TAG_MASK:
+                        raise ContainerError("container corruption: invalid codec tag")
+                    if (tag & STAGE_HUFFMAN) and not tables[slot]:
+                        raise ContainerError(
+                            "container corruption: huffman codec tag without tables"
+                        )
+                    if not (tag & STAGE_SNAPPY) and snappy_len != orig_len:
+                        raise ContainerError(
+                            "container corruption: snappy-less record lengths disagree"
+                        )
+                record_end = payload_pos + payload_len
+                if record_end > size:
+                    raise TruncatedContainerError("truncated container: record payload")
+                if eager and zlib.crc32(
+                    data[payload_pos:record_end], zlib.crc32(data[offset : payload_pos - 4])
+                ) != crc:
+                    raise ContainerError("container corruption: record CRC mismatch")
+            if frames[0][2] != 4 * block_nnz or frames[1][2] != 8 * block_nnz:
                 raise ContainerError(
                     "container corruption: record lengths disagree with row_ptr"
                 )
-            extents.append(
-                BlockExtent(
-                    block_id=k,
-                    offset=meta_start,
-                    row_start=row_start,
-                    row_end=row_end,
-                    leading_partial=bool(leading),
-                    nnz_start=nnz_start,
-                    index=iext,
-                    value=vext,
-                )
-            )
+            blocks.append((pos, row_start, row_end, bool(leading), nnz_start))
+            records.extend(frames)
+            pos = record_end
             row_ptrs.append(row_ptr)
             segments.append(row_segments(row_start, row_ptr, row_nnz))
             # The walk itself faults in meta pages across the whole file;
@@ -631,54 +618,13 @@ class ContainerReader:
             raise ContainerError("container corruption: blocks do not cover all rows")
         if pos != end:
             raise ContainerError("container corruption: trailing bytes after last block")
-
-        self.shape = (m, n)
-        self.nrows = m
-        self.ncols = n
-        self.nblocks = nblocks
-        self.nnz = nnz
-        self.block_bytes = block_bytes
-        self.use_delta = use_delta
-        self.use_huffman = use_huffman
-        self.index_table = index_table
-        self.value_table = value_table
-        self.extents: tuple[BlockExtent, ...] = tuple(extents)
+        (self.block_offset, self.row_start, self.row_end, self.leading_partial,
+         self.nnz_start) = zip(*blocks) if blocks else ((),) * 5
+        (self.record_offset, self.record_tag, self.orig_len, self.snappy_len,
+         self.bit_len, self.payload_len, self.record_crc,
+         self.payload_offset) = zip(*records) if records else ((),) * 8
         self._row_ptrs = row_ptrs
         self._segments = segments
-
-    def _walk_record(self, pos: int, table_present: bool) -> tuple[RecordExtent, int]:
-        """Capture one record's extent; same framing checks (and, when
-        eager, the same CRC check) as :func:`_read_record`, payload bytes
-        untouched in lazy mode. ``table_present`` is this stream side's
-        table flag — a huffman tag on a table-less side is corruption."""
-        data = self._data
-        tag: int | None = None
-        hdr_pos = pos
-        if self.tagged:
-            (tag,) = struct.unpack_from("<B", data, pos)
-            if tag > TAG_MASK:
-                raise ContainerError("container corruption: invalid codec tag")
-            if (tag & STAGE_HUFFMAN) and not table_present:
-                raise ContainerError(
-                    "container corruption: huffman codec tag without tables"
-                )
-            hdr_pos = pos + 1
-        orig_len, snappy_len, bit_len, payload_len = struct.unpack_from(
-            "<IIII", data, hdr_pos
-        )
-        (crc,) = struct.unpack_from("<I", data, hdr_pos + 16)
-        if tag is not None and not (tag & STAGE_SNAPPY) and snappy_len != orig_len:
-            raise ContainerError(
-                "container corruption: snappy-less record lengths disagree"
-            )
-        ext = RecordExtent(pos, orig_len, snappy_len, bit_len, payload_len, crc, tag)
-        if ext.end > len(data):
-            raise TruncatedContainerError("truncated container: record payload")
-        if self.verify == "eager":
-            running = zlib.crc32(data[pos : ext.payload_offset - 4])
-            if zlib.crc32(data[ext.payload_offset : ext.end], running) != crc:
-                raise ContainerError("container corruption: record CRC mismatch")
-        return ext, ext.end
 
     # -- accessors ----------------------------------------------------------
 
@@ -695,16 +641,8 @@ class ContainerReader:
         worth a sequential pass.
         """
         data = self._view
-        (trailer,) = struct.unpack_from("<I", data, len(data) - 4)
-        if zlib.crc32(data[:-4]) != trailer:
+        if not _crc_ok(data, 0, len(data) - 4):
             raise ContainerError("container corruption: stream CRC mismatch")
-
-    def _extent(self, block_id: int, stream: str) -> RecordExtent:
-        if stream == "index":
-            return self.extents[block_id].index
-        if stream == "value":
-            return self.extents[block_id].value
-        raise ValueError(f"stream must be 'index' or 'value', got {stream!r}")
 
     def enable_crc_memo(self) -> None:
         """Opt in to verified-once record CRCs.
@@ -715,7 +653,7 @@ class ContainerReader:
         steady-state iteration over an immutable container pays the
         verification cost exactly once per record. First-touch semantics
         are unchanged — corruption present before the first access raises
-        identically — and :meth:`record_health` (scrub) always re-checks.
+        identically — and :func:`scrub_container` always re-checks.
         Off by default; :class:`~repro.core.session.ExecutionSession`
         enables it on its long-lived reader.
         """
@@ -731,32 +669,45 @@ class ContainerReader:
         ``ContainerError("container corruption: record CRC mismatch")`` on
         a CRC failure. With :meth:`enable_crc_memo`, accesses after the
         first verified one skip the redundant CRC passes.
+
+        A streamed record's payload is CRC'd three times on a cold run, and
+        each pass guards a different fault site: the record CRC here
+        catches media damage as a typed :class:`ContainerError`; the
+        ``payload_crc`` stamped here is what a record-site or DRAM-site
+        fault, which mutates the streamed copy, leaves stale; and the
+        decoder's check of that stamp is what catches those faults at
+        decode.
         """
-        ext = self._extent(block_id, stream)
+        slot = _STREAM_SLOT.get(stream)
+        if slot is None:
+            raise ValueError(f"stream must be 'index' or 'value', got {stream!r}")
+        r = 2 * block_id + slot
         data = self._view
-        header = bytes(data[ext.offset : ext.payload_offset - 4])
-        payload = bytes(data[ext.payload_offset : ext.end])
-        if len(payload) != ext.payload_len:
+        offset, payload_pos = self.record_offset[r], self.payload_offset[r]
+        end = payload_pos + self.payload_len[r]
+        payload = bytes(data[payload_pos:end])
+        if len(payload) != self.payload_len[r]:
             raise TruncatedContainerError("truncated container: record payload")
         memo = self._crc_memo
         payload_crc = memo.get((block_id, stream)) if memo is not None else None
         if payload_crc is None:
-            if zlib.crc32(payload, zlib.crc32(header)) != ext.crc:
+            header_crc = zlib.crc32(data[offset : payload_pos - 4])
+            if zlib.crc32(payload, header_crc) != self.record_crc[r]:
                 raise ContainerError("container corruption: record CRC mismatch")
             payload_crc = zlib.crc32(payload)
             if memo is not None:
                 memo[(block_id, stream)] = payload_crc
         else:
             self.crc_skips += 1
-        self.pages_touched += _page_span(ext.offset, ext.end)
-        self._maybe_release(ext.offset)
+        self.pages_touched += _page_span(offset, end)
+        self._maybe_release(offset)
         return BlockRecord(
-            ext.orig_len,
-            ext.snappy_len,
-            ext.bit_len,
+            self.orig_len[r],
+            self.snappy_len[r],
+            self.bit_len[r],
             payload,
             payload_crc=payload_crc,
-            tag=ext.tag,
+            tag=self.record_tag[r],
         )
 
     def _maybe_release(self, current_offset: int) -> None:
@@ -784,24 +735,6 @@ class ContainerReader:
             return
         self._release_frontier = target
 
-    def record_health(self, block_id: int, stream: str) -> tuple[BlockRecord, bool]:
-        """Tolerant variant of :meth:`record` for scrubbing: always returns
-        the record, plus whether its CRC matched."""
-        ext = self._extent(block_id, stream)
-        data = self._view
-        header = bytes(data[ext.offset : ext.payload_offset - 4])
-        payload = bytes(data[ext.payload_offset : ext.end])
-        crc_ok = zlib.crc32(payload, zlib.crc32(header)) == ext.crc
-        record = BlockRecord(
-            ext.orig_len,
-            ext.snappy_len,
-            ext.bit_len,
-            payload,
-            payload_crc=zlib.crc32(payload),
-            tag=ext.tag,
-        )
-        return record, crc_ok
-
     def shell_blocks(self) -> tuple[CSRBlock, ...]:
         """Structure-only CSR blocks: real row metadata, zero payloads.
 
@@ -814,19 +747,34 @@ class ContainerReader:
         col_zeros, val_zeros = np.zeros(widest, np.int32), np.zeros(widest, np.float64)
         col_zeros.flags.writeable = val_zeros.flags.writeable = False
         shells = []
-        for ext, ptr, segments in zip(self.extents, self._row_ptrs, self._segments):
+        for row_start, row_end, leading, nnz_start, ptr, segments in zip(
+            self.row_start, self.row_end, self.leading_partial, self.nnz_start,
+            self._row_ptrs, self._segments,
+        ):
             shell = CSRBlock(
-                row_start=ext.row_start,
-                row_end=ext.row_end,
+                row_start=row_start,
+                row_end=row_end,
                 row_ptr=ptr,
                 col_idx=col_zeros[: int(ptr[-1])],
                 val=val_zeros[: int(ptr[-1])],
-                nnz_start=ext.nnz_start,
-                leading_partial=ext.leading_partial,
+                nnz_start=nnz_start,
+                leading_partial=leading,
             )
             shell.__dict__["_row_segments"] = segments
             shells.append(shell)
         return tuple(shells)
+
+    def _compression(self, blocks, index_records, value_records) -> MatrixCompression:
+        return MatrixCompression(
+            blocked=BlockedCSR(self.shape, blocks, self.block_bytes),
+            index_records=index_records,
+            value_records=value_records,
+            index_table=self.index_table,
+            value_table=self.value_table,
+            use_delta=self.use_delta,
+            use_huffman=self.use_huffman,
+            block_bytes=self.block_bytes,
+        )
 
     def plan(self) -> MatrixCompression:
         """A streaming :class:`MatrixCompression` view over the mapping.
@@ -837,15 +785,8 @@ class ContainerReader:
         moment. Memoized per reader.
         """
         if self._plan is None:
-            self._plan = MatrixCompression(
-                blocked=BlockedCSR(self.shape, self.shell_blocks(), self.block_bytes),
-                index_records=_LazyRecords(self, "index"),
-                value_records=_LazyRecords(self, "value"),
-                index_table=self.index_table,
-                value_table=self.value_table,
-                use_delta=self.use_delta,
-                use_huffman=self.use_huffman,
-                block_bytes=self.block_bytes,
+            self._plan = self._compression(
+                self.shell_blocks(), _LazyRecords(self, "index"), _LazyRecords(self, "value")
             )
         return self._plan
 
@@ -856,33 +797,15 @@ class ContainerReader:
         runs the decode-layer checks in :func:`load_plan`'s order: column
         bounds per block, total nnz against the header.
         """
-        m, n = self.shape
-        index_records = tuple(self.record(i, "index") for i in range(self.nblocks))
-        value_records = tuple(self.record(i, "value") for i in range(self.nblocks))
-        shell = MatrixCompression(
-            blocked=BlockedCSR((m, n), self.shell_blocks(), self.block_bytes),
-            index_records=index_records,
-            value_records=value_records,
-            index_table=self.index_table,
-            value_table=self.value_table,
-            use_delta=self.use_delta,
-            use_huffman=self.use_huffman,
-            block_bytes=self.block_bytes,
+        shell = self._compression(
+            self.shell_blocks(),
+            *(tuple(self.record(i, s) for i in range(self.nblocks)) for s in _STREAM_SLOT),
         )
-        real_blocks = tuple(shell.decompress_block(i) for i in range(self.nblocks))
-        for block in real_blocks:
-            if block.nnz and (block.col_idx.min() < 0 or block.col_idx.max() >= n):
+        blocks = tuple(shell.decompress_block(i) for i in range(self.nblocks))
+        for block in blocks:
+            if block.nnz and (block.col_idx.min() < 0 or block.col_idx.max() >= self.ncols):
                 raise ContainerError("container corruption: column index outside ncols")
-        plan = MatrixCompression(
-            blocked=BlockedCSR((m, n), real_blocks, self.block_bytes),
-            index_records=index_records,
-            value_records=value_records,
-            index_table=self.index_table,
-            value_table=self.value_table,
-            use_delta=self.use_delta,
-            use_huffman=self.use_huffman,
-            block_bytes=self.block_bytes,
-        )
+        plan = replace(shell, blocked=BlockedCSR(self.shape, blocks, self.block_bytes))
         if plan.nnz != self.nnz:
             raise ContainerError(
                 f"container corruption: nnz {plan.nnz} != header {self.nnz}"
@@ -909,6 +832,7 @@ def load_csr(source: str | PathLike | io.BufferedIOBase | bytes) -> CSRMatrix:
     return CSRMatrix((m, n), row_ptr, col_idx, val)
 
 
+
 # ---------------------------------------------------------------------------
 # Scrubbing (tolerant per-block health walk; the ``repro scrub`` command)
 # ---------------------------------------------------------------------------
@@ -927,6 +851,14 @@ class RecordHealth:
     @property
     def ok(self) -> bool:
         return self.crc_ok and self.decode_ok
+
+    def as_dict(self) -> dict:
+        return {
+            "crc_ok": self.crc_ok,
+            "decode_ok": self.decode_ok,
+            "payload_bytes": self.payload_bytes,
+            "error": self.error,
+        }
 
 
 @dataclass(frozen=True)
@@ -1006,18 +938,8 @@ class ScrubReport:
                     "block": b.block_id,
                     "offset": b.offset,
                     "meta_ok": b.meta_ok,
-                    "index": None if b.index is None else {
-                        "crc_ok": b.index.crc_ok,
-                        "decode_ok": b.index.decode_ok,
-                        "payload_bytes": b.index.payload_bytes,
-                        "error": b.index.error,
-                    },
-                    "value": None if b.value is None else {
-                        "crc_ok": b.value.crc_ok,
-                        "decode_ok": b.value.decode_ok,
-                        "payload_bytes": b.value.payload_bytes,
-                        "error": b.value.error,
-                    },
+                    "index": b.index and b.index.as_dict(),
+                    "value": b.value and b.value.as_dict(),
                     "errors": list(b.errors),
                     "ok": b.ok,
                 }
@@ -1026,93 +948,29 @@ class ScrubReport:
         }
 
 
-def _scrub_record(
-    data: memoryview,
-    pos: int,
-    end: int,
-    stream: str,
-    table: "HuffmanTable | None",
-    use_huffman: bool,
-    apply_delta: bool,
-    tagged: bool = False,
-) -> tuple[RecordHealth | None, int | None]:
-    """Walk one record leniently. Returns (health, next_pos); (None, None)
-    when the stream is too mangled to even skip past the record."""
-    hdr_len = 17 if tagged else 16
-    if pos + hdr_len + 4 > end:
-        return None, None
-    tag: int | None = None
-    if tagged:
-        (tag,) = struct.unpack_from("<B", data, pos)
-        tag &= TAG_MASK  # a flipped tag byte already fails the record CRC
-    header = bytes(data[pos : pos + hdr_len])
-    orig_len, snappy_len, bit_len, payload_len = struct.unpack_from(
-        "<IIII", data, pos + (1 if tagged else 0)
-    )
-    (crc,) = struct.unpack_from("<I", data, pos + hdr_len)
-    pos += hdr_len + 4
-    if pos + payload_len > end:
-        return None, None
-    payload = bytes(data[pos : pos + payload_len])
-    pos += payload_len
-    crc_ok = zlib.crc32(payload, zlib.crc32(header)) == crc
+
+def _record_health(
+    data: memoryview, frame: tuple, stream: str, table: HuffmanTable | None,
+    use_huffman: bool, apply_delta: bool,
+) -> RecordHealth:
+    """CRC and decode health of one framed record, never raising a codec
+    error."""
+    offset, tag, orig_len, snappy_len, bit_len, payload_len, crc, payload_pos = frame
+    payload = bytes(data[payload_pos : payload_pos + payload_len])
+    crc_ok = zlib.crc32(payload, zlib.crc32(data[offset : payload_pos - 4])) == crc
+    # A flipped tag byte already fails the record CRC; decode what it names.
     record = BlockRecord(
-        orig_len, snappy_len, bit_len, payload,
-        payload_crc=zlib.crc32(payload), tag=tag,
+        orig_len, snappy_len, bit_len, payload, tag=None if tag is None else tag & TAG_MASK
     )
-    decode_ok, error = _decode_health(record, table, use_huffman, apply_delta)
-    return RecordHealth(stream, crc_ok, decode_ok, payload_len, error), pos
-
-
-def _decode_health(
-    record: BlockRecord, table: "HuffmanTable | None", use_huffman: bool, apply_delta: bool
-) -> tuple[bool, str | None]:
-    """``(decode_ok, error)`` of one record, never raising a codec error."""
-    from repro.codecs.pipeline import decode_record, record_stages
-
+    error = None
     if record_stages(record, use_huffman, apply_delta) & STAGE_HUFFMAN and table is None:
-        return False, "no usable huffman table"
-    try:
-        decode_record(record, table, use_huffman=use_huffman, apply_delta=apply_delta)
-    except CodecError as exc:
-        return False, str(exc)
-    return True, None
-
-
-def _scrub_via_reader(reader: ContainerReader) -> ScrubReport:
-    """Health report over a structurally-sound container.
-
-    Reuses the reader's already-resolved record extents instead of
-    re-scanning the stream: every block/record boundary comes straight from
-    :attr:`ContainerReader.extents`; only the CRC and decode layers are
-    (tolerantly) exercised here.
-    """
-    try:
-        reader.verify_stream()
-        trailer_ok = True
-    except ContainerError:
-        trailer_ok = False
-    blocks: list[BlockHealth] = []
-    for ext in reader.extents:
-        healths: dict[str, RecordHealth] = {}
-        for stream, table, apply_delta in (
-            ("index", reader.index_table, reader.use_delta),
-            ("value", reader.value_table, False),
-        ):
-            record, crc_ok = reader.record_health(ext.block_id, stream)
-            decode_ok, error = _decode_health(record, table, reader.use_huffman, apply_delta)
-            healths[stream] = RecordHealth(
-                stream, crc_ok, decode_ok, len(record.payload), error,
-            )
-        blocks.append(
-            BlockHealth(
-                ext.block_id, ext.offset, True, healths["index"], healths["value"],
-            )
-        )
-    return ScrubReport(
-        nbytes=reader.nbytes, magic_ok=True, header_ok=True, trailer_ok=trailer_ok,
-        nblocks=reader.nblocks, blocks=tuple(blocks), fatal=None,
-    )
+        error = "no usable huffman table"
+    else:
+        try:
+            decode_record(record, table, use_huffman=use_huffman, apply_delta=apply_delta)
+        except CodecError as exc:
+            error = str(exc)
+    return RecordHealth(stream, crc_ok, error is None, payload_len, error)
 
 
 def scrub_container(source: "str | PathLike | io.BufferedIOBase | bytes") -> ScrubReport:
@@ -1124,118 +982,71 @@ def scrub_container(source: "str | PathLike | io.BufferedIOBase | bytes") -> Scr
     before deciding whether ``degrade``-mode SpMV or a re-encode is the
     right response. Only an unreadable source (OSError) propagates.
 
-    Structurally-sound containers (the common case: healthy, or record
-    payload/trailer corruption) are walked through
-    :class:`ContainerReader`'s extents — one resolution of the boundaries
-    shared with every other consumer. Streams the reader rejects
-    (truncation, meta/header damage, broken chaining) fall back to the
-    tolerant legacy scan below.
+    The walk frames the stream with the same parsers as
+    :class:`ContainerReader` (:func:`_frame_header`, :func:`_frame_block`),
+    so scrub and reader agree on every block and record boundary; where
+    the reader raises, scrub records the failure and walks on, stopping
+    only where the framing itself is lost.
     """
     if isinstance(source, (str, PathLike)):
         with open(source, "rb") as fh:
             return scrub_container(fh.read())
     if not isinstance(source, bytes):
         source = source.read()
-    try:
-        with ContainerReader(source, verify="lazy") as reader:
-            return _scrub_via_reader(reader)
-    except CodecError:
-        pass
     data = memoryview(source)
-    nbytes = len(data)
-    header_fmt = "<BIIIIQ"
-    header_size = struct.calcsize(header_fmt)
-    if nbytes < len(MAGIC) + 4 + header_size:
-        return ScrubReport(
-            nbytes=nbytes, magic_ok=bytes(data[:8]) == MAGIC if nbytes >= 8 else False,
-            header_ok=False, trailer_ok=False, nblocks=0,
-            fatal="container shorter than its fixed header",
-        )
+    nbytes, end = len(data), len(data) - 4
     magic_ok = bytes(data[:8]) == MAGIC
-    (trailer,) = struct.unpack_from("<I", data, nbytes - 4)
-    trailer_ok = zlib.crc32(data[:-4]) == trailer
-    end = nbytes - 4
-    pos = 8
-    flags, block_bytes, m, n, nblocks, nnz = struct.unpack_from(header_fmt, data, pos)
-    pos += header_size
-    use_delta = bool(flags & _FLAG_DELTA)
-    tagged = bool(flags & _FLAG_TAGGED)
-    has_itab = bool(flags & _FLAG_HUFFMAN)
-    has_vtab = bool(flags & _FLAG_VTABLE) if tagged else has_itab
-    table_pos = pos
-    table_bytes = 256 * (int(has_itab) + int(has_vtab))
-    if table_bytes:
-        if pos + table_bytes + 4 > end:
-            return ScrubReport(
-                nbytes=nbytes, magic_ok=magic_ok, header_ok=False,
-                trailer_ok=trailer_ok, nblocks=nblocks,
-                fatal="truncated before huffman tables",
-            )
-        pos += table_bytes
-    if pos + 4 > end:
+    if nbytes < _TABLE_POS + 4:
         return ScrubReport(
-            nbytes=nbytes, magic_ok=magic_ok, header_ok=False,
-            trailer_ok=trailer_ok, nblocks=nblocks,
-            fatal="truncated before header CRC",
+            nbytes=nbytes, magic_ok=magic_ok, header_ok=False, trailer_ok=False,
+            nblocks=0, fatal="container shorter than its fixed header",
         )
-    (header_crc,) = struct.unpack_from("<I", data, pos)
-    header_ok = magic_ok and zlib.crc32(data[:pos]) == header_crc
-    pos += 4
-    index_table = value_table = None
-    if has_itab:
+    trailer_ok = _crc_ok(data, 0, end)
+    flags, _, m, _, nblocks, _, tables, crc_pos = _frame_header(data)
+    tagged = bool(flags & _FLAG_TAGGED)
+    if crc_pos + 4 > end:
+        return ScrubReport(
+            nbytes=nbytes, magic_ok=magic_ok, header_ok=False, trailer_ok=trailer_ok,
+            nblocks=nblocks,
+            fatal="truncated before " + ("huffman tables" if any(tables) else "header CRC"),
+        )
+    header_ok = magic_ok and _crc_ok(data, 0, crc_pos)
+    streams = []
+    for slot, stream in enumerate(_STREAM_SLOT):
         try:
-            index_table = HuffmanTable.deserialize(bytes(data[table_pos : table_pos + 256]))
+            table = _read_table(data, tables, slot)
         except CodecError:
-            pass  # reported per record as "no usable huffman table"
-    if has_vtab:
-        voff = table_pos + (256 if has_itab else 0)
-        try:
-            value_table = HuffmanTable.deserialize(bytes(data[voff : voff + 256]))
-        except CodecError:
-            pass  # reported per record as "no usable huffman table"
+            table = None  # reported per record as "no usable huffman table"
+        apply_delta = slot == 0 and bool(flags & _FLAG_DELTA)
+        streams.append((stream, table, tables[slot], apply_delta))
 
     blocks: list[BlockHealth] = []
     fatal = None
-    meta_fmt = "<IIBQ"
-    meta_size = struct.calcsize(meta_fmt)
+    pos = crc_pos + 4
     for k in range(nblocks):
-        block_offset = pos
-        if pos + meta_size > end:
+        if pos + _META.size > end:
             fatal = f"truncated at block {k} metadata (offset {pos})"
             break
-        row_start, row_end, leading, nnz_start = struct.unpack_from(meta_fmt, data, pos)
-        nrows_local = row_end - row_start
-        ptr_bytes = 4 * (nrows_local + 1)
-        if nrows_local < 1 or nrows_local > m or pos + meta_size + ptr_bytes + 4 > end:
+        row_start, row_end, _, _, crc_pos, frames = _frame_block(data, pos, tagged)
+        if not 1 <= row_end - row_start <= m or crc_pos + 4 > end:
             fatal = f"implausible row range at block {k} (offset {pos})"
             break
-        meta_end = pos + meta_size + ptr_bytes
-        (meta_crc,) = struct.unpack_from("<I", data, meta_end)
-        meta_ok = zlib.crc32(data[pos:meta_end]) == meta_crc
-        pos = meta_end + 4
-        errors: list[str] = []
-        index_health, next_pos = _scrub_record(
-            data, pos, end, "index", index_table, has_itab, use_delta, tagged
-        )
-        if next_pos is None:
-            fatal = f"unwalkable index record at block {k} (offset {pos})"
-            blocks.append(BlockHealth(k, block_offset, meta_ok, None, None,
-                                      ("index record unwalkable",)))
+        health: list[RecordHealth | None] = [None, None]
+        errors: tuple[str, ...] = ()
+        rpos = crc_pos + 4
+        for slot, (stream, *policy) in enumerate(streams):
+            frame = frames[slot] if slot < len(frames) else None
+            record_end = None if frame is None else frame[7] + frame[5]
+            if record_end is None or record_end > end:
+                fatal = f"unwalkable {stream} record at block {k} (offset {rpos})"
+                errors = (f"{stream} record unwalkable",)
+                break
+            health[slot] = _record_health(data, frame, stream, *policy)
+            rpos = record_end
+        blocks.append(BlockHealth(k, pos, _crc_ok(data, pos, crc_pos), *health, errors))
+        if fatal is not None:
             break
-        pos = next_pos
-        value_health, next_pos = _scrub_record(
-            data, pos, end, "value", value_table, has_vtab, False, tagged
-        )
-        if next_pos is None:
-            fatal = f"unwalkable value record at block {k} (offset {pos})"
-            blocks.append(BlockHealth(k, block_offset, meta_ok, index_health, None,
-                                      ("value record unwalkable",)))
-            break
-        pos = next_pos
-        blocks.append(
-            BlockHealth(k, block_offset, meta_ok, index_health, value_health,
-                        tuple(errors))
-        )
+        pos = rpos
     else:
         if pos != end:
             fatal = f"{end - pos} trailing bytes after last block"

@@ -11,12 +11,13 @@ of that structure:
   per-block retry, backoff and quarantine. Encode alone fans block work
   across a process pool of ``workers`` processes, in chunks of
   ``chunk_blocks`` blocks so pickling is amortized; ``workers=0`` encodes
-  in-process. With the ``native`` kernels the pool only pays for encode
-  (Snappy compress is pure Python): on a 2-vCPU host (python 3.11.7,
-  numpy 2.4.6), pipelined SpMV over seven 25k-nnz containers took 73 ms
-  (min of runs) decoding inline against 90 ms on a 2-process decode
-  pool, while encoding a 220k-nnz banded matrix takes 0.89 s serial and
-  0.71 s on 2 processes.
+  in-process. With the ``native`` kernels (Snappy compress in C too) the
+  pool barely pays even for encode: on a 2-vCPU host (python 3.11.7,
+  numpy 2.4.6), encoding a 220k-nnz banded matrix takes 0.17 / 0.19 s
+  (min / median) serial against 0.16 / 0.19 s on 2 processes, and
+  pipelined SpMV over seven 25k-nnz containers took 73 ms decoding
+  inline against 90 ms on a 2-process decode pool (tables in
+  ``docs/FORMATS.md``).
 * :class:`DecodedBlockCache` is a bounded LRU over decoded
   :class:`~repro.sparse.blocked.CSRBlock` payloads keyed by
   ``(matrix_id, block_id, plan_hash)``, so iterative workloads (PageRank,

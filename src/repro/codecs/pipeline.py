@@ -293,9 +293,9 @@ def decode_record(
     return data
 
 
-def stored_sizes(records: Sequence[BlockRecord]) -> list[int]:
+def stored_sizes(records: Sequence[BlockRecord]) -> Sequence[int]:
     """Each record's :attr:`~BlockRecord.stored_bytes`; the lazy records of
-    a container-backed plan answer from their extents, unread."""
+    a container-backed plan answer from the reader's columns, unread."""
     sizes = getattr(records, "stored_sizes", None)
     return sizes() if sizes is not None else [r.stored_bytes for r in records]
 

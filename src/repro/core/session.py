@@ -16,8 +16,8 @@ repeated accesses. :class:`ExecutionSession` makes that path first-class:
 * **Memoized structure** — one plan object (and one long-lived
   :class:`~repro.codecs.container.ContainerReader` for ``.dsh``-backed
   sessions) means per-block row-index vectors
-  (:meth:`~repro.sparse.blocked.CSRBlock.row_segments`) and record
-  extents are materialized once and reused.
+  (:meth:`~repro.sparse.blocked.CSRBlock.row_segments`) and the
+  reader's record columns are materialized once and reused.
 * **``out=`` buffer reuse** — the result accumulator is allocated once
   and zero-filled per call; the accumulation sequence is unchanged, so
   results are bit-identical to single-shot runs.
@@ -38,8 +38,8 @@ Fault semantics are preserved conservatively: while a
 :class:`~repro.faults.FaultPlan` is armed the warm path is disabled
 outright, so chaos runs exercise the full stream/decode/degrade
 machinery on *every* iteration with honest per-iteration traffic
-accounting. Scrub (:meth:`ContainerReader.record_health`) always
-re-checks CRCs regardless of the session memo.
+accounting. Scrub (:func:`~repro.codecs.container.scrub_container`)
+always re-checks CRCs regardless of the session memo.
 """
 
 from __future__ import annotations

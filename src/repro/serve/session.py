@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import DecodedBlockCache
+from repro.codecs.pipeline import RECORD_HEADER_BYTES
 from repro.sparse.blocked import CSRBlock
 
 #: Default shared-cache budget (decoded 12 B/nnz bytes).
@@ -141,7 +142,7 @@ class MatrixInfo:
     shape: tuple[int, int]
     block_bytes: int
     #: Compressed record bytes that actually stream per decode, summed
-    #: from the resident reader's per-block extents (0 = unknown, fall
+    #: from the resident reader's record columns (0 = unknown, fall
     #: back to the whole-file size).
     record_bytes: int = 0
     #: Exact decoded stream bytes (per-record ``orig_len`` sums; 0 =
@@ -151,15 +152,15 @@ class MatrixInfo:
     @property
     def decoded_bytes(self) -> int:
         """Decoded stream size: exact per-record sum when the reader's
-        extents have been consulted, the flat 12 B/nnz baseline otherwise."""
+        columns have been consulted, the flat 12 B/nnz baseline otherwise."""
         if self.decoded_record_bytes:
             return self.decoded_record_bytes
         return 12 * self.nnz
 
     @property
     def compressed_stream_bytes(self) -> int:
-        """Compressed bytes a full decode streams: the per-block record
-        extents when known, else the container file size (which also
+        """Compressed bytes a full decode streams: the per-record sizes
+        when known, else the container file size (which also
         counts framing/tables and so over-charges small matrices)."""
         return self.record_bytes or self.container_bytes
 
@@ -173,8 +174,8 @@ class MatrixInfo:
         Compressed stream in (``dram -> udp``) + decoded stream out
         (``udp -> cpu``) — paid once regardless of ``nrhs`` thanks to
         fused SpMM — plus the dense input/output vectors per RHS. Both
-        stream terms come from the resident reader's per-block compressed
-        extents when available (mixed plans make per-block sizes uneven,
+        stream terms come from the resident reader's per-record columns
+        when available (mixed plans make per-block sizes uneven,
         so a flat estimate drifts), falling back to the flat model.
         """
         vectors = 8 * (self.shape[0] + self.shape[1]) * max(1, nrhs)
@@ -239,13 +240,8 @@ class MatrixLibrary:
             if cached is not None:
                 return cached
         reader = self.reader(name)
-        record_bytes = sum(
-            ext.index.stored_bytes + ext.value.stored_bytes
-            for ext in reader.extents
-        )
-        decoded_record_bytes = sum(
-            ext.index.orig_len + ext.value.orig_len for ext in reader.extents
-        )
+        record_bytes = RECORD_HEADER_BYTES * len(reader.payload_len) + sum(reader.payload_len)
+        decoded_record_bytes = sum(reader.orig_len)
         info = MatrixInfo(
             name=name,
             path=reader.path,

@@ -79,6 +79,23 @@ def structural_boundaries(data: bytes) -> list[int]:
     return sorted(set(cuts))
 
 
+def block_layout(data: bytes) -> list[tuple[int, int, int]]:
+    """Per block, independently of the reader: (meta offset, value payload
+    offset, value payload length) of an untagged container."""
+    flags, _bb, _m, _n, nblocks, _nnz = struct.unpack_from("<BIIIIQ", data, len(MAGIC))
+    pos = len(MAGIC) + struct.calcsize("<BIIIIQ") + (512 if flags & 2 else 0) + 4
+    layout = []
+    for _ in range(nblocks):
+        meta = pos
+        row_start, row_end, _lead, _nnz0 = struct.unpack_from("<IIBQ", data, pos)
+        pos += struct.calcsize("<IIBQ") + 4 * (row_end - row_start + 1) + 4
+        for _ in range(2):
+            payload_len = struct.unpack_from("<IIII", data, pos)[3]
+            pos += 20 + payload_len
+        layout.append((meta, pos - payload_len, payload_len))
+    return layout
+
+
 class TestRawTruncation:
     def test_every_prefix_raises_codec_error(self, packed):
         # Raw truncation breaks the stream trailer, so every single cut —
@@ -156,3 +173,32 @@ class TestScrubNeverRaises:
         # one flipped byte in a payload shows up as exactly one sick block
         if report.fatal is None and len(report.blocks) == plan.nblocks:
             assert report.blocks_bad >= 1
+
+    def test_meta_flip_reports_only_that_block(self, packed):
+        plan, data = packed
+        layout = block_layout(data)
+        k = len(layout) // 2
+        bad = bytearray(data[:-4])
+        bad[layout[k][0] + 9] ^= 0x01  # a byte of block k's nnz_start
+        forged = bytes(bad) + struct.pack("<I", zlib.crc32(bad))
+        report = scrub_container(forged)
+        assert report.fatal is None and report.trailer_ok
+        assert len(report.blocks) == plan.nblocks
+        assert report.blocks[k].meta_ok is False
+        assert report.blocks[k].index.ok and report.blocks[k].value.ok
+        assert all(b.ok for i, b in enumerate(report.blocks) if i != k)
+        assert not report.healthy
+
+    def test_cut_inside_value_payload_keeps_earlier_blocks(self, packed):
+        _, data = packed
+        layout = block_layout(data)
+        k = len(layout) // 2
+        _, value_payload, value_len = layout[k]
+        assert value_len >= 2
+        cut = value_payload + value_len // 2
+        forged = data[:cut] + struct.pack("<I", zlib.crc32(data[:cut]))
+        report = scrub_container(forged)
+        assert report.fatal is not None
+        assert not report.healthy
+        assert len(report.blocks) >= k
+        assert all(b.ok for b in report.blocks[:k])

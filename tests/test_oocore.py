@@ -13,6 +13,7 @@ same corruption, just at access time instead of load time.
 import hashlib
 import io
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,12 +117,13 @@ class TestReaderParity:
         """Record extents are ascending, non-overlapping, and the last
         payload ends exactly at the stream trailer."""
         with ContainerReader(container, verify="lazy") as reader:
+            ends = [p + n for p, n in zip(reader.payload_offset, reader.payload_len)]
             pos = None
-            for ext in reader.extents:
-                assert ext.index.end <= ext.value.offset
+            for k in range(reader.nblocks):
+                assert ends[2 * k] <= reader.record_offset[2 * k + 1]
                 if pos is not None:
-                    assert ext.offset >= pos
-                pos = ext.value.end
+                    assert reader.block_offset[k] >= pos
+                pos = ends[2 * k + 1]
             assert pos == reader.nbytes - 4
 
     def test_residency_budget_validated(self, container):
@@ -160,18 +162,23 @@ class TestCorruptionParity:
 
     @pytest.fixture(scope="class")
     def victim(self, pristine):
-        """A middle block with a non-empty index payload to corrupt."""
+        """A middle block with a non-empty index payload to corrupt: its id
+        and, from the reader's columns, its meta offset and the payload
+        offsets of its index and value records."""
         with ContainerReader(pristine, verify="lazy") as reader:
-            for ext in reader.extents[1:]:
-                if ext.index.payload_len >= 2:
-                    return ext
+            for k in range(1, reader.nblocks):
+                if reader.payload_len[2 * k] >= 2:
+                    return SimpleNamespace(
+                        block_id=k,
+                        offset=reader.block_offset[k],
+                        payload_offset=reader.payload_offset[2 * k : 2 * k + 2],
+                    )
         pytest.skip("no block with a corruptible payload")
 
     @pytest.mark.parametrize("stream", ["index", "value"])
     def test_payload_flip_identical_errors(self, pristine, victim, stream):
-        rext = victim.index if stream == "index" else victim.value
         data = bytearray(pristine)
-        data[rext.payload_offset] ^= 0x40
+        data[victim.payload_offset[stream == "value"]] ^= 0x40
         data = _forge_trailer(data)
 
         eager_err = _load_eager_error(data)
@@ -217,7 +224,7 @@ class TestCorruptionParity:
         assert str(lazy_exc.value) == str(eager_err)
 
     def test_truncation_refused_by_both_modes(self, pristine, victim):
-        cut = victim.value.payload_offset + 1
+        cut = victim.payload_offset[1] + 1
         data = bytes(pristine[:cut])
         with pytest.raises(ContainerError):
             load_plan(data)
@@ -235,7 +242,7 @@ class TestCorruptionParity:
         decode failure: there is no pristine copy to degrade to, so it
         must not be swallowed by the policy machinery.)"""
         data = bytearray(pristine)
-        data[victim.index.payload_offset] ^= 0x40
+        data[victim.payload_offset[0]] ^= 0x40
         data = _forge_trailer(data)
         eager_err = _load_eager_error(data)
 
@@ -262,23 +269,27 @@ class TestScrubReaderAgreement:
         with open(container, "rb") as fh:
             pristine = fh.read()
         with ContainerReader(pristine, verify="lazy") as reader:
-            extents = reader.extents
-        sick = {1, len(extents) // 2, len(extents) - 1}
+            nblocks = reader.nblocks
+            block_offset = reader.block_offset
+            payload_offset = reader.payload_offset
+            payload_len = reader.payload_len
+        sick = {1, nblocks // 2, nblocks - 1}
         data = bytearray(pristine)
         for k in sick:
-            data[extents[k].index.payload_offset] ^= 0x20
+            data[payload_offset[2 * k]] ^= 0x20
         data = _forge_trailer(data)
 
         report = scrub_container(bytes(data))
-        assert report.nblocks == len(extents)
-        for health, ext in zip(report.blocks, extents):
-            # Every block/record boundary in the report comes from the
-            # same extent resolution the reader exposes.
-            assert health.block_id == ext.block_id
-            assert health.offset == ext.offset
-            assert health.index.payload_bytes == ext.index.payload_len
-            assert health.value.payload_bytes == ext.value.payload_len
-            assert health.index.crc_ok == (ext.block_id not in sick)
+        assert report.nblocks == nblocks
+        assert len(report.blocks) == nblocks
+        for k, health in enumerate(report.blocks):
+            # Every block/record boundary in the report matches the
+            # columns the reader exposes.
+            assert health.block_id == k
+            assert health.offset == block_offset[k]
+            assert health.index.payload_bytes == payload_len[2 * k]
+            assert health.value.payload_bytes == payload_len[2 * k + 1]
+            assert health.index.crc_ok == (k not in sick)
             assert health.value.crc_ok
 
     def test_pristine_corpus_all_ok(self, container):

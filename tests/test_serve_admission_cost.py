@@ -97,8 +97,12 @@ def test_extent_costing_beats_flat_model(root):
     a flat container_bytes model over-charges by tables + block framing."""
     with MatrixLibrary(root) as lib:
         info = lib.info("mixed")
+        plan = load_plan(lib.reader("mixed").path)
     assert 0 < info.record_bytes < info.container_bytes
     assert info.compressed_stream_bytes == info.record_bytes
+    records = plan.index_records + plan.value_records
+    assert info.record_bytes == sum(r.stored_bytes for r in records)
+    assert info.decoded_record_bytes == sum(r.orig_len for r in records)
 
 
 def test_unknown_extents_fall_back_to_flat_model():
