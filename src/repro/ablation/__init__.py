@@ -2,9 +2,9 @@
 
 Enumerates baseline-plus-one-off configurations over every runtime
 switch the codebase exposes (decoded-block cache, kernel backend,
-pipelined executor, degrade policy, SpMM fusion, adaptive block codecs,
-session reuse), measures the headline SpMV/SpMM workload per configuration
-with cold/warm phases, and emits a ranked component-importance report
+pipelined executor, degrade policy, SpMM fusion, session reuse),
+measures the headline SpMV/SpMM workload per configuration with
+cold/warm phases, and emits a ranked component-importance report
 (``BENCH_ablation.json``) that flags any component whose removal
 *helps*. The same run doubles as a cross-configuration conformance
 oracle: every configuration must produce bit-identical results and the

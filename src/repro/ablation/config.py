@@ -17,7 +17,6 @@ axis                baseline                 ablated
 ``executor``        ``pipelined`` handle     ``serial`` per-block calls
 ``policy``          ``degrade`` substitute   ``strict`` fail-fast
 ``spmm_fusion``     fused multi-RHS SpMM     k independent SpMVs
-``block_codec``     adaptive per-block tags  fixed DSH pipeline
 ``session``         warm session reuse       cold state per call
 ==================  =======================  =====================
 
@@ -89,13 +88,6 @@ AXES: tuple[Axis, ...] = (
         "k right-hand sides run as k independent SpMVs (k decodes)",
     ),
     Axis(
-        "block_codec",
-        "adaptive per-block codec selection",
-        "adaptive",
-        "fixed-dsh",
-        "every block reverts to the fixed delta+snappy+huffman DSH pipeline",
-    ),
-    Axis(
         "session",
         "execution-session reuse",
         True,
@@ -130,7 +122,6 @@ class AblationConfig:
     executor: str
     policy: str
     spmm_fusion: bool
-    block_codec: str
     session: bool
 
     @property
@@ -145,7 +136,6 @@ class AblationConfig:
             "executor": self.executor,
             "policy": self.policy,
             "spmm_fusion": self.spmm_fusion,
-            "block_codec": self.block_codec,
             "session": self.session,
         }
 
@@ -272,12 +262,6 @@ CONFIG_DEPENDENT_METRIC_PREFIXES: tuple[str, ...] = (
     "spmm.",
     "codecs.cache.",
     "kernels.",
-    # The block_codec axis changes which stages actually run: tagged
-    # records emit codec.mix.*, and an adaptive plan may legitimately
-    # drop the huffman (or even delta) stage on streams where it loses.
-    "codec.mix.",
-    "codecs.huffman.",
-    "codecs.delta.",
     # Session warm-path metrics track whether steady-state reuse actually
     # happened: warm_calls/blocks_reused/out_buffer_reuses only exist
     # when both the session axis and a cache are on.
@@ -303,7 +287,6 @@ def expected_metric_markers(config: AblationConfig) -> dict[str, bool]:
         "spmv.pipeline.runs": config.executor == "pipelined",
         "spmm.iterations": config.spmm_fusion,
         "codecs.cache.hits": config.cache,
-        "codec.mix.decode_records": config.block_codec == "adaptive",
         # Every run routes through a session; warm calls only happen when
         # both session reuse and the decoded-block cache are on.
         "session.calls": True,

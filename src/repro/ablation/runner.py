@@ -51,7 +51,6 @@ from repro.ablation.config import (
     core_metric_names,
     expected_metric_markers,
 )
-from repro.codecs.autotune import StageProfile, compress_adaptive
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine
 from repro.codecs.pipeline import MatrixCompression, compress_matrix
 from repro.collection import generators
@@ -226,42 +225,25 @@ class AblationRunner:
 
     def __init__(self, settings: RunnerSettings | None = None):
         self.settings = settings or RunnerSettings.default()
-        self._matrices: dict[str, CSRMatrix] = {}
-        self._plans: dict[tuple[str, str], MatrixCompression] = {}
+        self._plans: dict[str, MatrixCompression] = {}
         self._vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- fixtures shared across configs --------------------------------------
 
-    def _fixture(self, case: MatrixCase, block_codec: str = "adaptive"):
+    def _fixture(self, case: MatrixCase):
         s = self.settings
-        key = (case.name, block_codec)
-        if key not in self._plans:
-            m = self._matrices.get(case.name)
-            if m is None:
-                m = case.build(s.seed)
-                rng = np.random.default_rng(derive_seed(s.seed, case.name, "x"))
-                x = rng.standard_normal(m.ncols)
-                X = rng.standard_normal((m.ncols, s.nrhs))
-                self._matrices[case.name] = m
-                self._vectors[case.name] = (x, X)
+        if case.name not in self._plans:
+            m = case.build(s.seed)
+            rng = np.random.default_rng(derive_seed(s.seed, case.name, "x"))
+            x = rng.standard_normal(m.ncols)
+            X = rng.standard_normal((m.ncols, s.nrhs))
+            self._vectors[case.name] = (x, X)
             # Plans are byte-identical across kernel backends by contract
-            # (gated in bench_fig12), so one encode per codec policy
-            # serves every config. The adaptive plan uses the default
-            # stage profile, not live telemetry: sweeps must re-measure
-            # the exact same plan or the cross-sweep checksums lie.
-            if block_codec == "adaptive":
-                plan, _ = compress_adaptive(
-                    m,
-                    block_bytes=s.block_bytes,
-                    seed=s.seed,
-                    profile=StageProfile.default(),
-                )
-            elif block_codec == "fixed-dsh":
-                plan = compress_matrix(m, block_bytes=s.block_bytes, seed=s.seed)
-            else:
-                raise ValueError(f"unknown block_codec {block_codec!r}")
-            self._plans[key] = plan
-        return self._plans[key], self._vectors[case.name]
+            # (gated in bench_fig12), so one encode serves every config.
+            self._plans[case.name] = compress_matrix(
+                m, block_bytes=s.block_bytes, seed=s.seed
+            )
+        return self._plans[case.name], self._vectors[case.name]
 
     # -- one configuration ----------------------------------------------------
 
@@ -279,7 +261,7 @@ class AblationRunner:
             engine = self._build_engine(config)
             try:
                 for case in s.cases:
-                    plan, (x, X) = self._fixture(case, config.block_codec)
+                    plan, (x, X) = self._fixture(case)
                     self._run_case(config, engine, case.name, plan, x, X, result)
             finally:
                 engine.close()
@@ -405,8 +387,7 @@ class AblationRunner:
         # opens: encode-side metrics must not leak into the first
         # config's name set (they'd fail the cross-config comparison).
         for case in self.settings.cases:
-            for block_codec in sorted({c.block_codec for c in configs}):
-                self._fixture(case, block_codec)
+            self._fixture(case)
         mismatches: list[str] = []
         merged: list[ConfigResult] = []
         for pass_i in range(max(1, self.settings.passes)):

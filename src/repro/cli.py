@@ -11,8 +11,6 @@ Usage::
                                    [--trace-out PATH] [--policy strict|degrade]
                                    [--fault-plan SPEC] [--pipeline]
                                    [--mmap] [--nrhs K]
-    python -m repro autotune MATRIX [--block-bytes N] [--seed S]
-                            [--calibrate | --default-profile] [--json]
     python -m repro scrub  CONTAINER [--json] [--verbose]
     python -m repro serve  --root DIR [--host H] [--port N]
                             [--pipeline] [--tenant-rate R] [--max-fuse K]
@@ -147,6 +145,16 @@ def cmd_compress(args) -> int:
     return 0
 
 
+#: Metrics ``repro spmv`` reports per command from the global registry.
+_RUN_COUNTERS = (
+    "spmv.pipeline.multiply_idle_seconds",
+    "spmv.pipeline.decode_idle_seconds",
+    "faults.blocks_quarantined",
+    "faults.retries",
+    "spmv.degraded_blocks",
+)
+
+
 def cmd_spmv(args) -> int:
     if args.trace_out:
         obs.enable_tracing()
@@ -196,6 +204,8 @@ def cmd_spmv(args) -> int:
         engine = RecodeEngine(cache=DecodedBlockCache())
         x = (np.ones(m.ncols) if args.nrhs == 1
              else np.ones((m.ncols, args.nrhs)))
+        reg = obs.registry()
+        start = {name: reg.value(name) for name in _RUN_COUNTERS}
         ctx = fault_plan.activate() if fault_plan else contextlib.nullcontext()
         with contextlib.ExitStack() as stack:
             stack.enter_context(ctx)
@@ -234,16 +244,17 @@ def cmd_spmv(args) -> int:
             print(f"out-of-core ({stats.mode}): "
                   f"mapped={fmt_bytes(oc['mapped_bytes'])} "
                   f"pages_touched={oc['pages_touched']}")
+        # The registry is process-global (--metrics-out reads it whole);
+        # these lines report this command's share of it.
+        ran = {name: reg.value(name) - before for name, before in start.items()}
         if args.pipeline:
-            reg = obs.registry()
             print(f"pipeline: "
-                  f"multiply_idle={reg.value('spmv.pipeline.multiply_idle_seconds'):.3f}s "
-                  f"decode_idle={reg.value('spmv.pipeline.decode_idle_seconds'):.3f}s")
+                  f"multiply_idle={ran['spmv.pipeline.multiply_idle_seconds']:.3f}s "
+                  f"decode_idle={ran['spmv.pipeline.decode_idle_seconds']:.3f}s")
         if fault_plan is not None:
-            reg = obs.registry()
-            print(f"chaos: quarantined={reg.value('faults.blocks_quarantined'):.0f} "
-                  f"retries={reg.value('faults.retries'):.0f} "
-                  f"degraded_blocks={reg.value('spmv.degraded_blocks'):.0f}")
+            print(f"chaos: quarantined={ran['faults.blocks_quarantined']:.0f} "
+                  f"retries={ran['faults.retries']:.0f} "
+                  f"degraded_blocks={ran['spmv.degraded_blocks']:.0f}")
     if args.metrics_out:
         obs.write_metrics(args.metrics_out)
         print(f"wrote {args.metrics_out}")
@@ -277,50 +288,6 @@ def cmd_unpack(args) -> int:
     m = load_csr(args.container)
     write_matrix_market(m, args.output, comment=f"unpacked from {args.container}")
     print(f"unpacked {m.nrows}x{m.ncols}, nnz={m.nnz} -> {args.output}")
-    return 0
-
-
-def cmd_autotune(args) -> int:
-    """Inspect the per-block adaptive codec policy without running SpMV."""
-    import json
-
-    from repro.codecs.autotune import (
-        StageProfile,
-        calibrate_profile,
-        compress_adaptive,
-    )
-
-    m = load_matrix(args.matrix)
-    if args.calibrate:
-        profile = calibrate_profile(seed=args.seed)
-    elif args.default_profile:
-        profile = StageProfile.default()
-    else:
-        profile = None  # seeded from live telemetry, default fallback
-    plan, report = compress_adaptive(
-        m, block_bytes=args.block_bytes, seed=args.seed, profile=profile
-    )
-    if not plan.verify():
-        print("error: adaptive plan failed verification", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-        return 0
-    prof = report.profile
-    print(f"{args.matrix}: {m.nrows}x{m.ncols}, nnz={m.nnz}, "
-          f"{report.nblocks} blocks @ {args.block_bytes} B")
-    print(f"profile[{prof.source}]: delta={prof.delta_mb_per_s:.1f} "
-          f"snappy={prof.snappy_mb_per_s:.1f} huffman={prof.huffman_mb_per_s:.1f} "
-          f"link={prof.link_mb_per_s:.1f} MB/s")
-    for stream in ("index", "value"):
-        hist = report.stage_histogram(stream)
-        kept = getattr(report, f"{stream}_table_kept")
-        combos = ", ".join(f"{name}={count}" for name, count in hist.items())
-        print(f"  {stream}: {combos} (huffman table {'kept' if kept else 'dropped'})")
-    print(f"bytes/nnz: adaptive={report.bytes_per_nnz:.3f} "
-          f"fixed-dsh={report.dsh_bytes_per_nnz:.3f} "
-          f"(win {report.bytes_win_over_dsh:.4f}x)")
-    print(f"est decode speedup vs fixed dsh: {report.est_decode_speedup:.3f}x")
     return 0
 
 
@@ -724,24 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "decoding each block once for all K columns")
     _add_kernel_backend_arg(p)
     p.set_defaults(fn=cmd_spmv)
-
-    p = sub.add_parser(
-        "autotune",
-        help="report the adaptive per-block codec selection for a matrix",
-    )
-    p.add_argument("matrix")
-    p.add_argument("--block-bytes", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--calibrate", action="store_true",
-                   help="measure a live stage profile first (publishes "
-                        "autotune.profile.* gauges) instead of reading telemetry")
-    p.add_argument("--default-profile", action="store_true",
-                   help="force the deterministic default profile "
-                        "(ignore telemetry)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the AdaptiveReport as JSON on stdout")
-    _add_kernel_backend_arg(p)
-    p.set_defaults(fn=cmd_autotune)
 
     p = sub.add_parser("scrub", help="walk a .dsh container and report per-block health")
     p.add_argument("container")

@@ -1,60 +1,19 @@
-"""Per-matrix and per-block encoding selection.
+"""Per-matrix encoding selection.
 
 The related-work section notes that auto-tuners "pick the best [format]
 for execution" per matrix; on the CPU-UDP architecture this is nearly free,
 because switching format only swaps the UDP program. :func:`autotune` tries
 a candidate set of whole-matrix encodings and returns the smallest plan —
 the knob a deployment would actually turn.
-
-:func:`compress_adaptive` goes further: compression-format choice is
-strongly structure-dependent (Copernicus), so each block's index and value
-stream independently carries the stage combination (delta × snappy ×
-huffman) that minimizes a data-movement cost — measured encode size plus
-the estimated decode time converted to equivalent link traffic through a
-:class:`StageProfile` of per-stage decode throughputs. The profile is
-seeded from live ``repro.obs`` telemetry when a calibration has published
-one (falling back to deterministic defaults) and is persisted in the
-:class:`AdaptiveReport` alongside the plan, so a selection can always be
-reproduced from its artifact. Every chosen combination is recorded as a
-per-record codec tag (:data:`~repro.codecs.pipeline.STAGE_DELTA` etc.), so
-decode stays fully self-describing.
-
-Selection is conservative by construction. Within the regime that keeps a
-stream side's Huffman table, a candidate is only eligible when its stored
-size does not exceed the fixed DSH encoding of the same stream (DSH itself
-is always a candidate). A side may instead drop its Huffman stage — and
-with it the side's 256-byte table — when the whole-matrix byte total still
-does not exceed fixed DSH's: on matrices too small (or too snappy-friendly)
-to amortize a table, that is *both* smaller and much faster, which is
-exactly the region where the fixed pipeline is dominated. Either way an
-adaptive plan's bytes/nnz is **never worse** than fixed DSH, and the cost
-model can only trade within that envelope for cheaper decodes.
 """
 
 from __future__ import annotations
 
-import time
-import zlib
 from dataclasses import dataclass
 
-from repro import obs
-from repro.codecs.delta import DeltaCodec
-from repro.codecs.huffman import HuffmanTable
-from repro.codecs.pipeline import (
-    STAGE_DELTA,
-    STAGE_HUFFMAN,
-    STAGE_SNAPPY,
-    TAG_MASK,
-    BlockRecord,
-    MatrixCompression,
-    _record_plan_metrics,
-    compress_matrix,
-    sampled_tables,
-)
-from repro.codecs.snappy import snappy_compress
-from repro.sparse.blocked import CPU_BLOCK_BYTES, UDP_BLOCK_BYTES, partition_csr
+from repro.codecs.pipeline import MatrixCompression, compress_matrix
+from repro.sparse.blocked import CPU_BLOCK_BYTES, UDP_BLOCK_BYTES
 from repro.sparse.csr import CSRMatrix
-from repro.util.rng import derive_seed, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -125,576 +84,3 @@ def autotune(
         best_name=best_name, best_plan=plans[best_name], bytes_per_nnz=sizes
     )
 
-
-# ---------------------------------------------------------------------------
-# Per-block adaptive selection (mixed plans)
-# ---------------------------------------------------------------------------
-
-#: Tag the fixed pipeline assigns an index stream (delta→snappy→huffman).
-DSH_INDEX_TAG = STAGE_DELTA | STAGE_SNAPPY | STAGE_HUFFMAN
-#: Tag the fixed pipeline assigns a value stream (snappy→huffman).
-DSH_VALUE_TAG = STAGE_SNAPPY | STAGE_HUFFMAN
-
-#: Candidate stage combinations per stream, in deterministic tie-break
-#: order (fewer stages first). Delta is an index-stream transform only —
-#: it reinterprets the bytes as ``<i4`` — so value candidates exclude it.
-INDEX_TAG_CANDIDATES: tuple[int, ...] = (
-    0,
-    STAGE_DELTA,
-    STAGE_SNAPPY,
-    STAGE_HUFFMAN,
-    STAGE_DELTA | STAGE_SNAPPY,
-    STAGE_DELTA | STAGE_HUFFMAN,
-    STAGE_SNAPPY | STAGE_HUFFMAN,
-    DSH_INDEX_TAG,
-)
-VALUE_TAG_CANDIDATES: tuple[int, ...] = (
-    0,
-    STAGE_SNAPPY,
-    STAGE_HUFFMAN,
-    DSH_VALUE_TAG,
-)
-
-_STAGE_NAMES = ((STAGE_DELTA, "delta"), (STAGE_SNAPPY, "snappy"), (STAGE_HUFFMAN, "huffman"))
-
-
-def combo_name(tag: int) -> str:
-    """Human name of a stage combination (``0`` → ``"raw"``)."""
-    if not 0 <= tag <= TAG_MASK:
-        raise ValueError(f"codec tag out of range: {tag}")
-    parts = [name for bit, name in _STAGE_NAMES if tag & bit]
-    return "-".join(parts) if parts else "raw"
-
-
-@dataclass(frozen=True)
-class StageProfile:
-    """Calibrated per-stage decode throughputs driving the cost model.
-
-    Decode time for a candidate is estimated stage by stage (bytes each
-    stage must produce over its throughput) and converted into *equivalent
-    link traffic* via ``link_mb_per_s`` — the bandwidth the memory system
-    could have spent moving bytes while the host was busy decoding. The
-    resulting cost is in bytes on both axes, which is what a data-movement
-    limited system actually optimizes.
-    """
-
-    delta_mb_per_s: float
-    snappy_mb_per_s: float
-    huffman_mb_per_s: float
-    #: Equivalent link bandwidth used to price decode seconds in bytes.
-    link_mb_per_s: float
-    #: ``default`` | ``telemetry`` | ``calibrated`` — provenance, persisted
-    #: with every report so a selection is reproducible from its artifact.
-    source: str = "default"
-
-    #: Registry gauges a calibration publishes and ``from_registry`` reads.
-    GAUGES = {
-        "delta_mb_per_s": "autotune.profile.delta_mb_per_s",
-        "snappy_mb_per_s": "autotune.profile.snappy_mb_per_s",
-        "huffman_mb_per_s": "autotune.profile.huffman_mb_per_s",
-        "link_mb_per_s": "autotune.profile.link_mb_per_s",
-    }
-
-    @classmethod
-    def default(cls) -> "StageProfile":
-        """Deterministic baseline ratios for this functional model.
-
-        Absolute numbers matter less than ratios: delta is a vectorized
-        cumsum (fast), snappy a token copy loop, huffman a bit-serial
-        table walk (slowest by an order of magnitude even on the numpy
-        backend).
-        """
-        return cls(
-            delta_mb_per_s=600.0,
-            snappy_mb_per_s=4.0,
-            huffman_mb_per_s=6.0,
-            link_mb_per_s=40.0,
-            source="default",
-        )
-
-    @classmethod
-    def from_registry(cls, reg: "obs.MetricsRegistry | None" = None) -> "StageProfile":
-        """Seed a profile from live telemetry, field by field.
-
-        Reads the ``autotune.profile.*`` gauges a previous
-        :func:`calibrate_profile` run published into the active metrics
-        registry; any gauge that has not been published falls back to the
-        :meth:`default` value, so a cold registry yields the deterministic
-        default profile.
-        """
-        reg = reg if reg is not None else obs.registry()
-        base = cls.default()
-        fields = {}
-        seeded = False
-        for field, gauge in cls.GAUGES.items():
-            value = reg.gauge(gauge).value
-            if value and value > 0:
-                fields[field] = float(value)
-                seeded = True
-            else:
-                fields[field] = getattr(base, field)
-        return cls(source="telemetry" if seeded else "default", **fields)
-
-    def as_dict(self) -> dict:
-        return {
-            "delta_mb_per_s": self.delta_mb_per_s,
-            "snappy_mb_per_s": self.snappy_mb_per_s,
-            "huffman_mb_per_s": self.huffman_mb_per_s,
-            "link_mb_per_s": self.link_mb_per_s,
-            "source": self.source,
-        }
-
-    def est_decode_seconds(self, record: BlockRecord) -> float:
-        """Estimated wall time to decode one tagged record.
-
-        Huffman walks its whole intermediate stream bit-serially, so it is
-        priced on ``snappy_len``. Snappy decode is priced on the bytes it
-        *reconstructs from copy tokens* (``orig_len - snappy_len``):
-        incompressible streams come back as a few large literal runs at
-        near-memcpy speed, so skipping snappy there buys almost nothing —
-        the token loop only gets expensive on streams it actually shrank.
-        """
-        tag = record.tag if record.tag is not None else (
-            DSH_INDEX_TAG  # untagged records behave like the full pipeline
-        )
-        seconds = 0.0
-        if tag & STAGE_HUFFMAN:
-            seconds += record.snappy_len / (self.huffman_mb_per_s * 1e6)
-        if tag & STAGE_SNAPPY:
-            copied = max(record.orig_len - record.snappy_len, 0)
-            seconds += copied / (self.snappy_mb_per_s * 1e6)
-        if tag & STAGE_DELTA:
-            seconds += record.orig_len / (self.delta_mb_per_s * 1e6)
-        return seconds
-
-    def cost_bytes(self, record: BlockRecord) -> float:
-        """Stored bytes plus decode time priced as equivalent traffic."""
-        return record.stored_bytes + self.est_decode_seconds(record) * (
-            self.link_mb_per_s * 1e6
-        )
-
-
-def calibrate_profile(
-    seed: int = 0, sample_bytes: int = 1 << 15, publish: bool = True
-) -> StageProfile:
-    """Measure per-stage decode throughput on synthetic streams.
-
-    Times each stage of the pipeline over a deterministic sample and
-    (optionally) publishes the result as ``autotune.profile.*`` gauges so
-    subsequent :meth:`StageProfile.from_registry` calls — and therefore
-    :func:`compress_adaptive` — are seeded from live telemetry. The
-    *measurement* is wall-clock and host-dependent; reproducibility comes
-    from persisting the resulting profile with every selection.
-    """
-    rng = seeded_rng(derive_seed(seed, "stage-calibration"))
-    # Index-like content: small sorted deltas, compressible.
-    idx = rng.integers(0, 48, size=sample_bytes // 4, dtype="<i4").cumsum()
-    raw = idx.astype("<i4").tobytes()
-    delta_codec = DeltaCodec()
-    deltaed = delta_codec.encode(raw)
-    snapped = snappy_compress(deltaed)
-    table = HuffmanTable.from_samples([snapped])
-    payload, bit_len = table.encode_bits(snapped)
-
-    def _rate(bytes_out: int, fn) -> float:
-        start = time.perf_counter()
-        fn()
-        elapsed = max(time.perf_counter() - start, 1e-9)
-        return bytes_out / elapsed / 1e6
-
-    from repro.codecs.snappy import snappy_decompress
-
-    delta_rate = _rate(len(raw), lambda: delta_codec.decode(deltaed))
-    # Snappy throughput over copy-reconstructed bytes, matching how
-    # StageProfile.est_decode_seconds prices the stage.
-    snappy_rate = _rate(
-        max(len(deltaed) - len(snapped), 1), lambda: snappy_decompress(snapped)
-    )
-    huffman_rate = _rate(len(snapped), lambda: table.decode_bits(payload, len(snapped)))
-    base = StageProfile.default()
-    profile = StageProfile(
-        delta_mb_per_s=delta_rate,
-        snappy_mb_per_s=snappy_rate,
-        huffman_mb_per_s=huffman_rate,
-        link_mb_per_s=base.link_mb_per_s,
-        source="calibrated",
-    )
-    if publish:
-        reg = obs.registry()
-        for field, gauge in StageProfile.GAUGES.items():
-            reg.gauge(gauge).set(getattr(profile, field))
-    return profile
-
-
-def encode_stream_record(
-    raw: bytes, tag: int, table: HuffmanTable | None
-) -> BlockRecord:
-    """Encode one raw stream under an explicit stage combination.
-
-    ``raw`` is the pre-delta stream (block ``index_bytes()`` or
-    ``value_bytes()``); the returned record carries ``tag`` so
-    :func:`~repro.codecs.pipeline.decode_record` can invert exactly these
-    stages. The helper mixed-plan tests build arbitrary assignments with.
-
-    Raises:
-        ValueError: tag out of range, or a huffman tag without a table.
-    """
-    if not 0 <= tag <= TAG_MASK:
-        raise ValueError(f"codec tag out of range: {tag}")
-    orig_len = len(raw)
-    data = raw
-    if tag & STAGE_DELTA:
-        data = DeltaCodec().encode(data)
-    if tag & STAGE_SNAPPY:
-        data = snappy_compress(data)
-    snappy_len = len(data)
-    bit_len = 0
-    if tag & STAGE_HUFFMAN:
-        if table is None:
-            raise ValueError("huffman tag requires a table")
-        data, bit_len = table.encode_bits(data)
-    return BlockRecord(
-        orig_len=orig_len,
-        snappy_len=snappy_len,
-        bit_len=bit_len,
-        payload=data,
-        payload_crc=zlib.crc32(data),
-        tag=tag,
-    )
-
-
-#: Serialized size of one Huffman table in a container (256 length bytes).
-TABLE_BYTES = 256
-
-
-def _encode_candidates(
-    raw: bytes, candidates: tuple[int, ...], table: HuffmanTable | None
-) -> dict[int, BlockRecord]:
-    """Encode one stream under every expressible candidate (measured
-    sizes, not estimates). Huffman combinations are skipped when the side
-    has no table to encode against."""
-    encoded = {
-        tag: encode_stream_record(raw, tag, table)
-        for tag in candidates
-        if table is not None or not tag & STAGE_HUFFMAN
-    }
-    obs.registry().counter("autotune.candidates").inc(len(encoded))
-    return encoded
-
-
-@dataclass(frozen=True)
-class _SideSelection:
-    """One stream side under one table regime."""
-
-    records: tuple[BlockRecord, ...]
-    #: Records plus the side's table, when any record still huffmans.
-    stored_bytes: int
-    cost: float
-
-    @property
-    def keeps_table(self) -> bool:
-        return any(r.tag & STAGE_HUFFMAN for r in self.records)
-
-
-def _pick_tabled(
-    encoded: dict[int, BlockRecord],
-    candidates: tuple[int, ...],
-    base_tag: int,
-    profile: StageProfile,
-) -> BlockRecord:
-    """Cheapest combination no larger than the fixed encoding (which is
-    always a candidate). Ties break on fewer stages, then candidate
-    order — fully deterministic."""
-    budget = encoded[base_tag].stored_bytes
-    best: BlockRecord | None = None
-    best_key: tuple | None = None
-    for order, tag in enumerate(candidates):
-        record = encoded.get(tag)
-        if record is None or record.stored_bytes > budget:
-            continue
-        key = (profile.cost_bytes(record), bin(tag).count("1"), order)
-        if best_key is None or key < best_key:
-            best, best_key = record, key
-    assert best is not None  # the fixed candidate always fits its own budget
-    return best
-
-
-def _pick_plain(
-    encoded: dict[int, BlockRecord],
-    candidates: tuple[int, ...],
-    profile: StageProfile,
-) -> BlockRecord:
-    """Smallest huffman-free combination (ties: cheaper decode, fewer
-    stages, candidate order). Used by the table-dropping regime, where
-    the byte case is made at the side level — records may individually
-    exceed their fixed encoding as long as the dropped table pays for it."""
-    best: BlockRecord | None = None
-    best_key: tuple | None = None
-    for order, tag in enumerate(candidates):
-        if tag & STAGE_HUFFMAN:
-            continue
-        record = encoded[tag]
-        key = (record.stored_bytes, profile.cost_bytes(record), bin(tag).count("1"), order)
-        if best_key is None or key < best_key:
-            best, best_key = record, key
-    assert best is not None  # tag 0 (raw) is always expressible
-    return best
-
-
-def _select_side(
-    raws: "list[bytes]",
-    candidates: tuple[int, ...],
-    dsh_tag: int,
-    table: HuffmanTable | None,
-    profile: StageProfile,
-) -> tuple[tuple[BlockRecord, ...], int, _SideSelection, _SideSelection]:
-    """Evaluate one stream side under both table regimes.
-
-    Returns ``(dsh_records, dsh_stored, tabled, plain)``: the fixed DSH
-    encoding of the side (baseline, including its table), the selection
-    that keeps the side's Huffman table (per-record never-larger than
-    fixed), and the selection that drops it (smallest huffman-free
-    encodings; the 256-byte table plus every record's huffman stage are
-    saved, typically the win on matrices too small to amortize a table).
-    """
-    encoded = [_encode_candidates(raw, candidates, table) for raw in raws]
-    base_tag = dsh_tag if table is not None else dsh_tag & ~STAGE_HUFFMAN
-    dsh_records = tuple(enc[base_tag] for enc in encoded)
-    table_cost = TABLE_BYTES if table is not None else 0
-    dsh_stored = sum(r.stored_bytes for r in dsh_records) + table_cost
-
-    tabled_records = tuple(
-        _pick_tabled(enc, candidates, base_tag, profile) for enc in encoded
-    )
-    tabled_cost = TABLE_BYTES if any(
-        r.tag & STAGE_HUFFMAN for r in tabled_records
-    ) else 0
-    tabled = _SideSelection(
-        records=tabled_records,
-        stored_bytes=sum(r.stored_bytes for r in tabled_records) + tabled_cost,
-        cost=sum(profile.cost_bytes(r) for r in tabled_records) + tabled_cost,
-    )
-    plain_records = tuple(
-        _pick_plain(enc, candidates, profile) for enc in encoded
-    )
-    plain = _SideSelection(
-        records=plain_records,
-        stored_bytes=sum(r.stored_bytes for r in plain_records),
-        cost=sum(profile.cost_bytes(r) for r in plain_records),
-    )
-    return dsh_records, dsh_stored, tabled, plain
-
-
-@dataclass(frozen=True)
-class AdaptiveReport:
-    """Why a mixed plan looks the way it does — persisted for replay."""
-
-    profile: StageProfile
-    index_tags: tuple[int, ...]
-    value_tags: tuple[int, ...]
-    index_table_kept: bool
-    value_table_kept: bool
-    bytes_per_nnz: float
-    dsh_bytes_per_nnz: float
-    est_decode_seconds: float
-    dsh_est_decode_seconds: float
-
-    @property
-    def nblocks(self) -> int:
-        return len(self.index_tags)
-
-    def stage_histogram(self, stream: str = "both") -> dict[str, int]:
-        """Counts of chosen stage combinations, by stream."""
-        tags: tuple[int, ...]
-        if stream == "index":
-            tags = self.index_tags
-        elif stream == "value":
-            tags = self.value_tags
-        elif stream == "both":
-            tags = self.index_tags + self.value_tags
-        else:
-            raise ValueError(f"stream must be index|value|both, got {stream!r}")
-        hist: dict[str, int] = {}
-        for tag in tags:
-            name = combo_name(tag)
-            hist[name] = hist.get(name, 0) + 1
-        return dict(sorted(hist.items()))
-
-    @property
-    def bytes_win_over_dsh(self) -> float:
-        """DSH bytes/nnz over adaptive bytes/nnz (>= 1 by construction)."""
-        if self.bytes_per_nnz == 0:
-            return 1.0
-        return self.dsh_bytes_per_nnz / self.bytes_per_nnz
-
-    @property
-    def est_decode_speedup(self) -> float:
-        """Estimated DSH decode time over adaptive decode time."""
-        if self.est_decode_seconds == 0:
-            return 1.0
-        return self.dsh_est_decode_seconds / self.est_decode_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "profile": self.profile.as_dict(),
-            "nblocks": self.nblocks,
-            "index_histogram": self.stage_histogram("index"),
-            "value_histogram": self.stage_histogram("value"),
-            "index_table_kept": self.index_table_kept,
-            "value_table_kept": self.value_table_kept,
-            "bytes_per_nnz": self.bytes_per_nnz,
-            "dsh_bytes_per_nnz": self.dsh_bytes_per_nnz,
-            "bytes_win_over_dsh": self.bytes_win_over_dsh,
-            "est_decode_speedup": self.est_decode_speedup,
-        }
-
-
-def compress_adaptive(
-    matrix: CSRMatrix,
-    block_bytes: int = UDP_BLOCK_BYTES,
-    sample_frac: float = 0.4,
-    seed: int = 0,
-    profile: StageProfile | None = None,
-) -> tuple[MatrixCompression, AdaptiveReport]:
-    """Compress with per-block, per-stream stage selection (mixed plan).
-
-    Huffman tables are the same deterministic sample-built tables the
-    fixed DSH pipeline would use (add-one smoothing makes them valid over
-    *any* intermediate stream), so when a mixed plan keeps a table it is
-    byte-for-byte the fixed plan's. A stream side whose records all end up
-    huffman-free drops its table from the plan entirely (see the module
-    docstring for the byte-envelope argument). With ``profile=None`` the
-    profile is seeded from live telemetry via
-    :meth:`StageProfile.from_registry`.
-
-    Returns:
-        ``(plan, report)`` — a :class:`MatrixCompression` whose records
-        all carry codec tags, and the :class:`AdaptiveReport` documenting
-        the selection (persist it next to the container).
-    """
-    if not 0.0 < sample_frac <= 1.0:
-        raise ValueError(f"sample_frac must be in (0, 1], got {sample_frac}")
-    if profile is None:
-        profile = StageProfile.from_registry()
-    with obs.trace("autotune.compress_adaptive", nnz=matrix.nnz):
-        blocked = partition_csr(matrix, block_bytes=block_bytes)
-        delta_codec = DeltaCodec()
-        raw_idx = [b.index_bytes() for b in blocked.blocks]
-        raw_val = [b.value_bytes() for b in blocked.blocks]
-        # Tables are built over exactly what fixed DSH feeds its Huffman
-        # stage: snappy(delta(index)) and snappy(value).
-        idx_snapped = [snappy_compress(delta_codec.encode(r)) for r in raw_idx]
-        val_snapped = [snappy_compress(r) for r in raw_val]
-        index_table, value_table = sampled_tables(
-            idx_snapped, val_snapped, blocked.nblocks, sample_frac, seed, True
-        )
-        dsh_idx, dsh_idx_stored, idx_tabled, idx_plain = _select_side(
-            raw_idx, INDEX_TAG_CANDIDATES, DSH_INDEX_TAG, index_table, profile
-        )
-        dsh_val, dsh_val_stored, val_tabled, val_plain = _select_side(
-            raw_val, VALUE_TAG_CANDIDATES, DSH_VALUE_TAG, value_table, profile
-        )
-        # Regime choice: minimize modeled cost subject to the matrix-level
-        # byte envelope — an adaptive plan (records + kept tables) never
-        # stores more than fixed DSH (records + both tables). The
-        # both-tabled combination is per-record never-larger, so a feasible
-        # assignment always exists; ties prefer keeping tables (closer to
-        # the fixed plan).
-        fixed_total = dsh_idx_stored + dsh_val_stored
-        combos = sorted(
-            (
-                (isel.cost + vsel.cost, ni + nv, isel, vsel)
-                for ni, isel in ((0, idx_tabled), (1, idx_plain))
-                for nv, vsel in ((0, val_tabled), (1, val_plain))
-            ),
-            key=lambda c: (c[0], c[1]),
-        )
-        index_sel, value_sel = next(
-            (isel, vsel)
-            for _, _, isel, vsel in combos
-            if isel.stored_bytes + vsel.stored_bytes <= fixed_total
-        )
-        index_records = index_sel.records
-        value_records = value_sel.records
-        kept_itab = index_table if index_sel.keeps_table else None
-        kept_vtab = value_table if value_sel.keeps_table else None
-        plan = MatrixCompression(
-            blocked=blocked,
-            index_records=index_records,
-            value_records=value_records,
-            index_table=kept_itab,
-            value_table=kept_vtab,
-            use_delta=True,
-            use_huffman=kept_itab is not None or kept_vtab is not None,
-            block_bytes=block_bytes,
-        )
-        dsh_records = (*dsh_idx, *dsh_val)
-        report = AdaptiveReport(
-            profile=profile,
-            index_tags=tuple(r.tag for r in index_records),
-            value_tags=tuple(r.tag for r in value_records),
-            index_table_kept=kept_itab is not None,
-            value_table_kept=kept_vtab is not None,
-            bytes_per_nnz=plan.bytes_per_nnz,
-            dsh_bytes_per_nnz=(fixed_total / plan.nnz) if plan.nnz else 0.0,
-            est_decode_seconds=sum(
-                profile.est_decode_seconds(r)
-                for r in (*index_records, *value_records)
-            ),
-            dsh_est_decode_seconds=sum(
-                profile.est_decode_seconds(r) for r in dsh_records
-            ),
-        )
-    _record_plan_metrics(plan)
-    reg = obs.registry()
-    reg.counter("autotune.plans").inc()
-    reg.counter("codec.mix.records_tagged").inc(
-        len(index_records) + len(value_records)
-    )
-    tables_dropped = int(index_table is not None and kept_itab is None) + int(
-        value_table is not None and kept_vtab is None
-    )
-    if tables_dropped:
-        reg.counter("autotune.tables_dropped").inc(tables_dropped)
-    reg.gauge("autotune.bytes_win_over_dsh").set(report.bytes_win_over_dsh)
-    reg.gauge("autotune.est_decode_speedup").set(report.est_decode_speedup)
-    return plan, report
-
-
-def reencode_with_tags(
-    plan: MatrixCompression,
-    index_tags: "tuple[int, ...] | list[int]",
-    value_tags: "tuple[int, ...] | list[int]",
-) -> MatrixCompression:
-    """Re-encode a materialized plan under explicit per-block tags.
-
-    Test scaffolding for mixed-plan properties: any per-block stage
-    assignment becomes a real plan sharing the source plan's blocked data
-    and Huffman tables. The source plan must hold real (non-shell) blocks.
-
-    Raises:
-        ValueError: tag-list lengths disagree with the plan's block count.
-    """
-    if len(index_tags) != plan.nblocks or len(value_tags) != plan.nblocks:
-        raise ValueError(
-            f"need {plan.nblocks} tags per stream, got "
-            f"{len(index_tags)}/{len(value_tags)}"
-        )
-    index_records = tuple(
-        encode_stream_record(block.index_bytes(), tag, plan.index_table)
-        for block, tag in zip(plan.blocked.blocks, index_tags)
-    )
-    value_records = tuple(
-        encode_stream_record(block.value_bytes(), tag, plan.value_table)
-        for block, tag in zip(plan.blocked.blocks, value_tags)
-    )
-    return MatrixCompression(
-        blocked=plan.blocked,
-        index_records=index_records,
-        value_records=value_records,
-        index_table=plan.index_table,
-        value_table=plan.value_table,
-        use_delta=True,
-        use_huffman=plan.index_table is not None or plan.value_table is not None,
-        block_bytes=plan.block_bytes,
-    )

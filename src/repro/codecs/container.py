@@ -95,7 +95,7 @@ _FLAG_HUFFMAN = 2
 _FLAG_TAGGED = 4
 #: Tagged containers carry tables per stream side: ``_FLAG_HUFFMAN`` means
 #: the *index* table is present and ``_FLAG_VTABLE`` the *value* table —
-#: an adaptive plan that huffmans only one side doesn't pay for the other
+#: a mixed plan that huffmans only one side doesn't pay for the other
 #: side's 256-byte table. Untagged (legacy) containers keep the original
 #: all-or-nothing meaning of ``_FLAG_HUFFMAN``; ``_FLAG_VTABLE`` is only
 #: valid alongside ``_FLAG_TAGGED``.

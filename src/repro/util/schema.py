@@ -592,100 +592,6 @@ BENCH_SERVE_SCHEMA: dict = _with_common(
     }
 )
 
-#: ``BENCH_adaptive.json`` — written by ``benchmarks/bench_adaptive.py``.
-#: Byte totals of the *fixed* plan are deterministic at a fixed seed;
-#: everything the adaptive selection or the clock can move (the
-#: calibrated profile, per-entry speedups, adaptive byte totals via the
-#: profile-driven plan choice) carries a timing-key suffix.
-BENCH_ADAPTIVE_SCHEMA: dict = _with_common(
-    {
-        "required": ["profile", "entries", "geomean", "gates"],
-        "properties": {
-            "context": {
-                "required": [
-                    "suite_count", "suite_scale", "block_bytes", "repeats",
-                    "profile_source",
-                ],
-                "properties": {
-                    "suite_count": {"type": "integer", "minimum": 1},
-                    "suite_scale": {"type": "number", "minimum": 0},
-                    "block_bytes": {"type": "integer", "minimum": 1},
-                    "repeats": {"type": "integer", "minimum": 1},
-                    "profile_source": {"type": "string"},
-                },
-            },
-            "profile": {
-                "type": "object",
-                "required": [
-                    "delta_mb_per_s", "snappy_mb_per_s", "huffman_mb_per_s",
-                    "link_mb_per_s",
-                ],
-                "properties": {
-                    "delta_mb_per_s": {"type": "number", "minimum": 0},
-                    "snappy_mb_per_s": {"type": "number", "minimum": 0},
-                    "huffman_mb_per_s": {"type": "number", "minimum": 0},
-                    "link_mb_per_s": {"type": "number", "minimum": 0},
-                },
-            },
-            "entries": {
-                "type": "array",
-                "min_items": 1,
-                "items": {
-                    "type": "object",
-                    "required": [
-                        "name", "kind", "nnz", "nblocks", "fixed_bytes",
-                        "adaptive_bytes_ratio", "bytes_win_ratio",
-                        "fixed_decode_seconds", "adaptive_decode_seconds",
-                        "decode_speedup", "est_decode_speedup",
-                        "index_table_kept", "value_table_kept",
-                        "tagged_records",
-                    ],
-                    "properties": {
-                        "name": {"type": "string"},
-                        "kind": {"type": "string"},
-                        "nnz": {"type": "integer", "minimum": 1},
-                        "nblocks": {"type": "integer", "minimum": 1},
-                        "fixed_bytes": {"type": "integer", "minimum": 1},
-                        "adaptive_bytes_ratio": {"type": "number", "minimum": 0},
-                        "bytes_win_ratio": {"type": "number", "minimum": 0},
-                        "fixed_decode_seconds": {"type": "number", "minimum": 0},
-                        "adaptive_decode_seconds": {"type": "number", "minimum": 0},
-                        "decode_speedup": {"type": "number", "minimum": 0},
-                        "est_decode_speedup": {"type": "number", "minimum": 0},
-                        "index_table_kept": {"type": "boolean"},
-                        "value_table_kept": {"type": "boolean"},
-                        "tagged_records": {"type": "integer", "minimum": 1},
-                    },
-                },
-            },
-            "geomean": {
-                "type": "object",
-                "required": [
-                    "bytes_win_ratio", "decode_speedup", "est_decode_speedup",
-                ],
-                "properties": {
-                    "bytes_win_ratio": {"type": "number", "minimum": 0},
-                    "decode_speedup": {"type": "number", "minimum": 0},
-                    "est_decode_speedup": {"type": "number", "minimum": 0},
-                },
-            },
-            "gates": {
-                "type": "object",
-                "required": [
-                    "bytes_not_worse", "decode_not_worse", "best_axis_gain",
-                    "passed",
-                ],
-                "properties": {
-                    "bytes_not_worse": {"type": "boolean"},
-                    "decode_not_worse": {"type": "boolean"},
-                    "best_axis_gain": {"type": "number", "minimum": 0},
-                    "passed": {"type": "boolean"},
-                },
-            },
-        },
-    }
-)
-
 #: ``BENCH_solvers.json`` — written by ``benchmarks/bench_solvers.py``.
 #: Iteration counts, byte totals, residuals, and parity hashes are
 #: deterministic at a fixed seed; per-call SpMV timings and the
@@ -784,6 +690,5 @@ BENCH_SCHEMAS: dict[str, dict] = {
     "fig16": BENCH_FIG16_SCHEMA,
     "oocore": BENCH_OOCORE_SCHEMA,
     "serve": BENCH_SERVE_SCHEMA,
-    "adaptive": BENCH_ADAPTIVE_SCHEMA,
     "solvers": BENCH_SOLVERS_SCHEMA,
 }

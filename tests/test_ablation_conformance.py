@@ -24,11 +24,12 @@ from repro.ablation import (
     enumerate_configs,
     expected_metric_markers,
 )
-from repro.codecs.autotune import StageProfile, compress_adaptive
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmm, recoded_spmv
+
+from tests.tagged_plans import reencode_with_tags, varied_tags
 
 CONFIGS = enumerate_configs()
 NRHS = 3
@@ -43,23 +44,23 @@ CASES = {
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def fixture(request):
-    """(name, plans-by-codec-policy, x, X, reference spmv/spmm bytes).
+    """(name, plans, x, X, reference spmv/spmm bytes).
 
-    The ``block_codec`` axis selects between two *different encodings* of
-    the same matrix; references come from the fixed plan, so the adaptive
-    (mixed-tag) plan is held to bit-identical results against it.
+    Two encodings of the same matrix: the fixed DSH plan, and a plan whose
+    per-record codec tags vary block by block (stored-raw and
+    Huffman-free records among them). References come from the fixed
+    plan, so the tagged plan is held to bit-identical results against it
+    under every configuration.
     """
     name = request.param
     m = CASES[name]()
     # Small blocks force many blocks and split rows — the merge-order
     # edge cases the pipelined accumulator must reproduce bitwise.
+    plan = compress_matrix(m, block_bytes=1024, seed=7)
     plans = {
-        "fixed-dsh": compress_matrix(m, block_bytes=1024, seed=7),
-        "adaptive": compress_adaptive(
-            m, block_bytes=1024, seed=7, profile=StageProfile.default()
-        )[0],
+        "fixed-dsh": plan,
+        "tagged": reencode_with_tags(plan, *varied_tags(plan.nblocks)),
     }
-    plan = plans["fixed-dsh"]
     rng = np.random.default_rng(5)
     x = rng.standard_normal(m.ncols)
     X = rng.standard_normal((m.ncols, NRHS))
@@ -87,78 +88,79 @@ def _run_kwargs(config: AblationConfig, name: str) -> dict:
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.run_id for c in CONFIGS])
 def test_spmv_bit_identical_across_grid(config, fixture):
     name, plans, x, _X, y_ref, _Y_ref = fixture
-    plan = plans[config.block_codec]
     with kernels.use_backend(config.kernel_backend):
-        engine = _engine(config)
-        try:
-            # Twice: cold then (when cached) warm — both must match.
-            for _ in range(2):
-                y, stats = recoded_spmv(
-                    plan, x, engine=engine, **_run_kwargs(config, name)
-                )
-                assert y.tobytes() == y_ref, config.run_id
-                assert stats.degraded_blocks == 0, config.run_id
-                assert stats.policy == config.policy
-                assert stats.mode == config.executor
-        finally:
-            engine.close()
+        for kind, plan in plans.items():
+            engine = _engine(config)
+            try:
+                # Twice: cold then (when cached) warm — both must match.
+                for _ in range(2):
+                    y, stats = recoded_spmv(
+                        plan, x, engine=engine, **_run_kwargs(config, name)
+                    )
+                    assert y.tobytes() == y_ref, (config.run_id, kind)
+                    assert stats.degraded_blocks == 0, (config.run_id, kind)
+                    assert stats.policy == config.policy
+                    assert stats.mode == config.executor
+            finally:
+                engine.close()
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.run_id for c in CONFIGS])
 def test_spmm_bit_identical_across_grid(config, fixture):
     name, plans, _x, X, _y_ref, Y_ref = fixture
-    plan = plans[config.block_codec]
     with kernels.use_backend(config.kernel_backend):
-        engine = _engine(config)
-        try:
-            if config.spmm_fusion:
-                Y, stats = recoded_spmm(
-                    plan, X, engine=engine, **_run_kwargs(config, name)
-                )
-                assert stats.nrhs == NRHS
-                assert stats.degraded_blocks == 0, config.run_id
-            else:
-                Y = np.column_stack(
-                    [
-                        recoded_spmv(
-                            plan, X[:, j], engine=engine, **_run_kwargs(config, name)
-                        )[0]
-                        for j in range(NRHS)
-                    ]
-                )
-            assert Y.tobytes() == Y_ref, config.run_id
-        finally:
-            engine.close()
+        for kind, plan in plans.items():
+            engine = _engine(config)
+            try:
+                if config.spmm_fusion:
+                    Y, stats = recoded_spmm(
+                        plan, X, engine=engine, **_run_kwargs(config, name)
+                    )
+                    assert stats.nrhs == NRHS
+                    assert stats.degraded_blocks == 0, (config.run_id, kind)
+                else:
+                    Y = np.column_stack(
+                        [
+                            recoded_spmv(
+                                plan, X[:, j], engine=engine,
+                                **_run_kwargs(config, name),
+                            )[0]
+                            for j in range(NRHS)
+                        ]
+                    )
+                assert Y.tobytes() == Y_ref, (config.run_id, kind)
+            finally:
+                engine.close()
 
 
 def _metric_names(config: AblationConfig, fixture) -> frozenset[str]:
-    """Emit one workload under ``config`` routed the way the ablation
-    runner routes it: through an :class:`ExecutionSession` whose ``reuse``
-    flag is the ``session`` axis. The second SpMV exercises the warm fast
-    path exactly when session reuse and the cache are both on."""
+    """Emit one workload per plan under ``config`` routed the way the
+    ablation runner routes it: through an :class:`ExecutionSession` whose
+    ``reuse`` flag is the ``session`` axis. The second SpMV exercises the
+    warm fast path exactly when session reuse and the cache are both on."""
     name, plans, x, X, _y_ref, _Y_ref = fixture
-    plan = plans[config.block_codec]
     with obs.scoped_registry() as reg, kernels.use_backend(config.kernel_backend):
-        engine = _engine(config)
-        sess = ExecutionSession(
-            plan,
-            matrix_id=name,
-            engine=engine,
-            mode=config.executor,
-            policy=config.policy,
-            reuse=config.session,
-        )
-        try:
-            sess.spmv(x)
-            sess.spmv(x)
-            if config.spmm_fusion:
-                sess.spmm(X)
-            else:
-                for j in range(NRHS):
-                    sess.spmv(X[:, j])
-        finally:
-            sess.close()
-            engine.close()
+        for plan in plans.values():
+            engine = _engine(config)
+            sess = ExecutionSession(
+                plan,
+                matrix_id=name,
+                engine=engine,
+                mode=config.executor,
+                policy=config.policy,
+                reuse=config.session,
+            )
+            try:
+                sess.spmv(x)
+                sess.spmv(x)
+                if config.spmm_fusion:
+                    sess.spmm(X)
+                else:
+                    for j in range(NRHS):
+                        sess.spmv(X[:, j])
+            finally:
+                sess.close()
+                engine.close()
         return frozenset(rec["name"] for rec in reg.snapshot().values())
 
 

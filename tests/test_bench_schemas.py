@@ -34,7 +34,6 @@ ARTIFACTS = {
     "fig16": "BENCH_fig16.json",
     "oocore": "BENCH_oocore.json",
     "serve": "BENCH_serve.json",
-    "adaptive": "BENCH_adaptive.json",
     "solvers": "BENCH_solvers.json",
 }
 

@@ -137,6 +137,16 @@ class TestCommands:
         assert "fault plan armed" in out
         assert "chaos:" in out and "quarantined=1" in out
 
+    def test_spmv_fault_plan_counts_are_per_run(self, capsys):
+        """The chaos line reports this command's counts, not the
+        process-global registry's running totals."""
+        argv = ["spmv", "synth:banded:n=600,bandwidth=3", "--policy", "degrade",
+                "--fault-plan", "seed=7,bitflip-blocks=1"]
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "quarantined=1 " in out, out
+
     def test_spmv_fault_plan_strict_fails(self, capsys):
         rc = main(["spmv", "synth:banded:n=600,bandwidth=3",
                    "--fault-plan", "seed=7,bitflip-blocks=1"])

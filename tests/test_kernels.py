@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels, obs
-from repro.codecs.autotune import encode_stream_record, reencode_with_tags
 from repro.codecs.container import save_plan
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.pipeline import (
@@ -52,6 +51,8 @@ from repro.codecs.varint import (
 from repro.collection import generators, representative_suite
 from repro.kernels import ref
 from repro.sparse.blocked import partition_csr
+
+from tests.tagged_plans import encode_stream_record, reencode_with_tags
 
 #: Every backend this process can run, the reference first.
 BACKENDS = tuple(reversed(kernels.available_backends()))

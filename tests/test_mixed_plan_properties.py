@@ -1,12 +1,11 @@
-"""Property tests for mixed per-block codec plans (adaptive selection).
+"""Property tests for mixed per-block codec plans (per-record codec tags).
 
-The mixed-plan contract: *any* per-block stage assignment — not just the
-ones the cost model would pick — must decode byte-identically to the
-fixed DSH plan, across kernel backends, through the ``.dsh`` container,
-under the engine's decoded-block cache, and with the same typed errors
-under corruption. Hypothesis drives random tag assignments through
-:func:`repro.codecs.autotune.reencode_with_tags` so the decode funnel is
-exercised over the full 8x8 tag space, not the selection's favorites.
+The mixed-plan contract: *any* per-block stage assignment must decode
+byte-identically to the fixed DSH plan, across kernel backends, through
+the ``.dsh`` container, under the engine's decoded-block cache, and with
+the same typed errors under corruption. Hypothesis drives random tag
+assignments through :func:`tests.tagged_plans.reencode_with_tags` so the
+decode funnel is exercised over the full 8x8 tag space.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import kernels
-from repro.codecs.autotune import reencode_with_tags
 from repro.codecs.container import load_plan, save_plan
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine, plan_fingerprint
 from repro.codecs.pipeline import (
@@ -32,6 +30,8 @@ from repro.codecs.pipeline import (
 )
 from repro.collection import generators
 from repro.core import recoded_spmv
+
+from tests.tagged_plans import reencode_with_tags
 
 SEED = 20260809
 

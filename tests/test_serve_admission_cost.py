@@ -1,10 +1,10 @@
 """Admission cost model reconciliation: estimates vs measured traffic.
 
 The serve admission controller prices a request by *estimated decode
-traffic* (``MatrixInfo.estimated_cost_bytes``). Since the adaptive codec
-work the estimate comes from the resident reader's per-block compressed
-extents, not a flat 12 B/nnz model — mixed plans make per-block sizes
-uneven, and a flat estimate would over-admit heavy containers. This
+traffic* (``MatrixInfo.estimated_cost_bytes``). The estimate comes from
+the resident reader's per-block compressed extents, not a flat 12 B/nnz
+model — mixed plans (per-record codec tags) make per-block sizes uneven,
+and a flat estimate would over-admit heavy containers. This
 suite pins the estimate to ground truth: decode every record of the same
 container and reconcile against the ``codecs.decode.bytes_in`` /
 ``bytes_out`` counters the decode funnel actually emits.
@@ -15,11 +15,12 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.codecs.autotune import StageProfile, compress_adaptive
 from repro.codecs.container import load_plan, save_plan
 from repro.codecs.pipeline import MatrixCompression, compress_matrix, decode_record
 from repro.collection import generators
 from repro.serve.session import MatrixInfo, MatrixLibrary
+
+from tests.tagged_plans import reencode_with_tags, varied_tags
 
 #: The estimate may over-charge only by per-record framing (the 12-byte
 #: materialized header per stream record the counters never see).
@@ -32,9 +33,8 @@ def root(tmp_path_factory):
     m_fixed = generators.banded(600, bandwidth=5, seed=13)
     save_plan(compress_matrix(m_fixed, block_bytes=2048), d / "fixed.dsh")
     m_mixed = generators.fem_stencil(400, row_degree=18, jitter=30, seed=29)
-    mixed, _ = compress_adaptive(
-        m_mixed, block_bytes=2048, seed=29, profile=StageProfile.default()
-    )
+    fixed = compress_matrix(m_mixed, block_bytes=2048, seed=29)
+    mixed = reencode_with_tags(fixed, *varied_tags(fixed.nblocks))
     save_plan(mixed, d / "mixed.dsh")
     return str(d)
 
