@@ -197,7 +197,6 @@ def _measure() -> dict:
     config = ServeConfig(
         root=tmpdir,
         port=0,
-        mode="serial",
         max_fuse=MAX_FUSE,
         fusion_window_ms=FUSION_WINDOW_MS,
         max_queue=MAX_QUEUE,
@@ -246,7 +245,6 @@ def _measure() -> dict:
         "title": "SpMV-as-a-service: overload sheds, admitted p99 bounded",
         "context": {
             "seed": SEED,
-            "mode": config.mode,
             "max_fuse": config.max_fuse,
             "tenants": TENANTS,
             "fusion_window_ms": FUSION_WINDOW_MS,

@@ -11,8 +11,8 @@ Gates (ISSUE acceptance; mirrored in docs/SOLVERS.md):
 * CG end-to-end matrix traffic must stay within one decode plus the
   modeled per-iteration vector traffic — steady state decodes the
   matrix exactly once;
-* CG and PageRank results must be sha256-identical across
-  serial/pipelined executors x session reuse on/off.
+* CG and PageRank results must be sha256-identical across the
+  session's decoded-block cache on/off x session reuse on/off.
 
 Writes a ``BENCH_solvers.json`` artifact (per-matrix warm/CSR split,
 solver traffic accounting, parity hashes) for CI to upload; set
@@ -28,6 +28,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import run_once
+from repro.codecs.engine import RecodeEngine
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmv
@@ -44,9 +45,9 @@ BLOCK_BYTES = 8192
 WARM_REPEATS = 5
 #: Gate on the warm-session / plain-CSR per-SpMV geomean ratio.
 WARM_OVER_CSR_MAX = 1.5
-#: The cross-config identity grid: executor mode x session reuse.
+#: The cross-config identity grid: decoded-block cache x session reuse.
 PARITY_CONFIGS = tuple(
-    (mode, reuse) for mode in ("serial", "pipelined") for reuse in (True, False)
+    (cache, reuse) for cache in (True, False) for reuse in (True, False)
 )
 
 
@@ -116,7 +117,7 @@ def _cg_traffic():
     plan = compress_matrix(m, block_bytes=4096)
     b = np.random.default_rng(SEED).normal(size=m.nrows)
     # What one full decode of this matrix costs in logged DRAM traffic.
-    decode_once = recoded_spmv(plan, b, mode="serial")[1].dram_bytes
+    decode_once = recoded_spmv(plan, b)[1].dram_bytes
     with ExecutionSession(plan, matrix_id="cg-spd") as sess:
         res = cg(sess, b, tol=1e-8, max_iter=500)
     return {
@@ -132,8 +133,8 @@ def _cg_traffic():
 
 
 def _parity():
-    """CG + PageRank over serial/pipelined x session on/off; all hashes
-    must collapse to one per solver."""
+    """CG + PageRank over cache on/off x session on/off; all hashes must
+    collapse to one per solver."""
     spd = generators.mesh2d(16, value_style="exact")
     plan_spd = compress_matrix(spd, block_bytes=4096)
     b = np.random.default_rng(SEED + 1).normal(size=spd.nrows)
@@ -142,11 +143,17 @@ def _parity():
 
     cg_hashes, pr_hashes = {}, {}
     pr_canonical = None
-    for mode, reuse in PARITY_CONFIGS:
-        label = f"{mode}/{'session' if reuse else 'no-session'}"
-        with ExecutionSession(plan_spd, mode=mode, reuse=reuse) as sess:
+    for cache, reuse in PARITY_CONFIGS:
+        label = f"{'cache' if cache else 'no-cache'}/{'session' if reuse else 'no-session'}"
+
+        def session(plan):
+            # A cache-less engine keeps every call cold.
+            engine = None if cache else RecodeEngine()
+            return ExecutionSession(plan, engine=engine, reuse=reuse)
+
+        with session(plan_spd) as sess:
             cg_hashes[label] = _sha(cg(sess, b, tol=1e-8, max_iter=400).x)
-        with ExecutionSession(plan_pr, mode=mode, reuse=reuse) as sess:
+        with session(plan_pr) as sess:
             res = pagerank(sess)
             pr_hashes[label] = _sha(res.x)
             if pr_canonical is None:

@@ -2,7 +2,7 @@
 
 Enumerates baseline-plus-one-off configurations over every runtime
 switch the codebase exposes (decoded-block cache, kernel backend,
-pipelined executor, degrade policy, SpMM fusion, session reuse),
+degrade policy, SpMM fusion, session reuse),
 measures the headline SpMV/SpMM workload per configuration with
 cold/warm phases, and emits a ranked component-importance report
 (``BENCH_ablation.json``) that flags any component whose removal

@@ -14,7 +14,6 @@ axis                baseline                 ablated
 ==================  =======================  =====================
 ``cache``           decoded-block cache on   no cache (cold decode)
 ``kernel_backend``  ``native`` C kernels     ``python`` reference
-``executor``        ``pipelined`` handle     ``serial`` per-block calls
 ``policy``          ``degrade`` substitute   ``strict`` fail-fast
 ``spmm_fusion``     fused multi-RHS SpMM     k independent SpMVs
 ``session``         warm session reuse       cold state per call
@@ -66,14 +65,6 @@ AXES: tuple[Axis, ...] = (
         "codec hot loops fall back to the pure-python reference",
     ),
     Axis(
-        "executor",
-        "pipelined executor",
-        "pipelined",
-        "serial",
-        "each block asks the engine on its own instead of one run-long "
-        "decode handle",
-    ),
-    Axis(
         "policy",
         "degrade policy",
         "degrade",
@@ -103,7 +94,7 @@ _AXES_BY_NAME: dict[str, Axis] = {axis.name: axis for axis in AXES}
 BASELINE_RUN_ID = "baseline"
 
 #: Separator joining the two axis names of a pairwise ablation
-#: (``ablated_axis="cache+executor"``, ``run_id="no-cache+executor"``).
+#: (``ablated_axis="cache+policy"``, ``run_id="no-cache+policy"``).
 PAIR_SEP = "+"
 
 
@@ -119,7 +110,6 @@ class AblationConfig:
     ablated_axis: str | None
     cache: bool
     kernel_backend: str
-    executor: str
     policy: str
     spmm_fusion: bool
     session: bool
@@ -133,7 +123,6 @@ class AblationConfig:
         return {
             "cache": self.cache,
             "kernel_backend": self.kernel_backend,
-            "executor": self.executor,
             "policy": self.policy,
             "spmm_fusion": self.spmm_fusion,
             "session": self.session,
@@ -258,7 +247,6 @@ def enumerate_pair_configs(
 #: cross-config "identical core names" comparison (each is then checked
 #: individually by :func:`expected_metric_markers`).
 CONFIG_DEPENDENT_METRIC_PREFIXES: tuple[str, ...] = (
-    "spmv.pipeline.",
     "spmm.",
     "codecs.cache.",
     "kernels.",
@@ -280,11 +268,10 @@ def expected_metric_markers(config: AblationConfig) -> dict[str, bool]:
     """Metric names that must be present/absent for ``config``.
 
     Maps marker name -> expected presence. Catches a switch silently not
-    taking effect (e.g. ``executor="pipelined"`` falling back to serial
-    would lose ``spmv.pipeline.runs``).
+    taking effect (e.g. ``spmm_fusion`` falling back to k SpMVs would
+    lose ``spmm.iterations``).
     """
     return {
-        "spmv.pipeline.runs": config.executor == "pipelined",
         "spmm.iterations": config.spmm_fusion,
         "codecs.cache.hits": config.cache,
         # Every run routes through a session; warm calls only happen when

@@ -4,8 +4,7 @@ For each enumerated :class:`~repro.ablation.config.AblationConfig` the
 runner executes one workload per suite matrix:
 
 * **cold phase** — best-of-``repeats`` timed SpMV with the session reset
-  before every attempt (decode-bound: where the executor and kernel
-  backend pay);
+  before every attempt (decode-bound: where the kernel backend pays);
 * **warm phase** — best-of-``repeats`` timed SpMV with the session left
   warm (steady-state: where the cache and session fast path pay);
 * **SpMM burst** — best-of-``repeats`` timed ``k``-RHS multiply, fused
@@ -288,7 +287,6 @@ class AblationRunner:
             plan,
             matrix_id=name,
             engine=engine,
-            mode=config.executor,
             policy=config.policy,
             reuse=config.session,
         )

@@ -9,11 +9,10 @@ Usage::
     python -m repro spmv   MATRIX [--memory ddr4|hbm2]
                                    [--iterations N] [--metrics-out PATH]
                                    [--trace-out PATH] [--policy strict|degrade]
-                                   [--fault-plan SPEC] [--pipeline]
-                                   [--mmap] [--nrhs K]
+                                   [--fault-plan SPEC] [--mmap] [--nrhs K]
     python -m repro scrub  CONTAINER [--json] [--verbose]
     python -m repro serve  --root DIR [--host H] [--port N]
-                            [--pipeline] [--tenant-rate R] [--max-fuse K]
+                            [--tenant-rate R] [--max-fuse K]
                             [--fusion-window-ms W] [--inflight-budget-mb M]
                             [--cache-mb M] [--max-queue Q] [--drain-s S]
     python -m repro suite  [--count N] [--scale F]
@@ -183,11 +182,11 @@ def cmd_spmv(args) -> int:
         return 2
     # A metrics snapshot should span all three layers (codecs, spmv,
     # memsys), which needs at least one functional pipeline iteration —
-    # as do a chaos run and the --pipeline / --mmap / --nrhs executor knobs.
+    # as do a chaos run and the --mmap / --nrhs executor knobs.
     iterations = args.iterations or (
         1
         if args.metrics_out or args.trace_out or fault_plan
-        or args.pipeline or args.nrhs > 1 or args.mmap
+        or args.nrhs > 1 or args.mmap
         else 0
     )
     if iterations:
@@ -200,7 +199,6 @@ def cmd_spmv(args) -> int:
         from repro.codecs.engine import DecodedBlockCache, RecodeEngine
         from repro.core import recoded_spmm, recoded_spmv
 
-        mode = "pipelined" if args.pipeline else "serial"
         engine = RecodeEngine(cache=DecodedBlockCache())
         x = (np.ones(m.ncols) if args.nrhs == 1
              else np.ones((m.ncols, args.nrhs)))
@@ -223,34 +221,31 @@ def cmd_spmv(args) -> int:
                 if args.nrhs == 1:
                     y, stats = recoded_spmv(
                         target, x, memory=memory, engine=engine,
-                        matrix_id=args.matrix, policy=args.policy,
-                        mode=mode)
+                        matrix_id=args.matrix, policy=args.policy)
                 else:
                     y, stats = recoded_spmm(
                         target, x, memory=memory, engine=engine,
-                        matrix_id=args.matrix, policy=args.policy,
-                        mode=mode)
+                        matrix_id=args.matrix, policy=args.policy)
                 scale = float(np.abs(y).max())
                 x = y / scale if scale else y
         kind = "SpMV" if args.nrhs == 1 else f"SpMM k={args.nrhs}"
         s = stats.engine_stats
         cache = engine.cache.stats
-        print(f"engine ({iterations} {mode} {kind} iterations): "
+        print(f"engine ({iterations} {kind} iterations): "
               f"{s['blocks_decoded']:.0f} blocks decoded, "
               f"{cache.hits} cache hits ({cache.hit_rate:.0%}), "
               f"{s['decode_mb_per_s']:.1f} MB/s")
         if stats.oocore is not None:
             oc = stats.oocore
-            print(f"out-of-core ({stats.mode}): "
+            print(f"out-of-core: "
                   f"mapped={fmt_bytes(oc['mapped_bytes'])} "
                   f"pages_touched={oc['pages_touched']}")
         # The registry is process-global (--metrics-out reads it whole);
         # these lines report this command's share of it.
         ran = {name: reg.value(name) - before for name, before in start.items()}
-        if args.pipeline:
-            print(f"pipeline: "
-                  f"multiply_idle={ran['spmv.pipeline.multiply_idle_seconds']:.3f}s "
-                  f"decode_idle={ran['spmv.pipeline.decode_idle_seconds']:.3f}s")
+        print(f"pipeline: "
+              f"multiply_idle={ran['spmv.pipeline.multiply_idle_seconds']:.3f}s "
+              f"decode_idle={ran['spmv.pipeline.decode_idle_seconds']:.3f}s")
         if fault_plan is not None:
             print(f"chaos: quarantined={ran['faults.blocks_quarantined']:.0f} "
                   f"retries={ran['faults.retries']:.0f} "
@@ -353,7 +348,6 @@ def cmd_serve(args) -> int:
         root=args.root,
         host=args.host,
         port=args.port,
-        mode="pipelined" if args.pipeline else "serial",
         cache_bytes=args.cache_mb * mb,
         max_matrix_frac=args.max_matrix_frac,
         inflight_budget_bytes=args.inflight_budget_mb * mb,
@@ -390,7 +384,7 @@ def cmd_serve(args) -> int:
                 f"serving {len(server.library)} matrices "
                 f"({', '.join(server.library.names())}) on "
                 f"{config.host}:{server.port} "
-                f"[mode={config.mode} max_fuse={config.max_fuse}]",
+                f"[max_fuse={config.max_fuse}]",
                 flush=True,
             )
 
@@ -567,7 +561,6 @@ def cmd_solve(args) -> int:
     session = ExecutionSession(
         source,
         matrix_id=f"solve-{args.algorithm}",
-        mode=args.mode,
         policy=args.policy,
         reuse=not args.no_session,
     )
@@ -577,8 +570,7 @@ def cmd_solve(args) -> int:
             shape_hint = (nrows, ncols)
         print(f"operator: {nrows} x {ncols}, nnz={session.plan.nnz}, "
               f"{session.plan.bytes_per_nnz:.2f} B/nnz "
-              f"({'session reuse' if not args.no_session else 'cold per call'}, "
-              f"mode={args.mode})")
+              f"({'session reuse' if not args.no_session else 'cold per call'})")
         defaults = {"cg": (1e-8, 500), "pagerank": (1e-10, 200), "power": (1e-10, 200)}
         tol, max_iter = defaults[args.algorithm]
         if args.tol is not None:
@@ -679,10 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm a deterministic chaos plan around the functional "
                         "iterations, e.g. 'seed=7,bitflip=0.05' "
                         "(forces one iteration if --iterations is 0)")
-    p.add_argument("--pipeline", action="store_true",
-                   help="run the functional iterations with the pipelined "
-                        "executor (one decode handle per run); "
-                        "bit-identical to serial")
     p.add_argument("--mmap", action="store_true",
                    help="stream the compressed matrix from an mmap-backed "
                         ".dsh container instead of holding it in memory")
@@ -740,8 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="row-normalize + transpose into a column-stochastic "
                         "P^T first (graph adjacency -> random-walk operator)")
     p.add_argument("--block-bytes", type=int, default=8192)
-    p.add_argument("--mode", default="serial", choices=["serial", "pipelined"],
-                   help="executor for cold calls (default %(default)s)")
     p.add_argument("--policy", default="strict", choices=["strict", "degrade"])
     p.add_argument("--no-session", action="store_true",
                    help="disable steady-state reuse: every iteration pays "
@@ -760,11 +746,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="reduced grid (CI): smaller matrices, fewer repeats")
     p.add_argument("--axes", metavar="LIST",
-                   help="comma-separated axis subset, e.g. 'cache,executor' "
+                   help="comma-separated axis subset, e.g. 'cache,policy' "
                         "(default: every switchable axis)")
     p.add_argument("--pairs", metavar="LIST",
                    help="also run pairwise ablations over these axes, e.g. "
-                        "'cache,executor' (every pair among the listed "
+                        "'cache,policy' (every pair among the listed "
                         "axes; their one-off runs are added if --axes "
                         "omitted them) and report interaction ratios")
     p.add_argument("--out", default="BENCH_ablation.json", metavar="PATH",
@@ -795,8 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7077,
                    help="TCP port (0 = ephemeral; default %(default)s)")
-    p.add_argument("--pipeline", action="store_true",
-                   help="pipelined executor per request")
     p.add_argument("--cache-mb", type=int, default=256, metavar="M",
                    help="shared decoded-block cache budget (default %(default)s)")
     p.add_argument("--max-matrix-frac", type=float, default=0.5, metavar="F",

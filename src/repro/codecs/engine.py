@@ -168,7 +168,18 @@ class DecodedBlockCache:
     The budget counts raw CSR payload bytes (12 B/nnz), i.e. what the
     blocks would occupy decompressed in UDP scratchpads. Thread-safe: the
     serve layer's compute threads probe one cache concurrently.
+
+    Resident bytes are also kept per matrix. When ``max_matrix_frac`` is
+    set (the serve layer's :class:`~repro.serve.session.SharedDecodedCache`
+    sets it), one matrix may hold at most that share of ``max_bytes``: a
+    ``put`` past it evicts that matrix's own LRU entries first, and a
+    block bigger than the whole share is refused (``rejected``). Every
+    entry that leaves, by eviction, :meth:`evict_matrix` or
+    :meth:`clear`, bumps the change count that :meth:`hit_all` checks.
     """
+
+    #: Cap on one matrix's share of ``max_bytes``; None = no cap.
+    max_matrix_frac: float | None = None
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, max_blocks: int | None = None):
         if max_bytes <= 0:
@@ -179,13 +190,44 @@ class DecodedBlockCache:
         self.max_blocks = max_blocks
         self.stats = CacheStats()
         self.cache_id = f"c{next(_cache_ids)}"
+        self.rejected = 0
+        self.matrix_evictions = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[CSRBlock, int]] = OrderedDict()
-        self._changes = 0  # bumped by clear() and every eviction
+        self._matrix_bytes: dict[str, int] = {}
+        self._changes = 0  # bumped whenever an entry leaves (see _drop)
         _register_cache_collector(obs.registry(), self)
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def matrix_share_bytes(self) -> int | None:
+        """The per-matrix byte cap (None when uncapped)."""
+        if self.max_matrix_frac is None:
+            return None
+        return int(self.max_bytes * self.max_matrix_frac)
+
+    def matrix_bytes(self, matrix_id: str) -> int:
+        """Resident decoded bytes attributed to one matrix."""
+        with self._lock:
+            return self._matrix_bytes.get(matrix_id, 0)
+
+    def _account(self, matrix_id: str, nbytes: int) -> None:
+        """Add ``nbytes`` (negative to remove) to both byte ledgers."""
+        self.stats.current_bytes += nbytes
+        left = self._matrix_bytes.get(matrix_id, 0) + nbytes
+        if left > 0:
+            self._matrix_bytes[matrix_id] = left
+        else:
+            self._matrix_bytes.pop(matrix_id, None)
+
+    def _drop(self, key: tuple) -> None:
+        """Evict one entry (lock held)."""
+        _, nbytes = self._entries.pop(key)
+        self._account(key[0], -nbytes)
+        self.stats.evictions += 1
+        self._changes += 1
 
     def get(self, key: tuple) -> CSRBlock | None:
         with self._lock:
@@ -198,21 +240,41 @@ class DecodedBlockCache:
             return entry[0]
 
     def put(self, key: tuple, block: CSRBlock) -> None:
+        matrix_id = key[0]
         nbytes = 12 * block.nnz
+        share = self.matrix_share_bytes
         with self._lock:
+            if share is not None and nbytes > share:
+                self.rejected += 1
+                return
             old = self._entries.pop(key, None)
             if old is not None:
-                self.stats.current_bytes -= old[1]
+                self._account(matrix_id, -old[1])
             self._entries[key] = (block, nbytes)
-            self.stats.current_bytes += nbytes
-            while self._entries and (
-                self.stats.current_bytes > self.max_bytes
-                or (self.max_blocks is not None and len(self._entries) > self.max_blocks)
-            ):
-                _, (_, evicted_bytes) = self._entries.popitem(last=False)
-                self.stats.current_bytes -= evicted_bytes
-                self.stats.evictions += 1
-                self._changes += 1
+            self._account(matrix_id, nbytes)
+            # This matrix pays for its own overshoot before any global
+            # pressure lands on others.
+            while True:
+                if share is not None and self._matrix_bytes.get(matrix_id, 0) > share:
+                    victim = next(k for k in self._entries if k[0] == matrix_id)
+                    self.matrix_evictions += 1
+                elif self._entries and (
+                    self.stats.current_bytes > self.max_bytes
+                    or (self.max_blocks is not None and len(self._entries) > self.max_blocks)
+                ):
+                    victim = next(iter(self._entries))
+                else:
+                    break
+                self._drop(victim)
+
+    def evict_matrix(self, matrix_id: str) -> int:
+        """Drop every resident block of one matrix; returns bytes freed."""
+        with self._lock:
+            freed = self._matrix_bytes.get(matrix_id, 0)
+            for key in [k for k in self._entries if k[0] == matrix_id]:
+                self._drop(key)
+                self.matrix_evictions += 1
+            return freed
 
     def peek_all(self, keys: list[tuple]) -> tuple[list[CSRBlock] | None, int]:
         """The blocks under ``keys`` (None if any is missing) and the change
@@ -235,6 +297,7 @@ class DecodedBlockCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._matrix_bytes.clear()
             self.stats.current_bytes = 0
             self._changes += 1
 
@@ -634,7 +697,7 @@ class RecodeEngine:
         id) plus a :class:`BlockFailure` per block that could not, in
         block-id order. This drains :meth:`decode_blocks_async` over the
         distinct requested ids, so retries, quarantine and stats are
-        exactly the pipelined path's (see :class:`AsyncDecode`).
+        exactly an engine-backed SpMV's (see :class:`AsyncDecode`).
         """
         ids = None if block_ids is None else sorted(set(block_ids))
         blocks: dict[int, CSRBlock] = {}
@@ -649,7 +712,9 @@ class RecodeEngine:
     def decode_block(
         self, plan: MatrixCompression, i: int, matrix_id: str = ""
     ) -> CSRBlock:
-        """Decode one block (cache-aware); the per-block SpMV hook."""
+        """Decode one block (cache-aware). Recoded SpMV/SpMM runs do not
+        call it (they read one :meth:`decode_blocks_async` handle per run);
+        it is kept for callers that want a single block."""
         blocks, failures = self.decode_resilient(plan, [i], matrix_id=matrix_id)
         if failures:
             raise failures[0].error

@@ -10,16 +10,17 @@ executor is only the hook it calls for block *i*, in block order:
   records out of DRAM, asks a *decoder* for the block, and applies the
   strict/degrade failure policy; the DMA model is charged per run, from
   a per-plan :func:`dma_ledger`;
-* :func:`serial_decoder` decodes block *i* on the spot — the cycle-level
-  UDP programs, ``engine.decode_block``, or ``plan.decompress_block``
-  through the run's :class:`~repro.codecs.pipeline.DecodeRun`;
-* :func:`run_pipelined` reads block *i* off one
+* :func:`run_pipelined` is the decoder of every engine-backed run: it
+  reads block *i* off one
   :meth:`~repro.codecs.engine.RecodeEngine.decode_blocks_async` handle
-  for the whole run, which decodes it inline when asked.
+  for the whole run, which decodes it inline when asked;
+* :func:`serial_decoder` is the decoder of engine-less runs: the
+  cycle-level UDP programs, or ``plan.decompress_block`` through the
+  run's :class:`~repro.codecs.pipeline.DecodeRun`.
 
 Because the kernel consumes blocks in order whatever the decoder, the
 multiply, the ``TrafficLog``, the ``dma_seconds`` float-addition
-sequence and the raised errors are the serial ones bit for bit.
+sequence and the raised errors are the engine-less ones bit for bit.
 """
 
 from __future__ import annotations
@@ -70,14 +71,11 @@ def multiply_block(block: CSRBlock, x: np.ndarray, out: np.ndarray) -> None:
 
 
 def serial_decoder(
-    plan: MatrixCompression,
-    engine: RecodeEngine | None,
-    matrix_id: str,
-    use_udp_simulator: bool,
-    run: DecodeRun,
+    plan: MatrixCompression, use_udp_simulator: bool, run: DecodeRun
 ) -> Decoder:
-    """Decode each block when the kernel reaches it (``mode="serial"``),
-    through ``run`` unless the UDP programs or ``engine`` do."""
+    """Decode each block when the kernel reaches it, with the UDP programs
+    or through ``run``: the decoder of runs without an engine (and of UDP
+    simulator runs, which ignore it)."""
     toolchain = DecoderToolchain(plan) if use_udp_simulator else None
     lane = Lane() if use_udp_simulator else None
 
@@ -93,15 +91,13 @@ def serial_decoder(
                 np.frombuffer(idx_chain.output, dtype="<i4"),
                 np.frombuffer(val_chain.output, dtype="<f8"),
             )
-        if engine is not None and not faulty:
-            return engine.decode_block(plan, i, matrix_id=matrix_id)
         return plan.decompress_block(i, index_record=idx_rec, value_record=val_rec, run=run)
 
     return decode
 
 
 class PipelinedDecoder:
-    """The pipelined decoder: one engine handle for the whole run, read in
+    """The engine decoder: one engine handle for the whole run, read in
     block order.
 
     The handle yields block *i* when the kernel asks for it. A DRAM-
@@ -109,8 +105,8 @@ class PipelinedDecoder:
     decodes what arrived instead. :meth:`close` (called however the run
     ends) closes the handle and flushes the ``spmv.pipeline.*``
     telemetry: ``multiply_idle_seconds`` is the time the kernel waited on
-    decode, and ``decode_idle_seconds`` and ``multiply_seconds`` the time
-    it spent multiplying, with the inline decoder idle.
+    decode, and ``decode_idle_seconds`` the time it spent multiplying,
+    with the inline decoder idle.
     """
 
     def __init__(
@@ -149,14 +145,13 @@ class PipelinedDecoder:
         reg.counter("spmv.pipeline.runs").inc()
         reg.counter("spmv.pipeline.multiply_idle_seconds").inc(self._wait_s)
         reg.counter("spmv.pipeline.decode_idle_seconds").inc(self._multiply_s)
-        reg.counter("spmv.pipeline.multiply_seconds").inc(self._multiply_s)
 
 
 def run_pipelined(
     plan: MatrixCompression, engine: RecodeEngine, matrix_id: str, run: DecodeRun
 ) -> PipelinedDecoder:
-    """Start a pipelined run's decoder (``mode="pipelined"``): one engine
-    handle over every block of ``plan``; ``run`` decodes faulted blocks."""
+    """Start an engine-backed run's decoder: one engine handle over every
+    block of ``plan``; ``run`` decodes DRAM-faulted blocks."""
     return PipelinedDecoder(plan, engine, matrix_id, run)
 
 

@@ -82,9 +82,8 @@ class ExecutionSession:
             ``session-N`` so sessions sharing an engine never collide.
         memory: memory system for DMA timing/energy on cold runs.
         engine: borrow an existing engine (its cache too); by default the
-            session builds its own with a cache sized to the matrix.
-        mode: ``"serial"`` or ``"pipelined"`` — the executor cold calls
-            run under.
+            session builds its own with a cache sized to the matrix. Cold
+            calls read each block off one decode handle of it.
         policy: forwarded to the executor on cold calls.
         reuse: ``False`` makes every call cold-per-call (the ablation
             axis): the cache is cleared before each call, no warm fast
@@ -104,13 +103,11 @@ class ExecutionSession:
         matrix_id: str = "",
         memory: MemorySystem = DDR4_100GBS,
         engine: RecodeEngine | None = None,
-        mode: str = "serial",
         policy: str = "strict",
         reuse: bool = True,
     ):
         self.matrix_id = matrix_id or f"session-{next(_session_ids)}"
         self.memory = memory
-        self.mode = mode
         self.policy = policy
         self.reuse = reuse
         self._closed = False
@@ -247,7 +244,6 @@ class ExecutionSession:
             engine_stats=self.engine.stats.as_dict(),
             policy=self.policy,
             degraded_blocks=0,
-            mode=self.mode,
             nrhs=nrhs,
         )
 
@@ -257,7 +253,6 @@ class ExecutionSession:
             engine=self.engine,
             matrix_id=self.matrix_id,
             policy=self.policy,
-            mode=self.mode,
         )
 
     def _record_call(self, warm: bool, nblocks: int, seconds: float) -> None:

@@ -9,17 +9,19 @@
    run the actual cycle-level UDP programs;
 3. the CPU multiplies the block (traffic edge ``udp -> cpu``).
 
-Both execution modes run the same tiled loop (the blocked kernel with a
-``recode`` hook in front of each multiply, Fig. 7) and differ only in
-where the hook gets block *i* from:
+Every run is the same tiled loop (the blocked kernel with a ``recode``
+hook in front of each multiply, Fig. 7); the hook gets block *i* from
+one of two decoders (see :mod:`repro.core.executor`):
 
-* ``mode="serial"`` — decode block *i* when the loop reaches it. The
-  reference the pipelined mode is tested bit-exactly against.
-* ``mode="pipelined"`` — the loop reads every block, in order, off one
+* with an ``engine``, off one
   :class:`~repro.codecs.engine.RecodeEngine` decode handle for the whole
-  run, which decodes it inline when asked. See :mod:`repro.core.executor`.
-  Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
-  accounting, and raised errors are all bit-identical to serial.
+  run, which decodes it inline (or finds it in the engine's cache) when
+  asked;
+* without one, straight from the plan's records (or through the
+  cycle-level UDP programs).
+
+Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
+accounting, and raised errors are bit-identical either way.
 
 :func:`recoded_spmm` fuses multiple right-hand sides: each block is
 streamed and decoded **once** and multiplied against all ``k`` columns,
@@ -48,7 +50,8 @@ from repro.memsys.traffic import TrafficLog
 from repro.sparse.spmm import spmm_blocked
 from repro.sparse.spmv import spmv_blocked
 
-#: Execution modes accepted by :func:`recoded_spmv` / :func:`recoded_spmm`.
+#: ``mode=`` values :func:`recoded_spmv` / :func:`recoded_spmm` accept.
+#: Both run the same executor; the argument is kept for perfbench.
 MODES = ("serial", "pipelined")
 
 
@@ -79,7 +82,8 @@ class PipelineStats:
     #: bit-exact — the substitution streams raw bytes, costing compression
     #: benefit, not correctness.
     degraded_blocks: int = 0
-    #: Executor that produced this run (``serial`` | ``pipelined``).
+    #: The ``mode=`` the run was given (``serial`` | ``pipelined``),
+    #: echoed; it selects no code.
     mode: str = "serial"
     #: Right-hand-side count: 1 for SpMV, ``k`` for fused SpMM.
     nrhs: int = 1
@@ -154,8 +158,7 @@ def _execute(
 ) -> tuple[np.ndarray, PipelineStats]:
     """Shared executor body for recoded SpMV (``prefix="spmv"``, 1-D ``x``)
     and fused SpMM (``prefix="spmm"``, 2-D ``x``): the blocked ``kernel``
-    is the one block loop, and ``mode`` only picks its recode hook's
-    decoder.
+    is the one block loop, and ``engine`` picks its recode hook's decoder.
 
     ``out`` is an optional preallocated accumulator (zero-filled by the
     kernel) that sessions reuse across iterations; results are
@@ -166,10 +169,11 @@ def _execute(
     log = TrafficLog()
     start = time.perf_counter()
     run = DecodeRun(plan)
-    if mode == "pipelined":
+    engine_backed = engine is not None and not use_udp_simulator
+    if engine_backed:
         decode = run_pipelined(plan, engine, matrix_id, run)
     else:
-        decode = serial_decoder(plan, engine, matrix_id, use_udp_simulator, run)
+        decode = serial_decoder(plan, use_udp_simulator, run)
     hook = RecodeHook(
         plan,
         memory=memory,
@@ -191,7 +195,7 @@ def _execute(
         ):
             y = kernel(plan.blocked, x, recode=hook, out=out)
     finally:
-        if mode == "pipelined":
+        if engine_backed:
             decode.close()
         hook.charge()
         run.flush()
@@ -276,10 +280,12 @@ def recoded_spmv(
             plan's retained raw CSR partition — the result stays
             bit-exact; the substituted block just streams uncompressed
             (counted in ``stats.degraded_blocks`` and the traffic ratio).
-        mode: ``"serial"`` asks ``engine`` for each block on its own;
-            ``"pipelined"`` reads every block off one engine decode handle
-            (requires ``engine``). Both decode inline, block by block, and
-            produce bit-identical results, traffic, and errors.
+        mode: ``"serial"`` or ``"pipelined"``; kept for perfbench, which
+            passes ``mode="pipelined"``. It is validated
+            (``"pipelined"`` requires ``engine`` and refuses
+            ``use_udp_simulator``) and echoed in ``stats.mode``, but
+            selects no code: every engine-backed run reads its blocks off
+            one engine decode handle.
         cancel: optional zero-arg callable polled at every block
             boundary; returning True abandons the run with
             :class:`~repro.core.executor.RunCancelled` (deadline-bound

@@ -119,7 +119,6 @@ class FusionScheduler:
         library: MatrixLibrary,
         engine,
         *,
-        mode: str = "serial",
         memory=None,
         compute_threads: int = 2,
         fusion_window_ms: float = 2.0,
@@ -133,7 +132,6 @@ class FusionScheduler:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.library = library
         self.engine = engine
-        self.mode = mode
         self.memory = memory
         self.fusion_window_s = max(0.0, fusion_window_ms) / 1000.0
         self.max_fuse = max_fuse
@@ -329,7 +327,6 @@ class FusionScheduler:
             engine=self.engine,
             matrix_id=name,
             policy=policy,
-            mode=self.mode,
             cancel=cancelled,
         )
         if self.memory is not None:

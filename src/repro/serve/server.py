@@ -60,8 +60,6 @@ class ServeConfig:
     root: str
     host: str = "127.0.0.1"
     port: int = 0
-    #: Execution mode for every request: "serial" | "pipelined".
-    mode: str = "serial"
     cache_bytes: int = DEFAULT_SERVE_CACHE_BYTES
     max_matrix_frac: float = DEFAULT_MAX_MATRIX_FRAC
     inflight_budget_bytes: int = DEFAULT_INFLIGHT_BUDGET
@@ -76,10 +74,6 @@ class ServeConfig:
     residency_budget: int | None = None
     #: Seconds to wait for in-flight work at shutdown.
     drain_s: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("serial", "pipelined"):
-            raise ValueError(f"mode must be serial|pipelined, got {self.mode!r}")
 
 
 class MatrixServer:
@@ -103,7 +97,6 @@ class MatrixServer:
         self.scheduler = FusionScheduler(
             self.library,
             self.engine,
-            mode=config.mode,
             compute_threads=config.compute_threads,
             fusion_window_ms=config.fusion_window_ms,
             max_fuse=config.max_fuse,

@@ -8,8 +8,8 @@ so a library far larger than RAM stays servable. Per-matrix metadata
 (container bytes, nnz) feeds the admission controller's cost model:
 *estimated decode traffic*, the paper's data-movement currency.
 
-The shared cache extends the engine's LRU with **per-matrix admission and
-eviction**: one matrix may occupy at most ``max_matrix_frac`` of the
+The shared cache is the engine's LRU with its **per-matrix admission and
+eviction** switched on: one matrix may occupy at most ``max_matrix_frac`` of the
 budget, and pushing past that share evicts that matrix's own oldest
 blocks first — a tenant hammering one huge matrix cannot evict another
 tenant's resident working set (the robustness headline of the serve
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import DecodedBlockCache
 from repro.codecs.pipeline import RECORD_HEADER_BYTES
-from repro.sparse.blocked import CSRBlock
 
 #: Default shared-cache budget (decoded 12 B/nnz bytes).
 DEFAULT_SERVE_CACHE_BYTES = 256 * 1024 * 1024
@@ -41,7 +40,9 @@ class SharedDecodedCache(DecodedBlockCache):
     fingerprint)``. A ``put`` that would lift the block's matrix over
     ``max_matrix_frac * max_bytes`` evicts that matrix's own LRU entries
     first; only then does the global LRU bound apply. Blocks bigger than
-    the whole share are refused outright (``rejected`` counts them).
+    the whole share are refused outright (``rejected`` counts them). The
+    rule itself is :class:`~repro.codecs.engine.DecodedBlockCache`'s; this
+    class only sets the serve defaults.
     """
 
     def __init__(
@@ -56,78 +57,6 @@ class SharedDecodedCache(DecodedBlockCache):
             )
         super().__init__(max_bytes=max_bytes, max_blocks=max_blocks)
         self.max_matrix_frac = max_matrix_frac
-        self.rejected = 0
-        self.matrix_evictions = 0
-        self._matrix_bytes: dict[str, int] = {}
-
-    @property
-    def matrix_share_bytes(self) -> int:
-        """The per-matrix byte cap."""
-        return int(self.max_bytes * self.max_matrix_frac)
-
-    def matrix_bytes(self, matrix_id: str) -> int:
-        """Resident decoded bytes attributed to one matrix."""
-        with self._lock:
-            return self._matrix_bytes.get(matrix_id, 0)
-
-    def _drop(self, key: tuple) -> None:
-        """Remove one entry, maintaining both byte ledgers (lock held)."""
-        _, nbytes = self._entries.pop(key)
-        self.stats.current_bytes -= nbytes
-        mid = key[0]
-        left = self._matrix_bytes.get(mid, 0) - nbytes
-        if left > 0:
-            self._matrix_bytes[mid] = left
-        else:
-            self._matrix_bytes.pop(mid, None)
-
-    def put(self, key: tuple, block: CSRBlock) -> None:
-        matrix_id = key[0]
-        nbytes = 12 * block.nnz
-        share = self.matrix_share_bytes
-        with self._lock:
-            if nbytes > share:
-                self.rejected += 1
-                return
-            if key in self._entries:
-                self._drop(key)
-            self._entries[key] = (block, nbytes)
-            self.stats.current_bytes += nbytes
-            self._matrix_bytes[matrix_id] = (
-                self._matrix_bytes.get(matrix_id, 0) + nbytes
-            )
-            # Per-matrix eviction first: this matrix pays for its own
-            # overshoot before any global pressure lands on others.
-            while self._matrix_bytes.get(matrix_id, 0) > share:
-                victim = next(
-                    k for k in self._entries if k[0] == matrix_id
-                )
-                self._drop(victim)
-                self.stats.evictions += 1
-                self.matrix_evictions += 1
-            while self._entries and (
-                self.stats.current_bytes > self.max_bytes
-                or (self.max_blocks is not None and len(self._entries) > self.max_blocks)
-            ):
-                self._drop(next(iter(self._entries)))
-                self.stats.evictions += 1
-
-    def evict_matrix(self, matrix_id: str) -> int:
-        """Drop every resident block of one matrix; returns bytes freed."""
-        with self._lock:
-            victims = [k for k in self._entries if k[0] == matrix_id]
-            freed = self._matrix_bytes.get(matrix_id, 0)
-            for key in victims:
-                self._drop(key)
-                self.stats.evictions += 1
-                self.matrix_evictions += 1
-            return freed
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._matrix_bytes.clear()
-            self.stats.current_bytes = 0
 
 
 @dataclass(frozen=True)

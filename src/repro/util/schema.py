@@ -506,9 +506,8 @@ BENCH_SERVE_SCHEMA: dict = _with_common(
         "properties": {
             "title": {"type": "string"},
             "context": {
-                "required": ["mode", "max_fuse", "tenants"],
+                "required": ["max_fuse", "tenants"],
                 "properties": {
-                    "mode": {"type": "string"},
                     "max_fuse": {"type": "integer", "minimum": 1},
                     "tenants": {"type": "integer", "minimum": 1},
                     "fusion_window_ms": {"type": "number", "minimum": 0},

@@ -39,9 +39,8 @@ from repro.util import SchemaError, non_timing_view
 
 
 def test_axes_cover_issue_minimum():
-    assert len(AXES) >= 6
     names = {a.name for a in AXES}
-    assert {"cache", "kernel_backend", "executor", "policy"} <= names
+    assert names == {"cache", "kernel_backend", "policy", "spmm_fusion", "session"}
 
 
 def test_enumerate_subset_and_unknown():
@@ -55,7 +54,6 @@ def test_baseline_is_fully_featured():
     base = baseline_config()
     assert base.is_baseline
     assert base.cache and base.spmm_fusion
-    assert base.executor == "pipelined"
     assert base.kernel_backend == "native"
     assert axis("kernel_backend").ablated == "python"
     assert base.policy == "degrade"
@@ -184,7 +182,7 @@ def test_cli_ablate_tiny_roundtrip(tmp_path, monkeypatch, capsys):
     rc = main(
         [
             "ablate", "--smoke",
-            "--axes", "cache,executor,policy",
+            "--axes", "cache,session,policy",
             "--out", str(out),
         ]
     )
@@ -215,12 +213,12 @@ def test_enumerate_pair_configs_flip_both_axes():
     assert pair.cache is axis("cache").ablated
     assert pair.policy == axis("policy").ablated
     # Everything else stays at baseline.
-    assert pair.executor == baseline_config().executor
+    assert pair.session == baseline_config().session
     assert "removed together" in pair.describe()
 
-    three = enumerate_pair_configs(("cache", "policy", "executor"))
+    three = enumerate_pair_configs(("cache", "session", "policy"))
     assert [c.run_id for c in three] == [
-        "no-cache+executor", "no-cache+policy", "no-executor+policy",
+        "no-cache+policy", "no-cache+session", "no-policy+session",
     ]
 
     with pytest.raises(ValueError):
@@ -301,18 +299,18 @@ def test_cli_ablate_pairs_roundtrip(tmp_path, monkeypatch, capsys):
         [
             "ablate", "--smoke",
             "--axes", "cache",
-            "--pairs", "cache,executor",
+            "--pairs", "cache,session",
             "--out", str(out),
         ]
     )
     assert rc == 0
     artifact = json.loads(out.read_text())
     validate_artifact(artifact)
-    # --pairs pulled executor's one-off into the grid for the null model:
-    # baseline + no-cache + no-executor + no-cache+executor.
+    # --pairs pulled session's one-off into the grid for the null model:
+    # baseline + no-cache + no-session + no-cache+session.
     assert artifact["conformance"]["configs_checked"] == 4
     (entry,) = artifact["interactions"]
-    assert entry["axes"] == ["cache", "executor"]
+    assert entry["axes"] == ["cache", "session"]
     assert entry["pair_contribution"] > 0
     captured = capsys.readouterr()
     assert "interaction" in captured.out

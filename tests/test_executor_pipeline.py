@@ -1,11 +1,13 @@
-"""Pipelined executor: bit-equality with the serial path, SpMM fusion.
+"""The engine-backed executor: bit-equality with the engine-less path,
+one decode handle per run, SpMM fusion.
 
-The contract under test: ``mode="pipelined"`` must be bit-identical to
-``mode="serial"`` — result vector, TrafficLog byte totals,
-``dma_seconds``, degraded-block accounting, raised error types — across
-engine pool widths, cache on/off, repeated runs, and injected faults
-under both failure policies. Fused SpMM must decode each block once and
-match per-column SpMV bit-exactly.
+The contract under test: a run with an engine reads every block off one
+engine decode handle, whatever ``mode`` it is given, and is
+bit-identical to the engine-less run of the same plan — result vector,
+TrafficLog byte totals, ``dma_seconds``, degraded-block accounting,
+raised error types — across engine pool widths, cache on/off, repeated
+runs, and injected faults under both failure policies. Fused SpMM must
+decode each block once and match per-column SpMV bit-exactly.
 """
 
 import inspect
@@ -22,7 +24,7 @@ from repro.codecs.engine import AsyncDecode, DecodedBlockCache, RecodeEngine
 from repro.codecs.errors import BlockDecodeError
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
-from repro.core import recoded_spmm, recoded_spmv
+from repro.core import ExecutionSession, recoded_spmm, recoded_spmv
 from repro.core import RunCancelled
 from repro.core.executor import multiply_block
 from repro.faults import FaultPlan
@@ -58,20 +60,12 @@ def x(plan):
     return np.random.default_rng(7).standard_normal(plan.blocked.shape[1])
 
 
-def assert_stats_parity(serial, pipelined):
-    assert serial.dram_bytes == pipelined.dram_bytes
-    assert serial.baseline_dram_bytes == pipelined.baseline_dram_bytes
-    assert serial.traffic.bytes_on("dram", "udp") == pipelined.traffic.bytes_on(
-        "dram", "udp"
-    )
-    assert serial.traffic.bytes_on("dram", "cpu") == pipelined.traffic.bytes_on(
-        "dram", "cpu"
-    )
-    assert serial.traffic.bytes_on("udp", "cpu") == pipelined.traffic.bytes_on(
-        "udp", "cpu"
-    )
-    assert serial.dma_seconds == pipelined.dma_seconds
-    assert serial.degraded_blocks == pipelined.degraded_blocks
+def assert_stats_parity(a, b):
+    assert a.dram_bytes == b.dram_bytes
+    assert a.baseline_dram_bytes == b.baseline_dram_bytes
+    assert a.traffic.edges() == b.traffic.edges()
+    assert a.dma_seconds == b.dma_seconds
+    assert a.degraded_blocks == b.degraded_blocks
 
 
 class TestPipelinedParity:
@@ -79,50 +73,45 @@ class TestPipelinedParity:
     @pytest.mark.parametrize("cache", [False, True])
     @pytest.mark.parametrize("passes", [1, 4])
     def test_bit_identical_to_serial(self, plan, x, workers, cache, passes):
-        eng_s, eng_p = make_engine(workers, cache), make_engine(workers, cache)
-        for _ in range(passes):
-            ys, ss = recoded_spmv(plan, x, engine=eng_s, matrix_id="m", mode="serial")
-            yp, sp = recoded_spmv(
-                plan, x, engine=eng_p, matrix_id="m", mode="pipelined"
-            )
+        """An engine-backed run, under either ``mode``, matches the
+        engine-less serial decoder bit for bit, cold and cached."""
+        eng = make_engine(workers, cache)
+        ys, ss = recoded_spmv(plan, x, matrix_id="m")
+        for i in range(passes):
+            mode = ("serial", "pipelined")[i % 2]
+            yp, sp = recoded_spmv(plan, x, engine=eng, matrix_id="m", mode=mode)
             np.testing.assert_array_equal(ys, yp)
             assert_stats_parity(ss, sp)
-            assert ss.mode == "serial" and sp.mode == "pipelined"
-        assert eng_s._pool is eng_p._pool is None
+            assert sp.mode == mode
+        assert eng._pool is None
 
     def test_warm_cache_parity(self, plan, x):
-        eng_s = make_engine(2, cache=True)
-        eng_p = make_engine(2, cache=True)
+        eng = make_engine(2, cache=True)
+        ys, ss = recoded_spmv(plan, x)
         for _ in range(3):
-            ys, ss = recoded_spmv(plan, x, engine=eng_s, matrix_id="m", mode="serial")
-            yp, sp = recoded_spmv(
-                plan, x, engine=eng_p, matrix_id="m", mode="pipelined"
-            )
+            yp, sp = recoded_spmv(plan, x, engine=eng, matrix_id="m")
             np.testing.assert_array_equal(ys, yp)
             assert_stats_parity(ss, sp)
-        es, ep = ss.engine_stats, sp.engine_stats
-        assert es["cache_hits"] == ep["cache_hits"] > 0
-        assert es["blocks_decoded"] == ep["blocks_decoded"]
-        assert es["bytes_decoded"] == ep["bytes_decoded"]
+        es = sp.engine_stats
+        assert es["blocks_decoded"] == plan.nblocks
+        assert es["cache_hits"] == 2 * plan.nblocks
 
     def test_split_rows_parity(self, split_plan):
         xs = np.random.default_rng(1).standard_normal(split_plan.blocked.shape[1])
-        ys, ss = recoded_spmv(split_plan, xs, mode="serial")
+        ys, ss = recoded_spmv(split_plan, xs)
         for workers in (0, 2):
-            yp, sp = recoded_spmv(
-                split_plan, xs, engine=make_engine(workers), mode="pipelined"
-            )
+            yp, sp = recoded_spmv(split_plan, xs, engine=make_engine(workers))
             np.testing.assert_array_equal(ys, yp)
             assert ss.dma_seconds == sp.dma_seconds
 
     def test_process_pool_parity(self, plan, x):
-        # A plan encoded on the engine's process pool runs pipelined
+        # A plan encoded on the engine's process pool runs engine-backed
         # bit-identically to the serially encoded one.
         m = generators.unstructured(400, density=0.03, seed=3)
-        ys, _ = recoded_spmv(plan, x, mode="serial")
+        ys, _ = recoded_spmv(plan, x)
         with RecodeEngine(workers=2, retry_base_s=0.0) as eng:
             pooled = eng.encode_blocked(m, block_bytes=2048)
-            yp, _ = recoded_spmv(pooled, x, engine=eng, mode="pipelined")
+            yp, _ = recoded_spmv(pooled, x, engine=eng)
         np.testing.assert_array_equal(ys, yp)
 
     def test_pipelined_requires_engine(self, plan, x):
@@ -144,64 +133,102 @@ class TestPipelinedParity:
             )
 
 
+class TestOneHandlePerRun:
+    """Every engine-backed run, whatever its ``mode``, reads its blocks off
+    exactly one engine decode handle and never asks the engine for a
+    single block."""
+
+    @pytest.mark.parametrize("mode", ["serial", "pipelined"])
+    def test_one_async_decode_per_run(self, plan, x, mode, monkeypatch):
+        handles = []
+        real_init = AsyncDecode.__init__
+
+        def spy_init(self, *args, **kwargs):
+            handles.append(self)
+            real_init(self, *args, **kwargs)
+
+        def no_single_block(*args, **kwargs):
+            raise AssertionError("an engine-backed run called decode_block")
+
+        monkeypatch.setattr(AsyncDecode, "__init__", spy_init)
+        monkeypatch.setattr(RecodeEngine, "decode_block", no_single_block)
+        X = np.ones((plan.blocked.shape[1], 2))
+        eng = make_engine(0, cache=True)
+        fp = FaultPlan(seed=4, dram_bitflip_blocks=(3,))
+        for kwargs in ({}, {"policy": "degrade"}):
+            recoded_spmv(plan, x, engine=eng, matrix_id="h", mode=mode, **kwargs)
+            recoded_spmm(plan, X, engine=eng, matrix_id="h", mode=mode, **kwargs)
+            with fp.activate():
+                recoded_spmv(plan, x, engine=make_engine(), mode=mode, policy="degrade")
+        assert len(handles) == 6
+
+    def test_session_cold_calls_read_one_handle(self, plan, x, monkeypatch):
+        handles = []
+        real_async = RecodeEngine.decode_blocks_async
+
+        def spy_async(self, *args, **kwargs):
+            handle = real_async(self, *args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(RecodeEngine, "decode_blocks_async", spy_async)
+        # A cache-less engine keeps every session call cold.
+        with ExecutionSession(plan, engine=make_engine()) as sess:
+            for _ in range(3):
+                sess.spmv(x)
+        assert len(handles) == 3
+
+
 class TestFaultParity:
     def test_degrade_policy_parity(self, plan, x):
-        fp = FaultPlan(seed=11, bitflip_blocks=(2, 7), truncate_blocks=(4,))
-        with fp.activate():
-            ys, ss = recoded_spmv(
-                plan, x, engine=make_engine(2), matrix_id="f",
-                mode="serial", policy="degrade",
-            )
+        """A record-site fault the engine sees costs an engine-backed run
+        what a DRAM-site fault at the same blocks costs an engine-less one:
+        the result stays bit-exact and the same blocks stream raw."""
+        record = FaultPlan(seed=11, bitflip_blocks=(2, 7), truncate_blocks=(4,))
+        dram = FaultPlan(seed=11, dram_bitflip_blocks=(2, 4, 7))
+        with record.activate():
             yp, sp = recoded_spmv(
-                plan, x, engine=make_engine(2), matrix_id="f",
-                mode="pipelined", policy="degrade",
+                plan, x, engine=make_engine(2), matrix_id="f", policy="degrade"
             )
+        with dram.activate():
+            ys, ss = recoded_spmv(plan, x, matrix_id="f", policy="degrade")
         np.testing.assert_array_equal(ys, yp)
+        np.testing.assert_array_equal(yp, recoded_spmv(plan, x)[0])
         assert_stats_parity(ss, sp)
-        assert ss.degraded_blocks > 0
+        assert sp.degraded_blocks == 3
 
     def test_strict_policy_same_error(self, plan, x):
+        """A strict engine-backed run raises the error the engine itself
+        reports for the block."""
         fp = FaultPlan(seed=11, bitflip_blocks=(5,))
         with fp.activate():
-            with pytest.raises(BlockDecodeError) as err_s:
+            with pytest.raises(BlockDecodeError) as err_run:
                 recoded_spmv(
-                    plan, x, engine=make_engine(2), matrix_id="g",
-                    mode="serial", policy="strict",
+                    plan, x, engine=make_engine(2), matrix_id="g", policy="strict"
                 )
-            with pytest.raises(BlockDecodeError) as err_p:
-                recoded_spmv(
-                    plan, x, engine=make_engine(2), matrix_id="g",
-                    mode="pipelined", policy="strict",
-                )
-        assert str(err_s.value) == str(err_p.value)
-        assert err_s.value.block_id == err_p.value.block_id == 5
+            with pytest.raises(BlockDecodeError) as err_engine:
+                make_engine(2).decode_blocked(plan, matrix_id="g")
+        assert str(err_run.value) == str(err_engine.value)
+        assert err_run.value.block_id == err_engine.value.block_id == 5
 
     def test_strict_multiple_failures_raises_lowest_block(self, plan, x):
         fp = FaultPlan(seed=3, bitflip_blocks=(6, 1, 9))
         with fp.activate():
-            with pytest.raises(BlockDecodeError) as err_s:
+            with pytest.raises(BlockDecodeError) as err_run:
                 recoded_spmv(
-                    plan, x, engine=make_engine(2), matrix_id="g2",
-                    mode="serial", policy="strict",
+                    plan, x, engine=make_engine(2), matrix_id="g2", policy="strict"
                 )
-            with pytest.raises(BlockDecodeError) as err_p:
-                recoded_spmv(
-                    plan, x, engine=make_engine(2), matrix_id="g2",
-                    mode="pipelined", policy="strict",
-                )
-        assert str(err_s.value) == str(err_p.value)
-        assert err_s.value.block_id == err_p.value.block_id == 1
+            with pytest.raises(BlockDecodeError) as err_engine:
+                make_engine(2).decode_blocked(plan, matrix_id="g2")
+        assert str(err_run.value) == str(err_engine.value)
+        assert err_run.value.block_id == err_engine.value.block_id == 1
 
     def test_dram_site_faults_bypass_engine(self, plan, x):
         fp = FaultPlan(seed=5, dram_bitflip_blocks=(1, 3))
         with fp.activate():
-            ys, ss = recoded_spmv(
-                plan, x, engine=make_engine(2), matrix_id="d",
-                mode="serial", policy="degrade",
-            )
+            ys, ss = recoded_spmv(plan, x, matrix_id="d", policy="degrade")
             yp, sp = recoded_spmv(
-                plan, x, engine=make_engine(2), matrix_id="d",
-                mode="pipelined", policy="degrade",
+                plan, x, engine=make_engine(2), matrix_id="d", policy="degrade"
             )
         np.testing.assert_array_equal(ys, yp)
         assert_stats_parity(ss, sp)
@@ -209,97 +236,96 @@ class TestFaultParity:
 
     @settings(max_examples=8, deadline=None)
     @given(
-        bitflips=st.sets(st.integers(0, 11), max_size=3),
-        truncates=st.sets(st.integers(0, 11), max_size=2),
+        dram=st.sets(st.integers(0, 11), max_size=3),
+        bitflips=st.sets(st.integers(0, 11), max_size=2),
         seed=st.integers(0, 500),
         policy=st.sampled_from(["strict", "degrade"]),
+        cache=st.booleans(),
     )
-    def test_random_fault_plans_parity(self, plan, x, bitflips, truncates, seed, policy):
+    def test_random_fault_plans_parity(self, plan, x, dram, bitflips, seed, policy, cache):
+        """DRAM-site faults hit both paths alike, so outcomes match in
+        full; record-site faults, which only the engine sees, never
+        change a degraded result and only fail a strict run at one of
+        their blocks."""
         fp = FaultPlan(
             seed=seed,
+            dram_bitflip_blocks=tuple(sorted(dram)),
             bitflip_blocks=tuple(sorted(bitflips)),
-            truncate_blocks=tuple(sorted(truncates)),
         )
-        outcome_s = outcome_p = None
+
+        def outcome(engine):
+            try:
+                return recoded_spmv(
+                    plan, x, engine=engine, matrix_id=f"h{seed}", policy=policy
+                )
+            except BlockDecodeError as e:
+                return (str(e), e.block_id)
+
         with fp.activate():
-            try:
-                outcome_s = recoded_spmv(
-                    plan, x, engine=make_engine(0), matrix_id=f"h{seed}",
-                    mode="serial", policy=policy,
-                )
-            except BlockDecodeError as e:
-                outcome_s = (str(e), e.block_id)
-            try:
-                outcome_p = recoded_spmv(
-                    plan, x, engine=make_engine(0), matrix_id=f"h{seed}",
-                    mode="pipelined", policy=policy,
-                )
-            except BlockDecodeError as e:
-                outcome_p = (str(e), e.block_id)
-        if isinstance(outcome_s, tuple) and isinstance(outcome_s[0], str):
-            assert outcome_s == outcome_p
+            backed = outcome(make_engine(0, cache))
+            engineless = outcome(None)
+        if not bitflips:
+            if isinstance(engineless[0], str):
+                assert backed == engineless
+            else:
+                np.testing.assert_array_equal(engineless[0], backed[0])
+                assert_stats_parity(engineless[1], backed[1])
+        elif policy == "degrade":
+            np.testing.assert_array_equal(engineless[0], backed[0])
+        elif isinstance(backed[0], str):
+            assert backed[1] in dram | bitflips
         else:
-            ys, ss = outcome_s
-            yp, sp = outcome_p
-            np.testing.assert_array_equal(ys, yp)
-            assert_stats_parity(ss, sp)
+            np.testing.assert_array_equal(engineless[0], backed[0])
 
 
 class TestFusedSpMM:
     def test_columns_match_spmv_bit_exactly(self, plan):
         X = np.random.default_rng(5).standard_normal((plan.blocked.shape[1], 4))
-        Y, stats = recoded_spmm(plan, X, mode="serial")
+        Y, stats = recoded_spmm(plan, X)
         assert Y.shape == (plan.blocked.shape[0], 4)
         assert stats.nrhs == 4
         for j in range(4):
-            yj, _ = recoded_spmv(plan, X[:, j], mode="serial")
+            yj, _ = recoded_spmv(plan, X[:, j])
             np.testing.assert_array_equal(Y[:, j], yj)
 
     def test_decodes_each_block_once(self, plan, x):
         X = np.random.default_rng(5).standard_normal((plan.blocked.shape[1], 6))
-        _, sm = recoded_spmm(plan, X, mode="serial")
-        _, s1 = recoded_spmv(plan, x, mode="serial")
+        _, sm = recoded_spmm(plan, X)
+        _, s1 = recoded_spmv(plan, x)
         # A-side DRAM traffic of a 6-column multiply equals one SpMV's.
         assert sm.traffic.bytes_on("dram", "udp") == s1.traffic.bytes_on(
             "dram", "udp"
         )
         eng = make_engine(0, cache=True)
-        _, sm2 = recoded_spmm(plan, X, engine=eng, matrix_id="mm", mode="serial")
+        _, sm2 = recoded_spmm(plan, X, engine=eng, matrix_id="mm")
         assert sm2.engine_stats["blocks_decoded"] == plan.nblocks
 
     def test_pipelined_spmm_parity(self, plan):
         X = np.random.default_rng(6).standard_normal((plan.blocked.shape[1], 3))
-        Ys, ss = recoded_spmm(plan, X, engine=make_engine(0), mode="serial")
+        Ys, ss = recoded_spmm(plan, X)
         for workers in (0, 2):
-            Yp, sp = recoded_spmm(
-                plan, X, engine=make_engine(workers), mode="pipelined"
-            )
+            Yp, sp = recoded_spmm(plan, X, engine=make_engine(workers))
             np.testing.assert_array_equal(Ys, Yp)
             assert_stats_parity(ss, sp)
             assert sp.nrhs == 3
 
     def test_split_rows_spmm_parity(self, split_plan):
         X = np.random.default_rng(2).standard_normal((split_plan.blocked.shape[1], 3))
-        Ys, _ = recoded_spmm(split_plan, X, mode="serial")
-        Yp, _ = recoded_spmm(
-            split_plan, X, engine=make_engine(2), mode="pipelined"
-        )
+        Ys, _ = recoded_spmm(split_plan, X)
+        Yp, _ = recoded_spmm(split_plan, X, engine=make_engine(2))
         np.testing.assert_array_equal(Ys, Yp)
 
     def test_degrade_parity(self, plan):
         X = np.random.default_rng(8).standard_normal((plan.blocked.shape[1], 2))
-        fp = FaultPlan(seed=21, bitflip_blocks=(0, 4))
-        with fp.activate():
-            Ys, ss = recoded_spmm(
-                plan, X, engine=make_engine(0), matrix_id="df",
-                mode="serial", policy="degrade",
-            )
+        with FaultPlan(seed=21, bitflip_blocks=(0, 4)).activate():
             Yp, sp = recoded_spmm(
-                plan, X, engine=make_engine(0), matrix_id="df",
-                mode="pipelined", policy="degrade",
+                plan, X, engine=make_engine(0), matrix_id="df", policy="degrade"
             )
+        with FaultPlan(seed=21, dram_bitflip_blocks=(0, 4)).activate():
+            Ys, ss = recoded_spmm(plan, X, matrix_id="df", policy="degrade")
         np.testing.assert_array_equal(Ys, Yp)
         assert_stats_parity(ss, sp)
+        assert sp.degraded_blocks == 2
 
     def test_bad_x_shape(self, plan):
         with pytest.raises(ValueError, match="X must have shape"):
@@ -310,13 +336,15 @@ class TestFusedSpMM:
 
 class TestPipelineMetrics:
     def test_pipelined_run_emits_pipeline_metrics(self, plan, x):
-        with obs.scoped_registry() as reg:
-            recoded_spmv(plan, x, engine=make_engine(2), mode="pipelined")
-            names = set(obs.aggregate_by_name(reg.snapshot()))
-        assert "spmv.pipeline.runs" in names
-        assert "spmv.pipeline.multiply_idle_seconds" in names
-        assert "spmv.pipeline.decode_idle_seconds" in names
-        assert "spmv.pipeline.multiply_seconds" in names
+        """Every engine-backed run books ``spmv.pipeline.*``."""
+        for mode in ("serial", "pipelined"):
+            with obs.scoped_registry() as reg:
+                recoded_spmv(plan, x, engine=make_engine(2), mode=mode)
+                names = set(obs.aggregate_by_name(reg.snapshot()))
+            assert "spmv.pipeline.runs" in names
+            assert "spmv.pipeline.multiply_idle_seconds" in names
+            assert "spmv.pipeline.decode_idle_seconds" in names
+            assert "spmv.pipeline.multiply_seconds" not in names
 
     @pytest.mark.parametrize("caller", ["process", "thread"])
     def test_pool_decode_emits_inline_span_count(self, plan, x, caller):
@@ -329,7 +357,7 @@ class TestPipelineMetrics:
 
         def run():
             tids.append(threading.get_native_id())
-            recoded_spmv(plan, x, engine=eng, mode="pipelined")
+            recoded_spmv(plan, x, engine=eng)
 
         try:
             if caller == "process":
@@ -349,15 +377,17 @@ class TestPipelineMetrics:
         assert {(e["pid"], e["tid"]) for e in spans} == {(os.getpid(), tids[0])}
 
     def test_serial_run_does_not(self, plan, x):
+        """An engine-less run (the serial decoder) books no
+        ``spmv.pipeline.*``."""
         with obs.scoped_registry() as reg:
-            recoded_spmv(plan, x, engine=make_engine(0), mode="serial")
+            recoded_spmv(plan, x, mode="serial")
             names = set(obs.aggregate_by_name(reg.snapshot()))
         assert not any(n.startswith("spmv.pipeline.") for n in names)
 
     def test_spmm_uses_spmm_prefix(self, plan):
         X = np.ones((plan.blocked.shape[1], 2))
         with obs.scoped_registry() as reg:
-            recoded_spmm(plan, X, mode="serial")
+            recoded_spmm(plan, X)
             names = set(obs.aggregate_by_name(reg.snapshot()))
         assert "spmm.iterations" in names
         assert "spmm.flops" in names
@@ -389,8 +419,8 @@ class TestInputShape:
 class TestInOrderConsumption:
     def test_in_order_handle_matches_serial(self, plan, x, monkeypatch):
         """The run's one decode handle yields every block in block order,
-        decoding each when the kernel asks, so every serial observable is
-        reproduced."""
+        decoding each when the kernel asks, so every observable of the
+        engine-less serial decoder is reproduced."""
         yielded = []
         real_next = AsyncDecode.__next__
 
@@ -399,15 +429,11 @@ class TestInOrderConsumption:
             yielded.append(item[0])
             return item
 
-        fp = FaultPlan(seed=4, bitflip_blocks=(6,))
+        fp = FaultPlan(seed=4, dram_bitflip_blocks=(6,))
         with fp.activate():
-            ys, ss = recoded_spmv(
-                plan, x, engine=make_engine(0), mode="serial", policy="degrade"
-            )
+            ys, ss = recoded_spmv(plan, x, policy="degrade")
             monkeypatch.setattr(AsyncDecode, "__next__", spy_next)
-            yp, sp = recoded_spmv(
-                plan, x, engine=make_engine(2), mode="pipelined", policy="degrade"
-            )
+            yp, sp = recoded_spmv(plan, x, engine=make_engine(2), policy="degrade")
         assert yielded == list(range(plan.nblocks))
         np.testing.assert_array_equal(ys, yp)
         assert ss.traffic.edges() == sp.traffic.edges()
@@ -416,8 +442,8 @@ class TestInOrderConsumption:
 
 
 class TestPipelinedLifecycle:
-    """However a pipelined run ends, its handle is closed, no fd leaks,
-    and the engine serves the next call bit-identically."""
+    """However an engine-backed run ends, its handle is closed, no fd
+    leaks, and the engine serves the next call bit-identically."""
 
     @staticmethod
     def _fds() -> int:
@@ -434,7 +460,7 @@ class TestPipelinedLifecycle:
             return handle
 
         monkeypatch.setattr(RecodeEngine, "decode_blocks_async", spy_async)
-        y_ref, _ = recoded_spmv(plan, x, mode="serial")
+        y_ref, _ = recoded_spmv(plan, x)
         eng = RecodeEngine(workers=2, retry_base_s=0.0)
         fault = FaultPlan(seed=11, bitflip_blocks=(5,))
         calls = []
@@ -444,7 +470,7 @@ class TestPipelinedLifecycle:
             return len(calls) > 3
 
         def check(mid):
-            y, _ = recoded_spmv(plan, x, engine=eng, matrix_id=mid, mode="pipelined")
+            y, _ = recoded_spmv(plan, x, engine=eng, matrix_id=mid)
             np.testing.assert_array_equal(y, y_ref)
 
         try:
@@ -452,7 +478,7 @@ class TestPipelinedLifecycle:
             fds = self._fds()
             for ending in ("success", "strict", "degrade", "cancel"):
                 handles.clear()
-                kwargs = dict(engine=eng, matrix_id=ending, mode="pipelined")
+                kwargs = dict(engine=eng, matrix_id=ending)
                 if ending == "success":
                     y, _ = recoded_spmv(plan, x, **kwargs)
                     np.testing.assert_array_equal(y, y_ref)

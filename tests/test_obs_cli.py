@@ -40,7 +40,7 @@ class TestMetricsOut:
         _path, snap = _spmv_metrics(tmp_path)
         iters = [r for r in snap.values() if r["name"] == "spmv.iterations"]
         assert iters and iters[0]["value"] == 1
-        assert "engine (1 serial SpMV iterations)" in capsys.readouterr().out
+        assert "engine (1 SpMV iterations)" in capsys.readouterr().out
 
     def test_explicit_iterations_respected(self, tmp_path):
         _path, snap = _spmv_metrics(tmp_path, extra=["--iterations", "3"])

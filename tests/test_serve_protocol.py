@@ -315,12 +315,11 @@ class TestSelectBatch:
 
 
 class TestConfigAndCost:
-    def test_pipelined_default_config_is_valid(self):
-        assert ServeConfig(root=".", mode="pipelined").mode == "pipelined"
-
     def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ServeConfig(root=".", mode="warp")
+        # Every request runs the one engine decoder: there is no executor
+        # mode to configure.
+        with pytest.raises(TypeError, match="mode"):
+            ServeConfig(root=".", mode="serial")
 
     def test_cost_model_monotonic_in_nrhs(self):
         info = MatrixInfo(

@@ -1,9 +1,10 @@
 """Integration layer for repro.serve: a real server on an ephemeral port.
 
-The differential contract (ISSUE acceptance): a served result is
-**bit-identical** to a direct ``recoded_spmv`` / ``recoded_spmm`` call —
-across strict/degrade policies, serial and pipelined server executors
-(both streaming the same mmap container), and fused batches (each fused
+The differential contract: a served result, decoded through the
+server's engine and shared cache, is **bit-identical** to a direct
+``recoded_spmv`` / ``recoded_spmm`` call of the same plan, engine-less or
+engine-backed — across strict/degrade policies, a cache that holds the
+matrix and one that keeps evicting it, and fused batches (each fused
 column vs its own direct run). On top of that: admission sheds honestly
 (429 + reason + counters that reconcile), deadlines produce 408 instead
 of hangs, and shutdown drains without orphaning work.
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.codecs.container import ContainerReader, save_plan
+from repro.codecs.engine import RecodeEngine
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import recoded_spmm, recoded_spmv
@@ -57,44 +59,52 @@ async def _one(port, op="spmv", tenant="t", **kw):
         return await fn(*kw.pop("args"), **kw)
 
 
-SERVER_VARIANTS = [
-    pytest.param({"mode": "serial"}, id="serial"),
-    pytest.param({"mode": "pipelined"}, id="pipelined"),
+#: The decoder of the direct run a served result is checked against: the
+#: engine-less serial decoder, or an engine's one decode handle per run
+#: (``repro.core.executor.run_pipelined``), which the server runs too.
+DIRECT_DECODERS = [
+    pytest.param(False, id="serial"),
+    pytest.param(True, id="pipelined"),
 ]
 
 
 class TestDifferentialParity:
-    @pytest.fixture(scope="class", params=SERVER_VARIANTS)
-    def server(self, request, root):
-        config = ServeConfig(root=root, port=0, fusion_window_ms=2.0, **request.param)
+    @pytest.fixture(scope="class")
+    def server(self, root):
+        config = ServeConfig(root=root, port=0, fusion_window_ms=2.0)
         with ServerThread(config) as st:
             yield st.server
 
-    def test_spmv_bit_identical_to_direct(self, server, plan, x):
+    @pytest.fixture(params=DIRECT_DECODERS)
+    def engine(self, request):
+        """The direct run's engine (None for the engine-less decoder)."""
+        return RecodeEngine() if request.param else None
+
+    def test_spmv_bit_identical_to_direct(self, server, plan, x, engine):
         resp = run(_one(server.port, args=("m", x)))
-        y_mem, _ = recoded_spmv(plan, x)
+        y_mem, _ = recoded_spmv(plan, x, engine=engine)
         assert sha(resp["y"]) == sha(y_mem)
 
-    def test_spmv_matches_direct_mmap_source(self, server, root, x):
+    def test_spmv_matches_direct_mmap_source(self, server, root, x, engine):
         resp = run(_one(server.port, args=("m", x)))
         with ContainerReader(f"{root}/m.dsh", verify="lazy") as reader:
-            y_mmap, _ = recoded_spmv(reader, x)
+            y_mmap, _ = recoded_spmv(reader, x, engine=engine)
         assert np.array_equal(resp["y"], y_mmap)
 
-    def test_spmm_bit_identical(self, server, plan, x):
+    def test_spmm_bit_identical(self, server, plan, x, engine):
         X = np.stack([x, 2 * x, -x], axis=1)
         resp = run(_one(server.port, op="spmm", args=("m", X)))
-        Y, _ = recoded_spmm(plan, X)
+        Y, _ = recoded_spmm(plan, X, engine=engine)
         assert resp["y"].shape == Y.shape
         assert np.array_equal(resp["y"], Y)
 
-    def test_degrade_policy_no_faults_identical(self, server, plan, x):
+    def test_degrade_policy_no_faults_identical(self, server, plan, x, engine):
         resp = run(_one(server.port, args=("m", x), policy="degrade"))
-        y_mem, _ = recoded_spmv(plan, x, policy="degrade")
+        y_mem, _ = recoded_spmv(plan, x, engine=engine, policy="degrade")
         assert resp["degraded_blocks"] == 0
         assert np.array_equal(resp["y"], y_mem)
 
-    def test_fused_batch_columns_bit_identical(self, server, plan, x):
+    def test_fused_batch_columns_bit_identical(self, server, plan, x, engine):
         async def burst():
             async with ServeClient("127.0.0.1", server.port, tenant="f") as c:
                 return await asyncio.gather(*(c.spmv("m", (i + 1) * x) for i in range(5)))
@@ -102,8 +112,21 @@ class TestDifferentialParity:
         responses = run(burst())
         assert max(r["fused"] for r in responses) > 1, "no fusion happened"
         for i, r in enumerate(responses):
-            y_direct, _ = recoded_spmv(plan, (i + 1) * x)
+            y_direct, _ = recoded_spmv(plan, (i + 1) * x, engine=engine)
             assert np.array_equal(r["y"], y_direct), f"fused col {i} diverged"
+
+    def test_evicting_cache_bit_identical(self, root, plan, x):
+        """A shared cache holding two of the matrix's decoded blocks evicts
+        on every request; answers stay those of the engine-less run."""
+        config = ServeConfig(root=root, port=0, cache_bytes=8192)
+        X = np.stack([x, -x], axis=1)
+        with ServerThread(config) as st:
+            for _ in range(2):
+                resp = run(_one(st.server.port, args=("m", x)))
+                assert sha(resp["y"]) == sha(recoded_spmv(plan, x)[0])
+                resp = run(_one(st.server.port, op="spmm", args=("m", X)))
+                assert np.array_equal(resp["y"], recoded_spmm(plan, X)[0])
+            assert st.server.cache.stats.evictions > 0
 
     def test_response_metadata(self, server, x):
         resp = run(_one(server.port, args=("m", x)))
@@ -279,11 +302,12 @@ class TestLifecycle:
         st.stop()  # raises if the server thread crashed
 
     def test_pipelined_default_boots_bit_identical_to_serial(self, root, x):
-        answers = []
-        for mode in ("serial", "pipelined"):
-            with ServerThread(ServeConfig(root=root, port=0, mode=mode)) as st:
-                answers.append(run(_one(st.server.port, args=("m", x)))["y"])
-        assert sha(answers[0]) == sha(answers[1])
+        """A default server, whose requests read one engine decode handle
+        per run, answers bit-identically to the engine-less serial decoder
+        over the same container."""
+        with ServerThread(ServeConfig(root=root, port=0)) as st:
+            served = run(_one(st.server.port, args=("m", x)))["y"]
+        assert sha(served) == sha(recoded_spmv(f"{root}/m.dsh", x)[0])
 
     def test_double_boot_distinct_ports(self, root):
         with ServerThread(ServeConfig(root=root, port=0)) as a:

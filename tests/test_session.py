@@ -19,6 +19,7 @@ from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmm, recoded_spmv
 from repro.faults import FaultPlan
+from repro.serve import SharedDecodedCache
 from repro.sparse.blocked import CSRBlock
 
 
@@ -142,6 +143,36 @@ class TestAssembleOnce:
                 assert stats.dram_bytes == 0 and sess.warm_calls == 2
         finally:
             engine.close()
+
+    @pytest.mark.parametrize("how", ["evict_matrix", "clear", "share_eviction"])
+    def test_shared_cache_eviction_forces_cold_then_rewarms(
+        self, plan, vectors, reference, how
+    ):
+        """Whatever takes a block out of a serve-style shared cache (its
+        per-matrix share, ``evict_matrix`` or ``clear``) sends the session
+        cold instead of failing its warm-path probe."""
+        x, _ = vectors
+        cache = SharedDecodedCache(max_bytes=24 * plan.nnz, max_matrix_frac=0.5)
+        foreign = CSRBlock(0, 1, np.array([0, 50]), np.zeros(50), np.zeros(50), 0)
+        with ExecutionSession(
+            plan, matrix_id="a", engine=RecodeEngine(cache=cache)
+        ) as sess:
+            sess.spmv(x)
+            sess.spmv(x)
+            assert sess.warm_calls == 1
+            if how == "evict_matrix":
+                cache.evict_matrix("a")
+            elif how == "clear":
+                cache.clear()
+            else:
+                cache.put(("a", -1, "fp"), foreign)  # lifts "a" over its share
+                assert cache.matrix_evictions == 1
+            y, stats = sess.spmv(x)
+            assert y.tobytes() == reference[0]
+            assert stats.dram_bytes > 0 and sess.cold_calls == 2
+            y, stats = sess.spmv(x)
+            assert y.tobytes() == reference[0]
+            assert stats.dram_bytes == 0 and sess.warm_calls == 2
 
     def test_warm_blocks_share_one_allocation(self, plan, vectors):
         x, _ = vectors

@@ -2,10 +2,11 @@
 
 Three contracts:
 
-* **Bit-parity everywhere** — CG and PageRank results are bit-identical
-  across serial/pipelined executors, both kernel backends, and
-  with/without session reuse, and identical to the hand-rolled loops the
-  examples used before ``repro.solvers`` existed.
+* **Bit-parity everywhere** — CG and PageRank results over sessions are
+  bit-identical across both kernel backends and with/without session
+  reuse, and identical to the hand-rolled loops the examples used before
+  ``repro.solvers`` existed, whether those loops run engine-less (the
+  serial decoder) or engine-backed (one decode handle per run).
 * **CG converges within theory** — on an SPD fixture the iteration count
   stays under the classical ``sqrt(kappa)`` bound.
 * **Honest traffic under degrade** — an armed fault plan keeps the
@@ -25,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import kernels
 from repro.codecs import save_plan
+from repro.codecs.engine import RecodeEngine
 from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmv
@@ -33,10 +35,12 @@ from repro.solvers import SolverResult, cg, pagerank, power_iteration
 from repro.sparse import spmv
 from repro.sparse.coo import COOMatrix
 
-MODES = ("serial", "pipelined")
+#: The decoder of the hand-rolled reference loop: engine-less (serial) or
+#: an engine's one decode handle per run (pipelined).
+DECODERS = ("serial", "pipelined")
 BACKENDS = ("numpy", "python")
 REUSE = (True, False)
-GRID = list(itertools.product(MODES, BACKENDS, REUSE))
+GRID = list(itertools.product(DECODERS, BACKENDS, REUSE))
 GRID_IDS = [f"{m}-{b}-{'warm' if r else 'cold'}" for m, b, r in GRID]
 
 
@@ -50,14 +54,14 @@ def _stochastic(adj):
     ).to_csr()
 
 
-def _cg_reference(plan, b, tol=1e-8, max_iter=500):
+def _cg_reference(plan, b, tol=1e-8, max_iter=500, engine=None):
     """The pre-solvers hand-rolled CG loop (bit-parity oracle)."""
     x = np.zeros_like(b)
-    r = b - recoded_spmv(plan, x)[0]
+    r = b - recoded_spmv(plan, x, engine=engine)[0]
     p = r.copy()
     rs = float(r @ r)
     for iteration in range(1, max_iter + 1):
-        ap = recoded_spmv(plan, p)[0]
+        ap = recoded_spmv(plan, p, engine=engine)[0]
         alpha = rs / float(p @ ap)
         x += alpha * p
         r -= alpha * ap
@@ -69,17 +73,21 @@ def _cg_reference(plan, b, tol=1e-8, max_iter=500):
     return x, max_iter
 
 
-def _pagerank_reference(plan, n, damping=0.85, tol=1e-10, max_iter=200):
+def _pagerank_reference(plan, n, damping=0.85, tol=1e-10, max_iter=200, engine=None):
     """The pre-solvers hand-rolled power-iteration loop (parity oracle)."""
     x = np.full(n, 1.0 / n)
     for iteration in range(1, max_iter + 1):
-        y = recoded_spmv(plan, x)[0]
+        y = recoded_spmv(plan, x, engine=engine)[0]
         y = damping * y + (1 - damping) / n
         y += (1.0 - y.sum()) / n
         if np.abs(y - x).sum() < tol:
             return y, iteration
         x = y
     return x, max_iter
+
+
+def _engine(decoder):
+    return RecodeEngine() if decoder == "pipelined" else None
 
 
 @pytest.fixture(scope="module")
@@ -103,34 +111,40 @@ def web():
 
 
 class TestBitParity:
-    @pytest.mark.parametrize("mode,backend,reuse", GRID, ids=GRID_IDS)
-    def test_cg_identical_across_configs(self, spd, mode, backend, reuse):
+    @pytest.mark.parametrize("decoder,backend,reuse", GRID, ids=GRID_IDS)
+    def test_cg_identical_across_configs(self, spd, decoder, backend, reuse):
         _m, plan, b, x_ref, iters_ref = spd
         with kernels.use_backend(backend):
-            with ExecutionSession(plan, mode=mode, reuse=reuse) as sess:
+            x_loop, iters_loop = _cg_reference(plan, b, engine=_engine(decoder))
+            with ExecutionSession(plan, reuse=reuse) as sess:
                 result = cg(sess, b)
+        assert (x_loop.tobytes(), iters_loop) == (x_ref, iters_ref)
         assert result.converged
         assert result.iterations == iters_ref
         assert result.x.tobytes() == x_ref
 
-    @pytest.mark.parametrize("mode,backend,reuse", GRID, ids=GRID_IDS)
-    def test_pagerank_identical_across_configs(self, web, mode, backend, reuse):
-        _pt, plan, r_ref, iters_ref = web
+    @pytest.mark.parametrize("decoder,backend,reuse", GRID, ids=GRID_IDS)
+    def test_pagerank_identical_across_configs(self, web, decoder, backend, reuse):
+        pt, plan, r_ref, iters_ref = web
         with kernels.use_backend(backend):
-            with ExecutionSession(plan, mode=mode, reuse=reuse) as sess:
+            r_loop, iters_loop = _pagerank_reference(
+                plan, pt.nrows, engine=_engine(decoder)
+            )
+            with ExecutionSession(plan, reuse=reuse) as sess:
                 result = pagerank(sess)
+        assert (r_loop.tobytes(), iters_loop) == (r_ref, iters_ref)
         assert result.converged
         assert result.iterations == iters_ref
         assert result.x.tobytes() == r_ref
 
     def test_cg_identical_on_container_session(self, spd, tmp_path):
-        """A pipelined session over an mmap-streamed ``.dsh`` path produces
-        the exact same float sequence — compare a truncated run."""
+        """A session over an mmap-streamed ``.dsh`` path produces the exact
+        same float sequence — compare a truncated run."""
         _m, plan, b, _x_ref, _ = spd
         x_trunc, _ = _cg_reference(plan, b, max_iter=3)
         path = tmp_path / "spd.dsh"
         save_plan(plan, path)
-        with ExecutionSession(path, mode="pipelined") as sess:
+        with ExecutionSession(path) as sess:
             result = cg(sess, b, max_iter=3)
             assert sess.warm_calls > 0
         assert result.x.tobytes() == x_trunc.tobytes()
