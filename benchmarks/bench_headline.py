@@ -9,39 +9,10 @@ commits. Set ``BENCH_HEADLINE_OUT`` to redirect the artifact path.
 
 import json
 import os
-import time
-
-import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.experiments import headline
 from repro.util import BENCH_SCHEMAS, check_schema
-
-
-def _executor_comparison(lab) -> dict:
-    """Serial vs pipelined recoded SpMV on the first representative —
-    the side-by-side row the ISSUE asks the headline artifact to carry."""
-    from repro.codecs.engine import RecodeEngine
-    from repro.core import recoded_spmv
-
-    rep = lab.representatives()[0]
-    m = lab.matrix(rep.name, rep.build)
-    plan = lab.plan(rep.name, m, "dsh")
-    x = np.ones(m.ncols)
-    rows = {}
-    for mode in ("serial", "pipelined"):
-        eng = RecodeEngine(retry_base_s=0.0)
-        recoded_spmv(plan, x, engine=eng, mode=mode)  # warm-up
-        t0 = time.perf_counter()
-        recoded_spmv(plan, x, engine=eng, mode=mode)
-        rows[mode] = time.perf_counter() - t0
-    return {
-        "matrix": rep.name,
-        "nblocks": plan.nblocks,
-        "serial_seconds": rows["serial"],
-        "pipelined_seconds": rows["pipelined"],
-        "pipeline_speedup": rows["serial"] / rows["pipelined"],
-    }
 
 
 def _write_artifact(res, ctx, lab) -> str:
@@ -62,7 +33,6 @@ def _write_artifact(res, ctx, lab) -> str:
             }
         )
     artifact = {
-        "executors": _executor_comparison(lab),
         "exp_id": res.exp_id,
         "title": res.title,
         "context": {
@@ -101,5 +71,3 @@ def test_headline_regenerate(benchmark, ctx, lab):
     for row in artifact["matrices"]:
         assert row["bytes_per_nnz"] > 0
         assert row["udp_gbps"] > row["cpu_gbps"]
-    ex = artifact["executors"]
-    assert ex["serial_seconds"] > 0 and ex["pipelined_seconds"] > 0

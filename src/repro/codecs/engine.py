@@ -169,25 +169,31 @@ class DecodedBlockCache:
     blocks would occupy decompressed in UDP scratchpads. Thread-safe: the
     serve layer's compute threads probe one cache concurrently.
 
-    Resident bytes are also kept per matrix. When ``max_matrix_frac`` is
-    set (the serve layer's :class:`~repro.serve.session.SharedDecodedCache`
-    sets it), one matrix may hold at most that share of ``max_bytes``: a
-    ``put`` past it evicts that matrix's own LRU entries first, and a
-    block bigger than the whole share is refused (``rejected``). Every
-    entry that leaves, by eviction, :meth:`evict_matrix` or
-    :meth:`clear`, bumps the change count that :meth:`hit_all` checks.
+    Resident bytes are also kept per matrix. With ``max_matrix_frac`` set
+    (the serve layer's shared cache sets it), one matrix may hold at most
+    that share of ``max_bytes``: a ``put`` past it evicts that matrix's
+    own LRU entries first, and a block bigger than the whole share is
+    refused (``rejected``). Every entry that leaves, by eviction,
+    :meth:`evict_matrix` or :meth:`clear`, bumps the change count that
+    :meth:`hit_all` checks.
     """
 
-    #: Cap on one matrix's share of ``max_bytes``; None = no cap.
-    max_matrix_frac: float | None = None
-
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, max_blocks: int | None = None):
+    def __init__(
+        self,
+        max_bytes: int = DEFAULT_CACHE_BYTES,
+        max_blocks: int | None = None,
+        max_matrix_frac: float | None = None,
+    ):
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         if max_blocks is not None and max_blocks <= 0:
             raise ValueError(f"max_blocks must be positive, got {max_blocks}")
+        if max_matrix_frac is not None and not 0.0 < max_matrix_frac <= 1.0:
+            raise ValueError(f"max_matrix_frac must be in (0, 1], got {max_matrix_frac}")
         self.max_bytes = max_bytes
         self.max_blocks = max_blocks
+        #: Cap on one matrix's share of ``max_bytes``; None = no cap.
+        self.max_matrix_frac = max_matrix_frac
         self.stats = CacheStats()
         self.cache_id = f"c{next(_cache_ids)}"
         self.rejected = 0

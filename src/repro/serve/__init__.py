@@ -43,7 +43,6 @@ from repro.serve.server import MatrixServer, ServeConfig, ServerThread, run_serv
 from repro.serve.session import (
     MatrixInfo,
     MatrixLibrary,
-    SharedDecodedCache,
     TenantRegistry,
     TenantSession,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "run_server",
     "MatrixInfo",
     "MatrixLibrary",
-    "SharedDecodedCache",
     "TenantRegistry",
     "TenantSession",
 ]

@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.codecs.engine import RecodeEngine
+from repro.codecs.engine import DecodedBlockCache, RecodeEngine
 from repro.obs.export import to_prometheus
 from repro.serve import protocol
 from repro.serve.admission import (
@@ -45,7 +45,6 @@ from repro.serve.session import (
     DEFAULT_MAX_MATRIX_FRAC,
     DEFAULT_SERVE_CACHE_BYTES,
     MatrixLibrary,
-    SharedDecodedCache,
     TenantRegistry,
 )
 
@@ -84,7 +83,7 @@ class MatrixServer:
         self.library = MatrixLibrary(
             config.root, residency_budget=config.residency_budget
         )
-        self.cache = SharedDecodedCache(
+        self.cache = DecodedBlockCache(
             max_bytes=config.cache_bytes, max_matrix_frac=config.max_matrix_frac
         )
         self.engine = RecodeEngine(cache=self.cache)

@@ -1,5 +1,5 @@
 """Server-side state: the resident matrix library, the shared decoded-block
-cache with per-matrix admission, and per-tenant sessions.
+cache's defaults, and per-tenant sessions.
 
 The library holds one lazily-verified :class:`ContainerReader` per
 ``.dsh`` file under the serve root — pages fault in on demand and the
@@ -8,12 +8,14 @@ so a library far larger than RAM stays servable. Per-matrix metadata
 (container bytes, nnz) feeds the admission controller's cost model:
 *estimated decode traffic*, the paper's data-movement currency.
 
-The shared cache is the engine's LRU with its **per-matrix admission and
-eviction** switched on: one matrix may occupy at most ``max_matrix_frac`` of the
-budget, and pushing past that share evicts that matrix's own oldest
-blocks first — a tenant hammering one huge matrix cannot evict another
-tenant's resident working set (the robustness headline of the serve
-layer, motivated by SMASH's shared-operand serving model).
+The shared cache is the engine's
+:class:`~repro.codecs.engine.DecodedBlockCache` with its **per-matrix
+admission and eviction** switched on: one matrix may occupy at most
+``max_matrix_frac`` of the budget, and pushing past that share evicts
+that matrix's own oldest blocks first — a tenant hammering one huge
+matrix cannot evict another tenant's resident working set (the
+robustness headline of the serve layer, motivated by SMASH's
+shared-operand serving model).
 """
 
 from __future__ import annotations
@@ -24,39 +26,12 @@ import time
 from dataclasses import dataclass, field
 
 from repro.codecs.container import ContainerReader
-from repro.codecs.engine import DecodedBlockCache
 from repro.codecs.pipeline import RECORD_HEADER_BYTES
 
 #: Default shared-cache budget (decoded 12 B/nnz bytes).
 DEFAULT_SERVE_CACHE_BYTES = 256 * 1024 * 1024
 #: Default cap on one matrix's share of the shared cache.
 DEFAULT_MAX_MATRIX_FRAC = 0.5
-
-
-class SharedDecodedCache(DecodedBlockCache):
-    """Server-wide decoded-block LRU with a per-matrix share cap.
-
-    Keys follow the engine convention ``(matrix_id, block_id,
-    fingerprint)``. A ``put`` that would lift the block's matrix over
-    ``max_matrix_frac * max_bytes`` evicts that matrix's own LRU entries
-    first; only then does the global LRU bound apply. Blocks bigger than
-    the whole share are refused outright (``rejected`` counts them). The
-    rule itself is :class:`~repro.codecs.engine.DecodedBlockCache`'s; this
-    class only sets the serve defaults.
-    """
-
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_SERVE_CACHE_BYTES,
-        max_matrix_frac: float = DEFAULT_MAX_MATRIX_FRAC,
-        max_blocks: int | None = None,
-    ):
-        if not 0.0 < max_matrix_frac <= 1.0:
-            raise ValueError(
-                f"max_matrix_frac must be in (0, 1], got {max_matrix_frac}"
-            )
-        super().__init__(max_bytes=max_bytes, max_blocks=max_blocks)
-        self.max_matrix_frac = max_matrix_frac
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,7 @@ def _with_common(schema: dict) -> dict:
 #: ``BENCH_headline.json`` — written by ``benchmarks/bench_headline.py``.
 BENCH_HEADLINE_SCHEMA: dict = _with_common(
     {
-        "required": ["headline", "paper", "matrices", "executors"],
+        "required": ["headline", "paper", "matrices"],
         "properties": {
             "headline": {
                 "type": "object",
@@ -205,14 +205,6 @@ BENCH_HEADLINE_SCHEMA: dict = _with_common(
                         "nnz": {"type": "integer", "minimum": 0},
                         "bytes_per_nnz": {"type": "number", "minimum": 0},
                     },
-                },
-            },
-            "executors": {
-                "type": "object",
-                "required": ["serial_seconds", "pipelined_seconds"],
-                "properties": {
-                    "serial_seconds": {"type": "number", "minimum": 0},
-                    "pipelined_seconds": {"type": "number", "minimum": 0},
                 },
             },
         },

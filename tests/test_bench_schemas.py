@@ -116,7 +116,7 @@ def test_unknown_schema_type_is_a_schema_bug():
 
 def test_is_timing_key_convention():
     for key in (
-        "seconds", "cold_seconds", "decode_us", "pipeline_speedup",
+        "seconds", "cold_seconds", "decode_us", "gm_spmv_speedup",
         "spmm_per_rhs_ratio", "worst_removal_gain", "udp_gbps",
         "contribution", "multiply_idle",
     ):

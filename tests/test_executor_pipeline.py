@@ -236,46 +236,58 @@ class TestFaultParity:
 
     @settings(max_examples=8, deadline=None)
     @given(
-        dram=st.sets(st.integers(0, 11), max_size=3),
+        dram=st.sets(st.integers(0, 11), max_size=2),
         bitflips=st.sets(st.integers(0, 11), max_size=2),
+        truncates=st.sets(st.integers(0, 11), max_size=2),
         seed=st.integers(0, 500),
         policy=st.sampled_from(["strict", "degrade"]),
         cache=st.booleans(),
     )
-    def test_random_fault_plans_parity(self, plan, x, dram, bitflips, seed, policy, cache):
-        """DRAM-site faults hit both paths alike, so outcomes match in
-        full; record-site faults, which only the engine sees, never
-        change a degraded result and only fail a strict run at one of
-        their blocks."""
+    def test_random_fault_plans_parity(
+        self, plan, x, dram, bitflips, truncates, seed, policy, cache
+    ):
+        """An engine-backed run fails at, or degrades, every block faulted
+        at either site. Strict, it raises at the lowest such block: the
+        engine-less run's error for a DRAM-site fault, the engine's own
+        error for a record-site one. Under degrade it matches an
+        engine-less run with DRAM-site faults at all of those blocks."""
         fp = FaultPlan(
             seed=seed,
             dram_bitflip_blocks=tuple(sorted(dram)),
             bitflip_blocks=tuple(sorted(bitflips)),
+            truncate_blocks=tuple(sorted(truncates)),
         )
+        bad = dram | bitflips | truncates
+        matrix_id = f"h{seed}"
 
-        def outcome(engine):
-            try:
-                return recoded_spmv(
-                    plan, x, engine=engine, matrix_id=f"h{seed}", policy=policy
-                )
-            except BlockDecodeError as e:
-                return (str(e), e.block_id)
+        def outcome(engine, fault_plan):
+            with fault_plan.activate():
+                try:
+                    return recoded_spmv(
+                        plan, x, engine=engine, matrix_id=matrix_id, policy=policy
+                    )
+                except BlockDecodeError as e:
+                    return (str(e), e.block_id)
 
-        with fp.activate():
-            backed = outcome(make_engine(0, cache))
-            engineless = outcome(None)
-        if not bitflips:
-            if isinstance(engineless[0], str):
-                assert backed == engineless
+        backed = outcome(make_engine(0, cache), fp)
+        if policy == "strict" and bad:
+            first = min(bad)
+            if first in dram:
+                want = outcome(None, fp)
             else:
-                np.testing.assert_array_equal(engineless[0], backed[0])
-                assert_stats_parity(engineless[1], backed[1])
-        elif policy == "degrade":
-            np.testing.assert_array_equal(engineless[0], backed[0])
-        elif isinstance(backed[0], str):
-            assert backed[1] in dram | bitflips
+                with fp.activate(), pytest.raises(BlockDecodeError) as err:
+                    make_engine(0).decode_blocked(plan, matrix_id=matrix_id)
+                want = (str(err.value), err.value.block_id)
+            assert isinstance(backed[0], str)
+            assert backed == want
+            assert backed[1] == first
         else:
-            np.testing.assert_array_equal(engineless[0], backed[0])
+            oracle = FaultPlan(seed=seed, dram_bitflip_blocks=tuple(sorted(bad)))
+            ys, ss = outcome(None, oracle)
+            yp, sp = backed
+            np.testing.assert_array_equal(ys, yp)
+            assert_stats_parity(ss, sp)
+            assert sp.degraded_blocks == len(bad)
 
 
 class TestFusedSpMM:

@@ -11,8 +11,9 @@ transfer per degraded block, one one-block
 decoded block — replayed in block order into a fresh registry. The
 executor may charge a run's fixed bookkeeping once per run; it must land
 on the same numbers, bit for bit, on success, on a strict decode error,
-on a cancel and under degrade, for serial and pipelined runs over an
-in-memory plan and over a streamed container.
+on a cancel and under degrade, for engine-less runs and engine-backed
+runs with and without a decoded-block cache, over an in-memory plan and
+over a streamed container.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 
 from repro import kernels, obs
 from repro.codecs.container import ContainerReader, save_plan
-from repro.codecs.engine import RecodeEngine
+from repro.codecs.engine import DecodedBlockCache, RecodeEngine
 from repro.codecs.errors import BlockDecodeError
 from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
@@ -36,9 +37,12 @@ FAULT_BLOCK = 4
 #: Blocks a cancelled run completes.
 CANCEL_AFTER = 3
 
-#: ``(mode, with_engine)``: serial decoding on the spot, serial through an
-#: engine, and pipelined (always an engine).
-EXECUTORS = (("serial", False), ("serial", True), ("pipelined", True))
+#: ``(mode, engine)``: decoding on the spot without an engine, an engine
+#: over a fresh decoded-block cache, and an engine without one. Every
+#: engine-backed run reads one decode handle whatever its ``mode``; the
+#: two engine runs differ in the cache, and between them cover both
+#: ``mode`` values.
+EXECUTORS = (("serial", None), ("serial", "cached"), ("pipelined", "uncached"))
 ENDINGS = ("success", "strict", "cancel", "degrade")
 
 
@@ -84,7 +88,7 @@ def _tracked(snapshot: dict) -> dict:
     return out
 
 
-def _run(source, x, mode, with_engine, ending, spmm):
+def _run(source, x, mode, engine, ending, spmm):
     """Run one configuration in a fresh registry; returns
     ``(snapshot, stats or None, blocks_streamed)``."""
     polls = []
@@ -95,7 +99,9 @@ def _run(source, x, mode, with_engine, ending, spmm):
 
     kwargs = dict(
         mode=mode,
-        engine=RecodeEngine(retry_base_s=0.0) if with_engine else None,
+        engine=None if engine is None else RecodeEngine(
+            cache=DecodedBlockCache() if engine == "cached" else None, retry_base_s=0.0
+        ),
         policy="degrade" if ending == "degrade" else "strict",
         cancel=cancel if ending == "cancel" else None,
     )
@@ -103,7 +109,7 @@ def _run(source, x, mode, with_engine, ending, spmm):
     stats = None
     with obs.scoped_registry() as reg:
         if ending in ("strict", "degrade"):
-            with _fault(with_engine).activate():
+            with _fault(engine is not None).activate():
                 if ending == "strict":
                     with pytest.raises(BlockDecodeError) as info:
                         fn(source, x, **kwargs)
@@ -146,13 +152,13 @@ def _replay(plan, streamed: int, failed: int | None, degraded: set, raw_decodes:
 def test_run_charges_what_per_block_charging_does(
     plan, container, ending, executor, streamed_source, spmm
 ):
-    mode, with_engine = executor
+    mode, engine = executor
     ncols = plan.blocked.shape[1]
     rng = np.random.default_rng(3)
     x = rng.standard_normal((ncols, 3)) if spmm else rng.standard_normal(ncols)
     reader = ContainerReader(container, verify="lazy") if streamed_source else None
     try:
-        snapshot, stats = _run(reader or plan, x, mode, with_engine, ending, spmm)
+        snapshot, stats = _run(reader or plan, x, mode, engine, ending, spmm)
     finally:
         if reader is not None:
             reader.close()

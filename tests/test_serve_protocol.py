@@ -4,12 +4,12 @@ and the fusion scheduler's fairness policy — no sockets, no asyncio."""
 import numpy as np
 import pytest
 
+from repro.codecs.engine import DecodedBlockCache
 from repro.serve import (
     Admission,
     AdmissionController,
     SHED_INFLIGHT_BYTES,
     SHED_TENANT_RATE,
-    SharedDecodedCache,
     TokenBucket,
     select_batch,
 )
@@ -241,15 +241,17 @@ def _block(nnz: int) -> CSRBlock:
 
 
 class TestSharedDecodedCache:
+    """The server's shared cache: a DecodedBlockCache with a per-matrix share."""
+
     def test_block_bigger_than_share_refused(self):
-        c = SharedDecodedCache(max_bytes=1200, max_matrix_frac=0.5)
+        c = DecodedBlockCache(max_bytes=1200, max_matrix_frac=0.5)
         c.put(("m", 0, "f"), _block(nnz=100))  # 1200 B > 600 B share
         assert c.rejected == 1
         assert c.get(("m", 0, "f")) is None
 
     def test_matrix_evicts_its_own_lru_first(self):
         # 10 B/nnz... nbytes = 12 * nnz; budget 1200, share 600.
-        c = SharedDecodedCache(max_bytes=1200, max_matrix_frac=0.5)
+        c = DecodedBlockCache(max_bytes=1200, max_matrix_frac=0.5)
         c.put(("a", 0, "f"), _block(20))  # 240 B
         c.put(("b", 0, "f"), _block(20))  # 240 B
         c.put(("a", 1, "f"), _block(20))
@@ -260,7 +262,7 @@ class TestSharedDecodedCache:
         assert c.matrix_bytes("a") == 480
 
     def test_global_bound_still_applies(self):
-        c = SharedDecodedCache(max_bytes=400, max_matrix_frac=1.0)
+        c = DecodedBlockCache(max_bytes=400, max_matrix_frac=1.0)
         for i in range(4):
             c.put(("m", i, "f"), _block(10))  # 120 B each
         assert c.stats.current_bytes <= 400
@@ -268,7 +270,7 @@ class TestSharedDecodedCache:
         assert c.get(("m", 3, "f")) is not None
 
     def test_evict_matrix(self):
-        c = SharedDecodedCache(max_bytes=10**6)
+        c = DecodedBlockCache(max_bytes=10**6, max_matrix_frac=0.5)
         c.put(("a", 0, "f"), _block(10))
         c.put(("b", 0, "f"), _block(10))
         freed = c.evict_matrix("a")
@@ -278,9 +280,9 @@ class TestSharedDecodedCache:
 
     def test_frac_validation(self):
         with pytest.raises(ValueError):
-            SharedDecodedCache(max_matrix_frac=0.0)
+            DecodedBlockCache(max_matrix_frac=0.0)
         with pytest.raises(ValueError):
-            SharedDecodedCache(max_matrix_frac=1.5)
+            DecodedBlockCache(max_matrix_frac=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmm, recoded_spmv
 from repro.faults import FaultPlan
-from repro.serve import SharedDecodedCache
 from repro.sparse.blocked import CSRBlock
 
 
@@ -152,7 +151,7 @@ class TestAssembleOnce:
         per-matrix share, ``evict_matrix`` or ``clear``) sends the session
         cold instead of failing its warm-path probe."""
         x, _ = vectors
-        cache = SharedDecodedCache(max_bytes=24 * plan.nnz, max_matrix_frac=0.5)
+        cache = DecodedBlockCache(max_bytes=24 * plan.nnz, max_matrix_frac=0.5)
         foreign = CSRBlock(0, 1, np.array([0, 50]), np.zeros(50), np.zeros(50), 0)
         with ExecutionSession(
             plan, matrix_id="a", engine=RecodeEngine(cache=cache)
