@@ -1,15 +1,13 @@
 """Ablation runner: measure every configuration and prove conformance.
 
 For each enumerated :class:`~repro.ablation.config.AblationConfig` the
-runner executes one workload per suite matrix:
-
-* **cold phase** — best-of-``repeats`` timed SpMV with the session reset
-  before every attempt (decode-bound: where the kernel backend pays);
-* **warm phase** — best-of-``repeats`` timed SpMV with the session left
-  warm (steady-state: where the cache and session fast path pay);
-* **SpMM burst** — best-of-``repeats`` timed ``k``-RHS multiply, fused
-  through the session or (``spmm_fusion`` ablated) as ``k`` independent
-  SpMVs.
+runner times one workload per suite matrix, in rounds of a **cold** SpMV
+with the session reset first (decode-bound: where the kernel backend
+pays), a **warm** SpMV (steady-state: where the cache and session fast
+path pay) and an **SpMM burst**, a ``k``-RHS multiply fused through the
+session or (``spmm_fusion`` ablated) as ``k`` independent SpMVs. Each
+phase keeps its best time over at least ``repeats`` rounds, and more
+until the rounds add up to ``min_timed_seconds``.
 
 Every configuration runs over a per-case
 :class:`~repro.core.ExecutionSession`; the ``session`` axis flips its
@@ -20,11 +18,12 @@ The per-matrix headline metric models one service cycle::
     seconds = cold + warm_iters * warm + spmm
 
 All timings are best-of (min), so the ranking compares each
-configuration's floor, not its scheduler noise — and the whole grid is
-swept ``passes`` times in alternating order (forward, then reversed)
-with per-phase mins merged across sweeps, so a machine-load trend
-during one sweep (the baseline always runs first in time) biases the
-next sweep the opposite way and cancels instead of compounding.
+configuration's floor, not its scheduler noise. Every configuration's
+sessions stay open through a sweep and each round visits them all in
+turn, alternating direction, so a host slowdown lasting seconds lands on
+all of them alike, not on the baseline alone. The grid is swept
+``passes`` times over fresh sessions, odd sweeps reversed, merging
+per-phase mins.
 
 Alongside the timings the runner is the **conformance oracle**: every
 configuration's SpMV and SpMM results are checksummed (raw result-buffer
@@ -40,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,10 +89,7 @@ class RunnerSettings:
 
     cases: tuple[MatrixCase, ...]
     repeats: int = 3
-    #: Full-grid sweeps merged by per-phase min. Best-of repeats inside
-    #: one config cannot cancel a machine-load *trend* across configs
-    #: (the baseline always runs first in time); a second sweep runs the
-    #: grid in reverse so the trend biases it the opposite way, and
+    #: Full-grid sweeps over fresh sessions, merged by per-phase min;
     #: checksums must agree across sweeps (a free determinism check).
     passes: int = 2
     warm_iters: int = 3
@@ -102,6 +99,9 @@ class RunnerSettings:
     #: A component is *harmful* when its removal improves the headline
     #: geomean by more than this fraction (the CI gate).
     harmful_threshold: float = 0.05
+    #: Rounds go on past ``repeats`` until they add up to this long, so a
+    #: millisecond phase is a best-of-many (0: exactly ``repeats``).
+    min_timed_seconds: float = 0.0
     #: Profile label recorded in the artifact context.
     profile: str = "default"
 
@@ -134,6 +134,7 @@ class RunnerSettings:
                 ),
             ),
             repeats=2,
+            min_timed_seconds=0.5,
             profile="smoke",
         )
 
@@ -210,13 +211,102 @@ def _checksum(y: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
 
 
-def _best_of(repeats: int, fn) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _timed(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
+
+
+def _faster(a: PhaseTiming | None, b: PhaseTiming) -> PhaseTiming:
+    """Per-phase min of two timings of one workload."""
+    if a is None:
+        return b
+    return PhaseTiming(
+        min(a.cold_seconds, b.cold_seconds), min(a.warm_seconds, b.warm_seconds),
+        min(a.spmm_seconds, b.spmm_seconds), a.warm_iters,
+    )
+
+
+class _OpenConfig:
+    """One configuration's engine, metric registry and per-matrix
+    sessions, open for a whole sweep."""
+
+    def __init__(self, runner: "AblationRunner", config: AblationConfig):
+        self.config, self.result = config, ConfigResult(config=config)
+        self.registry = obs.MetricsRegistry()
+        self.rounds, self.timed_seconds = 0, 0.0
+        with self.scope():
+            self.engine = RecodeEngine(
+                cache=DecodedBlockCache() if config.cache else None, retry_base_s=0.0
+            )
+            # Every configuration routes through a session; the ``session``
+            # axis flips ``reuse`` so ablated runs rebuild cold state on
+            # every call (cache dropped, no warm fast path, fresh buffers).
+            self.sessions = {
+                case.name: ExecutionSession(
+                    runner._fixture(case)[0],
+                    matrix_id=case.name,
+                    engine=self.engine,
+                    policy=config.policy,
+                    reuse=config.session,
+                )
+                for case in runner.settings.cases
+            }
+
+    @contextmanager
+    def scope(self):
+        """This configuration's metric registry and kernel backend."""
+        with obs.scoped_registry(self.registry), kernels.use_backend(self.config.kernel_backend):
+            yield
+
+    def close(self) -> None:
+        with self.scope():
+            for sess in self.sessions.values():
+                sess.close()
+            self.engine.close()
+        self.result.metric_names = frozenset(r["name"] for r in self.registry.snapshot().values())
+
+    def check(self, vectors: dict) -> None:
+        """Untimed first calls: they pay first-use costs and take the
+        checksums every configuration and sweep must reproduce."""
+        res = self.result
+        with self.scope():
+            for name, sess in self.sessions.items():
+                x, X = vectors[name]
+                y, stats = sess.spmv(x)
+                res.spmv_checksums[name] = _checksum(y)
+                if self.config.spmm_fusion:
+                    Y, mstats = sess.spmm(X)
+                    calls = [stats, mstats]
+                else:
+                    # sess.spmv returns the session's reusable buffer, so
+                    # copy each column before the next call overwrites it.
+                    cols = [(yj.copy(), st) for yj, st in map(sess.spmv, X.T)]
+                    Y = np.column_stack([yj for yj, _ in cols])
+                    calls = [stats, *(st for _, st in cols)]
+                res.spmm_checksums[name] = _checksum(Y)
+                res.degraded_blocks += sum(st.degraded_blocks for st in calls)
+
+    def round(self, vectors: dict, warm_iters: int) -> None:
+        """One timed cold → warm → SpMM cycle per matrix."""
+        with self.scope():
+            for name, sess in self.sessions.items():
+                x, X = vectors[name]
+                sess.reset()
+                cold = _timed(sess.spmv, x)
+                # The cold call left the session warm (when reusing), but
+                # the first warm call still pays first-touch costs.
+                sess.spmv(x)
+                warm = _timed(sess.spmv, x)
+                if self.config.spmm_fusion:
+                    spmm = _timed(sess.spmm, X)
+                else:
+                    spmm = _timed(lambda: [sess.spmv(X[:, j]) for j in range(X.shape[1])])
+                self.timed_seconds += cold + warm + spmm
+                self.result.timings[name] = _faster(
+                    self.result.timings.get(name), PhaseTiming(cold, warm, spmm, warm_iters)
+                )
+        self.rounds += 1
 
 
 class AblationRunner:
@@ -246,97 +336,6 @@ class AblationRunner:
 
     # -- one configuration ----------------------------------------------------
 
-    def _build_engine(self, config: AblationConfig) -> RecodeEngine:
-        return RecodeEngine(
-            cache=DecodedBlockCache() if config.cache else None,
-            retry_base_s=0.0,
-        )
-
-    def run_config(self, config: AblationConfig) -> ConfigResult:
-        """Measure one configuration over every suite matrix."""
-        s = self.settings
-        result = ConfigResult(config=config)
-        with obs.scoped_registry() as reg, kernels.use_backend(config.kernel_backend):
-            engine = self._build_engine(config)
-            try:
-                for case in s.cases:
-                    plan, (x, X) = self._fixture(case)
-                    self._run_case(config, engine, case.name, plan, x, X, result)
-            finally:
-                engine.close()
-            result.metric_names = frozenset(
-                rec["name"] for rec in reg.snapshot().values()
-            )
-        return result
-
-    def _run_case(
-        self,
-        config: AblationConfig,
-        engine: RecodeEngine,
-        name: str,
-        plan: MatrixCompression,
-        x: np.ndarray,
-        X: np.ndarray,
-        result: ConfigResult,
-    ) -> None:
-        s = self.settings
-        # Every configuration routes through a session; the ``session``
-        # axis flips ``reuse`` so ablated runs rebuild cold state on
-        # every call (cache dropped, no warm fast path, fresh buffers).
-        sess = ExecutionSession(
-            plan,
-            matrix_id=name,
-            engine=engine,
-            policy=config.policy,
-            reuse=config.session,
-        )
-        try:
-            def spmv():
-                return sess.spmv(x)
-
-            # Warm the pool (fork/exec + worker imports) outside any
-            # timer, then restore cold state for the cold phase.
-            y, stats = spmv()
-            result.degraded_blocks += stats.degraded_blocks
-            result.spmv_checksums[name] = _checksum(y)
-
-            def cold_once():
-                sess.reset()
-                t0 = time.perf_counter()
-                spmv()
-                return time.perf_counter() - t0
-
-            cold = min(cold_once() for _ in range(s.repeats))
-            # The last cold attempt left the session warm (when reusing).
-            warm = _best_of(s.repeats, spmv)
-
-            if config.spmm_fusion:
-                Y, mstats = sess.spmm(X)
-                result.degraded_blocks += mstats.degraded_blocks
-                result.spmm_checksums[name] = _checksum(Y)
-                spmm = _best_of(s.repeats, lambda: sess.spmm(X))
-            else:
-                # sess.spmv returns the session's reusable buffer, so
-                # copy each column before the next call overwrites it.
-                cols = []
-                for j in range(s.nrhs):
-                    yj, st = sess.spmv(X[:, j])
-                    result.degraded_blocks += st.degraded_blocks
-                    cols.append(yj.copy())
-                result.spmm_checksums[name] = _checksum(np.column_stack(cols))
-                spmm = _best_of(
-                    s.repeats,
-                    lambda: [sess.spmv(X[:, j]) for j in range(s.nrhs)],
-                )
-        finally:
-            sess.close()
-        result.timings[name] = PhaseTiming(
-            cold_seconds=cold,
-            warm_seconds=warm,
-            spmm_seconds=spmm,
-            warm_iters=s.warm_iters,
-        )
-
     # -- the full grid ---------------------------------------------------------
 
     @staticmethod
@@ -346,13 +345,7 @@ class AblationRunner:
         rid = acc.config.run_id
         mismatches: list[str] = []
         for name, t in res.timings.items():
-            prev = acc.timings[name]
-            acc.timings[name] = PhaseTiming(
-                cold_seconds=min(prev.cold_seconds, t.cold_seconds),
-                warm_seconds=min(prev.warm_seconds, t.warm_seconds),
-                spmm_seconds=min(prev.spmm_seconds, t.spmm_seconds),
-                warm_iters=prev.warm_iters,
-            )
+            acc.timings[name] = _faster(acc.timings[name], t)
         for label, pairs in (
             ("SpMV", (acc.spmv_checksums, res.spmv_checksums)),
             ("SpMM", (acc.spmm_checksums, res.spmm_checksums)),
@@ -372,6 +365,25 @@ class AblationRunner:
             )
         return mismatches
 
+    def _sweep(self, configs: tuple[AblationConfig, ...]) -> list[ConfigResult]:
+        """Measure every configuration once, over fresh sessions, in
+        interleaved rounds (see the module docstring)."""
+        s = self.settings
+        with ExitStack() as stack:
+            runs = [_OpenConfig(self, config) for config in configs]
+            for run in runs:
+                stack.callback(run.close)
+                run.check(self._vectors)
+            pending = runs
+            while pending:
+                for run in pending:
+                    run.round(self._vectors, s.warm_iters)
+                pending = [
+                    run for run in reversed(pending)
+                    if run.rounds < s.repeats or run.timed_seconds < s.min_timed_seconds
+                ]
+        return [run.result for run in runs]
+
     def run(self, configs: tuple[AblationConfig, ...]) -> AblationReport:
         """Run ``passes`` full sweeps of baseline + one-offs, merge by
         per-phase min, and cross-check conformance.
@@ -387,22 +399,14 @@ class AblationRunner:
         for case in self.settings.cases:
             self._fixture(case)
         mismatches: list[str] = []
-        merged: list[ConfigResult] = []
-        for pass_i in range(max(1, self.settings.passes)):
-            # Alternate sweep direction: a monotone machine-load trend
-            # biases a fixed-order sweep one way (the baseline always
-            # runs first); reversing odd sweeps makes the trend push the
-            # two sweeps' ratios in opposite directions, so the
-            # per-phase min-merge cancels it instead of compounding it.
-            order = range(len(configs))
-            if pass_i % 2:
-                order = reversed(order)
-            for j in order:
-                res = self.run_config(configs[j])
-                if pass_i == 0:
-                    merged.append(res)
-                else:
-                    mismatches.extend(self._merge_pass(merged[j], res))
+        merged = self._sweep(configs)
+        for pass_i in range(1, self.settings.passes):
+            # Odd sweeps open and visit the configurations in reverse: the
+            # first one opened runs a few percent slow, so no
+            # configuration should always be it.
+            step = -1 if pass_i % 2 else 1
+            for acc, res in zip(merged, self._sweep(configs[::step])[::step]):
+                mismatches.extend(self._merge_pass(acc, res))
         baseline, results = merged[0], tuple(merged[1:])
         mismatches.extend(self._conformance(baseline, results))
         return AblationReport(

@@ -64,6 +64,7 @@ import zlib
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from os import PathLike
 
 import numpy as np
@@ -84,7 +85,7 @@ from repro.codecs.pipeline import (
     decode_record,
     record_stages,
 )
-from repro.sparse.blocked import BlockedCSR, CSRBlock, row_segments
+from repro.sparse.blocked import BlockedCSR, CSRBlock
 from repro.sparse.csr import CSRMatrix
 from repro import faults
 
@@ -232,6 +233,7 @@ _META = struct.Struct("<IIBQ")
 _RECORD = struct.Struct("<IIIII")  # orig, snappy, bit, payload lengths; CRC
 _TAGGED_RECORD = struct.Struct("<BIIIII")  # the codec tag, then as above
 _U32 = struct.Struct("<I")
+_NNZ_CRC = struct.Struct("<II")  # a block's last row_ptr entry, then its meta CRC
 _TABLE_POS = len(MAGIC) + _HEADER.size
 
 #: Record columns hold both streams interleaved: block ``k``'s index record
@@ -290,6 +292,31 @@ def _frame_block(data: memoryview, pos: int, tagged: bool) -> tuple:
         records.append((rpos, *fields, payload_pos))
         rpos = payload_pos + fields[4]
     return row_start, row_end, leading, nnz_start, crc_pos, records
+
+
+def _row_index(row_ptrs: list[bytes], row_starts: Sequence[int] | None) -> tuple | None:
+    """One numpy pass over every block's raw ``<u4`` row_ptr (each known to
+    start at 0) that raises the walk's monotone error if one decreases.
+    Given each block's first global row, it also returns ``(row_ptr,
+    ptr_ends, rows, seg_starts, seg_ends)``: block ``k``'s int64 row_ptr
+    and :meth:`CSRBlock.row_segments` are the ``[ptr_ends[k-1],
+    ptr_ends[k])`` and ``[seg_ends[k-1], seg_ends[k])`` slices."""
+    flat = np.frombuffer(b"".join(row_ptrs), "<u4").astype(np.int64)
+    ptr_ends = list(accumulate(len(p) // 4 for p in row_ptrs))
+    steps = flat[1:] - flat[:-1]
+    # Where one block's row_ptr meets the next, the step is no row.
+    steps[[e - 1 for e in ptr_ends[:-1]]] = 0
+    if (steps < 0).any():
+        raise ContainerError("container corruption: row_ptr not monotone from 0")
+    if row_starts is None:
+        return None
+    # A non-empty row's segment starts at its row_ptr entry, which
+    # monotony keeps below the block's nnz: no clipping needed.
+    nonempty = (steps > 0).nonzero()[0]
+    seg_ends = np.searchsorted(nonempty, ptr_ends)
+    shift = [r - e + len(p) // 4 for r, e, p in zip(row_starts, ptr_ends, row_ptrs)]
+    rows = nonempty + np.repeat(np.array(shift, np.int64), np.diff(seg_ends, prepend=0))
+    return flat, ptr_ends, rows, flat[nonempty], seg_ends.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -541,90 +568,89 @@ class ContainerReader:
         entries_cap = block_bytes // 12
         blocks: list[tuple] = []
         records: list[tuple] = []
-        row_ptrs: list[np.ndarray] = []
-        segments: list[tuple[np.ndarray, np.ndarray]] = []
+        row_ptrs: list[bytes] = []
         pos = crc_pos + 4
         prev_row_end = 0
         running_nnz = 0
-        for _ in range(nblocks):
-            row_start, row_end, leading, nnz_start, crc_pos, frames = _frame_block(
-                data, pos, tagged
-            )
-            nrows_local = row_end - row_start
-            if nrows_local < 1:
-                raise ContainerError("container corruption: empty block row range")
-            if row_end > m:
-                raise ContainerError("container corruption: block rows beyond nrows")
-            # Blocks must chain contiguously: a continuation block re-opens
-            # the previous block's last row, anything else starts right
-            # after it.
-            expected_start = prev_row_end - 1 if leading else prev_row_end
-            if row_start != max(expected_start, 0) or (leading and prev_row_end == 0):
-                raise ContainerError("container corruption: block row ranges do not chain")
-            prev_row_end = row_end
-            if crc_pos + 4 > end:
-                raise TruncatedContainerError("truncated container: row_ptr")
-            row_ptr = np.frombuffer(data[pos + _META.size : crc_pos], dtype="<u4").astype(
-                np.int64
-            )
-            if not _crc_ok(data, pos, crc_pos):
-                raise ContainerError("container corruption: block meta CRC mismatch")
-            row_nnz = row_ptr[1:] - row_ptr[:-1]
-            if row_ptr[0] != 0 or (row_nnz < 0).any():
-                raise ContainerError("container corruption: row_ptr not monotone from 0")
-            block_nnz = int(row_ptr[-1])
-            if block_nnz > entries_cap:
-                raise ContainerError("container corruption: block exceeds its byte budget")
-            if nnz_start != running_nnz:
-                raise ContainerError("container corruption: nnz_start does not chain")
-            running_nnz += block_nnz
-            for slot in (0, 1):
-                if slot == len(frames):
-                    raise TruncatedContainerError("truncated container: record header")
-                offset, tag, orig_len, snappy_len, _, payload_len, crc, payload_pos = frames[slot]
-                if tag is not None:
-                    if tag > TAG_MASK:
-                        raise ContainerError("container corruption: invalid codec tag")
-                    if (tag & STAGE_HUFFMAN) and not tables[slot]:
-                        raise ContainerError(
-                            "container corruption: huffman codec tag without tables"
-                        )
-                    if not (tag & STAGE_SNAPPY) and snappy_len != orig_len:
-                        raise ContainerError(
-                            "container corruption: snappy-less record lengths disagree"
-                        )
-                record_end = payload_pos + payload_len
-                if record_end > size:
-                    raise TruncatedContainerError("truncated container: record payload")
-                if eager and zlib.crc32(
-                    data[payload_pos:record_end], zlib.crc32(data[offset : payload_pos - 4])
-                ) != crc:
-                    raise ContainerError("container corruption: record CRC mismatch")
-            if frames[0][2] != 4 * block_nnz or frames[1][2] != 8 * block_nnz:
-                raise ContainerError(
-                    "container corruption: record lengths disagree with row_ptr"
+        try:
+            for _ in range(nblocks):
+                row_start, row_end, leading, nnz_start, crc_pos, frames = _frame_block(
+                    data, pos, tagged
                 )
-            blocks.append((pos, row_start, row_end, bool(leading), nnz_start))
-            records.extend(frames)
-            pos = record_end
-            row_ptrs.append(row_ptr)
-            segments.append(row_segments(row_start, row_ptr, row_nnz))
-            # The walk itself faults in meta pages across the whole file;
-            # under a residency budget, release behind the cursor as we go
-            # so even construction peaks at O(budget). Safe: row_ptr was
-            # copied out of the mapping by .astype above.
-            self._maybe_release(pos)
+                if row_end <= row_start:
+                    raise ContainerError("container corruption: empty block row range")
+                if row_end > m:
+                    raise ContainerError("container corruption: block rows beyond nrows")
+                # Blocks must chain contiguously: a continuation block
+                # re-opens the previous block's last row (so cannot come
+                # first), anything else starts right after it.
+                if row_start != (prev_row_end - 1 if leading else prev_row_end):
+                    raise ContainerError("container corruption: block row ranges do not chain")
+                prev_row_end = row_end
+                if crc_pos + 4 > end:
+                    raise TruncatedContainerError("truncated container: row_ptr")
+                block_nnz, meta_crc = _NNZ_CRC.unpack_from(data, crc_pos - 4)
+                if zlib.crc32(data[pos:crc_pos]) != meta_crc:
+                    raise ContainerError("container corruption: block meta CRC mismatch")
+                # The row_ptr is copied out here and checked for monotony
+                # after the loop, in one numpy pass over every block.
+                row_ptrs.append(bytes(data[pos + _META.size : crc_pos]))
+                if row_ptrs[-1][:4] != b"\0\0\0\0":
+                    raise ContainerError("container corruption: row_ptr not monotone from 0")
+                if block_nnz > entries_cap:
+                    raise ContainerError("container corruption: block exceeds its byte budget")
+                if nnz_start != running_nnz:
+                    raise ContainerError("container corruption: nnz_start does not chain")
+                running_nnz += block_nnz
+                for slot in (0, 1):
+                    if slot == len(frames):
+                        raise TruncatedContainerError("truncated container: record header")
+                    offset, tag, orig_len, snappy_len, _, payload_len, crc, payload_pos = (
+                        frames[slot]
+                    )
+                    if tag is not None:
+                        if tag > TAG_MASK:
+                            raise ContainerError("container corruption: invalid codec tag")
+                        if (tag & STAGE_HUFFMAN) and not tables[slot]:
+                            raise ContainerError(
+                                "container corruption: huffman codec tag without tables"
+                            )
+                        if not (tag & STAGE_SNAPPY) and snappy_len != orig_len:
+                            raise ContainerError(
+                                "container corruption: snappy-less record lengths disagree"
+                            )
+                    record_end = payload_pos + payload_len
+                    if record_end > size:
+                        raise TruncatedContainerError("truncated container: record payload")
+                    if eager and zlib.crc32(
+                        data[payload_pos:record_end], zlib.crc32(data[offset : payload_pos - 4])
+                    ) != crc:
+                        raise ContainerError("container corruption: record CRC mismatch")
+                if frames[0][2] != 4 * block_nnz or frames[1][2] != 8 * block_nnz:
+                    raise ContainerError(
+                        "container corruption: record lengths disagree with row_ptr"
+                    )
+                blocks.append((pos, row_start, row_end, bool(leading), nnz_start))
+                records.extend(frames)
+                pos = record_end
+                # The walk itself faults in meta pages across the whole
+                # file; under a residency budget, release behind the cursor
+                # as we go so even construction peaks at O(budget). Safe:
+                # the row_ptr was copied out of the mapping above.
+                self._maybe_release(pos)
+        except (ContainerError, struct.error):
+            _row_index(row_ptrs, None)  # a non-monotone earlier block wins
+            raise
+        (self.block_offset, self.row_start, self.row_end, self.leading_partial,
+         self.nnz_start) = zip(*blocks) if blocks else ((),) * 5
+        self._structure = _row_index(row_ptrs, self.row_start)
         if nblocks and prev_row_end != m:
             raise ContainerError("container corruption: blocks do not cover all rows")
         if pos != end:
             raise ContainerError("container corruption: trailing bytes after last block")
-        (self.block_offset, self.row_start, self.row_end, self.leading_partial,
-         self.nnz_start) = zip(*blocks) if blocks else ((),) * 5
         (self.record_offset, self.record_tag, self.orig_len, self.snappy_len,
          self.bit_len, self.payload_len, self.record_crc,
          self.payload_offset) = zip(*records) if records else ((),) * 8
-        self._row_ptrs = row_ptrs
-        self._segments = segments
 
     # -- accessors ----------------------------------------------------------
 
@@ -739,29 +765,35 @@ class ContainerReader:
         """Structure-only CSR blocks: real row metadata, zero payloads.
 
         The payloads are read-only views of one zero buffer, so a shell of
-        a multi-GB matrix costs O(rows), not O(nnz). Each shell's row
-        segments come from the walk, which decoded blocks then share
-        (:meth:`CSRBlock.with_payload`).
+        a multi-GB matrix costs O(rows), not O(nnz). Each shell's
+        ``row_ptr`` and row segments are slices of the walk's flat arrays,
+        which decoded blocks then share (:meth:`CSRBlock.with_payload`);
+        like that method, shells skip ``CSRBlock`` re-validation.
         """
-        widest = max((int(ptr[-1]) for ptr in self._row_ptrs), default=0)
+        row_ptr, ptr_ends, rows, seg_starts, seg_ends = self._structure
+        nnzs = [n // 4 for n in self.orig_len[::2]]
+        widest = max(nnzs, default=0)
         col_zeros, val_zeros = np.zeros(widest, np.int32), np.zeros(widest, np.float64)
         col_zeros.flags.writeable = val_zeros.flags.writeable = False
         shells = []
-        for row_start, row_end, leading, nnz_start, ptr, segments in zip(
-            self.row_start, self.row_end, self.leading_partial, self.nnz_start,
-            self._row_ptrs, self._segments,
+        ptr_start = seg_start = 0
+        for row_start, row_end, leading, nnz_start, nnz, ptr_end, seg_end in zip(
+            self.row_start, self.row_end, self.leading_partial, self.nnz_start, nnzs,
+            ptr_ends, seg_ends,
         ):
-            shell = CSRBlock(
+            shell = object.__new__(CSRBlock)
+            shell.__dict__.update(
                 row_start=row_start,
                 row_end=row_end,
-                row_ptr=ptr,
-                col_idx=col_zeros[: int(ptr[-1])],
-                val=val_zeros[: int(ptr[-1])],
+                row_ptr=row_ptr[ptr_start:ptr_end],
+                col_idx=col_zeros[:nnz],
+                val=val_zeros[:nnz],
                 nnz_start=nnz_start,
                 leading_partial=leading,
+                _row_segments=(rows[seg_start:seg_end], seg_starts[seg_start:seg_end]),
             )
-            shell.__dict__["_row_segments"] = segments
             shells.append(shell)
+            ptr_start, seg_start = ptr_end, seg_end
         return tuple(shells)
 
     def _compression(self, blocks, index_records, value_records) -> MatrixCompression:

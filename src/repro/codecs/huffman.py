@@ -136,12 +136,12 @@ class HuffmanTable:
     def deserialize(cls, blob: bytes) -> "HuffmanTable":
         if len(blob) != ALPHABET:
             raise CorruptStreamError(f"table blob must be {ALPHABET} bytes")
-        lengths = np.frombuffer(blob, dtype=np.uint8)
+        lengths = np.frombuffer(blob, dtype=np.uint8).copy()
         # Canonical codes live in uint64; a length past 63 bits can only
         # come from a corrupt stream, so reject it as data (not overflow).
         if lengths.max(initial=0) > 63:
             raise CorruptStreamError("corrupt huffman table: code length exceeds 63 bits")
-        return cls.from_lengths(lengths)
+        return cls(lengths=lengths, codes=_canonical_codes_cached(bytes(blob)))
 
     @property
     def max_length(self) -> int:

@@ -79,7 +79,11 @@ class CSRBlock:
         cached = self.__dict__.get("_row_segments")
         if cached is None:
             ptr = self.row_ptr
-            cached = row_segments(self.row_start, ptr, ptr[1:] - ptr[:-1])
+            nonempty = ptr[1:] > ptr[:-1]
+            cached = (
+                nonempty.nonzero()[0] + self.row_start,
+                np.minimum(ptr[:-1][nonempty], max(int(ptr[-1]) - 1, 0)),
+            )
             object.__setattr__(self, "_row_segments", cached)
         return cached
 
@@ -111,16 +115,6 @@ class CSRBlock:
     def payload_bytes(self) -> int:
         """Uncompressed payload size: 12 bytes per stored entry."""
         return _BYTES_PER_ENTRY * self.nnz
-
-
-def row_segments(
-    row_start: int, row_ptr: np.ndarray, row_nnz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`CSRBlock.row_segments` of the block starting at global row
-    ``row_start`` with local ``row_ptr`` and ``row_nnz = np.diff(row_ptr)``."""
-    nonempty = row_nnz > 0
-    rows = nonempty.nonzero()[0] + row_start
-    return rows, np.minimum(row_ptr[:-1][nonempty], max(int(row_ptr[-1]) - 1, 0))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from repro.ablation import (
     render_ranking,
     validate_artifact,
 )
+from repro.ablation import runner as runner_mod
 from repro.ablation.report import EXP_ID
 from repro.cli import main
 from repro.util import SchemaError, non_timing_view
@@ -314,3 +315,36 @@ def test_cli_ablate_pairs_roundtrip(tmp_path, monkeypatch, capsys):
     assert entry["pair_contribution"] > 0
     captured = capsys.readouterr()
     assert "interaction" in captured.out
+
+
+# -- interleaved rounds ----------------------------------------------------
+
+
+def _spy_rounds(monkeypatch) -> list[str]:
+    visits: list[str] = []
+    real = runner_mod._OpenConfig.round
+
+    def spy(self, *args):
+        visits.append(self.config.run_id)
+        return real(self, *args)
+
+    monkeypatch.setattr(runner_mod._OpenConfig, "round", spy)
+    return visits
+
+
+def test_runner_interleaves_rounds_across_configs(monkeypatch):
+    """Each round visits every configuration, alternating direction, and
+    the unfused SpMM burst still reproduces the fused result."""
+    visits = _spy_rounds(monkeypatch)
+    settings = dataclasses.replace(RunnerSettings.tiny(), repeats=2)
+    report = AblationRunner(settings).run(enumerate_configs(("spmm_fusion",)))
+    assert report.bit_identical, report.mismatches
+    assert visits == ["baseline", "no-spmm_fusion", "no-spmm_fusion", "baseline"]
+
+
+def test_min_timed_seconds_adds_rounds(monkeypatch):
+    visits = _spy_rounds(monkeypatch)
+    settings = dataclasses.replace(RunnerSettings.tiny(), min_timed_seconds=0.05)
+    report = AblationRunner(settings).run(enumerate_configs(("policy",)))
+    assert report.bit_identical, report.mismatches
+    assert visits.count("baseline") > 1 and visits.count("no-policy") > 1
