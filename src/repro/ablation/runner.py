@@ -21,7 +21,8 @@ All timings are best-of (min), so the ranking compares each
 configuration's floor, not its scheduler noise. Every configuration's
 sessions stay open through a sweep and each round visits them all in
 turn, alternating direction, so a host slowdown lasting seconds lands on
-all of them alike, not on the baseline alone. The grid is swept
+all of them alike, not on the baseline alone; each takes one untimed
+round first, so no configuration's first-use costs are timed. The grid is swept
 ``passes`` times over fresh sessions, odd sweeps reversed, merging
 per-phase mins.
 
@@ -287,8 +288,9 @@ class _OpenConfig:
                 res.spmm_checksums[name] = _checksum(Y)
                 res.degraded_blocks += sum(st.degraded_blocks for st in calls)
 
-    def round(self, vectors: dict, warm_iters: int) -> None:
-        """One timed cold → warm → SpMM cycle per matrix."""
+    def _cycle(self, vectors: dict):
+        """One cold → warm → SpMM cycle per matrix, yielding each matrix's
+        ``(name, cold, warm, spmm)`` seconds."""
         with self.scope():
             for name, sess in self.sessions.items():
                 x, X = vectors[name]
@@ -302,10 +304,21 @@ class _OpenConfig:
                     spmm = _timed(sess.spmm, X)
                 else:
                     spmm = _timed(lambda: [sess.spmv(X[:, j]) for j in range(X.shape[1])])
-                self.timed_seconds += cold + warm + spmm
-                self.result.timings[name] = _faster(
-                    self.result.timings.get(name), PhaseTiming(cold, warm, spmm, warm_iters)
-                )
+                yield name, cold, warm, spmm
+
+    def warm_up(self, vectors: dict) -> None:
+        """An untimed cycle, paying the first-use costs (table binds, DMA
+        ledger memos, page cache) the first timed round would pay."""
+        for _ in self._cycle(vectors):
+            pass
+
+    def round(self, vectors: dict, warm_iters: int) -> None:
+        """One timed cold → warm → SpMM cycle per matrix."""
+        for name, cold, warm, spmm in self._cycle(vectors):
+            self.timed_seconds += cold + warm + spmm
+            self.result.timings[name] = _faster(
+                self.result.timings.get(name), PhaseTiming(cold, warm, spmm, warm_iters)
+            )
         self.rounds += 1
 
 
@@ -374,6 +387,8 @@ class AblationRunner:
             for run in runs:
                 stack.callback(run.close)
                 run.check(self._vectors)
+            for run in runs:
+                run.warm_up(self._vectors)
             pending = runs
             while pending:
                 for run in pending:

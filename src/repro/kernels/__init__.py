@@ -13,8 +13,9 @@ holds their fast paths. Three backends exist:
   materialization), and batch varint/zigzag codecs.
 * ``native`` — the sequential codec loops in C (a lookup-table
   Huffman decoder, the Snappy tag scan, the reference's Snappy matcher
-  with byte-identical output, and ``dsh_decode_block``: a whole block's
-  Huffman → Snappy → delta chain in one call), compiled on first
+  with byte-identical output, and ``dsh_decode_span``: the Huffman →
+  Snappy → delta chain of a span of blocks in one call, payloads read
+  in place), compiled on first
   use with the system ``cc`` and loaded through :mod:`ctypes`; its other
   ops are ``numpy``'s. Absent when no compiler is (see
   :mod:`repro.kernels.native`).

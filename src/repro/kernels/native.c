@@ -1,9 +1,10 @@
-/* Native codec kernels: the DSH decode chain of one block in one call, and
- * the Snappy compressor.
+/* Native codec kernels: the DSH decode chain of a span of blocks in one call,
+ * and the Snappy compressor.
  *
  * Built on first use by repro/kernels/native.py with the system C compiler
  * and loaded through ctypes. Each decoder returns 0 on success and non-zero
- * on corrupt input; the statuses carry no detail, because the Python wrapper
+ * on corrupt input (the span decoder: how many records decoded); the
+ * statuses carry no detail, because the Python wrapper
  * re-runs the reference decoder to raise the exact typed error. Every read is
  * bounded by the input length and every write by the caller-sized output
  * buffer, checked before the write. No state is shared between calls.
@@ -334,17 +335,24 @@ static int decode_record(const uint8_t *in, int64_t n, int64_t snappy_len, int64
     return status;
 }
 
-/* One 8 KB block: its index record into idx_out and its value record into
- * val_out. ns[0..2] and ns[3..5] receive the index and value records'
- * Huffman, Snappy and delta nanoseconds.
+/* A span of blocks, each an index record then a value record, decoded until
+ * one fails. Row k of irec (vrec) is block k's index (value) record: payload
+ * address, payload length, snappy_len, stages, orig_len. Index records are
+ * written back to back from idx_out, value records from val_out; ns[3r..3r+2]
+ * receive record r's Huffman, Snappy and delta nanoseconds, records counted
+ * index then value. Returns how many records decoded: 2 * nblocks when all did.
  */
-int dsh_decode_block(const uint8_t *ipay, int64_t ilen, int64_t isnappy, int64_t istages,
-                     const huff_table *itab, uint8_t *idx_out, int64_t iorig,
-                     const uint8_t *vpay, int64_t vlen, int64_t vsnappy, int64_t vstages,
-                     const huff_table *vtab, uint8_t *val_out, int64_t vorig, int64_t *ns)
+int dsh_decode_span(int64_t nblocks, const int64_t *irec, const int64_t *vrec,
+                    const huff_table *itab, const huff_table *vtab,
+                    uint8_t *idx_out, uint8_t *val_out, int64_t *ns)
 {
-    int status = decode_record(ipay, ilen, isnappy, istages, itab, idx_out, iorig, ns);
-    if (status)
-        return status;
-    return decode_record(vpay, vlen, vsnappy, vstages, vtab, val_out, vorig, ns + 3);
+    for (int r = 0; r < 2 * nblocks; r++) {
+        const int64_t *f = (r & 1 ? vrec : irec) + 5 * (r >> 1);
+        uint8_t **out = r & 1 ? &val_out : &idx_out;
+        if (decode_record((const uint8_t *)(intptr_t)f[0], f[1], f[2], f[3], r & 1 ? vtab : itab,
+                          *out, f[4], ns + 3 * r))
+            return r;
+        *out += f[4];
+    }
+    return (int)(2 * nblocks);
 }

@@ -36,6 +36,8 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
+import numpy as np
+
 #: Global instrumentation switch. ``set_enabled(False)`` turns every
 #: record operation into a no-op (used by the overhead benchmark).
 _ENABLED = True
@@ -217,6 +219,18 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each of ``values``, under one lock."""
+        if not _ENABLED or not len(values):
+            return
+        counts = np.bincount(np.searchsorted(self.buckets, values), minlength=len(self._counts))
+        with self._lock:
+            self._counts = [a + b for a, b in zip(self._counts, counts.tolist())]
+            self._count += len(values)
+            self._sum += float(values.sum())
+            self._min = min(self._min, float(values.min()))
+            self._max = max(self._max, float(values.max()))
 
     @property
     def count(self) -> int:

@@ -31,12 +31,14 @@ from repro import kernels, obs
 from repro.codecs.container import save_plan
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.pipeline import (
+    DecodeTally,
     STAGE_DELTA,
     STAGE_HUFFMAN,
     STAGE_SNAPPY,
     TAG_MASK,
     block_streams,
     compress_matrix,
+    record_span,
     record_stages,
 )
 from repro.codecs.snappy import snappy_compress, snappy_decompress
@@ -428,7 +430,7 @@ class TestVarintParity:
 
 
 # ---------------------------------------------------------------------------
-# Fused block decode (dsh_decode_block)
+# Fused block decode (dsh_decode_span, a span of one block)
 # ---------------------------------------------------------------------------
 
 _BLOCK_PLAN = compress_matrix(generators.banded(300, bandwidth=4, seed=5), block_bytes=1024)
@@ -443,8 +445,10 @@ def _plan_with_table(table: HuffmanTable):
 
 
 def _block_bytes(plan, index_record, value_record):
-    """``dsh_decode_block`` on the active backend, as comparable bytes."""
-    col_idx, val = kernels.dispatch("dsh_decode_block", plan, index_record, value_record)
+    """``dsh_decode_span`` of one block on the active backend, as
+    comparable bytes."""
+    span = record_span(plan, 0, (index_record,), (value_record,))
+    [(col_idx, val)] = kernels.dispatch("dsh_decode_span", plan, span, DecodeTally())
     return col_idx.tobytes(), val.tobytes()
 
 
@@ -492,7 +496,7 @@ def _corrupt_blocks():
 
 
 class TestFusedBlockDecode:
-    """``dsh_decode_block`` against the per-record ``python`` composition:
+    """``dsh_decode_span`` against the per-record ``python`` composition:
     the same bytes on every record kind, the same typed error (and
     message) on every corruption, and one dispatch per block."""
 
@@ -538,7 +542,7 @@ class TestFusedBlockDecode:
             with obs.scoped_registry() as reg, kernels.use_backend(backend):
                 got = _block_bytes(plan, plan.index_records[0], plan.value_records[0])
                 fallbacks = reg.value(
-                    "kernels.fallback", op="dsh_decode_block", backend="native")
+                    "kernels.fallback", op="dsh_decode_span", backend="native")
             block = _BLOCK_PLAN.blocked.blocks[0]
             assert got == (block.index_bytes(), block.value_bytes()), backend
             assert fallbacks == (backend == "native"), backend
@@ -562,7 +566,7 @@ class TestFusedBlockDecode:
                 if rec["name"] == "kernels.dispatch"
             }
             assert dispatched == {
-                f"kernels.dispatch{{backend={backend},op=dsh_decode_block}}": plan.nblocks
+                f"kernels.dispatch{{backend={backend},op=dsh_decode_span}}": plan.nblocks
             }, backend
             assert not [r for r in snapshot.values() if r["name"] == "kernels.fallback"]
 
@@ -700,17 +704,24 @@ _EMPTY_RAW = (b"", 0, 0, None, 0)
 
 
 def _c_decode_guarded(native, index, value, both=False):
-    """Call the C ``dsh_decode_block`` on two ``(payload, snappy_len,
-    stages, table, orig_len)`` records, each into a guarded buffer of
-    ``orig_len`` bytes. Returns the index buffer (and the value buffer
-    when ``both``) and the status."""
-    args, bufs = [], []
+    """Call the C ``dsh_decode_span`` on one block of two ``(payload,
+    snappy_len, stages, table, orig_len)`` records, each into a guarded
+    buffer of ``orig_len`` bytes. Returns the index buffer (and the value
+    buffer when ``both``) and the status (0: both records decoded)."""
+    rows, tables, outs, bufs = [], [], [], []
     for payload, snappy_len, stages, table, orig_len in (index, value):
         buf, out = _guarded(orig_len)
-        ctable = native._huffman_table(table.lengths.tobytes()) if table is not None else None
-        args += [payload, len(payload), snappy_len, stages, ctable, out, orig_len]
+        src = ctypes.create_string_buffer(payload, len(payload) or 1)
+        rows.append((src, np.array(
+            [[ctypes.addressof(src), len(payload), snappy_len, stages, orig_len]], np.int64)))
+        tables.append(
+            native._huffman_table(table.lengths.tobytes()) if table is not None else None)
+        outs.append(out)
         bufs.append(buf)
-    status = native._lib.dsh_decode_block(*args, (ctypes.c_int64 * 6)())
+    done = native._lib.dsh_decode_span(
+        1, rows[0][1].ctypes.data, rows[1][1].ctypes.data, *tables, *outs,
+        np.zeros(6, np.int64).ctypes.data)
+    status = int(done != 2)
     return (*bufs, status) if both else (bufs[0], status)
 
 
@@ -720,7 +731,7 @@ class TestNativeBackend:
         assert kernels.REGISTRY.autodetect() == "native"
         assert kernels.backends_for("huffman_decode")[0] == "native"
         assert kernels.backends_for("snappy_decompress")[0] == "native"
-        assert kernels.backends_for("dsh_decode_block")[0] == "native"
+        assert kernels.backends_for("dsh_decode_span")[0] == "native"
         assert kernels.backends_for("snappy_compress")[0] == "native"
 
     def test_unimplemented_ops_resolve_to_numpy_without_fallback(self):
@@ -846,8 +857,8 @@ class TestNativeBackend:
             def snappy_compress(self, *args):
                 return 1
 
-            def dsh_decode_block(self, *args):
-                return 1
+            def dsh_decode_span(self, *args):
+                return 0
 
         data, table, payload = _huffman_case()
         stream = snappy_compress(data)
