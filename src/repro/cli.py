@@ -12,8 +12,7 @@ Usage::
                                    [--fault-plan SPEC] [--mmap] [--nrhs K]
     python -m repro scrub  CONTAINER [--json] [--verbose]
     python -m repro serve  --root DIR [--host H] [--port N]
-                            [--tenant-rate R] [--max-fuse K]
-                            [--fusion-window-ms W] [--inflight-budget-mb M]
+                            [--tenant-rate R] [--max-fuse K] [--inflight-budget-mb M]
                             [--cache-mb M] [--max-queue Q] [--drain-s S]
     python -m repro suite  [--count N] [--scale F]
     python -m repro metrics FILE [--diff OTHER] [--format table|prom|json]
@@ -353,7 +352,6 @@ def cmd_serve(args) -> int:
         inflight_budget_bytes=args.inflight_budget_mb * mb,
         tenant_rate=args.tenant_rate,
         tenant_burst=args.tenant_burst,
-        fusion_window_ms=args.fusion_window_ms,
         max_fuse=args.max_fuse,
         max_queue=args.max_queue,
         compute_threads=args.compute_threads,
@@ -791,10 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tenant-rate", type=float, default=None, metavar="R",
                    help="per-tenant admission rate, requests/s (default: off)")
     p.add_argument("--tenant-burst", type=float, default=8.0, metavar="B")
-    p.add_argument("--fusion-window-ms", type=float, default=2.0, metavar="W",
-                   help="same-matrix batch-fusion window (0 disables fusion)")
     p.add_argument("--max-fuse", type=int, default=8, metavar="K",
-                   help="max SpMVs fused into one SpMM (default %(default)s)")
+                   help="max SpMVs fused into one SpMM; 1 disables fusion "
+                        "(default %(default)s)")
     p.add_argument("--max-queue", type=int, default=64, metavar="Q",
                    help="bounded scheduler queue; overflow sheds (default "
                         "%(default)s)")

@@ -2,10 +2,11 @@
 
 :class:`ServeClient` speaks the NDJSON protocol: requests may be
 pipelined, responses are matched back by ``id`` from a background read
-loop, so N concurrent ``spmv`` awaits on one connection land in the same
-server fusion window — exactly the pattern the batch-fusion scheduler
-coalesces. :class:`BlockingServeClient` wraps it behind a private event
-loop thread for synchronous callers (benchmarks, CLI probes, tests).
+loop, so N concurrent ``spmv`` awaits on one connection queue together —
+exactly the pattern the batch-fusion scheduler coalesces while its
+compute threads are busy. :class:`BlockingServeClient` wraps it behind a
+private event loop thread for synchronous callers (benchmarks, CLI
+probes, tests).
 """
 
 from __future__ import annotations

@@ -1,22 +1,23 @@
-"""Request scheduler: bounded queue, same-matrix batch fusion, deadlines.
+"""Request scheduler: bounded queue, work-conserving batch fusion, deadlines.
 
 The scheduler owns the window between admission and execution:
 
 * **bounded in-system window** — at most ``max_queue`` admitted requests
-  exist anywhere between intake and response (intake queue, fusion
-  windows, the compute pool); overflow is an admission refusal (the
-  server sheds with reason ``queue``), never an unbounded buffer;
-* **same-matrix batch fusion** — concurrent SpMV requests against the
-  same ``(matrix, policy)`` that arrive within ``fusion_window_ms`` of
-  each other coalesce into one fused :func:`~repro.core.recoded_spmm`
-  call, paying the A-side stream/decode traffic once (PR 5 measured
-  ~0.13x per-RHS cost). Column ``j`` of the fused result is bit-identical
-  to the SpMV the request would have run alone — fusion is a pure
-  data-movement optimization, invisible in the numerics;
-* **fairness bounds** — a batch takes at most ``max_fuse`` columns,
-  chosen round-robin across tenants, and no request waits longer than
-  one fusion window before dispatch: fusion can delay a lone tenant by
-  at most ``fusion_window_ms``, never starve it;
+  exist anywhere between intake and response (intake queue, pending
+  list, the compute pool); overflow is an admission refusal (the server
+  sheds with reason ``queue``), never an unbounded buffer;
+* **work-conserving batch fusion** — whenever a compute thread is idle,
+  the oldest pending request is dispatched at once. An SpMV takes with it
+  every SpMV queued for the same ``(matrix, policy)`` while the threads
+  were busy: one fused :func:`~repro.core.recoded_spmm` call pays the
+  A-side stream/decode traffic once (~0.13x per-RHS cost). Column ``j``
+  of the fused result is bit-identical to the SpMV the request would
+  have run alone — fusion is a pure data-movement optimization,
+  invisible in the numerics, and it happens only under load;
+* **fairness bounds** — dispatch is FIFO across keys (an SpMM dispatches
+  alone, in its turn), and a batch takes at most ``max_fuse`` riders,
+  chosen round-robin across tenants; no rider waits longer than it takes
+  a thread to free;
 * **deadlines and cooperative cancellation** — an item whose deadline
   passes before dispatch is answered ``408`` without touching the
   executor; mid-flight, the executor polls the batch's cancel check at
@@ -44,10 +45,12 @@ from repro import obs
 from repro.codecs.errors import BlockDecodeError, CodecError
 from repro.core import RunCancelled, recoded_spmm, recoded_spmv
 from repro.serve import protocol
+from repro.serve.admission import SHED_DRAINING
 from repro.serve.session import MatrixLibrary
 
-#: Sentinel queued to wake the scheduler loop for shutdown.
-_SHUTDOWN = object()
+#: Sentinel queued to wake the scheduler loop: a batch finished (a compute
+#: thread is free) or the scheduler is stopping.
+_WAKE = object()
 
 
 @dataclass(eq=False)
@@ -66,6 +69,8 @@ class WorkItem:
     enqueued: float = 0.0
     #: Absolute monotonic deadline (None = no deadline).
     deadline: float | None = None
+    #: This item's own enqueue-to-dispatch wait, stamped at dispatch.
+    queue_ms: float = 0.0
 
     def expired(self, now: float | None = None) -> bool:
         if self.deadline is None:
@@ -89,8 +94,8 @@ def select_batch(
 
     Returns ``(picked, leftover)``; within one tenant FIFO order is kept.
     Round-robin means a tenant that queued 50 requests shares a fused
-    batch with the tenant that queued 1 — per-tenant fairness inside the
-    fusion window, not just across windows.
+    batch with the tenant that queued 1 — per-tenant fairness inside a
+    batch, not just across batches.
     """
     if len(items) <= max_fuse:
         return list(items), []
@@ -112,7 +117,7 @@ def select_batch(
 
 
 class FusionScheduler:
-    """Asyncio-side intake + thread-pool dispatch with batch fusion."""
+    """Asyncio-side intake + work-conserving thread-pool dispatch with fusion."""
 
     def __init__(
         self,
@@ -121,7 +126,6 @@ class FusionScheduler:
         *,
         memory=None,
         compute_threads: int = 2,
-        fusion_window_ms: float = 2.0,
         max_fuse: int = 8,
         max_queue: int = 64,
         on_done=None,
@@ -133,41 +137,48 @@ class FusionScheduler:
         self.library = library
         self.engine = engine
         self.memory = memory
-        self.fusion_window_s = max(0.0, fusion_window_ms) / 1000.0
         self.max_fuse = max_fuse
         self.max_queue = max_queue
         #: Called (item, response) on the event loop after each item
         #: resolves — the server releases admission reservations here.
         self.on_done = on_done
         self._queue: asyncio.Queue = asyncio.Queue()
+        #: Admitted items pulled off the intake queue, oldest first.
+        self._pending: list[WorkItem] = []
         self._depth = 0
         self._depth_lock = threading.Lock()
+        self._threads = max(1, compute_threads)
+        #: Compute threads with no batch (touched on the event loop only).
+        self._idle = self._threads
+        self._stopping = False
         self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, compute_threads),
-            thread_name_prefix="serve-compute",
+            max_workers=self._threads, thread_name_prefix="serve-compute"
         )
         self._task: asyncio.Task | None = None
-        self._inflight: set[asyncio.Future] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._task = self._loop.create_task(self._run(), name="serve-scheduler")
+        loop = asyncio.get_running_loop()
+        self._task = loop.create_task(self._run(), name="serve-scheduler")
 
     async def stop(self, drain_s: float = 5.0) -> None:
-        """Stop the loop; wait up to ``drain_s`` for in-flight batches."""
+        """Drain: dispatch pending items as threads free, for up to
+        ``drain_s``; then answer what still waits ``503 draining``."""
         if self._task is not None:
-            await self._queue.put(_SHUTDOWN)
-            try:
-                await asyncio.wait_for(self._task, timeout=drain_s + 1.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
+            self._stopping = True
+            self._queue.put_nowait(_WAKE)
+            if not (await asyncio.wait({self._task}, timeout=drain_s))[0]:
                 self._task.cancel()
+                for item in self._pending:
+                    self._resolve(item, protocol.error_response(
+                        item.req.id, item.req.op, protocol.STATUS_UNAVAILABLE,
+                        "Shed", f"admission refused: {SHED_DRAINING}",
+                        shed=SHED_DRAINING,
+                    ))
+                self._pending.clear()
             self._task = None
-        if self._inflight:
-            await asyncio.wait(self._inflight, timeout=drain_s)
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._pool.shutdown(wait=True)
 
     @property
     def queue_depth(self) -> int:
@@ -181,7 +192,7 @@ class FusionScheduler:
 
         ``max_queue`` bounds *admitted-but-unfinished* requests — the
         count drops when the item's response resolves, not when it moves
-        from the intake queue into a fusion window or the compute pool.
+        from the intake queue into the pending list or the compute pool.
         Anything less would just relocate the unbounded buffer.
         """
         with self._depth_lock:
@@ -197,59 +208,35 @@ class FusionScheduler:
     # -- scheduler loop -----------------------------------------------------
 
     async def _run(self) -> None:
-        pending: dict[tuple[str, str], list[WorkItem]] = {}
-        windows: dict[tuple[str, str], float] = {}
-        loop = asyncio.get_running_loop()
-        shutting_down = False
+        pending = self._pending
         while True:
-            timeout = None
-            if windows:
-                timeout = max(0.0, min(windows.values()) - time.monotonic())
-            try:
-                if shutting_down:
+            item = await self._queue.get()
+            while True:
+                if item is not _WAKE:
+                    pending.append(item)
+                try:
                     item = self._queue.get_nowait()
-                elif timeout is None:
-                    item = await self._queue.get()
-                else:
-                    item = await asyncio.wait_for(self._queue.get(), timeout)
-            except (asyncio.TimeoutError, asyncio.QueueEmpty):
-                item = None
-            if item is _SHUTDOWN:
-                shutting_down = True
-                item = None
-            if item is not None:
-                if item.expired():
-                    self._expire(item, loop)
-                elif not item.fusable or self.fusion_window_s == 0.0:
-                    self._dispatch([item], loop)
-                else:
-                    key = item.fuse_key
-                    pending.setdefault(key, []).append(item)
-                    windows.setdefault(key, time.monotonic() + self.fusion_window_s)
-                    if len(pending[key]) >= self.max_fuse:
-                        batch, leftover = select_batch(
-                            pending.pop(key), self.max_fuse
-                        )
-                        windows.pop(key, None)
-                        self._dispatch(batch, loop)
-                        if leftover:
-                            pending[key] = leftover
-                            windows[key] = time.monotonic() + self.fusion_window_s
-            now = time.monotonic()
-            flush_all = shutting_down and self._queue.empty()
-            for key in [
-                k for k, t in list(windows.items()) if flush_all or t <= now
-            ]:
-                batch, leftover = select_batch(pending.pop(key), self.max_fuse)
-                windows.pop(key, None)
-                self._dispatch(batch, loop)
-                if leftover:
-                    pending[key] = leftover
-                    windows[key] = now if flush_all else now + self.fusion_window_s
-            if shutting_down and not pending and self._queue.empty():
+                except asyncio.QueueEmpty:
+                    break
+            while pending and self._idle:
+                self._dispatch(self._take_batch(pending))
+            if self._stopping and not pending and self._idle == self._threads:
                 return
 
-    def _expire(self, item: WorkItem, loop) -> None:
+    def _take_batch(self, pending: list[WorkItem]) -> list[WorkItem]:
+        """Remove and return the oldest item with its fusable riders."""
+        head = pending[0]
+        if not head.fusable:
+            return [pending.pop(0)]
+        batch, _ = select_batch(
+            [it for it in pending if it.fusable and it.fuse_key == head.fuse_key],
+            self.max_fuse,
+        )
+        taken = set(batch)
+        pending[:] = [it for it in pending if it not in taken]
+        return batch
+
+    def _expire(self, item: WorkItem) -> None:
         """Answer 408 without touching the executor."""
         reg = obs.registry()
         reg.counter("serve.deadline_expired").inc()
@@ -261,9 +248,9 @@ class FusionScheduler:
             f"deadline passed before dispatch (queued "
             f"{(time.monotonic() - item.enqueued) * 1e3:.1f} ms)",
         )
-        self._resolve(item, resp, loop)
+        self._resolve(item, resp)
 
-    def _resolve(self, item: WorkItem, resp: dict, loop) -> None:
+    def _resolve(self, item: WorkItem, resp: dict) -> None:
         with self._depth_lock:
             self._depth -= 1
         obs.registry().gauge("serve.queue_depth").set(self.queue_depth)
@@ -274,27 +261,33 @@ class FusionScheduler:
 
     # -- dispatch -----------------------------------------------------------
 
-    def _dispatch(self, batch: list[WorkItem], loop) -> None:
-        """Hand one batch to the compute pool; resolve futures on the loop."""
+    def _dispatch(self, batch: list[WorkItem]) -> None:
+        """Hand one batch to an idle compute thread; resolve futures on the loop."""
+        now = time.monotonic()
         live = []
         for item in batch:
-            if item.expired():
-                self._expire(item, loop)
+            if item.expired(now):
+                self._expire(item)
             else:
                 live.append(item)
         if not live:
             return
         reg = obs.registry()
+        for item in live:
+            item.queue_ms = (now - item.enqueued) * 1e3
+            reg.histogram("serve.queue_wait_ms").observe(item.queue_ms)
         if len(live) > 1:
             reg.counter("serve.fused_batches").inc()
             reg.counter("serve.fused_requests").inc(len(live))
         reg.histogram("serve.fusion_width").observe(len(live))
-        cf = self._pool.submit(self._compute_batch, live)
-        afut = asyncio.wrap_future(cf, loop=loop)
-        self._inflight.add(afut)
+        self._idle -= 1
 
         def _finish(f: asyncio.Future) -> None:
-            self._inflight.discard(f)
+            # The thread is free before any rider hears back; the loop
+            # wakes only if a pending item (or a drain) is waiting for it.
+            self._idle += 1
+            if self._pending or self._stopping:
+                self._queue.put_nowait(_WAKE)
             try:
                 responses = f.result()
             except Exception as exc:  # pragma: no cover - defensive
@@ -306,9 +299,10 @@ class FusionScheduler:
                     for it in live
                 ]
             for item, resp in zip(live, responses):
-                self._resolve(item, resp, loop)
+                self._resolve(item, resp)
 
-        afut.add_done_callback(_finish)
+        cf = self._pool.submit(self._compute_batch, live)
+        asyncio.wrap_future(cf).add_done_callback(_finish)
 
     # -- compute (runs on the thread pool) ----------------------------------
 
@@ -316,7 +310,6 @@ class FusionScheduler:
         req0 = batch[0].req
         name, policy = req0.matrix, req0.policy
         source = self.library.reader(name)
-        queue_ms = (time.monotonic() - min(it.enqueued for it in batch)) * 1e3
 
         def cancelled() -> bool:
             # A fused batch aborts only when *every* rider has expired:
@@ -394,7 +387,7 @@ class FusionScheduler:
                     degraded_blocks=stats.degraded_blocks,
                     fused=fused,
                     traffic_ratio=stats.traffic_ratio,
-                    queue_ms=queue_ms,
+                    queue_ms=item.queue_ms,
                     compute_ms=compute_ms,
                 )
             )

@@ -10,7 +10,8 @@ The request path is deliberately short and every stage refuses rather
 than buffers:
 
     parse -> validate -> admission (429 shed) -> bounded queue (429 shed)
-          -> fusion window -> compute pool -> response
+          -> first idle compute thread (SpMVs queued behind busy threads
+             for the same matrix ride along, fused) -> response
 
 Results are **bit-identical** to a direct :func:`repro.core.recoded_spmv`
 / ``recoded_spmm`` call with the same policy — serving, fusion, caching
@@ -18,8 +19,9 @@ and degradation never touch the numerics, only who pays for data
 movement and when. Under ``strict`` a decode failure is a typed ``500``;
 under ``degrade`` the executor substitutes identity blocks and the
 response accounts for every degraded block. Shutdown is graceful: stop
-accepting, shed new work as ``draining``, drain in-flight batches, then
-close the engine and the mmap readers.
+accepting, shed new work as ``draining``, dispatch every queued request
+as threads free (answering ``503 draining`` what ``drain_s`` leaves
+queued), then close the engine and the mmap readers.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ class ServeConfig:
     #: Per-tenant admission rate (requests/s); None disables.
     tenant_rate: float | None = None
     tenant_burst: float = 8.0
-    fusion_window_ms: float = 2.0
     max_fuse: int = 8
     max_queue: int = 64
     compute_threads: int = 2
@@ -97,7 +98,6 @@ class MatrixServer:
             self.library,
             self.engine,
             compute_threads=config.compute_threads,
-            fusion_window_ms=config.fusion_window_ms,
             max_fuse=config.max_fuse,
             max_queue=config.max_queue,
             on_done=self._on_done,
@@ -334,6 +334,10 @@ class MatrixServer:
             if resp.get("degraded_blocks", 0) > 0:
                 session.degraded_requests += 1
                 reg.counter("serve.degraded_requests", tenant=item.req.tenant).inc()
+        elif resp.get("shed"):
+            session.shed += 1
+            reg.counter(f"serve.shed_{resp['shed']}").inc()
+            reg.counter("serve.shed", tenant=item.req.tenant).inc()
         elif status == protocol.STATUS_DEADLINE:
             session.deadline_missed += 1
             reg.counter("serve.deadline_missed", tenant=item.req.tenant).inc()

@@ -502,7 +502,6 @@ BENCH_SERVE_SCHEMA: dict = _with_common(
                 "properties": {
                     "max_fuse": {"type": "integer", "minimum": 1},
                     "tenants": {"type": "integer", "minimum": 1},
-                    "fusion_window_ms": {"type": "number", "minimum": 0},
                     "inflight_budget_bytes": {"type": "integer", "minimum": 1},
                     "max_queue": {"type": "integer", "minimum": 1},
                 },
@@ -527,12 +526,14 @@ BENCH_SERVE_SCHEMA: dict = _with_common(
             "gates": {
                 "type": "object",
                 "required": [
+                    "fusion_alive",
                     "overload_shed_nonzero",
                     "accounting_reconciles",
                     "admitted_p99_bounded",
                     "passed",
                 ],
                 "properties": {
+                    "fusion_alive": {"type": "boolean"},
                     "overload_shed_nonzero": {"type": "boolean"},
                     "accounting_reconciles": {"type": "boolean"},
                     "admitted_p99_bounded": {"type": "boolean"},

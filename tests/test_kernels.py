@@ -51,6 +51,7 @@ from repro.codecs.varint import (
     zigzag_encode,
 )
 from repro.collection import generators, representative_suite
+from repro.core import recoded_spmv
 from repro.kernels import ref
 from repro.sparse.blocked import partition_csr
 
@@ -979,4 +980,56 @@ def test_first_dispatch_from_many_threads_is_safe():
     assert res["alive"] == 0
     assert res["errors"] == []
     assert res["outputs"] == [data.hex()]
+    assert res["fallback"] == 0
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_first_recoded_spmv_from_two_threads_is_bit_identical(backend, tmp_path):
+    """Two compute threads of a fresh process make its first
+    ``recoded_spmv`` on a container at once, as a server's threads do at
+    start: both succeed, bit-identical to a serial run on that backend."""
+    m = generators.banded(800, bandwidth=5, seed=17)
+    path = tmp_path / "m.dsh"
+    save_plan(compress_matrix(m, block_bytes=2048), path)
+    x = np.random.default_rng(17).standard_normal(m.ncols)
+    np.save(tmp_path / "x.npy", x)
+    with kernels.use_backend(backend):
+        y_serial = recoded_spmv(str(path), x)[0]
+    script = f"""
+        import hashlib, json, sys, threading
+        import numpy as np
+        from repro import kernels, obs
+        from repro.core import recoded_spmv
+        x = np.load({str(tmp_path / "x.npy")!r})
+        barrier = threading.Barrier(2)
+        errors, shas = [], []
+
+        def first_call():
+            barrier.wait()
+            try:
+                y, _ = recoded_spmv({str(path)!r}, x)
+                shas.append(hashlib.sha256(y.tobytes()).hexdigest())
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        print(json.dumps({{
+            "backend": kernels.backend(),
+            "alive": sum(t.is_alive() for t in threads),
+            "errors": errors,
+            "shas": shas,
+            "fallback": sum(r["value"] for r in obs.registry().snapshot().values()
+                            if r["name"] == "kernels.fallback"),
+        }}))
+    """
+    res = _run_fresh(script, **{kernels.KERNEL_BACKEND_ENV: backend})
+    assert res["backend"] == backend
+    assert res["alive"] == 0
+    assert res["errors"] == []
+    assert res["shas"] == [hashlib.sha256(y_serial.tobytes()).hexdigest()] * 2
     assert res["fallback"] == 0

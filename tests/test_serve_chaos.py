@@ -143,8 +143,9 @@ class TestDegradeUnderFaults:
 
     def test_fused_batch_not_poisoned_across_policies(self, root, x):
         """Fusion keys on (matrix, policy): a strict failure must not take
-        down degrade riders, and vice versa."""
-        with ServerThread(_server_config(root, fusion_window_ms=20.0)) as st:
+        down degrade riders, and vice versa. One compute thread, so the
+        riders queue behind the first batch and fuse."""
+        with ServerThread(_server_config(root, compute_threads=1)) as st:
             with FaultPlan(seed=11, bitflip_blocks=(2,)).activate():
 
                 async def go():

@@ -12,6 +12,7 @@ of hangs, and shutdown drains without orphaning work.
 
 import asyncio
 import hashlib
+import threading
 import time
 
 import numpy as np
@@ -53,6 +54,28 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def _until(pred, timeout=30.0):
+    end = time.monotonic() + timeout
+    while not pred():
+        assert time.monotonic() < end, "condition never held"
+        time.sleep(0.002)
+
+
+def _gate_compute(server, monkeypatch) -> tuple[threading.Event, list]:
+    """Block the server's compute threads on an event; returns the event
+    and the list of batches that entered compute (their request ids)."""
+    gate, entered = threading.Event(), []
+    compute = server.scheduler._compute_batch
+
+    def gated(batch):
+        entered.append([it.req.id for it in batch])
+        assert gate.wait(30), "gate never opened"
+        return compute(batch)
+
+    monkeypatch.setattr(server.scheduler, "_compute_batch", gated)
+    return gate, entered
+
+
 async def _one(port, op="spmv", tenant="t", **kw):
     async with ServeClient("127.0.0.1", port, tenant=tenant) as c:
         fn = c.spmv if op == "spmv" else c.spmm
@@ -71,7 +94,7 @@ DIRECT_DECODERS = [
 class TestDifferentialParity:
     @pytest.fixture(scope="class")
     def server(self, root):
-        config = ServeConfig(root=root, port=0, fusion_window_ms=2.0)
+        config = ServeConfig(root=root, port=0)
         with ServerThread(config) as st:
             yield st.server
 
@@ -135,6 +158,45 @@ class TestDifferentialParity:
         assert resp["queue_ms"] >= 0 and resp["compute_ms"] > 0
 
 
+class TestQueueTime:
+    def test_fused_riders_report_their_own_queue_wait(self, root, x, monkeypatch):
+        """Each rider of a fused batch reports its own enqueue-to-dispatch
+        wait, bounded by what its client saw, not the oldest rider's."""
+        with ServerThread(ServeConfig(root=root, port=0, compute_threads=1)) as st:
+            gate, entered = _gate_compute(st.server, monkeypatch)
+
+            async def go():
+                async with ServeClient("127.0.0.1", st.server.port, tenant="qt") as c:
+
+                    async def timed(i):
+                        t0 = time.perf_counter()
+                        r = await c.spmv("m", (i + 1) * x)
+                        return r, (time.perf_counter() - t0) * 1e3
+
+                    blocker = asyncio.ensure_future(c.spmv("other", x[:200]))
+                    await asyncio.to_thread(_until, lambda: len(entered) == 1)
+                    riders = []
+                    for i in range(4):
+                        riders.append(asyncio.ensure_future(timed(i)))
+                        await asyncio.to_thread(
+                            _until, lambda: st.server.scheduler.queue_depth == i + 2
+                        )
+                        await asyncio.sleep(0.005)
+                    gate.set()
+                    await blocker
+                    return await asyncio.gather(*riders)
+
+            results = run(go())
+        assert [len(b) for b in entered] == [1, 4]
+        waits = [r["queue_ms"] for r, _ in results]
+        for r, latency_ms in results:
+            assert r["fused"] == 4
+            assert 0 <= r["queue_ms"] <= latency_ms
+        # The oldest rider waited longest; the others waited less.
+        assert waits[0] == max(waits)
+        assert any(w != waits[0] for w in waits[1:])
+
+
 class TestErrorsAndValidation:
     @pytest.fixture(scope="class")
     def server(self, root):
@@ -172,8 +234,8 @@ class TestErrorsAndValidation:
         assert resp["error"]["type"] == "ProtocolError"
 
     def test_deadline_expired_before_dispatch_408(self, server, x):
-        # A microscopic deadline cannot survive the fusion window; the
-        # answer must be a prompt 408, never a hang.
+        # A microscopic deadline passes before the request reaches a
+        # compute thread; the answer must be a prompt 408, never a hang.
         t0 = time.monotonic()
         resp = run(
             _one(server.port, args=("m", x), deadline_ms=0.01, raise_on_error=False)
@@ -219,9 +281,7 @@ class TestAdmissionOverTheWire:
         assert row["shed"] == 1 and row["requests"] == 2
 
     def test_queue_overflow_sheds_and_reconciles(self, root, x):
-        config = ServeConfig(
-            root=root, port=0, max_queue=2, compute_threads=1, fusion_window_ms=0.0
-        )
+        config = ServeConfig(root=root, port=0, max_queue=2, compute_threads=1)
         with ServerThread(config) as st:
             async def go():
                 async with ServeClient("127.0.0.1", st.server.port, tenant="q") as c:
@@ -300,6 +360,67 @@ class TestLifecycle:
         resps = run(fire())
         assert all(r.get("ok") for r in resps)
         st.stop()  # raises if the server thread crashed
+
+    @pytest.mark.parametrize(
+        "drain_s", [60.0, 0.1], ids=["queued-dispatched", "drain-runs-out"]
+    )
+    def test_stop_resolves_every_queued_request(self, root, x, monkeypatch, drain_s):
+        """Stopping with both compute threads blocked (an SpMM each) and
+        eight SpMVs queued behind them: every request is answered — the
+        queued ones dispatched while draining, or ``503 draining`` once
+        ``drain_s`` runs out — and the books drain to zero."""
+        config = ServeConfig(root=root, port=0, compute_threads=2, drain_s=drain_s)
+        st = ServerThread(config)
+        st.start()
+        server = st.server
+        gate, entered = _gate_compute(server, monkeypatch)
+        X = np.stack([x, -x], axis=1)
+
+        async def burst():
+            clients = [
+                await ServeClient("127.0.0.1", server.port, tenant=t).connect()
+                for t in ("blk", "d0", "d1")
+            ]
+            blockers = [
+                asyncio.ensure_future(clients[0].spmm("m", X, raise_on_error=False))
+                for _ in range(2)
+            ]
+            await asyncio.to_thread(_until, lambda: len(entered) == 2)
+            queued = [
+                asyncio.ensure_future(c.spmv("m", x, raise_on_error=False))
+                for c in clients[1:]
+                for _ in range(4)
+            ]
+            resps = await asyncio.gather(*blockers), await asyncio.gather(*queued)
+            for c in clients:
+                await c.close()
+            return resps
+
+        out = []
+        client = threading.Thread(target=lambda: out.append(run(burst())))
+        client.start()
+        _until(lambda: server.scheduler.queue_depth == 10)
+        stopper = threading.Thread(target=st.stop)
+        stopper.start()
+        _until(lambda: server.draining)
+        if drain_s < 1.0:
+            time.sleep(drain_s + 0.3)  # the blocked batches outlast the drain
+        gate.set()
+        stopper.join(60)
+        client.join(60)
+        assert not stopper.is_alive() and not client.is_alive()
+        (blocked, queued), = out
+        assert all(r.get("ok") for r in blocked)
+        if drain_s > 1.0:
+            assert all(r.get("ok") for r in queued), queued
+            y_direct, _ = recoded_spmv(f"{root}/m.dsh", x)
+            assert all(np.array_equal(r["y"], y_direct) for r in queued)
+        else:
+            for r in queued:
+                assert r["status"] == 503 and r["shed"] == "draining", r
+            assert sum(server.tenants.get(t).shed for t in ("d0", "d1")) == 8
+        assert server.scheduler.queue_depth == 0
+        assert server.admission.inflight_bytes == 0
 
     def test_pipelined_default_boots_bit_identical_to_serial(self, root, x):
         """A default server, whose requests read one engine decode handle
