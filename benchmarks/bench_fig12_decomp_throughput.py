@@ -90,11 +90,11 @@ def test_engine_cache_beats_cold_serial(ctx, lab):
     reps = lab.representatives()
     plans = [lab.plan(rep.name, lab.matrix(rep.name, rep.build), "dsh") for rep in reps]
 
-    serial = RecodeEngine(workers=0)
+    serial = RecodeEngine()
     for rep, plan in zip(reps, plans):
         serial.decode_blocked(plan, matrix_id=rep.name)
 
-    engine = RecodeEngine(workers=0, cache=DecodedBlockCache())
+    engine = RecodeEngine(cache=DecodedBlockCache())
     for _ in range(3):
         for rep, plan in zip(reps, plans):
             engine.decode_blocked(plan, matrix_id=rep.name)
@@ -117,11 +117,12 @@ def test_obs_overhead_within_budget():
 
     from repro import obs
     from repro.codecs.engine import DecodedBlockCache, RecodeEngine
+    from repro.codecs.pipeline import compress_matrix
     from repro.collection import generators
 
     matrix = generators.banded(40_000, bandwidth=8, seed=12)
-    engine = RecodeEngine(workers=0, cache=DecodedBlockCache())
-    plan = engine.encode_blocked(matrix)
+    engine = RecodeEngine(cache=DecodedBlockCache())
+    plan = compress_matrix(matrix)
     engine.decode_blocked(plan, matrix_id="overhead")  # warm the cache
 
     passes = 40
@@ -159,13 +160,14 @@ def test_fault_hooks_disarmed_within_budget():
 
     from repro import faults
     from repro.codecs.engine import RecodeEngine
+    from repro.codecs.pipeline import compress_matrix
     from repro.collection import generators
 
     assert faults.active() is None  # hooks genuinely disarmed
 
     matrix = generators.banded(8_000, bandwidth=8, seed=12)
-    engine = RecodeEngine(workers=0)
-    plan = engine.encode_blocked(matrix)
+    engine = RecodeEngine()
+    plan = compress_matrix(matrix)
 
     def cold_pass() -> float:
         start = time.perf_counter()

@@ -49,8 +49,10 @@ BANDWIDTH = 6
 BLOCK_BYTES = 4096
 
 TENANTS = 4
-#: Closed-loop calibration requests per tenant.
+#: Closed-loop calibration requests per tenant, per timed round.
 CALIBRATION_REQUESTS = 12
+#: Timed calibration rounds; capacity is the median round's rate.
+CALIBRATION_ROUNDS = 3
 #: Open-loop overload multiplier over measured capacity.
 OVERLOAD_FACTOR = 2.5
 OVERLOAD_SECONDS = 3.0
@@ -76,32 +78,41 @@ def _percentile(xs, q):
 
 
 async def _closed_loop(port, xs):
-    """Each tenant awaits its requests serially: measures capacity."""
-    lat, done = [], 0
+    """Each tenant awaits its requests serially: measures capacity.
+
+    Every client first sends one untimed warm-up request, so first-call
+    costs stay out of the timed rounds. Capacity is the median rate of
+    ``CALIBRATION_ROUNDS`` timed rounds.
+    """
+    lat, done, rounds_rps = [], 0, []
     clients = [
         await ServeClient("127.0.0.1", port, tenant=f"tenant-{i}").connect()
         for i in range(TENANTS)
     ]
-    t0 = time.perf_counter()
 
-    async def drive(c):
+    async def drive(c, timed):
         nonlocal done
-        for k in range(CALIBRATION_REQUESTS):
+        for k in range(CALIBRATION_REQUESTS if timed else 1):
             t = time.perf_counter()
             r = await c.spmv("m", xs[k % len(xs)], deadline_ms=DEADLINE_MS,
                              raise_on_error=False)
-            if r.get("ok"):
+            if timed and r.get("ok"):
                 done += 1
                 lat.append((time.perf_counter() - t) * 1e3)
 
-    await asyncio.gather(*(drive(c) for c in clients))
-    elapsed = time.perf_counter() - t0
+    await asyncio.gather(*(drive(c, timed=False) for c in clients))
+    for _ in range(CALIBRATION_ROUNDS):
+        before, t0 = done, time.perf_counter()
+        await asyncio.gather(*(drive(c, timed=True) for c in clients))
+        rounds_rps.append((done - before) / (time.perf_counter() - t0))
     for c in clients:
         await c.close()
     return {
-        "offered": TENANTS * CALIBRATION_REQUESTS,
+        "sent": TENANTS * (1 + CALIBRATION_ROUNDS * CALIBRATION_REQUESTS),
+        "offered": TENANTS * CALIBRATION_ROUNDS * CALIBRATION_REQUESTS,
         "completed": done,
-        "elapsed_s": elapsed,
+        "capacity_rps": float(np.median(rounds_rps)),
+        "rounds_rps": rounds_rps,
         "lat_ms": lat,
     }
 
@@ -208,8 +219,7 @@ def _measure() -> dict:
         port = st.server.port
         parity, max_fused_width = asyncio.run(_parity(port, plan, xs, {}))
         base = asyncio.run(_closed_loop(port, xs))
-        capacity_rps = base["completed"] / base["elapsed_s"]
-        offered_rps = OVERLOAD_FACTOR * capacity_rps
+        offered_rps = OVERLOAD_FACTOR * base["capacity_rps"]
         with RssSampler() as rss:
             over = asyncio.run(_open_loop(port, xs, offered_rps, queue_probe))
         # Reconcile against the server's own books after the load drains.
@@ -225,7 +235,7 @@ def _measure() -> dict:
     accounting_reconciles = (
         client_total == over["offered"]
         and server_shed == tally["shed"]
-        and server_total == over["offered"] + base["offered"]
+        and server_total == over["offered"] + base["sent"]
         and final["inflight_bytes"] == 0
         and final["queue_depth"] == 0
     )
@@ -260,7 +270,10 @@ def _measure() -> dict:
             "overload_factor": OVERLOAD_FACTOR,
             "max_fused_width": max_fused_width,
             "baseline": {
-                "offered_rps": base["offered"] / base["elapsed_s"],
+                "offered_rps": base["capacity_rps"],
+                "rounds_rps": base["rounds_rps"],
+                "round_spread": (max(base["rounds_rps"]) - min(base["rounds_rps"]))
+                / base["capacity_rps"],
                 "completed": base["completed"],
                 "shed": base["offered"] - base["completed"],
                 "p50_ms": _percentile(base["lat_ms"], 50),
@@ -324,8 +337,10 @@ if __name__ == "__main__":
     res = _measure()
     path = _write_artifact(res)
     t = res["timings"]
-    print(f"capacity  {t['baseline']['offered_rps']:.0f} rps "
-          f"(p99 {t['baseline']['p99_ms']:.1f} ms)")
+    b = t["baseline"]
+    print(f"capacity  {b['offered_rps']:.0f} rps, median of "
+          f"{', '.join(f'{r:.0f}' for r in b['rounds_rps'])} "
+          f"(p99 {b['p99_ms']:.1f} ms)")
     o = t["overload"]
     print(f"overload  {o['offered_rps']:.0f} rps offered: "
           f"{o['completed']} completed, {o['shed']} shed, "

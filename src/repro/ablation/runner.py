@@ -264,7 +264,6 @@ class _OpenConfig:
         with self.scope():
             for sess in self.sessions.values():
                 sess.close()
-            self.engine.close()
         self.result.metric_names = frozenset(r["name"] for r in self.registry.snapshot().values())
 
     def check(self, vectors: dict) -> None:

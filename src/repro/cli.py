@@ -5,7 +5,6 @@ Usage::
     python -m repro info   MATRIX
     python -m repro compress MATRIX [--scheme dsh|delta-snappy|snappy|auto]
                                      [--block-bytes N] [--verify] [--simulate]
-                                     [--workers N]
     python -m repro spmv   MATRIX [--memory ddr4|hbm2]
                                    [--iterations N] [--metrics-out PATH]
                                    [--trace-out PATH] [--policy strict|degrade]
@@ -119,9 +118,7 @@ def cmd_compress(args) -> int:
         }
         if args.scheme not in flags:
             raise ValueError(f"unknown scheme {args.scheme!r}")
-        plan = compress_matrix(
-            m, block_bytes=args.block_bytes, workers=args.workers, **flags[args.scheme]
-        )
+        plan = compress_matrix(m, block_bytes=args.block_bytes, **flags[args.scheme])
     idx = sum(r.stored_bytes for r in plan.index_records)
     val = sum(r.stored_bytes for r in plan.value_records)
     print(f"blocks:      {plan.nblocks} x {plan.block_bytes} B budget")
@@ -323,7 +320,7 @@ def cmd_scrub(args) -> int:
 
 def _sigterm_as_interrupt() -> None:
     """Route SIGTERM through KeyboardInterrupt so ``finally`` blocks run
-    (pool teardown, engine close) instead of dying mid-fork."""
+    (compute-thread teardown, container close) instead of dying mid-run."""
     import signal
     import threading
 
@@ -645,8 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--sample-blocks", type=int, default=2)
-    p.add_argument("--workers", type=int, default=0,
-                   help="encode pool width in processes (0 = serial)")
     _add_kernel_backend_arg(p)
     p.set_defaults(fn=cmd_compress)
 

@@ -14,9 +14,9 @@ implemented here from scratch:
   per-matrix table built by sampling up to 40% of the 8 KB blocks.
 * :mod:`~repro.codecs.pipeline` — block-oriented DSH composition +
   whole-matrix compression plans and bytes-per-nnz statistics.
-* :mod:`~repro.codecs.engine` — the block recode engine (inline decode,
-  process-pool encode) and the decoded-block LRU cache that models the
-  paper's steady-state block reuse.
+* :mod:`~repro.codecs.engine` — the block recode engine (inline decode
+  with retry and quarantine) and the decoded-block LRU cache that models
+  the paper's steady-state block reuse.
 * :mod:`~repro.codecs.errors` — the unified :class:`CodecError` taxonomy
   every decode-path failure derives from (see docs/ROBUSTNESS.md).
 """

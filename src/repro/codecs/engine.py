@@ -1,4 +1,4 @@
-"""Block recode engine with a decoded-block cache.
+"""Block decode engine with a decoded-block cache.
 
 The paper's throughput story (Section V, Fig. 12) is 64 UDP lanes each
 decompressing an 8 KB block next to memory, behind one ``recode()`` call
@@ -8,26 +8,18 @@ of that structure:
 
 * :class:`RecodeEngine` decodes blocks inline on the calling thread, one
   block when the consumer asks for it (:class:`AsyncDecode`), with
-  per-block retry, backoff and quarantine. Encode alone fans block work
-  across a process pool of ``workers`` processes, in chunks of
-  ``chunk_blocks`` blocks so pickling is amortized; ``workers=0`` encodes
-  in-process. With the ``native`` kernels (Snappy compress in C too) the
-  pool barely pays even for encode: on a 2-vCPU host (python 3.11.7,
-  numpy 2.4.6), encoding a 220k-nnz banded matrix takes 0.17 / 0.19 s
-  (min / median) serial against 0.16 / 0.19 s on 2 processes, and
-  pipelined SpMV over seven 25k-nnz containers took 73 ms decoding
-  inline against 90 ms on a 2-process decode pool (tables in
-  ``docs/FORMATS.md``).
+  per-block retry, backoff and quarantine. It does not encode: plans are
+  compressed once, ahead of time, by
+  :func:`repro.codecs.pipeline.compress_matrix`, as the paper's are.
 * :class:`DecodedBlockCache` is a bounded LRU over decoded
   :class:`~repro.sparse.blocked.CSRBlock` payloads keyed by
   ``(matrix_id, block_id, plan_hash)``, so iterative workloads (PageRank,
   heat solvers) skip re-decompression exactly like the paper's steady-state
   UDP loop skips nothing *but* the DRAM stream.
 
-Both paths are byte-identical to the serial
-:func:`repro.codecs.pipeline.compress_matrix` /
-:meth:`~repro.codecs.pipeline.MatrixCompression.decompress_block` code:
-they run the same pure functions on the same inputs in the same order.
+Decoded blocks are byte-identical to
+:meth:`~repro.codecs.pipeline.MatrixCompression.decompress_block`'s:
+the engine runs the same functions on the same inputs.
 """
 
 from __future__ import annotations
@@ -38,32 +30,16 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro import faults, kernels, obs
+from repro import faults, obs
 from repro.codecs.errors import BlockDecodeError, CodecError
-from repro.codecs.huffman import HuffmanTable
-from repro.codecs.pipeline import (
-    BlockRecord,
-    DecodeRun,
-    MatrixCompression,
-    _finish_record,
-    _record_plan_metrics,
-    block_streams,
-    sampled_tables,
-    snappy_encode_streams,
-)
+from repro.codecs.pipeline import DecodeRun, MatrixCompression
 # Unused here since decode goes through ``decompress_block``; perfbench's
 # ledger still patches this name in this module.
 from repro.codecs.pipeline import decode_record  # noqa: F401
-from repro.sparse.blocked import CSRBlock, UDP_BLOCK_BYTES, partition_csr
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.blocked import CSRBlock
 from repro.util.rng import derive_seed, seeded_rng
-
-#: Blocks per encode pool task; one task then carries ~256 KB of 8 KB-block
-#: work, which keeps pickling overhead well under the codec cost.
-DEFAULT_CHUNK_BLOCKS = 32
 
 #: Default decoded-block cache budget (raw CSR payload bytes).
 DEFAULT_CACHE_BYTES = 256 << 20
@@ -312,48 +288,6 @@ class DecodedBlockCache:
             self._changes += 1
 
 
-# ---------------------------------------------------------------------------
-# Encode pool tasks (module-level so they pickle)
-# ---------------------------------------------------------------------------
-
-
-def _snappy_chunk(streams: list[bytes]) -> list[bytes]:
-    return snappy_encode_streams(streams)
-
-
-def _finish_chunk(
-    args: tuple[list[int], list[bytes], HuffmanTable | None, bool]
-) -> list[BlockRecord]:
-    raw_lens, snapped, table, use_huffman = args
-    return [
-        _finish_record(raw_len, snap, table, use_huffman)
-        for raw_len, snap in zip(raw_lens, snapped)
-    ]
-
-
-def _pool_warmup(_i: int) -> None:
-    return None
-
-
-def _shutdown_pool(pool) -> None:
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_isolated(args: tuple) -> tuple:
-    """Pool-worker shim: run one encode chunk under a fresh per-worker
-    registry (and tracer, when the parent is tracing), pinned to the
-    parent's kernel backend — a CLI/set_backend selection is process-local
-    state a spawned worker would not otherwise see — and ship the captured
-    telemetry back with the result for merge-on-join."""
-    fn, task, tracing, kernel_backend = args
-    reg = obs.MetricsRegistry()
-    worker_tracer = obs.Tracer(enabled=tracing)
-    with obs.scoped_registry(reg), obs.scoped_tracer(worker_tracer):
-        with kernels.use_backend(kernel_backend):
-            result = fn(task)
-    return result, reg.snapshot(), worker_tracer.events()
-
-
 @dataclass(frozen=True)
 class BlockFailure:
     """One block the engine could not decode, after retries.
@@ -377,14 +311,11 @@ _engine_ids = itertools.count()
 
 #: Registry counter suffixes backing one :class:`EngineStats` view.
 _ENGINE_COUNTERS = (
-    "blocks_encoded",
     "blocks_decoded",
     "cache_hits",
     "cache_misses",
     "bytes_decoded",
-    "encode_seconds",
     "decode_seconds",
-    "pool_startup_seconds",
 )
 
 
@@ -401,15 +332,12 @@ class EngineStats:
     increments the counter of whatever registry is active *at add time*,
     so scoped snapshots see exactly the work done inside their scope.
 
-    ``decode_seconds`` covers decode plus cache probing only, and
-    ``encode_seconds`` excludes encode-pool spin-up (process fork/exec),
-    which is accounted separately in ``pool_startup_seconds``.
+    ``decode_seconds`` covers decode plus cache probing only.
     """
 
-    def __init__(self, workers: int = 0, engine_label: str = "",
+    def __init__(self, engine_label: str = "",
                  registry: obs.MetricsRegistry | None = None):
         reg = registry if registry is not None else obs.registry()
-        self.workers = workers
         self.engine_label = engine_label
         self._labels = {"engine": engine_label} if engine_label else {}
         self._lock = threading.Lock()
@@ -419,7 +347,6 @@ class EngineStats:
         # conformance suites compare metric-name sets across configs.
         for name in _ENGINE_COUNTERS:
             reg.counter(f"codecs.engine.{name}", **self._labels)
-        reg.gauge("codecs.engine.workers", **self._labels).set(workers)
 
     def add(self, name: str, amount: float) -> None:
         if not amount:
@@ -427,10 +354,6 @@ class EngineStats:
         with self._lock:
             self._totals[name] += amount
         obs.registry().counter(f"codecs.engine.{name}", **self._labels).inc(amount)
-
-    @property
-    def blocks_encoded(self) -> int:
-        return int(self._totals["blocks_encoded"])
 
     @property
     def blocks_decoded(self) -> int:
@@ -449,16 +372,8 @@ class EngineStats:
         return int(self._totals["bytes_decoded"])
 
     @property
-    def encode_seconds(self) -> float:
-        return self._totals["encode_seconds"]
-
-    @property
     def decode_seconds(self) -> float:
         return self._totals["decode_seconds"]
-
-    @property
-    def pool_startup_seconds(self) -> float:
-        return self._totals["pool_startup_seconds"]
 
     @property
     def decode_mb_per_s(self) -> float:
@@ -477,28 +392,24 @@ class EngineStats:
 
     def as_dict(self) -> dict[str, float]:
         return {
-            "workers": self.workers,
-            "blocks_encoded": self.blocks_encoded,
             "blocks_decoded": self.blocks_decoded,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "bytes_decoded": self.bytes_decoded,
-            "encode_seconds": self.encode_seconds,
             "decode_seconds": self.decode_seconds,
-            "pool_startup_seconds": self.pool_startup_seconds,
             "decode_mb_per_s": self.decode_mb_per_s,
         }
 
 
 @dataclass
 class RecodeEngine:
-    """Block encode/decode with an optional decoded-block cache.
+    """Block decode with an optional decoded-block cache.
 
     Attributes:
-        workers: encode pool width (processes). ``0`` = encode in-process
-            (no pool, no pickling; byte-identical results). Decode never
-            uses the pool: it always runs inline on the calling thread.
-        chunk_blocks: blocks per encode pool task.
+        workers: kept for perfbench, which passes ``workers=nproc()``. It
+            is validated (``>= 0``) but selects no code: the engine runs
+            no processes, and decode always runs inline on the calling
+            thread.
         cache: a :class:`DecodedBlockCache`, or ``None`` to decode cold
             every time.
         max_retries: extra decode attempts per failing block before it is
@@ -510,7 +421,6 @@ class RecodeEngine:
     """
 
     workers: int = 0
-    chunk_blocks: int = DEFAULT_CHUNK_BLOCKS
     cache: DecodedBlockCache | None = None
     max_retries: int = 2
     retry_base_s: float = 0.02
@@ -519,160 +429,25 @@ class RecodeEngine:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.chunk_blocks < 1:
-            raise ValueError(f"chunk_blocks must be >= 1, got {self.chunk_blocks}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.retry_base_s < 0:
             raise ValueError(f"retry_base_s must be >= 0, got {self.retry_base_s}")
-        self.stats = EngineStats(
-            workers=self.workers, engine_label=f"e{next(_engine_ids)}"
-        )
-        self._pool = None
+        self.stats = EngineStats(engine_label=f"e{next(_engine_ids)}")
         #: Blocks that exhausted their retries: ``(matrix_id, plan
         #: fingerprint, block_id)``. Memoized so steady-state loops skip
         #: known-bad blocks instead of re-failing them every iteration.
         self.quarantined: set[tuple[str, str, int]] = set()
 
-    # -- encode pool ---------------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Create (once) and reuse the encode pool; spin-up cost is timed
-        into ``pool_startup_seconds``, not the encode timer."""
-        if self._pool is None:
-            start = time.perf_counter()
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            # Force worker spawn now so the encode timer measures codec
-            # work, not fork/exec.
-            list(pool.map(_pool_warmup, range(self.workers)))
-            self._pool = pool
-            weakref.finalize(self, _shutdown_pool, pool)
-            self.stats.add("pool_startup_seconds", time.perf_counter() - start)
-        return self._pool
-
     def close(self) -> None:
-        """Shut the encode pool down (engines are also cleaned up on GC)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """A no-op, like the context-manager methods: the engine holds no
+        process or file. Kept for perfbench, which closes its engine."""
 
     def __enter__(self) -> "RecodeEngine":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _run_chunked(self, fn, tasks: list) -> list:
-        """Apply ``fn`` to every task, in order, flattening list results:
-        in-process when ``workers=0``, else on the pool. Pool tasks run
-        under per-worker metric registries and tracers whose contents
-        merge into the parent's here, so pooled runs report the same
-        counter totals and spans as serial ones."""
-        if not self.workers:
-            return [item for task in tasks for item in fn(task)]
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_run_isolated, (fn, task, obs.tracing_enabled(), kernels.backend()))
-            for task in tasks
-        ]
-        out = []
-        for fut in futures:
-            result, snapshot, events = fut.result()
-            obs.registry().merge_snapshot(snapshot)
-            if events:
-                obs.tracer().add_events(events)
-            out.extend(result)
-        return out
-
-    @staticmethod
-    def _chunks(items: list, size: int) -> list[list]:
-        return [items[i : i + size] for i in range(0, len(items), size)]
-
-    # -- encode --------------------------------------------------------------
-
-    def encode_blocked(
-        self,
-        matrix: CSRMatrix,
-        block_bytes: int = UDP_BLOCK_BYTES,
-        use_delta: bool = True,
-        use_huffman: bool = True,
-        sample_frac: float = 0.4,
-        seed: int = 0,
-    ) -> MatrixCompression:
-        """Compress ``matrix`` into a block plan, block-parallel.
-
-        Byte-identical to :func:`repro.codecs.pipeline.compress_matrix`
-        with the same arguments: the workers run the same deterministic
-        stage functions, and chunk results are reassembled in block order.
-        """
-        if not 0.0 < sample_frac <= 1.0:
-            raise ValueError(f"sample_frac must be in (0, 1], got {sample_frac}")
-        try:
-            return self._encode_blocked(
-                matrix, block_bytes, use_delta, use_huffman, sample_frac, seed
-            )
-        except BaseException:
-            # Never leak the worker pool when an exception escapes outside
-            # the context-manager path (finalizers only run at GC time).
-            self.close()
-            raise
-    def _encode_blocked(
-        self,
-        matrix: CSRMatrix,
-        block_bytes: int,
-        use_delta: bool,
-        use_huffman: bool,
-        sample_frac: float,
-        seed: int,
-    ) -> MatrixCompression:
-        if self.workers:
-            # Spin the pool up (timed separately) before the encode timer.
-            self._ensure_pool()
-        start = time.perf_counter()
-        with obs.trace("codecs.engine.encode", workers=self.workers, nnz=matrix.nnz):
-            blocked = partition_csr(matrix, block_bytes=block_bytes)
-            idx_streams, val_streams = block_streams(blocked, use_delta)
-
-            # Stage 1 — Snappy over both streams, one flat task list.
-            snapped = self._run_chunked(
-                _snappy_chunk, self._chunks(idx_streams + val_streams, self.chunk_blocks)
-            )
-            nb = blocked.nblocks
-            idx_snapped, val_snapped = snapped[:nb], snapped[nb:]
-
-            # Stage 2 — tables need a global sample, so they build in-process.
-            index_table, value_table = sampled_tables(
-                idx_snapped, val_snapped, nb, sample_frac, seed, use_huffman
-            )
-
-            # Stage 3 — Huffman bit-packing (the dominant encode cost).
-            idx_tasks = [
-                ([len(s) for s in idx_streams[i : i + self.chunk_blocks]],
-                 idx_snapped[i : i + self.chunk_blocks], index_table, use_huffman)
-                for i in range(0, nb, self.chunk_blocks)
-            ]
-            val_tasks = [
-                ([len(s) for s in val_streams[i : i + self.chunk_blocks]],
-                 val_snapped[i : i + self.chunk_blocks], value_table, use_huffman)
-                for i in range(0, nb, self.chunk_blocks)
-            ]
-            finished = self._run_chunked(_finish_chunk, idx_tasks + val_tasks)
-            index_records, value_records = finished[:nb], finished[nb:]
-
-            plan = MatrixCompression(
-                blocked=blocked,
-                index_records=tuple(index_records),
-                value_records=tuple(value_records),
-                index_table=index_table,
-                value_table=value_table,
-                use_delta=use_delta,
-                use_huffman=use_huffman,
-                block_bytes=block_bytes,
-            )
-        self.stats.add("blocks_encoded", nb)
-        self.stats.add("encode_seconds", time.perf_counter() - start)
-        _record_plan_metrics(plan)
-        return plan
 
     # -- decode --------------------------------------------------------------
 

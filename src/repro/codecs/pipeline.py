@@ -574,10 +574,7 @@ def block_streams(
 def snappy_encode_streams(streams: list[bytes]) -> list[bytes]:
     """Snappy-compress a batch of raw streams, with counters.
 
-    The single Snappy entry point for both the serial
-    :func:`compress_matrix` path and the parallel engine's chunk workers,
-    so process-pool runs report the same ``codecs.snappy.*`` totals as
-    serial runs.
+    :func:`compress_matrix` runs it once per stream kind.
     """
     start = time.perf_counter()
     with obs.trace("codecs.snappy.compress", streams=len(streams)):
@@ -642,17 +639,6 @@ def _finish_record(
     return record
 
 
-def _record_plan_metrics(plan: MatrixCompression) -> None:
-    """Plan-level accounting shared by the serial and engine encoders."""
-    reg = obs.registry()
-    reg.counter("codecs.pipeline.compress_calls").inc()
-    reg.counter("codecs.pipeline.blocks").inc(plan.nblocks)
-    reg.counter("codecs.pipeline.nnz").inc(plan.nnz)
-    reg.counter("codecs.pipeline.compressed_bytes").inc(plan.compressed_bytes)
-    reg.counter("codecs.pipeline.uncompressed_bytes").inc(plan.uncompressed_bytes)
-    reg.gauge("codecs.pipeline.bytes_per_nnz").set(plan.bytes_per_nnz)
-
-
 def compress_matrix(
     matrix: CSRMatrix,
     block_bytes: int = UDP_BLOCK_BYTES,
@@ -660,7 +646,6 @@ def compress_matrix(
     use_huffman: bool = True,
     sample_frac: float = 0.4,
     seed: int = 0,
-    workers: int = 0,
 ) -> MatrixCompression:
     """Compress a CSR matrix into a DSH (or Snappy-only) block plan.
 
@@ -673,24 +658,10 @@ def compress_matrix(
         sample_frac: fraction of blocks sampled to build Huffman tables
             (paper: "up to 40%").
         seed: RNG seed for the block sample.
-        workers: 0 encodes serially in-process; N > 0 fans block work over
-            an N-worker :class:`repro.codecs.engine.RecodeEngine` pool.
-            Output is byte-identical either way.
 
     Returns:
         A :class:`MatrixCompression` plan.
     """
-    if workers:
-        from repro.codecs.engine import RecodeEngine
-
-        return RecodeEngine(workers=workers).encode_blocked(
-            matrix,
-            block_bytes=block_bytes,
-            use_delta=use_delta,
-            use_huffman=use_huffman,
-            sample_frac=sample_frac,
-            seed=seed,
-        )
     if not 0.0 < sample_frac <= 1.0:
         raise ValueError(f"sample_frac must be in (0, 1], got {sample_frac}")
     with obs.trace("codecs.compress_matrix", nnz=matrix.nnz):
@@ -722,5 +693,11 @@ def compress_matrix(
             use_huffman=use_huffman,
             block_bytes=block_bytes,
         )
-    _record_plan_metrics(plan)
+    reg = obs.registry()
+    reg.counter("codecs.pipeline.compress_calls").inc()
+    reg.counter("codecs.pipeline.blocks").inc(plan.nblocks)
+    reg.counter("codecs.pipeline.nnz").inc(plan.nnz)
+    reg.counter("codecs.pipeline.compressed_bytes").inc(plan.compressed_bytes)
+    reg.counter("codecs.pipeline.uncompressed_bytes").inc(plan.uncompressed_bytes)
+    reg.gauge("codecs.pipeline.bytes_per_nnz").set(plan.bytes_per_nnz)
     return plan

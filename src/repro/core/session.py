@@ -134,7 +134,6 @@ class ExecutionSession:
                 self.reader.enable_crc_memo()
             self.plan = self.reader.plan()
 
-        self._owns_engine = False
         if engine is not None:
             self.engine = engine
         else:
@@ -142,7 +141,6 @@ class ExecutionSession:
             # evicts and the whole plan goes resident after one pass.
             cache = DecodedBlockCache(max_bytes=max(12 * self.plan.nnz, 4096))
             self.engine = RecodeEngine(cache=cache)
-            self._owns_engine = True
 
         self._fingerprint = plan_fingerprint(self.plan)
         self._keys = [(self.matrix_id, i, self._fingerprint) for i in range(self.plan.nblocks)]
@@ -163,12 +161,10 @@ class ExecutionSession:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release session-owned resources (engine, reader)."""
+        """Release the session-owned reader, if any."""
         if self._closed:
             return
         self._closed = True
-        if self._owns_engine:
-            self.engine.close()
         if self._owns_reader and self.reader is not None:
             self.reader.close()
 

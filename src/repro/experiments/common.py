@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass
 
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine
-from repro.codecs.pipeline import MatrixCompression
+from repro.codecs.pipeline import MatrixCompression, compress_matrix
 from repro.collection.representative import RepresentativeEntry, representative_suite
 from repro.collection.suite import SuiteConfig, SuiteEntry, build_suite
 from repro.cpu.recoder import CPURecodeReport, CPURecoder
@@ -32,9 +32,6 @@ class ExperimentContext:
     rep_nnz: int = 40_000
     sample_blocks: int = 2
     seed: int = 2019
-    #: Recode-engine pool width for software encode (0 = serial); decode
-    #: always runs inline.
-    workers: int = 0
 
     @classmethod
     def quick(cls) -> "ExperimentContext":
@@ -108,9 +105,9 @@ class MatrixLab:
         self._udp_reports: dict[str, UDPDecodeReport] = {}
         self._cpu_reports: dict[tuple[str, str], CPURecodeReport] = {}
         self._recoder = CPURecoder()
-        #: Shared software recode engine: plans encode through its pool
-        #: (ctx.workers wide) and functional decodes hit its block cache.
-        self.engine = RecodeEngine(workers=ctx.workers, cache=DecodedBlockCache())
+        #: Shared software decode engine: functional decodes hit its
+        #: block cache.
+        self.engine = RecodeEngine(cache=DecodedBlockCache())
 
     # -- population ----------------------------------------------------------
 
@@ -149,22 +146,14 @@ class MatrixLab:
             }
             if scheme not in schemes:
                 raise ValueError(f"unknown scheme {scheme!r}")
-            # Through the shared engine: byte-identical to compress_matrix,
-            # parallel across ctx.workers when configured.
-            self._plans[key] = self.engine.encode_blocked(
-                matrix, seed=self.ctx.seed, **schemes[scheme]
-            )
+            self._plans[key] = compress_matrix(matrix, seed=self.ctx.seed, **schemes[scheme])
         return self._plans[key]
 
     def engine_summary(self) -> str:
         """One-line engine report for runner output / EXPERIMENTS.md."""
         s = self.engine.stats
         cache = self.engine.cache.stats if self.engine.cache is not None else None
-        parts = [
-            f"workers={s.workers}",
-            f"blocks_encoded={s.blocks_encoded}",
-            f"blocks_decoded={s.blocks_decoded}",
-        ]
+        parts = [f"blocks_decoded={s.blocks_decoded}"]
         if cache is not None:
             parts.append(f"cache_hits={cache.hits} ({cache.hit_rate:.0%})")
         if s.decode_seconds > 0:

@@ -92,8 +92,7 @@ def render_markdown(results: list[tuple[ExperimentResult, float]], ctx: Experime
         + "`.",
         "",
         f"Profile: suite_count={ctx.suite_count}, suite_scale={ctx.suite_scale}, "
-        f"rep_nnz={ctx.rep_nnz}, sample_blocks={ctx.sample_blocks}, seed={ctx.seed}, "
-        f"workers={ctx.workers}.",
+        f"rep_nnz={ctx.rep_nnz}, sample_blocks={ctx.sample_blocks}, seed={ctx.seed}.",
         "",
         "Absolute numbers come from a Python model of the authors' testbed "
         "(see DESIGN.md §3 for substitutions); the *shape* — who wins, by "
@@ -138,10 +137,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rep-nnz", type=int, help="override representative nnz")
     parser.add_argument("--samples", type=int, help="override cycle-simulated blocks/matrix")
     parser.add_argument(
-        "--workers", type=int,
-        help="recode-engine pool width for software encode (0 = serial)",
-    )
-    parser.add_argument(
         "--metrics-out", metavar="PATH", help="write a metrics JSON snapshot here"
     )
     parser.add_argument(
@@ -162,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         "suite_scale": args.suite_scale,
         "rep_nnz": args.rep_nnz,
         "sample_blocks": args.samples,
-        "workers": args.workers,
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:

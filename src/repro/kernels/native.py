@@ -38,8 +38,8 @@ Every other op resolves to the ``numpy`` implementation (see
 -fPIC`` on first use and caches the library per user under
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``, mode 0700), named
 by the sha256 of the source, flags and compiler version, written to a
-temp file and renamed into place. Later processes (pool workers, the
-serve daemon) load the cached file. With no compiler, or a failed build,
+temp file and renamed into place. Later processes (the serve daemon,
+benchmark subprocesses) load the cached file. With no compiler, or a failed build,
 ``native`` is simply not an available backend.
 """
 

@@ -16,9 +16,7 @@ implementations:
 A *kernel op* is a name like ``"huffman_decode"``; each backend registers
 one callable per op. :func:`dispatch` resolves the active backend per
 call, so a backend switch (env var, CLI flag, :func:`use_backend`) takes
-effect immediately — including inside recode-engine pool workers, which
-inherit the parent's selection explicitly (see
-:meth:`repro.codecs.engine.RecodeEngine`). A run of calls (the blocks of
+effect immediately. A run of calls (the blocks of
 one recoded SpMV) binds the op once instead (:meth:`KernelRegistry.bind`):
 one resolution, and one ``kernels.dispatch`` update when it flushes.
 
@@ -143,7 +141,7 @@ class KernelRegistry:
 
     @contextlib.contextmanager
     def use_backend(self, name: str | None) -> Iterator[None]:
-        """Scoped :func:`set_backend` (tests, pool workers)."""
+        """Scoped :func:`set_backend` (tests, benchmarks)."""
         prev = self._selected
         self.set_backend(name)
         try:

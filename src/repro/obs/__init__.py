@@ -3,8 +3,7 @@
 Three layers (see docs/OBSERVABILITY.md for the metric-name catalogue):
 
 * :mod:`~repro.obs.metrics` — Counter/Gauge/Histogram primitives and the
-  process-wide, thread-safe :class:`MetricsRegistry`; pool workers record
-  into per-worker registries that merge on join.
+  process-wide, thread-safe :class:`MetricsRegistry`.
 * :mod:`~repro.obs.trace` — span tracer (``with trace("stage", block=i):``)
   producing Chrome-trace-format JSON; off by default.
 * :mod:`~repro.obs.export` — JSON / Prometheus-text / human-table
@@ -34,7 +33,6 @@ from repro.obs.trace import (
     scoped_tracer,
     trace,
     tracer,
-    tracing_enabled,
     write_trace,
 )
 from repro.obs.export import (
@@ -68,7 +66,6 @@ __all__ = [
     "tracer",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
     "scoped_tracer",
     "write_trace",
     "aggregate_by_name",

@@ -8,20 +8,13 @@ traffic and power — so every hot path in the repo records into a shared
   modeled joules). Thread-safe; negative increments are rejected.
 * :class:`Gauge` — last-written value (cache occupancy, traffic ratio).
 * :class:`Histogram` — log-bucketed distribution (per-record decode
-  seconds). Two histograms with identical buckets merge exactly
-  (per-bucket counts add), which is what makes shard merging
-  order-independent.
+  seconds).
 
 A registry is just a dict of metrics keyed by ``(name, labels)``; the
 process-wide *current* registry is what the instrumentation helpers
 (:func:`counter` / :func:`gauge` / :func:`histogram`) resolve at call
 time, so :func:`scoped_registry` can swap in a fresh one for a test or a
-pool worker and capture everything recorded inside the scope. Worker
-registries come back to the parent as :meth:`MetricsRegistry.snapshot`
-dicts (plain JSON-able data, hence picklable) and are folded in with
-:meth:`MetricsRegistry.merge_snapshot` — counters add, gauges last-write,
-histograms bucket-add — so a process-pool run reports exactly the same
-totals as the serial run.
+request and capture everything recorded inside the scope.
 
 Objects whose hot paths are too cheap to afford a per-event counter (the
 decoded-block cache probes every block) register a *collector* instead:
@@ -110,10 +103,6 @@ class Counter:
         with self._lock:
             self._value = 0
 
-    def _merge_value(self, value: float) -> None:
-        with self._lock:
-            self._value += value
-
     def _snapshot(self) -> dict:
         return {
             "name": self.name,
@@ -155,12 +144,6 @@ class Gauge:
         with self._lock:
             self._value = 0
 
-    def _merge_value(self, value: float) -> None:
-        # Merge semantics: the incoming (worker) observation wins, like a
-        # fresh set() in the parent.
-        with self._lock:
-            self._value = value
-
     def _snapshot(self) -> dict:
         return {
             "name": self.name,
@@ -171,12 +154,10 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket distribution with exact, order-independent merging.
+    """A fixed-bucket distribution.
 
     Buckets are upper bounds (a final implicit ``+inf`` bucket catches
-    overflow). ``count`` and per-bucket tallies merge by addition; ``sum``
-    is float addition (exact for integer-valued observations, ULP-level
-    order dependence for general floats); ``min``/``max`` combine.
+    overflow).
     """
 
     kind = "histogram"
@@ -240,32 +221,6 @@ class Histogram:
     def sum(self) -> float:
         return self._sum
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram (bucket layouts must match)."""
-        if self.buckets != other.buckets:
-            raise ValueError("cannot merge histograms with different buckets")
-        with other._lock:
-            data = other._merge_data()
-        self._merge_data_in(data)
-
-    def _merge_data(self) -> dict:
-        return {
-            "counts": list(self._counts),
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-        }
-
-    def _merge_data_in(self, data: dict) -> None:
-        with self._lock:
-            for i, c in enumerate(data["counts"]):
-                self._counts[i] += c
-            self._count += data["count"]
-            self._sum += data["sum"]
-            self._min = min(self._min, data["min"])
-            self._max = max(self._max, data["max"])
-
     def reset(self) -> None:
         with self._lock:
             self._counts = [0] * (len(self.buckets) + 1)
@@ -293,7 +248,7 @@ class MetricsRegistry:
     """A thread-safe collection of named metrics.
 
     One process-wide instance (:func:`registry`) backs all
-    instrumentation; fresh instances isolate tests and pool workers.
+    instrumentation; fresh instances isolate tests and requests.
     """
 
     def __init__(self) -> None:
@@ -371,10 +326,10 @@ class MetricsRegistry:
             with self._lock:
                 self._collectors = [c for c in self._collectors if c not in dead]
 
-    # -- snapshot / merge ----------------------------------------------------
+    # -- snapshot ------------------------------------------------------------
 
     def snapshot(self) -> dict[str, dict]:
-        """JSON-able (and picklable) state: ``{metric_id: record}``."""
+        """JSON-able state: ``{metric_id: record}``."""
         self._run_collectors()
         with self._lock:
             metrics = list(self._metrics.items())
@@ -382,35 +337,6 @@ class MetricsRegistry:
             metric_id(name, key_labels): metric._snapshot()
             for (name, key_labels), metric in metrics
         }
-
-    def merge_snapshot(self, snapshot: dict[str, dict]) -> None:
-        """Fold a snapshot (e.g. from a pool worker) into this registry."""
-        for record in snapshot.values():
-            name, labels = record["name"], record["labels"]
-            kind = record["type"]
-            if kind == Counter.kind:
-                self.counter(name, **labels)._merge_value(record["value"])
-            elif kind == Gauge.kind:
-                self.gauge(name, **labels)._merge_value(record["value"])
-            elif kind == Histogram.kind:
-                hist = self.histogram(
-                    name, buckets=tuple(record["buckets"]), **labels
-                )
-                hist._merge_data_in(
-                    {
-                        "counts": record["counts"],
-                        "count": record["count"],
-                        "sum": record["sum"],
-                        "min": math.inf if record["min"] is None else record["min"],
-                        "max": -math.inf if record["max"] is None else record["max"],
-                    }
-                )
-            else:
-                raise ValueError(f"unknown metric type {kind!r}")
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's current state into this one."""
-        self.merge_snapshot(other.snapshot())
 
     def reset(self) -> None:
         """Zero every metric (the metric objects stay registered)."""
@@ -442,9 +368,9 @@ def default_registry() -> MetricsRegistry:
 def scoped_registry(reg: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
     """Swap the process-wide current registry for the duration of the block.
 
-    The swap is process-global (it is what lets pool workers and tests
-    capture everything recorded under them), so don't nest scopes across
-    threads that record concurrently.
+    The swap is process-global (it is what lets tests capture everything
+    recorded under them), so don't nest scopes across threads that record
+    concurrently.
     """
     global _current_registry
     reg = reg if reg is not None else MetricsRegistry()

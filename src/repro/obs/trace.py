@@ -7,11 +7,7 @@ microsecond timestamps. The resulting JSON loads directly into
 
 Tracing is **off by default** — a disabled :func:`trace` call returns a
 shared no-op context manager, so instrumented code costs a function call
-and a flag test per span. Pool workers run with their own
-:class:`Tracer` (see :mod:`repro.codecs.engine`); their events carry the
-worker's pid/tid and are folded into the parent tracer on join.
-``time.perf_counter`` is CLOCK_MONOTONIC system-wide on Linux, so parent
-and worker timestamps share a timeline.
+and a flag test per span.
 """
 
 from __future__ import annotations
@@ -103,11 +99,6 @@ class Tracer:
         with self._lock:
             self._events.append(event)
 
-    def add_events(self, events: list[dict]) -> None:
-        """Fold in events recorded elsewhere (pool workers)."""
-        with self._lock:
-            self._events.extend(events)
-
     # -- export --------------------------------------------------------------
 
     def events(self) -> list[dict]:
@@ -150,10 +141,6 @@ def enable_tracing() -> None:
 
 def disable_tracing() -> None:
     _current_tracer.stop()
-
-
-def tracing_enabled() -> bool:
-    return _current_tracer.enabled
 
 
 @contextmanager

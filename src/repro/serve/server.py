@@ -21,7 +21,7 @@ under ``degrade`` the executor substitutes identity blocks and the
 response accounts for every degraded block. Shutdown is graceful: stop
 accepting, shed new work as ``draining``, dispatch every queued request
 as threads free (answering ``503 draining`` what ``drain_s`` leaves
-queued), then close the engine and the mmap readers.
+queued), end open connections, then close the mmap readers.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ class MatrixServer:
         self._server: asyncio.base_events.Server | None = None
         self._draining = False
         self._started = time.time()
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Open connections: each handler task and its stream reader.
+        self._conn_tasks: dict[asyncio.Task, asyncio.StreamReader] = {}
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -139,11 +140,17 @@ class MatrixServer:
             self._server.close()
             await self._server.wait_closed()
         await self.scheduler.stop(drain_s=self.config.drain_s)
-        for task in list(self._conn_tasks):
-            task.cancel()
+        # End each open connection as a client hang-up would, so that its
+        # handler returns: one that ends cancelled makes asyncio (3.11) log
+        # an ERROR. Only a handler still blocked after drain_s, writing to
+        # a client that stopped reading, is cancelled.
+        for reader in self._conn_tasks.values():
+            reader.feed_eof()
         if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self.engine.close()
+            _, stuck = await asyncio.wait(list(self._conn_tasks), timeout=self.config.drain_s)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         self.library.close()
         obs.registry().gauge("serve.up").set(0)
 
@@ -154,8 +161,8 @@ class MatrixServer:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            self._conn_tasks[task] = reader
+            task.add_done_callback(lambda t: self._conn_tasks.pop(t, None))
         obs.registry().counter("serve.connections").inc()
         wlock = asyncio.Lock()
         line_tasks: set[asyncio.Task] = set()

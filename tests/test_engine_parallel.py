@@ -1,8 +1,9 @@
-"""Recode engine: byte-identical equivalence vs the serial path across
-encode-pool widths, inline decode that never spawns the pool,
-decoded-block cache correctness, and deterministic results regardless of
-test ordering (run with ``pytest -p no:randomly`` to pin collection order;
-nothing here depends on it)."""
+"""Recode engine: decode byte-identical to the plan's own
+``decompress_block``, decoded-block cache correctness, and deterministic
+results regardless of test ordering (run with ``pytest -p no:randomly``
+to pin collection order; nothing here depends on it)."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -16,13 +17,6 @@ from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import recoded_spmv
 from repro.sparse.blocked import CSRBlock
-
-
-def _records(plan):
-    return [
-        (r.orig_len, r.snappy_len, r.bit_len, r.payload)
-        for r in plan.index_records + plan.value_records
-    ]
 
 
 def _block_equal(a: CSRBlock, b: CSRBlock) -> bool:
@@ -39,8 +33,7 @@ def _block_equal(a: CSRBlock, b: CSRBlock) -> bool:
 
 @pytest.fixture(scope="module")
 def matrix():
-    # ~9 blocks at the 8 KB budget: enough to span several pool chunks
-    # without making the 4-worker process-pool cases slow on small CI boxes.
+    # ~9 blocks at the 8 KB budget.
     return generators.banded(n=1200, bandwidth=5, seed=3)
 
 
@@ -49,50 +42,9 @@ def serial_plan(matrix):
     return compress_matrix(matrix)
 
 
-class TestEncodeEquivalence:
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_encode_byte_identical_to_serial(self, matrix, serial_plan, workers):
-        plan = RecodeEngine(workers=workers).encode_blocked(matrix)
-        assert _records(plan) == _records(serial_plan)
-        assert plan.nblocks == serial_plan.nblocks
-        assert plan.nnz == serial_plan.nnz
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(use_delta=True, use_huffman=False),
-            dict(use_delta=False, use_huffman=False),
-            dict(block_bytes=32768),
-            dict(sample_frac=1.0, seed=7),
-        ],
-        ids=["delta-snappy", "snappy-only", "cpu-blocks", "full-sample"],
-    )
-    def test_encode_schemes_match_serial(self, matrix, kwargs):
-        par = RecodeEngine(workers=2).encode_blocked(matrix, **kwargs)
-        ser = compress_matrix(matrix, **kwargs)
-        assert _records(par) == _records(ser)
-
-    def test_small_chunks_preserve_block_order(self, matrix, serial_plan):
-        plan = RecodeEngine(workers=2, chunk_blocks=2).encode_blocked(matrix)
-        assert _records(plan) == _records(serial_plan)
-
-    def test_encode_is_deterministic_across_engines(self, matrix):
-        a = RecodeEngine(workers=2).encode_blocked(matrix, seed=11)
-        b = RecodeEngine(workers=2).encode_blocked(matrix, seed=11)
-        assert _records(a) == _records(b)
-
-    def test_compress_matrix_workers_kwarg(self, matrix, serial_plan):
-        plan = compress_matrix(matrix, workers=2)
-        assert _records(plan) == _records(serial_plan)
-
-    def test_encoded_plan_verifies(self, matrix):
-        assert RecodeEngine(workers=2).encode_blocked(matrix).verify()
-
-
 class TestDecodeEquivalence:
-    @pytest.mark.parametrize("workers", [0, 1, 4])
-    def test_decode_matches_serial(self, serial_plan, workers):
-        engine = RecodeEngine(workers=workers)
+    def test_decode_matches_serial(self, serial_plan):
+        engine = RecodeEngine()
         blocks = engine.decode_blocked(serial_plan)
         assert len(blocks) == serial_plan.nblocks
         for i, block in enumerate(blocks):
@@ -100,7 +52,7 @@ class TestDecodeEquivalence:
 
     def test_subset_and_duplicate_ids_keep_request_order(self, serial_plan):
         ids = [3, 1, 1, 0, 3]
-        blocks = RecodeEngine(workers=2).decode_blocked(serial_plan, ids)
+        blocks = RecodeEngine().decode_blocked(serial_plan, ids)
         assert [b.row_start for b in blocks] == [
             serial_plan.blocked.blocks[i].row_start for i in ids
         ]
@@ -112,21 +64,15 @@ class TestDecodeEquivalence:
         with pytest.raises(ValueError, match="out of range"):
             RecodeEngine().decode_blocked(serial_plan, [bad])
 
-    def test_decode_never_spawns_the_pool(self, matrix, serial_plan):
-        # Decode runs inline on the caller's thread at any pool width;
-        # only encode fans out across the pool.
+    def test_decode_never_spawns_the_pool(self, serial_plan):
+        # ``workers`` is accepted but selects no code: decode runs inline
+        # on the caller's thread and no child process is ever started.
         engine = RecodeEngine(workers=2)
-        try:
-            engine.decode_blocked(serial_plan)
-            engine.decode_block(serial_plan, 1)
-            x = np.random.default_rng(0).standard_normal(serial_plan.blocked.shape[1])
-            recoded_spmv(serial_plan, x, engine=engine, mode="pipelined")
-            assert engine._pool is None
-            plan = engine.encode_blocked(matrix)
-            assert engine._pool is not None
-            assert _records(plan) == _records(serial_plan)
-        finally:
-            engine.close()
+        engine.decode_blocked(serial_plan)
+        engine.decode_block(serial_plan, 1)
+        x = np.random.default_rng(0).standard_normal(serial_plan.blocked.shape[1])
+        recoded_spmv(serial_plan, x, engine=engine, mode="pipelined")
+        assert multiprocessing.active_children() == []
 
     def test_decode_stats_accounting(self, serial_plan):
         engine = RecodeEngine()
@@ -159,8 +105,8 @@ class TestDecodedBlockCache:
 
     def test_distinct_plans_do_not_cross_hit(self, matrix):
         engine = RecodeEngine(cache=DecodedBlockCache())
-        dsh = engine.encode_blocked(matrix)
-        snappy = engine.encode_blocked(matrix, use_delta=False, use_huffman=False)
+        dsh = compress_matrix(matrix)
+        snappy = compress_matrix(matrix, use_delta=False, use_huffman=False)
         engine.decode_blocked(dsh, matrix_id="m")
         blocks = engine.decode_blocked(snappy, matrix_id="m")
         assert engine.stats.cache_hits == 0
@@ -233,13 +179,9 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="workers"):
             RecodeEngine(workers=-1)
 
-    def test_bad_chunk_blocks_rejected(self):
-        with pytest.raises(ValueError, match="chunk_blocks"):
-            RecodeEngine(chunk_blocks=0)
-
     def test_bad_sample_frac_rejected(self, matrix):
         with pytest.raises(ValueError, match="sample_frac"):
-            RecodeEngine().encode_blocked(matrix, sample_frac=0.0)
+            compress_matrix(matrix, sample_frac=0.0)
 
     @pytest.mark.parametrize("bad", [-1, 0])
     def test_cache_budget_validation(self, bad):
@@ -255,20 +197,16 @@ class TestEdgeMatrices:
 
         m = CSRMatrix((8, 8), np.zeros(9, dtype=np.int64),
                       np.zeros(0, dtype=np.int32), np.zeros(0))
-        par = RecodeEngine(workers=2).encode_blocked(m)
         ser = compress_matrix(m)
-        assert _records(par) == _records(ser)
-        blocks = RecodeEngine().decode_blocked(par)
-        assert len(blocks) == par.nblocks
+        blocks = RecodeEngine().decode_blocked(ser)
+        assert len(blocks) == ser.nblocks
         for i, block in enumerate(blocks):
             assert _block_equal(block, ser.decompress_block(i))
             assert block.nnz == 0
 
     def test_single_block_matrix(self):
         m = generators.banded(n=40, bandwidth=2, seed=1)
-        par = RecodeEngine(workers=2).encode_blocked(m)
         ser = compress_matrix(m)
-        assert _records(par) == _records(ser)
-        blocks = RecodeEngine(workers=2).decode_blocked(par)
+        blocks = RecodeEngine().decode_blocked(ser)
         for i, block in enumerate(blocks):
             assert _block_equal(block, ser.decompress_block(i))

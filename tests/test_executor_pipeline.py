@@ -5,8 +5,8 @@ The contract under test: a run with an engine reads every block off one
 engine decode handle, whatever ``mode`` it is given, and is
 bit-identical to the engine-less run of the same plan — result vector,
 TrafficLog byte totals, ``dma_seconds``, degraded-block accounting,
-raised error types — across engine pool widths, cache on/off, repeated
-runs, and injected faults under both failure policies. Fused SpMM must
+raised error types — across cache on/off, repeated runs, and injected
+faults under both failure policies. Fused SpMM must
 decode each block once and match per-column SpMV bit-exactly.
 """
 
@@ -31,9 +31,8 @@ from repro.faults import FaultPlan
 from repro.sparse.blocked import partition_csr
 
 
-def make_engine(workers=0, cache=False):
+def make_engine(cache=False):
     return RecodeEngine(
-        workers=workers,
         cache=DecodedBlockCache(max_bytes=1 << 22) if cache else None,
         retry_base_s=0.0,
     )
@@ -69,13 +68,12 @@ def assert_stats_parity(a, b):
 
 
 class TestPipelinedParity:
-    @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("cache", [False, True])
     @pytest.mark.parametrize("passes", [1, 4])
-    def test_bit_identical_to_serial(self, plan, x, workers, cache, passes):
+    def test_bit_identical_to_serial(self, plan, x, cache, passes):
         """An engine-backed run, under either ``mode``, matches the
         engine-less serial decoder bit for bit, cold and cached."""
-        eng = make_engine(workers, cache)
+        eng = make_engine(cache)
         ys, ss = recoded_spmv(plan, x, matrix_id="m")
         for i in range(passes):
             mode = ("serial", "pipelined")[i % 2]
@@ -83,10 +81,9 @@ class TestPipelinedParity:
             np.testing.assert_array_equal(ys, yp)
             assert_stats_parity(ss, sp)
             assert sp.mode == mode
-        assert eng._pool is None
 
     def test_warm_cache_parity(self, plan, x):
-        eng = make_engine(2, cache=True)
+        eng = make_engine(cache=True)
         ys, ss = recoded_spmv(plan, x)
         for _ in range(3):
             yp, sp = recoded_spmv(plan, x, engine=eng, matrix_id="m")
@@ -99,20 +96,9 @@ class TestPipelinedParity:
     def test_split_rows_parity(self, split_plan):
         xs = np.random.default_rng(1).standard_normal(split_plan.blocked.shape[1])
         ys, ss = recoded_spmv(split_plan, xs)
-        for workers in (0, 2):
-            yp, sp = recoded_spmv(split_plan, xs, engine=make_engine(workers))
-            np.testing.assert_array_equal(ys, yp)
-            assert ss.dma_seconds == sp.dma_seconds
-
-    def test_process_pool_parity(self, plan, x):
-        # A plan encoded on the engine's process pool runs engine-backed
-        # bit-identically to the serially encoded one.
-        m = generators.unstructured(400, density=0.03, seed=3)
-        ys, _ = recoded_spmv(plan, x)
-        with RecodeEngine(workers=2, retry_base_s=0.0) as eng:
-            pooled = eng.encode_blocked(m, block_bytes=2048)
-            yp, _ = recoded_spmv(pooled, x, engine=eng)
+        yp, sp = recoded_spmv(split_plan, xs, engine=make_engine())
         np.testing.assert_array_equal(ys, yp)
+        assert ss.dma_seconds == sp.dma_seconds
 
     def test_pipelined_requires_engine(self, plan, x):
         with pytest.raises(ValueError, match="requires a RecodeEngine"):
@@ -153,7 +139,7 @@ class TestOneHandlePerRun:
         monkeypatch.setattr(AsyncDecode, "__init__", spy_init)
         monkeypatch.setattr(RecodeEngine, "decode_block", no_single_block)
         X = np.ones((plan.blocked.shape[1], 2))
-        eng = make_engine(0, cache=True)
+        eng = make_engine(cache=True)
         fp = FaultPlan(seed=4, dram_bitflip_blocks=(3,))
         for kwargs in ({}, {"policy": "degrade"}):
             recoded_spmv(plan, x, engine=eng, matrix_id="h", mode=mode, **kwargs)
@@ -188,7 +174,7 @@ class TestFaultParity:
         dram = FaultPlan(seed=11, dram_bitflip_blocks=(2, 4, 7))
         with record.activate():
             yp, sp = recoded_spmv(
-                plan, x, engine=make_engine(2), matrix_id="f", policy="degrade"
+                plan, x, engine=make_engine(), matrix_id="f", policy="degrade"
             )
         with dram.activate():
             ys, ss = recoded_spmv(plan, x, matrix_id="f", policy="degrade")
@@ -204,10 +190,10 @@ class TestFaultParity:
         with fp.activate():
             with pytest.raises(BlockDecodeError) as err_run:
                 recoded_spmv(
-                    plan, x, engine=make_engine(2), matrix_id="g", policy="strict"
+                    plan, x, engine=make_engine(), matrix_id="g", policy="strict"
                 )
             with pytest.raises(BlockDecodeError) as err_engine:
-                make_engine(2).decode_blocked(plan, matrix_id="g")
+                make_engine().decode_blocked(plan, matrix_id="g")
         assert str(err_run.value) == str(err_engine.value)
         assert err_run.value.block_id == err_engine.value.block_id == 5
 
@@ -216,10 +202,10 @@ class TestFaultParity:
         with fp.activate():
             with pytest.raises(BlockDecodeError) as err_run:
                 recoded_spmv(
-                    plan, x, engine=make_engine(2), matrix_id="g2", policy="strict"
+                    plan, x, engine=make_engine(), matrix_id="g2", policy="strict"
                 )
             with pytest.raises(BlockDecodeError) as err_engine:
-                make_engine(2).decode_blocked(plan, matrix_id="g2")
+                make_engine().decode_blocked(plan, matrix_id="g2")
         assert str(err_run.value) == str(err_engine.value)
         assert err_run.value.block_id == err_engine.value.block_id == 1
 
@@ -228,7 +214,7 @@ class TestFaultParity:
         with fp.activate():
             ys, ss = recoded_spmv(plan, x, matrix_id="d", policy="degrade")
             yp, sp = recoded_spmv(
-                plan, x, engine=make_engine(2), matrix_id="d", policy="degrade"
+                plan, x, engine=make_engine(), matrix_id="d", policy="degrade"
             )
         np.testing.assert_array_equal(ys, yp)
         assert_stats_parity(ss, sp)
@@ -269,14 +255,14 @@ class TestFaultParity:
                 except BlockDecodeError as e:
                     return (str(e), e.block_id)
 
-        backed = outcome(make_engine(0, cache), fp)
+        backed = outcome(make_engine(cache), fp)
         if policy == "strict" and bad:
             first = min(bad)
             if first in dram:
                 want = outcome(None, fp)
             else:
                 with fp.activate(), pytest.raises(BlockDecodeError) as err:
-                    make_engine(0).decode_blocked(plan, matrix_id=matrix_id)
+                    make_engine().decode_blocked(plan, matrix_id=matrix_id)
                 want = (str(err.value), err.value.block_id)
             assert isinstance(backed[0], str)
             assert backed == want
@@ -308,30 +294,29 @@ class TestFusedSpMM:
         assert sm.traffic.bytes_on("dram", "udp") == s1.traffic.bytes_on(
             "dram", "udp"
         )
-        eng = make_engine(0, cache=True)
+        eng = make_engine(cache=True)
         _, sm2 = recoded_spmm(plan, X, engine=eng, matrix_id="mm")
         assert sm2.engine_stats["blocks_decoded"] == plan.nblocks
 
     def test_pipelined_spmm_parity(self, plan):
         X = np.random.default_rng(6).standard_normal((plan.blocked.shape[1], 3))
         Ys, ss = recoded_spmm(plan, X)
-        for workers in (0, 2):
-            Yp, sp = recoded_spmm(plan, X, engine=make_engine(workers))
-            np.testing.assert_array_equal(Ys, Yp)
-            assert_stats_parity(ss, sp)
-            assert sp.nrhs == 3
+        Yp, sp = recoded_spmm(plan, X, engine=make_engine())
+        np.testing.assert_array_equal(Ys, Yp)
+        assert_stats_parity(ss, sp)
+        assert sp.nrhs == 3
 
     def test_split_rows_spmm_parity(self, split_plan):
         X = np.random.default_rng(2).standard_normal((split_plan.blocked.shape[1], 3))
         Ys, _ = recoded_spmm(split_plan, X)
-        Yp, _ = recoded_spmm(split_plan, X, engine=make_engine(2))
+        Yp, _ = recoded_spmm(split_plan, X, engine=make_engine())
         np.testing.assert_array_equal(Ys, Yp)
 
     def test_degrade_parity(self, plan):
         X = np.random.default_rng(8).standard_normal((plan.blocked.shape[1], 2))
         with FaultPlan(seed=21, bitflip_blocks=(0, 4)).activate():
             Yp, sp = recoded_spmm(
-                plan, X, engine=make_engine(0), matrix_id="df", policy="degrade"
+                plan, X, engine=make_engine(), matrix_id="df", policy="degrade"
             )
         with FaultPlan(seed=21, dram_bitflip_blocks=(0, 4)).activate():
             Ys, ss = recoded_spmm(plan, X, matrix_id="df", policy="degrade")
@@ -351,39 +336,27 @@ class TestPipelineMetrics:
         """Every engine-backed run books ``spmv.pipeline.*``."""
         for mode in ("serial", "pipelined"):
             with obs.scoped_registry() as reg:
-                recoded_spmv(plan, x, engine=make_engine(2), mode=mode)
+                recoded_spmv(plan, x, engine=make_engine(), mode=mode)
                 names = set(obs.aggregate_by_name(reg.snapshot()))
             assert "spmv.pipeline.runs" in names
             assert "spmv.pipeline.multiply_idle_seconds" in names
             assert "spmv.pipeline.decode_idle_seconds" in names
             assert "spmv.pipeline.multiply_seconds" not in names
 
-    @pytest.mark.parametrize("caller", ["process", "thread"])
-    def test_pool_decode_emits_inline_span_count(self, plan, x, caller):
+    def test_decode_emits_inline_span_count(self, plan, x):
         # One codecs.engine.decode span per block, all on the caller's
-        # thread: an engine with a live encode pool ("process") still
-        # decodes in-process, and a run driven from a worker thread
-        # ("thread") decodes on that thread.
-        eng = make_engine(2 if caller == "process" else 0)
+        # thread: a run driven from a worker thread decodes on that thread.
+        eng = make_engine()
         tids = []
 
         def run():
             tids.append(threading.get_native_id())
             recoded_spmv(plan, x, engine=eng)
 
-        try:
-            if caller == "process":
-                eng.encode_blocked(generators.unstructured(60, density=0.1, seed=1))
-                assert eng._pool is not None
-            with obs.scoped_tracer(obs.Tracer(enabled=True)) as tracer:
-                if caller == "thread":
-                    t = threading.Thread(target=run)
-                    t.start()
-                    t.join()
-                else:
-                    run()
-        finally:
-            eng.close()
+        with obs.scoped_tracer(obs.Tracer(enabled=True)) as tracer:
+            t = threading.Thread(target=run)
+            t.start()
+            t.join()
         spans = [e for e in tracer.events() if e["name"] == "codecs.engine.decode"]
         assert [e["args"]["block"] for e in spans] == list(range(plan.nblocks))
         assert {(e["pid"], e["tid"]) for e in spans} == {(os.getpid(), tids[0])}
@@ -416,7 +389,7 @@ class TestInputShape:
         bad = {"long": np.ones(n + 5), "short": np.ones(n - 1), "2d": np.ones((n, 2))}[kind]
         msg = re.escape(f"x must have shape ({n},), got {bad.shape}")
         with pytest.raises(ValueError, match=msg):
-            recoded_spmv(plan, bad, engine=make_engine(2), mode=mode)
+            recoded_spmv(plan, bad, engine=make_engine(), mode=mode)
 
     @pytest.mark.parametrize("mode", ["serial", "pipelined"])
     @pytest.mark.parametrize("rows", [-1, 5])
@@ -425,7 +398,7 @@ class TestInputShape:
         bad = np.ones((n + rows, 2))
         msg = re.escape(f"X must have shape ({n}, k), got {bad.shape}")
         with pytest.raises(ValueError, match=msg):
-            recoded_spmm(plan, bad, engine=make_engine(2), mode=mode)
+            recoded_spmm(plan, bad, engine=make_engine(), mode=mode)
 
 
 class TestInOrderConsumption:
@@ -445,7 +418,7 @@ class TestInOrderConsumption:
         with fp.activate():
             ys, ss = recoded_spmv(plan, x, policy="degrade")
             monkeypatch.setattr(AsyncDecode, "__next__", spy_next)
-            yp, sp = recoded_spmv(plan, x, engine=make_engine(2), policy="degrade")
+            yp, sp = recoded_spmv(plan, x, engine=make_engine(), policy="degrade")
         assert yielded == list(range(plan.nblocks))
         np.testing.assert_array_equal(ys, yp)
         assert ss.traffic.edges() == sp.traffic.edges()
@@ -509,7 +482,6 @@ class TestPipelinedLifecycle:
                 assert len(handles) == 1
                 assert inspect.getgeneratorstate(handles[0]._gen) == inspect.GEN_CLOSED
                 assert self._fds() == fds, ending
-                assert eng._pool is None, ending
                 check(f"after-{ending}")
         finally:
             eng.close()

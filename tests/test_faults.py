@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.codecs.engine as engine_mod
 from repro import faults, obs
 from repro.codecs.engine import BlockFailure, DecodedBlockCache, RecodeEngine
 from repro.codecs.errors import (
@@ -45,7 +44,6 @@ def reference(plan):
 
 
 def serial_engine(**kw):
-    kw.setdefault("workers", 0)
     kw.setdefault("retry_base_s", 0.0)
     return RecodeEngine(**kw)
 
@@ -205,11 +203,7 @@ _ENTRY_POINTS = {
 }
 
 #: Counters that measure time, not work; they never agree across runs.
-_TIMING_COUNTERS = {
-    "codecs.engine.decode_seconds",
-    "codecs.engine.encode_seconds",
-    "codecs.engine.pool_startup_seconds",
-}
+_TIMING_COUNTERS = {"codecs.engine.decode_seconds"}
 
 
 class TestDecodeEntryPointParity:
@@ -222,16 +216,10 @@ class TestDecodeEntryPointParity:
         seed=11, bitflip_blocks=(2, 4, 5), latency_s=1e-4, latency_rate=0.5
     )
 
-    def _run(self, plan, entry, workers, cache):
-        eng = RecodeEngine(
-            workers=workers, retry_base_s=0.0,
-            cache=DecodedBlockCache() if cache else None,
-        )
-        try:
-            with obs.scoped_registry() as reg, self.FAULTS.activate():
-                passes = [_ENTRY_POINTS[entry](eng, plan) for _ in range(2)]
-        finally:
-            eng.close()
+    def _run(self, plan, entry, cache):
+        eng = RecodeEngine(retry_base_s=0.0, cache=DecodedBlockCache() if cache else None)
+        with obs.scoped_registry() as reg, self.FAULTS.activate():
+            passes = [_ENTRY_POINTS[entry](eng, plan) for _ in range(2)]
         counters: dict[str, float] = {}
         for rec in reg.snapshot().values():
             name = rec["name"]
@@ -240,10 +228,9 @@ class TestDecodeEntryPointParity:
                 counters[name] = counters.get(name, 0) + rec["value"]
         return passes, eng.quarantined, counters
 
-    @pytest.mark.parametrize("workers", [0, 2])
     @pytest.mark.parametrize("cache", [False, True])
-    def test_entry_points_agree(self, plan, workers, cache):
-        runs = {e: self._run(plan, e, workers, cache) for e in _ENTRY_POINTS}
+    def test_entry_points_agree(self, plan, cache):
+        runs = {e: self._run(plan, e, cache) for e in _ENTRY_POINTS}
         ref_passes, ref_quarantined, ref_counters = runs["decode_resilient"]
 
         first_blocks, first_failures = ref_passes[0]
@@ -276,31 +263,6 @@ class TestDecodeEntryPointParity:
                 assert failures == ref_failures, entry
 
 
-class TestPoolLeakRegression:
-    def test_escaping_exception_closes_pool(self, matrix, monkeypatch):
-        # Regression: an exception escaping an encode used to leave the
-        # pool running until GC. Escapes must shut it down deterministically.
-        eng = RecodeEngine(workers=2)
-        eng.encode_blocked(matrix)
-        assert eng._pool is not None
-
-        def boom(*args):
-            raise RuntimeError("synthetic failure between encode stages")
-
-        monkeypatch.setattr(engine_mod, "sampled_tables", boom)
-        with pytest.raises(RuntimeError, match="synthetic"):
-            eng.encode_blocked(matrix)
-        assert eng._pool is None, "worker pool leaked"
-
-    def test_engine_still_usable_after_close(self, matrix):
-        eng = RecodeEngine(workers=2)
-        first = eng.encode_blocked(matrix)
-        eng.close()
-        again = eng.encode_blocked(matrix)  # pool rebuilt lazily
-        assert again.index_records == first.index_records
-        eng.close()
-
-
 class TestSpMVPolicies:
     def test_chaos_degrade_bit_exact(self, plan, reference):
         # The acceptance scenario: ~5% of blocks corrupted plus injected
@@ -308,7 +270,7 @@ class TestSpMVPolicies:
         # quarantine/retry counters.
         x, y_ref = reference
         with obs.scoped_registry() as reg:
-            eng = RecodeEngine(workers=2, retry_base_s=0.0)
+            eng = RecodeEngine(retry_base_s=0.0)
             try:
                 fp = FaultPlan(seed=42, bitflip_rate=0.05, latency_s=1e-4,
                                latency_rate=0.2)

@@ -618,45 +618,6 @@ class TestFusedBlockDecode:
 
 
 # ---------------------------------------------------------------------------
-# Engine: pool workers inherit the parent's backend
-# ---------------------------------------------------------------------------
-
-
-class TestEngineBackendInheritance:
-    def test_worker_shim_pins_parent_backend(self):
-        """The pool shim runs its task under the backend the parent
-        resolved — the selection is process-local state a spawned worker
-        would not otherwise see."""
-        from repro.codecs.engine import _run_isolated
-
-        for backend in BACKENDS:
-            result, _snapshot, _events = _run_isolated(
-                (lambda _task: [kernels.backend()], None, False, backend)
-            )
-            assert result == [backend]
-
-    def test_process_pool_workers_dispatch_on_parent_backend(self):
-        """End-to-end: pin the parent to the *non-default* reference
-        backend, encode on a process pool, and check the merged worker
-        telemetry shows every kernel dispatch ran on ``python``."""
-        from repro.codecs.engine import RecodeEngine
-        from repro.collection import generators
-
-        matrix = generators.banded(n=600, bandwidth=4, seed=9)
-        with obs.scoped_registry() as reg, kernels.use_backend("python"):
-            with RecodeEngine(workers=2) as engine:
-                plan = engine.encode_blocked(matrix)
-        assert plan.nblocks >= 1
-        dispatched = {
-            key: rec["value"]
-            for key, rec in reg.snapshot().items()
-            if key.startswith("kernels.dispatch")
-        }
-        assert dispatched, "pool encode must record kernel dispatches"
-        assert all("backend=python" in key for key in dispatched), dispatched
-
-
-# ---------------------------------------------------------------------------
 # Native backend: build, delegation, bounds, error oracle, first-use race
 # ---------------------------------------------------------------------------
 

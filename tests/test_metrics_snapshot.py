@@ -39,7 +39,7 @@ def _workload_snapshot() -> dict[str, dict]:
     with obs.scoped_registry() as reg:
         matrix = generators.banded(1500, bandwidth=5, seed=7)
         plan = compress_matrix(matrix)
-        engine = RecodeEngine(workers=0, cache=DecodedBlockCache())
+        engine = RecodeEngine(cache=DecodedBlockCache())
         x = np.ones(matrix.ncols)
         for _ in range(2):  # second pass exercises the decoded-block cache
             y, _stats = recoded_spmv(plan, x, engine=engine, matrix_id="golden")

@@ -258,7 +258,7 @@ def test_engine_cache_mixed_plans_never_alias():
     y_ref, _ = recoded_spmv(PLAN, x)
 
     cache = DecodedBlockCache()
-    engine = RecodeEngine(workers=0, cache=cache, retry_base_s=0.0)
+    engine = RecodeEngine(cache=cache, retry_base_s=0.0)
     try:
         for plan in (PLAN, mixed_a, mixed_b, mixed_a):
             for _ in range(2):  # cold then warm

@@ -102,7 +102,7 @@ class TestDegradeUnderFaults:
 
         # bitflip_blocks fires at the engine decode site, so the direct
         # reference run needs its own (fresh, unquarantined) engine.
-        eng = RecodeEngine(workers=0, retry_base_s=0.0)
+        eng = RecodeEngine(retry_base_s=0.0)
         try:
             with fp.activate():
                 y_direct, stats = recoded_spmv(

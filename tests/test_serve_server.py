@@ -12,6 +12,7 @@ of hangs, and shutdown drains without orphaning work.
 
 import asyncio
 import hashlib
+import logging
 import threading
 import time
 
@@ -364,11 +365,15 @@ class TestLifecycle:
     @pytest.mark.parametrize(
         "drain_s", [60.0, 0.1], ids=["queued-dispatched", "drain-runs-out"]
     )
-    def test_stop_resolves_every_queued_request(self, root, x, monkeypatch, drain_s):
+    def test_stop_resolves_every_queued_request(
+        self, root, x, monkeypatch, caplog, drain_s
+    ):
         """Stopping with both compute threads blocked (an SpMM each) and
         eight SpMVs queued behind them: every request is answered — the
         queued ones dispatched while draining, or ``503 draining`` once
-        ``drain_s`` runs out — and the books drain to zero."""
+        ``drain_s`` runs out — and the books drain to zero. Connections
+        still open at stop end without an ERROR log record."""
+        caplog.set_level(logging.ERROR)
         config = ServeConfig(root=root, port=0, compute_threads=2, drain_s=drain_s)
         st = ServerThread(config)
         st.start()
@@ -421,6 +426,8 @@ class TestLifecycle:
             assert sum(server.tenants.get(t).shed for t in ("d0", "d1")) == 8
         assert server.scheduler.queue_depth == 0
         assert server.admission.inflight_bytes == 0
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert not errors, [r.getMessage() for r in errors]
 
     def test_pipelined_default_boots_bit_identical_to_serial(self, root, x):
         """A default server, whose requests read one engine decode handle

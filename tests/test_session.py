@@ -125,7 +125,7 @@ class TestAssembleOnce:
     ):
         x, _ = vectors
         cache = DecodedBlockCache(max_bytes=12 * plan.nnz + 12 * 10)
-        engine = RecodeEngine(workers=0, cache=cache)
+        engine = RecodeEngine(cache=cache)
         foreign = CSRBlock(0, 1, np.array([0, 50]), np.zeros(50), np.zeros(50), 0)
         try:
             with ExecutionSession(plan, matrix_id="evicted", engine=engine) as sess:
@@ -297,7 +297,7 @@ class TestReaderBacked:
 class TestLifecycle:
     def test_borrowed_engine_not_closed(self, plan, vectors):
         x, _ = vectors
-        engine = RecodeEngine(workers=0, cache=DecodedBlockCache())
+        engine = RecodeEngine(cache=DecodedBlockCache())
         try:
             with ExecutionSession(plan, engine=engine) as sess:
                 sess.spmv(x)
@@ -334,7 +334,7 @@ class TestObservability:
         cumulative, not bound to whichever registry was active at
         construction time."""
         x, _ = vectors
-        engine = RecodeEngine(workers=0, cache=DecodedBlockCache())
+        engine = RecodeEngine(cache=DecodedBlockCache())
         try:
             with obs.scoped_registry():
                 recoded_spmv(plan, x, engine=engine, matrix_id="a")
