@@ -386,13 +386,13 @@ class _LazyRecords(Sequence):
         self._remember(i, rec)
         return rec
 
-    def check(self, i: int) -> bool:
+    def check(self, i: int, release: bool = True) -> bool:
         """Read record ``i`` in place where :meth:`__getitem__` would read
         it, and remember that it was; ``False`` when it fails its check."""
         if i in self._memo:
             self._memo.move_to_end(i)
             return True
-        if not self.reader.check(i, self._stream):
+        if not self.reader.check(i, self._stream, release):
             return False
         self._remember(i, None)
         return True
@@ -761,10 +761,12 @@ class ContainerReader:
             tag=self.record_tag[r],
         )
 
-    def check(self, block_id: int, stream: str) -> bool:
+    def check(self, block_id: int, stream: str, release: bool = True) -> bool:
         """Verify one record in place and count it as read, as :meth:`record`
         does, without copying it; ``False`` (nothing counted) where
-        :meth:`record` would raise."""
+        :meth:`record` would raise. ``release=False`` leaves the pages
+        behind it mapped, for a caller that reads them after the check
+        (:meth:`release_behind` then releases them)."""
         r = 2 * block_id + _STREAM_SLOT[stream]
         offset, payload_pos = self.record_offset[r], self.payload_offset[r]
         end = payload_pos + self.payload_len[r]
@@ -781,8 +783,14 @@ class ContainerReader:
             if memo is not None:
                 memo[(block_id, stream)] = zlib.crc32(payload)
         self.pages_touched += _page_span(offset, end)
-        self._maybe_release(offset)
+        if release:
+            self._maybe_release(offset)
         return True
+
+    def release_behind(self, block_id: int) -> None:
+        """Release the mapping behind block ``block_id``'s records, as
+        checking them would have."""
+        self._maybe_release(self.record_offset[2 * block_id + 1])
 
     def _span_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per stream, every record's ``dsh_decode_span`` row, built once.
@@ -805,14 +813,15 @@ class ContainerReader:
         """Drop mapped pages that fell more than ``residency_budget`` bytes
         behind the access cursor.
 
-        The cursor is the record last checked. Pages behind it hold
-        nothing live: materialized records are copied out, and a span
-        decode has read its payloads by then. A span decode reads up to
-        :data:`~repro.codecs.pipeline.SPAN` blocks' payloads ahead of the
-        cursor, so for the sequential block-order access of a streaming
-        run peak mapped residency is ``residency_budget`` plus one span's
-        payload bytes, no matter the container size. Released pages simply
-        re-fault from the file if revisited.
+        The cursor is the record last checked (on a fused run, which
+        checks a span before reading it, the last record read). Pages
+        behind it hold nothing live: materialized records are copied out,
+        and a span decode has read its payloads by then. A span decode
+        reads up to :data:`~repro.codecs.pipeline.SPAN` blocks' payloads
+        ahead of the cursor, so for the sequential block-order access of a
+        streaming run peak mapped residency is ``residency_budget`` plus
+        one span's payload bytes, no matter the container size. Released
+        pages simply re-fault from the file if revisited.
         """
         if self.residency_budget is None or self._mm is None:
             return
@@ -888,6 +897,11 @@ class ContainerReader:
             self._plan = self._compression(
                 self.shell_blocks(), _LazyRecords(self, "index"), _LazyRecords(self, "value")
             )
+            # The shells' row_ptrs are slices of the walk's flat array.
+            ptr, ends = self._structure[:2]
+            sizes = np.diff(np.array(ends, np.int64), prepend=0)
+            self._plan.blocked.__dict__["row_layout"] = (ptr, np.column_stack(
+                (np.cumsum(sizes) - sizes, sizes - 1, np.array(self.row_start, np.int64))))
         return self._plan
 
     def materialize(self) -> MatrixCompression:

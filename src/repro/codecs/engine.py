@@ -55,18 +55,23 @@ _fingerprints: dict[int, str] = {}
 def plan_fingerprint(plan: MatrixCompression) -> str:
     """Stable content hash of a compression plan.
 
-    Covers the scheme flags, block budget, and every record's header and
-    payload, so two plans share a fingerprint iff their compressed form is
-    byte-identical. Memoized per plan object (plans are frozen).
+    Covers the scheme flags, block budget, shape, both Huffman tables'
+    code lengths, every block's row range and ``row_ptr``, and every
+    record's header and payload, so two plans share a fingerprint iff
+    their compressed form is byte-identical. Memoized per plan object
+    (plans are frozen).
     """
     key = id(plan)
     cached = _fingerprints.get(key)
     if cached is not None:
         return cached
     h = hashlib.blake2b(digest_size=16)
-    h.update(
-        b"%d:%d:%d:%d:" % (plan.use_delta, plan.use_huffman, plan.block_bytes, plan.nblocks)
-    )
+    h.update(b"%d:%d:%d:%d:%d:%d:" % (
+        plan.use_delta, plan.use_huffman, plan.block_bytes, plan.nblocks, *plan.blocked.shape))
+    for table in (plan.index_table, plan.value_table):
+        h.update(b"-:" if table is None else table.lengths.tobytes())
+    for rows in plan.blocked.row_layout:
+        h.update(rows.tobytes())
     for rec in plan.index_records:
         h.update(b"%d:%d:%d:" % (rec.orig_len, rec.snappy_len, rec.bit_len))
         if rec.tag is not None:

@@ -417,11 +417,14 @@ class DecodeRun:
     asked for. A consumer asks for block ``i`` without records only if
     :meth:`check` holds; else it reads them from the plan (raising what a
     bad stored record raises) and passes them in, a span of one.
-    :meth:`flush` publishes the telemetry of the blocks handed out.
+    :meth:`flush` publishes the telemetry of the blocks handed out. A fused
+    run reads its spans through :meth:`stop`, :meth:`check` and
+    :meth:`span`, counts into :attr:`tally` itself, and flushes once per
+    span.
     """
 
     __slots__ = ("plan", "tally", "_limit", "_decode", "_reader", "_touched", "_ahead",
-                 "_ahead_at", "_ahead_rows", "_handed", "_counted")
+                 "_ahead_at", "_ahead_rows")
 
     def __init__(
         self, plan: MatrixCompression, sites: tuple[str, ...] = (),
@@ -434,20 +437,25 @@ class DecodeRun:
         self._reader = getattr(plan.index_records, "reader", None)
         fault_plan = faults.active() if sites else None
         self._touched = fault_plan.touched(plan.nblocks, sites) if fault_plan else ()
-        # The span decoded ahead (from block _ahead_at): its blocks, their
-        # telemetry rows, and how many were handed out and, of those, counted.
+        # The span decoded ahead (from block _ahead_at): its blocks and
+        # their telemetry rows, two a block.
         self._ahead: list[CSRBlock] = []
         self._ahead_at = 0
         self._ahead_rows = np.empty((0, 7))
-        self._handed = self._counted = 0
 
-    def check(self, i: int) -> bool:
+    def check(self, i: int, release: bool = True) -> bool:
         """Whether block ``i`` is untouched by the fault plan and its stored
-        records pass their checks in place (counted as read)."""
+        records pass their checks in place (counted as read; the mapping
+        behind them released unless ``release`` is False)."""
         plan = self.plan
         return i not in self._touched and (self._reader is None or (
-            plan.index_records.check(i) and plan.value_records.check(i)
+            plan.index_records.check(i, release) and plan.value_records.check(i, release)
         ))
+
+    def release_behind(self, i: int) -> None:
+        """Release a container's mapping behind block ``i``'s records."""
+        if self._reader is not None:
+            self._reader.release_behind(i)
 
     def __call__(self, i: int, index_record=None, value_record=None) -> CSRBlock:
         plan = self.plan
@@ -457,40 +465,45 @@ class DecodeRun:
                 (plan.value_records[i] if value_record is None else value_record,),
             )
         elif 0 < i - self._ahead_at < len(self._ahead):
-            k = i - self._ahead_at  # blocks go out in order
-            self._handed = max(self._handed, k + 1)
-            return self._ahead[k]
+            return self._hand_out(i - self._ahead_at)  # blocks go out in order, once
         else:
-            stop = min(i + SPAN, plan.nblocks)
-            stop = next((j for j in range(i + 1, stop) if j in self._touched), stop)
-            if self._limit is not None:
-                stop = self._limit(i, stop)
-            if self._reader is None:
-                span = record_span(
-                    plan, i, plan.index_records[i:stop], plan.value_records[i:stop])
-            else:  # in place; the reference gets copies, neither checked nor counted
-                span = RecordSpan(i, stop, tuple(
-                    self._reader.record(slice(i, stop), s) for s in ("index", "value")
-                ), stop - i, lambda j: tuple(
-                    self._reader.record(j, s, counted=False) for s in ("index", "value")
-                ))
+            stop = self.stop(i, i + 1)
+            span = self.span(i, stop if self._limit is None else self._limit(i, stop))
         self._ahead, self._ahead_at = self._blocks(span), i
-        return self._ahead[0]
+        return self._hand_out(0)
 
-    def _settle(self) -> None:
-        """Count the blocks handed out since the last count, each as one
-        dispatch."""
-        if self._handed > self._counted:
-            self.tally.rows.append(self._ahead_rows[2 * self._counted : 2 * self._handed])
-            self._decode.count(self._handed - self._counted)
-            self._counted = self._handed
+    def _hand_out(self, k: int) -> CSRBlock:
+        """Block ``k`` of the span decoded ahead, counted as it goes out."""
+        self.tally.rows.append(self._ahead_rows[2 * k : 2 * k + 2])
+        self._decode.count(1)
+        return self._ahead[k]
+
+    def stop(self, i: int, start: int) -> int:
+        """Where a span from block ``i`` ends: at most :data:`SPAN` blocks
+        on, before the first block from ``start`` on that the fault plan
+        touches."""
+        stop = min(i + SPAN, self.plan.nblocks)
+        if self._touched:
+            stop = next((j for j in range(start, stop) if j in self._touched), stop)
+        return stop
+
+    def span(self, i: int, stop: int) -> RecordSpan:
+        """The records of blocks ``[i, stop)``, a container's in place."""
+        plan = self.plan
+        if self._reader is None:
+            return record_span(plan, i, plan.index_records[i:stop], plan.value_records[i:stop])
+        # In place; the reference gets copies, neither checked nor counted.
+        return RecordSpan(i, stop, tuple(
+            self._reader.record(slice(i, stop), s) for s in ("index", "value")
+        ), stop - i, lambda j: tuple(
+            self._reader.record(j, s, counted=False) for s in ("index", "value")
+        ))
 
     def _blocks(self, span: RecordSpan) -> list[CSRBlock]:
         """``span``'s blocks up to the first that fails to decode (raising
         its error if that is the first); their telemetry is set aside."""
         if self._decode is None:
             self._decode = kernels.bind("dsh_decode_span")
-        self._settle()
         tally = DecodeTally()
         try:
             pairs = self._decode(self.plan, span, tally)
@@ -499,7 +512,6 @@ class DecodeRun:
             raise
         self._decode.count(-1)  # counted as its blocks go out
         self._ahead_rows = np.concatenate(tally.rows)
-        self._handed, self._counted = 1, 0
         shells = self.plan.blocked.blocks
         return [shells[i].with_payload(*pair) for i, pair in enumerate(pairs, span.start)]
 
@@ -507,7 +519,6 @@ class DecodeRun:
         """Publish the ``codecs.decode.*`` and ``kernels.dispatch``
         telemetry of the decodes so far."""
         if self._decode is not None:
-            self._settle()
             self._decode.flush()
         self.tally.flush()
 

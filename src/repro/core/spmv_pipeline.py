@@ -18,7 +18,10 @@ one of two decoders (see :mod:`repro.core.executor`):
   run, which decodes it inline (or finds it in the engine's cache) when
   asked;
 * without one, straight from the plan's records (or through the
-  cycle-level UDP programs).
+  cycle-level UDP programs). Without ``cancel`` (and the simulator),
+  such a run decodes and multiplies a span of blocks per native call
+  instead (:func:`~repro.core.executor.run_spans`), and only a block
+  that call stops at takes the hook.
 
 Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
 accounting, and raised errors are bit-identical either way.
@@ -44,11 +47,11 @@ from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
 from repro.codecs.pipeline import DecodeRun, MatrixCompression
-from repro.core.executor import RecodeHook, run_pipelined, serial_decoder
+from repro.core.executor import RecodeHook, run_pipelined, run_spans, serial_decoder
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
-from repro.sparse.spmm import spmm_blocked
-from repro.sparse.spmv import spmv_blocked
+from repro.sparse.spmm import operands as spmm_operands, spmm_blocked
+from repro.sparse.spmv import operands as spmv_operands, spmv_blocked
 
 #: ``mode=`` values :func:`recoded_spmv` / :func:`recoded_spmm` accept.
 #: Both run the same executor; the argument is kept for perfbench.
@@ -169,13 +172,15 @@ def _execute(
     log = TrafficLog()
     start = time.perf_counter()
     engine_backed = engine is not None and not use_udp_simulator
+    fused = engine is None and cancel is None and not use_udp_simulator
     if engine_backed:
         decode = run_pipelined(plan, engine, matrix_id)
         run = decode.run
     else:
         # The run decodes ahead up to the next block an armed fault plan
-        # touches where this run streams (DRAM).
-        run = DecodeRun(plan, ("dram",))
+        # touches where this run streams (DRAM); the per-block route of a
+        # fused run decodes a block at a time.
+        run = DecodeRun(plan, ("dram",), (lambda i, _: i + 1) if fused else None)
         decode = serial_decoder(plan, use_udp_simulator, run)
     hook = RecodeHook(
         plan,
@@ -197,7 +202,16 @@ def _execute(
         with obs.trace(
             f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id, mode=mode
         ):
-            y = kernel(plan.blocked, x, recode=hook, out=out)
+            if fused:
+                x, y = (spmv_operands if prefix == "spmv" else spmm_operands)(
+                    plan.blocked.shape, x, out)
+                # The op writes rows in place, so it needs them contiguous.
+                acc = y if y.flags.c_contiguous else np.zeros(y.shape)
+                multiply_s = run_spans(plan, x, acc, hook, run)
+                if acc is not y:
+                    y[...] = acc
+            else:
+                y = kernel(plan.blocked, x, recode=hook, out=out)
     finally:
         if engine_backed:
             decode.close()
@@ -236,6 +250,8 @@ def _execute(
     counters["bytes.udp_to_cpu"].inc(log.bytes_on("udp", "cpu"))
     counters["bytes.baseline"].inc(stats.baseline_dram_bytes)
     counters["dma_seconds"].inc(dma_seconds)
+    if fused:
+        counters["multiply_seconds"].inc(multiply_s)
     if hook.degraded:
         counters["degraded_iterations"].inc()
     reg = obs.registry()

@@ -77,11 +77,11 @@ def dispatch(op: str, *args, **kwargs):
     return REGISTRY.dispatch(op, *args, **kwargs)
 
 
-def bind(op: str):
+def bind(op: str, label: str | None = None):
     """Kernel ``op`` resolved once for a run of calls
     (:class:`~repro.kernels.registry.BoundOp`)."""
     _ensure_backends()
-    return REGISTRY.bind(op)
+    return REGISTRY.bind(op, label)
 
 
 def backend() -> str:

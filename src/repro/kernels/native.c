@@ -1,9 +1,9 @@
 /* Native codec kernels: the DSH decode chain of a span of blocks in one call,
- * and the Snappy compressor.
+ * alone or with the blocks' multiply, and the Snappy compressor.
  *
  * Built on first use by repro/kernels/native.py with the system C compiler
  * and loaded through ctypes. Each decoder returns 0 on success and non-zero
- * on corrupt input (the span decoder: how many records decoded); the
+ * on corrupt input (the span decoders: how many records got through); the
  * statuses carry no detail, because the Python wrapper
  * re-runs the reference decoder to raise the exact typed error. Every read is
  * bounded by the input length and every write by the caller-sized output
@@ -335,24 +335,101 @@ static int decode_record(const uint8_t *in, int64_t n, int64_t snappy_len, int64
     return status;
 }
 
+/* numpy's pairwise sum (pairwise_sum_DOUBLE) of the n products
+ * v[i] * x[c[i] * k]: below 8 terms a loop from -0.0, up to 128 eight
+ * accumulators, above that halves cut at a multiple of 8.
+ */
+static double pairwise(const double *v, const int32_t *c, const double *x, int64_t k, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += v[i] * x[c[i] * k];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = v[j] * x[c[j] * k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += v[i + j] * x[c[i + j] * k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += v[i] * x[c[i] * k];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(v, c, x, k, n2) + pairwise(v + n2, c + n2, x, k, n - n2);
+}
+
 /* A span of blocks, each an index record then a value record, decoded until
  * one fails. Row k of irec (vrec) is block k's index (value) record: payload
  * address, payload length, snappy_len, stages, orig_len. Index records are
  * written back to back from idx_out, value records from val_out; ns[3r..3r+2]
  * receive record r's Huffman, Snappy and delta nanoseconds, records counted
- * index then value. Returns how many records decoded: 2 * nblocks when all did.
+ * index then value. With x, each block is then multiplied into out (nrows x
+ * k, row-major; x is ncols x k) before the next is decoded: row b of blk is
+ * block b's offset into ptr (the blocks' local row pointers), its row count
+ * and first row, and a row's products val[j] * x[col[j]] sum as
+ * np.add.reduceat sums a segment, the first plus the pairwise sum of the
+ * rest, per column. A block whose row pointers or columns disagree with its
+ * payload or the operands stops the span too, before it touches out. The
+ * multiply's nanoseconds go to ns[6 * nblocks]. Returns how many records got
+ * through (a block's value record only once it is multiplied): 2 * nblocks
+ * when all did.
  */
+int dsh_spmv_span(int64_t nblocks, const int64_t *irec, const int64_t *vrec,
+                  const huff_table *itab, const huff_table *vtab,
+                  uint8_t *idx_out, uint8_t *val_out, int64_t *ns,
+                  const int64_t *blk, const int64_t *ptr, int64_t nptr, const double *x,
+                  int64_t ncols, int64_t k, double *out, int64_t nrows)
+{
+    for (int64_t b = 0; b < nblocks; b++) {
+        const int64_t *fi = irec + 5 * b, *fv = vrec + 5 * b;
+        if (decode_record((const uint8_t *)(intptr_t)fi[0], fi[1], fi[2], fi[3], itab,
+                          idx_out, fi[4], ns + 6 * b))
+            return (int)(2 * b);
+        if (decode_record((const uint8_t *)(intptr_t)fv[0], fv[1], fv[2], fv[3], vtab,
+                          val_out, fv[4], ns + 6 * b + 3))
+            return (int)(2 * b + 1);
+        if (x != NULL) {
+            const int32_t *col = (const int32_t *)idx_out;
+            const double *val = (const double *)val_out;
+            int64_t at = blk[3 * b], rows = blk[3 * b + 1], row0 = blk[3 * b + 2];
+            int64_t nnz = fi[4] / 4;
+            int bad = fv[4] != 8 * nnz || at < 0 || rows < 1 || at + rows >= nptr
+                   || row0 < 0 || row0 + rows > nrows;
+            const int64_t *p = bad ? ptr : ptr + at;
+            bad = bad || p[0] != 0 || p[rows] != nnz;
+            for (int64_t r = 0; r < rows && !bad; r++)
+                bad = p[r] > p[r + 1];
+            for (int64_t j = 0; j < nnz && !bad; j++)
+                bad = col[j] < 0 || col[j] >= ncols;
+            if (bad)
+                return (int)(2 * b);
+            int64_t t0 = now_ns();
+            for (int64_t r = 0; r < rows; r++) {
+                int64_t a = p[r], n = p[r + 1] - a;
+                for (int64_t j = 0; j < k && n > 0; j++)
+                    out[(row0 + r) * k + j] += val[a] * x[col[a] * k + j]
+                        + (n > 1 ? pairwise(val + a + 1, col + a + 1, x + j, k, n - 1) : -0.0);
+            }
+            ns[6 * nblocks] += now_ns() - t0;
+        }
+        idx_out += fi[4];
+        val_out += fv[4];
+    }
+    return (int)(2 * nblocks);
+}
+
+/* dsh_spmv_span without the multiply. */
 int dsh_decode_span(int64_t nblocks, const int64_t *irec, const int64_t *vrec,
                     const huff_table *itab, const huff_table *vtab,
                     uint8_t *idx_out, uint8_t *val_out, int64_t *ns)
 {
-    for (int r = 0; r < 2 * nblocks; r++) {
-        const int64_t *f = (r & 1 ? vrec : irec) + 5 * (r >> 1);
-        uint8_t **out = r & 1 ? &val_out : &idx_out;
-        if (decode_record((const uint8_t *)(intptr_t)f[0], f[1], f[2], f[3], r & 1 ? vtab : itab,
-                          *out, f[4], ns + 3 * r))
-            return r;
-        *out += f[4];
-    }
-    return (int)(2 * nblocks);
+    return dsh_spmv_span(nblocks, irec, vrec, itab, vtab, idx_out, val_out, ns,
+                         NULL, NULL, 0, NULL, 0, 0, NULL, 0);
 }

@@ -1,5 +1,5 @@
 """Native (``native``) kernels: the DSH decode chain of a span of blocks,
-and the Snappy compressor, in C.
+alone or with the blocks' multiply, and the Snappy compressor, in C.
 
 The codec loops are sequential — one Huffman code, one Snappy tag, one
 match at a time — so vectorizing cannot remove their per-step interpreter
@@ -15,6 +15,12 @@ cost. ``native.c`` runs them as plain C loops, loaded through
   :class:`~repro.codecs.pipeline.DecodeTally`. A Huffman table's C form
   is looked up by the table's identity. No state is shared and ctypes
   releases the GIL, so threads decode in parallel.
+* **Span multiply** (``dsh_spmv_span``): the span decode, each block
+  multiplied into the run's output as soon as it is decoded, summing each
+  row's products in ``np.add.reduceat``'s order (built with
+  ``-ffp-contract=off``, so no multiply-add is fused), up to the first
+  block that fails to decode or holds a column outside ``x``; the caller
+  takes that block on its per-block route.
 * **Huffman decode**: an 11-bit first-match lookup table built from the
   reference's own interval test (:func:`_huffman_table`), then the
   reference's bit-by-bit walk for longer codes. The standalone
@@ -35,7 +41,7 @@ Every other op resolves to the ``numpy`` implementation (see
 :data:`repro.kernels.registry.BASE_BACKEND`).
 
 **Build.** :func:`load` compiles ``native.c`` with ``cc -O2 -shared
--fPIC`` on first use and caches the library per user under
+-fPIC -ffp-contract=off`` on first use and caches the library per user under
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``, mode 0700), named
 by the sha256 of the source, flags and compiler version, written to a
 temp file and renamed into place. Later processes (the serve daemon,
@@ -64,7 +70,9 @@ from repro.kernels.registry import REGISTRY, KernelUnavailable
 _register = REGISTRY.register
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+#: ``-ffp-contract=off``: no fused multiply-add, so the multiply rounds as
+#: numpy's does on every compiler and architecture.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _lib: ctypes.CDLL | None = None
 _SIGN = np.int64(-1 << 63)
 
@@ -95,6 +103,8 @@ _SIGNATURES = {
     "snappy_decompress": (_P, _I64, _I64, _P, _I64),
     "snappy_compress": (_P, _I64, _P, _I64, _P),
     "dsh_decode_span": (_I64, _P, _P, _TABLE, _TABLE, _P, _P, _P),
+    "dsh_spmv_span": (_I64, _P, _P, _TABLE, _TABLE, _P, _P, _P, _P, _P, _I64, _P, _I64, _I64,
+                      _P, _I64),
 }
 
 
@@ -272,8 +282,11 @@ def _bound_table(table) -> _HuffTable:
     return ctable
 
 
-@_register("dsh_decode_span", "native")
-def dsh_decode_span(plan, span, tally: DecodeTally) -> list[tuple[np.ndarray, np.ndarray]]:
+def _span(fn, plan, span, tally: DecodeTally, *product) -> tuple[int, int, list]:
+    """Run C ``fn`` (``dsh_decode_span``, or ``dsh_spmv_span`` given its
+    ``product`` arguments) over ``span``, counting the blocks it gets
+    through in ``tally``: returns how many, the multiply's nanoseconds
+    and the output buffer's ``[col_idx, val]`` views."""
     irows, vrows = span.rows
     n = span.checked
     # C stops before a record it must not size a buffer for: no valid
@@ -292,21 +305,42 @@ def dsh_decode_span(plan, span, tally: DecodeTally) -> list[tuple[np.ndarray, np
             if (rows[:n, 3] & STAGE_HUFFMAN).any():
                 raise
             tables.append(None)
-    ilen, vlen = irows[:n, 4], vrows[:n, 4]
-    itotal, vtotal = int(ilen.sum()), int(vlen.sum())
+    itotal, vtotal = int(irows[:n, 4].sum()), int(vrows[:n, 4].sum())
     # One output buffer, values first so every array is aligned (and a
     # spare byte, so an empty span still has an address).
     buf = np.empty(vtotal + itotal + 1, np.uint8)
-    ns = np.zeros((n, 6), np.int64)
+    ns = np.zeros(6 * n + 1, np.int64)
     if n:
         at = buf.ctypes.data
-        n = _lib.dsh_decode_span(
-            n, irows.ctypes.data, vrows.ctypes.data, *tables, at + vtotal, at, ns.ctypes.data
-        ) // 2
+        n = fn(n, irows.ctypes.data, vrows.ctypes.data, *tables, at + vtotal, at,
+               ns.ctypes.data, *product) // 2
+    tally.add_span((irows[:n], vrows[:n]), ns[: 6 * n].reshape(-1, 6))
+    return n, ns[-1], [buf[vtotal : vtotal + itotal].view("<i4"), buf[:vtotal].view("<f8")]
+
+
+@_register("dsh_decode_span", "native")
+def dsh_decode_span(plan, span, tally: DecodeTally) -> list[tuple[np.ndarray, np.ndarray]]:
+    n, _, (col_idx, val) = _span(_lib.dsh_decode_span, plan, span, tally)
     if not n:
         _reference_raise(decode_block_reference, plan, *span.records(span.start), tally)
-    tally.add_span((irows[:n], vrows[:n]), ns[:n])
-    buf.flags.writeable = False
-    val, col_idx = buf[:vtotal].view("<f8"), buf[vtotal : vtotal + itotal].view("<i4")
-    iend, vend = np.cumsum(ilen[:n] // 4).tolist(), np.cumsum(vlen[:n] // 8).tolist()
+    col_idx.flags.writeable = val.flags.writeable = False
+    irows, vrows = span.rows
+    iend, vend = np.cumsum(irows[:n, 4] // 4).tolist(), np.cumsum(vrows[:n, 4] // 8).tolist()
     return [(col_idx[a:b], val[c:d]) for a, b, c, d in zip([0, *iend], iend, [0, *vend], vend)]
+
+
+@_register("dsh_spmv_span", "native")
+def dsh_spmv_span(
+    plan, span, x: np.ndarray, out: np.ndarray, tally: DecodeTally
+) -> tuple[int, float]:
+    """``dsh_decode_span`` that multiplies each block by ``x`` into ``out``
+    (C-contiguous float64, 1-D for SpMV, ``(n, k)`` for SpMM) as it goes,
+    stopping also at a block holding a column outside ``x``: returns how
+    many blocks were done and the multiply's seconds."""
+    ptr, blk = plan.blocked.row_layout
+    done, ns, _ = _span(
+        _lib.dsh_spmv_span, plan, span, tally, blk[span.start :].ctypes.data, ptr.ctypes.data,
+        ptr.size, x.ctypes.data, len(x), 1 if x.ndim == 1 else x.shape[1], out.ctypes.data,
+        len(out),
+    )
+    return done, ns * 1e-9

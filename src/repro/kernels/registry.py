@@ -151,10 +151,11 @@ class KernelRegistry:
 
     # -- dispatch ------------------------------------------------------------
 
-    def bind(self, op: str) -> "BoundOp":
+    def bind(self, op: str, label: str | None = None) -> "BoundOp":
         """``op`` on the backend active now, for a run of calls (one
-        resolution; :meth:`BoundOp.flush` publishes their count)."""
-        return BoundOp(self, op)
+        resolution; :meth:`BoundOp.flush` publishes their count, under
+        ``label`` when given)."""
+        return BoundOp(self, op, label)
 
     def dispatch(self, op: str, *args, **kwargs):
         """Run ``op`` on the active backend, reference-falling-back."""
@@ -174,9 +175,9 @@ class BoundOp:
     bind on.
     """
 
-    __slots__ = ("op", "backend", "_fn", "_impls", "_served", "_last")
+    __slots__ = ("op", "backend", "label", "_fn", "_impls", "_served", "_last")
 
-    def __init__(self, registry: KernelRegistry, op: str):
+    def __init__(self, registry: KernelRegistry, op: str, label: str | None = None):
         backend = registry.resolve_backend()
         fn = registry._impls.get((op, backend))
         if fn is None and backend in BASE_BACKEND:
@@ -185,6 +186,7 @@ class BoundOp:
         if fn is None and (op, REFERENCE_BACKEND) not in registry._impls:
             raise KeyError(f"kernel op {op!r} has no implementation")
         self.op, self.backend, self._fn, self._impls = op, backend, fn, registry._impls
+        self.label = label or op
         # Outermost calls served, per backend, and who served the last.
         self._served: dict[str, int] = {}
         self._last = backend
@@ -222,7 +224,8 @@ class BoundOp:
         if self._served:
             reg = obs.registry()
             for backend, n in self._served.items():
-                reg.counter("kernels.dispatch", op=self.op, backend=backend).inc(n)
+                if n:
+                    reg.counter("kernels.dispatch", op=self.label, backend=backend).inc(n)
             self._served.clear()
 
 

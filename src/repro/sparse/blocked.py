@@ -141,6 +141,16 @@ class BlockedCSR:
             np.concatenate([b.val for b in self.blocks] or [np.empty(0, VALUE_DTYPE)]),
         )
 
+    @cached_property
+    def row_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ptr, blk)``: every block's local ``row_ptr`` concatenated, and
+        per block its offset into ``ptr``, its row count and its first row."""
+        ptrs = [b.row_ptr for b in self.blocks]
+        sizes = np.array([p.size for p in ptrs], np.int64)
+        blk = np.column_stack((np.cumsum(sizes) - sizes, sizes - 1,
+                               [b.row_start for b in self.blocks])).astype(np.int64)
+        return np.concatenate([np.empty(0, np.int64), *ptrs]), blk
+
     def consolidated(self) -> "BlockedCSR":
         """An equal matrix whose blocks are read-only views into its
         :attr:`flat` pair, costing no memory beyond it."""

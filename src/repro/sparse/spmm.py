@@ -40,6 +40,25 @@ def spmm(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def operands(
+    shape: tuple[int, int], x: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` checked, and ``out`` (allocated when None) zero-filled: the
+    operands of :func:`spmm_blocked` over a matrix of ``shape``."""
+    x = _check_x(shape, x)
+    k = x.shape[1]
+    if out is None:
+        return x, np.zeros((shape[0], k), dtype=VALUE_DTYPE)
+    if out.shape != (shape[0], k) or out.dtype != VALUE_DTYPE:
+        raise ValueError(
+            f"out must be float64 with shape ({shape[0]}, {k}), got {out.dtype} {out.shape}"
+        )
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    out[:] = 0.0
+    return x, out
+
+
 def spmm_blocked(
     blocked: BlockedCSR,
     x: np.ndarray,
@@ -53,19 +72,8 @@ def spmm_blocked(
     (zero-filled here), letting iterative callers reuse one buffer across
     calls; the result is bit-identical either way.
     """
-    x = _check_x(blocked.shape, x)
+    x, out = operands(blocked.shape, x, out)
     k = x.shape[1]
-    if out is None:
-        out = np.zeros((blocked.shape[0], k), dtype=VALUE_DTYPE)
-    else:
-        if out.shape != (blocked.shape[0], k) or out.dtype != VALUE_DTYPE:
-            raise ValueError(
-                f"out must be float64 with shape ({blocked.shape[0]}, {k}), "
-                f"got {out.dtype} {out.shape}"
-            )
-        if not out.flags.writeable:
-            raise ValueError("out must be writeable")
-        out[:] = 0.0
     if recode is None:
         # Hook-less (warm) multiply: nothing to decode once for all k
         # columns, and spmv_blocked's flat-layout kernel per column beats

@@ -115,6 +115,14 @@ def spmv(
     return out
 
 
+def operands(
+    shape: tuple[int, int], x: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` checked, and ``out`` (allocated when None) zero-filled: the
+    operands of :func:`spmv_blocked` over a matrix of ``shape``."""
+    return _check_x(shape, x), _prepare_out(shape[0], None, out)
+
+
 def _flat_layout(blocked: BlockedCSR) -> tuple:
     """``(col, val, starts, passes)`` for the hook-less kernel, memoized:
     :attr:`BlockedCSR.flat`, every block's segment starts offset into it

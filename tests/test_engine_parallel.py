@@ -17,6 +17,8 @@ from repro.codecs.pipeline import compress_matrix
 from repro.collection import generators
 from repro.core import recoded_spmv
 from repro.sparse.blocked import CSRBlock
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.spmv import spmv
 
 
 def _block_equal(a: CSRBlock, b: CSRBlock) -> bool:
@@ -169,6 +171,26 @@ class TestFingerprint:
         dsh = compress_matrix(matrix)
         raw = compress_matrix(matrix, use_delta=False, use_huffman=False)
         assert plan_fingerprint(dsh) != plan_fingerprint(raw)
+
+    def test_same_streams_other_rows_do_not_share_cached_blocks(self):
+        """Two plans whose col/val streams (so records and tables) are
+        equal but whose rows differ: one entry per row against two in
+        every other row. A shared cache under one matrix id must not hand
+        the second plan the first's blocks."""
+        n = 64
+        col = np.arange(n, dtype=np.int32)
+        val = np.random.default_rng(5).standard_normal(n)
+        one = CSRMatrix((n, n), np.arange(n + 1), col, val)
+        two = CSRMatrix((n, n), np.arange(n + 1) // 2 * 2, col, val)
+        plans = [compress_matrix(m) for m in (one, two)]
+        assert plans[0].index_records == plans[1].index_records
+        assert plans[0].value_records == plans[1].value_records
+        assert plan_fingerprint(plans[0]) != plan_fingerprint(plans[1])
+        engine = RecodeEngine(cache=DecodedBlockCache())
+        x = np.random.default_rng(6).standard_normal(n)
+        for m, plan in zip((one, two), plans):
+            y, _ = recoded_spmv(plan, x, engine=engine, matrix_id="shared")
+            assert y.tobytes() == spmv(m, x).tobytes()
 
     def test_fingerprint_memoized_per_object(self, serial_plan):
         assert plan_fingerprint(serial_plan) == plan_fingerprint(serial_plan)

@@ -994,3 +994,50 @@ def test_first_recoded_spmv_from_two_threads_is_bit_identical(backend, tmp_path)
     assert res["errors"] == []
     assert res["shas"] == [hashlib.sha256(y_serial.tobytes()).hexdigest()] * 2
     assert res["fallback"] == 0
+
+
+# ---------------------------------------------------------------------------
+# The summation order the span multiply reproduces
+# ---------------------------------------------------------------------------
+
+
+def _pairwise(terms: list[float]) -> float:
+    """numpy's pairwise sum of float64 terms: below 8 a loop from -0.0, up
+    to 128 eight accumulators, above that halves cut at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        res = -0.0
+        for t in terms:
+            res += t
+        return res
+    if n <= 128:
+        acc = terms[:8]
+        i = 8
+        while i < n - n % 8:
+            acc = [a + t for a, t in zip(acc, terms[i : i + 8])]
+            i += 8
+        res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for t in terms[i:]:
+            res += t
+        return res
+    half = n // 2 - n // 2 % 8
+    return _pairwise(terms[:half]) + _pairwise(terms[half:])
+
+
+def _segment(terms: list[float]) -> float:
+    return terms[0] if len(terms) == 1 else terms[0] + _pairwise(terms[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 701])
+def test_reduceat_sums_a_segment_as_the_span_multiply_does(n):
+    """``dsh_spmv_span`` sums each row segment as ``np.add.reduceat`` does,
+    first term plus the pairwise sum of the rest, per column for axis 0.
+    A numpy that sums otherwise must fail here, not in the sha256 oracle."""
+    rng = np.random.default_rng(n)
+    mixed = rng.standard_normal((n, 8)) * 10.0 ** rng.integers(-12, 13, (n, 8))
+    for terms in (mixed, np.full((n, 8), -0.0)):
+        got = np.add.reduceat(terms[:, 0], [0])[0]
+        assert got.tobytes() == np.float64(_segment(terms[:, 0].tolist())).tobytes()
+        got = np.add.reduceat(terms, [0], axis=0)[0]
+        want = [_segment(terms[:, j].tolist()) for j in range(8)]
+        assert got.tobytes() == np.array(want).tobytes()
