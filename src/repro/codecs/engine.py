@@ -560,12 +560,15 @@ class AsyncDecode:
     backoff and deterministic jitter between them, before it is
     quarantined. Its :class:`~repro.codecs.pipeline.DecodeRun` decodes
     runs of consecutive cache misses ahead, a span per call; a block put
-    in the cache gets its own copy of the payload. Stats
+    in the cache gets its own copy of the payload. A consumer that decodes
+    a span of the next blocks itself (a cache-less engine's fused run)
+    reports them through :meth:`took` instead of iterating, and the next
+    block yielded follows them. Stats
     (``cache_hits``/``cache_misses``/``blocks_decoded``
     /``bytes_decoded``/``decode_seconds``) are flushed to the engine when
     the iterator is exhausted, closed, or garbage-collected;
     ``decode_seconds`` counts only time spent inside the handle, not in
-    the consumer.
+    the consumer, plus the decode time :meth:`took` reports.
     """
 
     def __init__(
@@ -584,12 +587,17 @@ class AsyncDecode:
         self._misses = 0
         self._decoded_blocks = 0
         self._yielded_bytes = 0
-        self._pos = 0  # of the block being produced, in ids
+        self._pos = 0  # of the block being produced (or taken) next, in ids
         #: One decode run per handle: the kernel bound once, telemetry
         #: published when the handle's stats are. A recoded SpMV checks
         #: and streams its blocks through it, so its spans also end before
         #: blocks a DRAM fault touches.
-        self.run = DecodeRun(plan, ("dram", "record", "latency"), self._misses_until)
+        self.run = DecodeRun(
+            plan, ("dram", "record", "latency"),
+            # The block asked for decodes even if another thread has just
+            # cached it.
+            lambda i, stop: max(i + 1, self.span_stop(i, stop)),
+        )
         self._gen = self._iterate()
 
     def __iter__(self) -> "AsyncDecode":
@@ -607,6 +615,15 @@ class AsyncDecode:
     def close(self) -> None:
         """Stop consuming; blocks not yet asked for are never decoded."""
         self._gen.close()
+        self._flush_stats()  # a handle only ever given took() never started
+
+    def took(self, start: int, stop: int, nbytes: int, seconds: float) -> None:
+        """Count blocks ``[start, stop)``, the next ones asked for, as
+        decoded by the consumer in ``seconds``, ``nbytes`` of them out."""
+        self._pos += stop - start
+        self._decoded_blocks += stop - start
+        self._yielded_bytes += nbytes
+        self._busy += seconds
 
     # -- internals -----------------------------------------------------------
 
@@ -627,48 +644,55 @@ class AsyncDecode:
         stats.add("blocks_decoded", self._decoded_blocks)
         stats.add("bytes_decoded", self._yielded_bytes)
         stats.add("decode_seconds", self._busy)
+        self._hits = self._misses = self._decoded_blocks = self._yielded_bytes = 0
+        self._busy = 0.0
 
     def _produce(self):
         eng = self._engine
         plan = self._plan
+        ids = self._ids
         matrix_id = self._matrix_id
         cache = eng.cache
         fingerprint = plan_fingerprint(plan) if cache is not None else ""
         fault_plan = faults.active()
-        for self._pos, i in enumerate(self._ids):
-            if cache is not None:
-                block = cache.get((matrix_id, i, fingerprint))
-                if block is not None:
-                    self._hits += 1
-                    self._yielded_bytes += 12 * block.nnz
-                    yield i, block
-                    continue
+        while self._pos < len(ids):
+            i = ids[self._pos]
+            res = cache.get((matrix_id, i, fingerprint)) if cache is not None else None
+            if res is not None:
+                self._hits += 1
+            elif cache is not None:
                 self._misses += 1
-            if eng.quarantined and (matrix_id, plan_fingerprint(plan), i) in eng.quarantined:
+            if res is None and eng.quarantined and (
+                    matrix_id, plan_fingerprint(plan), i) in eng.quarantined:
                 # Steady-state loops skip known-bad blocks instead of
                 # re-failing them every iteration.
                 obs.registry().counter("faults.quarantine_hits").inc()
-                yield i, BlockFailure(
+                res = BlockFailure(
                     i, 0, BlockDecodeError(f"block {i} is quarantined", block_id=i)
                 )
-                continue
-            self._decoded_blocks += 1
-            res = self._decode(i, fault_plan)
-            if isinstance(res, CSRBlock):
-                self._yielded_bytes += 12 * res.nnz
-                if cache is not None:
+            elif res is None:
+                self._decoded_blocks += 1
+                res = self._decode(i, fault_plan)
+                if isinstance(res, CSRBlock) and cache is not None:
                     res = _owned(res)
                     cache.put((matrix_id, i, fingerprint), res)
+            if isinstance(res, CSRBlock):
+                self._yielded_bytes += 12 * res.nnz
+            self._pos += 1
             yield i, res
 
-    def _misses_until(self, i: int, stop: int) -> int:
-        """How far the run may decode ahead of block ``i`` (by ``stop``):
-        to the first later block not asked for next, or cached."""
+    def span_stop(self, i: int, stop: int) -> int:
+        """How far a span from block ``i``, the next asked for, may run (by
+        ``stop``): to the first block from ``i`` on not asked for next,
+        cached, or quarantined for this matrix and plan."""
         ids, at, cache = self._ids, self._pos - i, self._engine.cache
         key = plan_fingerprint(self._plan) if cache is not None else ""
-        end = i + 1
+        quarantined = self._engine.quarantined
+        bad = (self._matrix_id, plan_fingerprint(self._plan)) if quarantined else None
+        end = i
         while end < stop and at + end < len(ids) and ids[at + end] == end and (
-            self._matrix_id, end, key) not in (cache or ()):
+            self._matrix_id, end, key) not in (cache or ()) and (
+                bad is None or (*bad, end) not in quarantined):
             end += 1
         return end
 

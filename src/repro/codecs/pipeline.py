@@ -57,12 +57,16 @@ SPAN = 64
 #: ``codecs.decode.stage_seconds``.
 DECODE_STAGES = ("huffman", "snappy", "delta")
 
-#: Decode telemetry, bound once per active registry (ticked per record).
-STAGE_SECONDS = obs.BoundMetrics(
-    lambda reg, stage: reg.counter("codecs.decode.stage_seconds", stage=stage)
-)
+#: Decode telemetry, bound once per active registry: what every flush of
+#: a :class:`DecodeTally` ticks (the record, bytes-in and bytes-out
+#: counters, the record-seconds histogram, then each stage's seconds),
+#: and the counters it creates only once they count a record.
+_TALLY_METRICS = obs.BoundMetrics(lambda reg, _: (
+    *(reg.counter(f"codecs.decode.{name}") for name in ("records", "bytes_in", "bytes_out")),
+    reg.histogram("codecs.decode.record_seconds"),
+    *(reg.counter("codecs.decode.stage_seconds", stage=stage) for stage in DECODE_STAGES),
+))
 _DECODE_COUNTERS = obs.BoundMetrics(lambda reg, name: reg.counter(name))
-_RECORD_SECONDS = obs.BoundMetrics(lambda reg, name: reg.histogram(name))
 
 
 @dataclass(frozen=True)
@@ -319,6 +323,16 @@ def record_stages(record: BlockRecord, use_huffman: bool, apply_delta: bool) -> 
     )
 
 
+#: Counters of records by their stages (with :data:`STAGE_TAGGED`), and
+#: for each stages value a row saying which of them its records count in.
+_STAGE_COUNTERS = ("codec.mix.decode_records", "codec.mix.snappy_skipped",
+                   "codecs.huffman.decode_records", "codecs.delta.decode_records")
+_STAGE_MASKS = np.array([
+    (s & STAGE_TAGGED, s & STAGE_TAGGED and not s & STAGE_SNAPPY, s & STAGE_HUFFMAN,
+     s & STAGE_DELTA) for s in range(2 * STAGE_TAGGED)
+], dtype=bool).astype(np.int64)
+
+
 class DecodeTally:
     """The ``codecs.decode.*`` telemetry of a run's records, published by
     :meth:`flush` (a counter update per record costs more than the C decode
@@ -349,27 +363,24 @@ class DecodeTally:
         self.rows.append(table.reshape(-1, 7))
 
     def flush(self) -> None:
-        """Publish what was counted since the last flush."""
+        """Publish what was counted since the last flush: one product for
+        the column sums, one count of the stages values."""
         if not self.rows:
             return
-        table = np.concatenate(self.rows)
-        stages = table[:, 1].astype(np.int64)
-        tagged = stages & STAGE_TAGGED > 0
-        for name, n in (
-            ("codecs.decode.records", len(table)),
-            ("codecs.decode.bytes_in", table[:, 0].sum()),
-            ("codecs.decode.bytes_out", table[:, 2].sum()),
-            ("codec.mix.decode_records", tagged.sum()),
-            ("codec.mix.snappy_skipped", (tagged & (stages & STAGE_SNAPPY == 0)).sum()),
-            ("codecs.huffman.decode_records", (stages & STAGE_HUFFMAN > 0).sum()),
-            ("codecs.delta.decode_records", (stages & STAGE_DELTA > 0).sum()),
-        ):
-            if n or name.startswith("codecs.decode"):
-                _DECODE_COUNTERS[name].inc(int(n))
-        _RECORD_SECONDS["codecs.decode.record_seconds"].observe_many(table[:, 3])
-        for stage, seconds in zip(DECODE_STAGES, table[:, 4:].sum(axis=0).tolist()):
-            STAGE_SECONDS[stage].inc(seconds)
+        table = np.concatenate(self.rows) if len(self.rows) > 1 else self.rows[0]
         self.rows = []
+        sums = (np.ones(len(table)) @ table).tolist()
+        by_stages = np.bincount(table[:, 1].astype(np.intp), minlength=len(_STAGE_MASKS))
+        records, bytes_in, bytes_out, seconds, *stage_seconds = _TALLY_METRICS[None]
+        records.inc(len(table))
+        bytes_in.inc(int(sums[0]))
+        bytes_out.inc(int(sums[2]))
+        for name, n in zip(_STAGE_COUNTERS, (by_stages @ _STAGE_MASKS).tolist()):
+            if n:
+                _DECODE_COUNTERS[name].inc(n)
+        seconds.observe_many(table[:, 3], sums[3])
+        for counter, total in zip(stage_seconds, sums[4:]):
+            counter.inc(total)
 
 
 class RecordSpan(NamedTuple):

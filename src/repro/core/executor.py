@@ -18,10 +18,12 @@ executor is only the hook it calls for block *i*, in block order:
   cycle-level UDP programs, or ``plan.decompress_block`` through the
   run's :class:`~repro.codecs.pipeline.DecodeRun`.
 
-An engine-less run without ``cancel`` skips the hook loop where it can:
+A run without ``cancel`` or the UDP simulator, whose engine (if any)
+has no decoded-block cache, skips the hook loop where it can:
 :func:`run_spans` decodes and multiplies a span of blocks per
 ``dsh_spmv_span`` call, in the blocked kernels' summation order, and
-hands the hook only the blocks the op stops at or may not take.
+hands the hook only the blocks the op stops at or may not take. An
+engine run's handle counts the span's blocks without yielding them.
 
 Because blocks are consumed in order whatever the decoder, the
 multiply, the ``TrafficLog``, the ``dma_seconds`` float-addition
@@ -137,10 +139,12 @@ class PipelinedDecoder:
 
     The handle yields block *i* when the kernel asks for it. A DRAM-
     faulted block still takes its engine result off the handle but
-    decodes what arrived instead. :meth:`close` (called however the run
-    ends) closes the handle and flushes the ``spmv.pipeline.*``
-    telemetry: ``multiply_idle_seconds`` is the time the kernel waited on
-    decode, and ``decode_idle_seconds`` the time it spent multiplying,
+    decodes what arrived instead. On the fused route (:func:`run_spans`)
+    the handle counts each span the op took through :meth:`took`.
+    :meth:`close` (called however the run ends) closes the handle and
+    flushes the ``spmv.pipeline.*`` telemetry: ``multiply_idle_seconds``
+    is the time the kernel waited on decode (the op's decode time
+    included), and ``decode_idle_seconds`` the time it spent multiplying,
     with the inline decoder idle.
     """
 
@@ -148,18 +152,28 @@ class PipelinedDecoder:
         self._plan = plan
         self._handle = engine.decode_blocks_async(plan, matrix_id=matrix_id)
         self.run = self._handle.run
+        self.span_stop = self._handle.span_stop
         self._wait_s = self._multiply_s = 0.0
         # When the last block went to the multiply.
         self._handed_at: float | None = None
 
-    def _charge_multiply(self) -> None:
+    def _charge_multiply(self, now: float) -> None:
         if self._handed_at is not None:
-            self._multiply_s += time.perf_counter() - self._handed_at
+            self._multiply_s += now - self._handed_at
             self._handed_at = None
 
+    def took(self, start: int, stop: int, nbytes: int, t0: float, t1: float,
+             multiply_s: float) -> None:
+        """Count blocks ``[start, stop)`` as decoded and multiplied by one op
+        call from ``t0`` to ``t1``, ``multiply_s`` of it multiplying."""
+        self._charge_multiply(t0)
+        self._wait_s += t1 - t0 - multiply_s
+        self._multiply_s += multiply_s
+        self._handle.took(start, stop, nbytes, t1 - t0 - multiply_s)
+
     def __call__(self, i: int, idx_rec, val_rec, faulty: bool) -> CSRBlock:
-        self._charge_multiply()
         t0 = time.perf_counter()
+        self._charge_multiply(t0)
         _, res = next(self._handle)
         self._handed_at = time.perf_counter()
         self._wait_s += self._handed_at - t0
@@ -172,7 +186,7 @@ class PipelinedDecoder:
         return res
 
     def close(self) -> None:
-        self._charge_multiply()
+        self._charge_multiply(time.perf_counter())
         self._handle.close()
         reg = obs.registry()
         reg.counter("spmv.pipeline.runs").inc()
@@ -182,19 +196,20 @@ class PipelinedDecoder:
 
 def run_spans(
     plan: MatrixCompression, x: np.ndarray, out: np.ndarray, hook: "RecodeHook",
-    run: DecodeRun,
+    run: DecodeRun, decoder: PipelinedDecoder | None = None,
 ) -> float:
-    """The fused route of an engine-less run: each span of blocks is
-    decoded and multiplied into ``out`` by one ``dsh_spmv_span`` call, its
-    records checked before and its telemetry published after. Returns the
-    op's multiply seconds.
+    """The fused route of a run without a decoded-block cache: each span
+    of blocks is decoded and multiplied into ``out`` by one
+    ``dsh_spmv_span`` call, its records checked before and its telemetry
+    published after. Returns the op's multiply seconds.
 
     A span ends before a block the fault plan armed for ``run`` touches
-    and before a block whose stored records fail their check. Such a
+    and before a block whose stored records fail their check; with an
+    engine ``decoder``, also before a block its engine quarantined. Such a
     block, and a block the op stops at, takes ``hook``'s per-block route,
     and the run resumes at the next block. The op's blocks count as
     ``dsh_decode_span`` dispatches, one per block, as the per-block route
-    counts them.
+    counts them, and ``decoder`` counts them as its handle's.
     """
     fused = kernels.bind("dsh_spmv_span", label="dsh_decode_span")
     i = checked = 0
@@ -202,18 +217,25 @@ def run_spans(
     try:
         while i < plan.nblocks:
             stop = run.stop(i, i)
+            if decoder is not None:
+                stop = decoder.span_stop(i, stop)
             checked = max(checked, i)
             while checked < stop and run.check(checked, release=False):
                 checked += 1
             stop = min(stop, checked)
             if stop > i:
                 span = run.span(i, stop)
+                t0 = time.perf_counter()
                 with obs.trace(hook.span, start=i, stop=stop):
                     done, seconds = fused(plan, span, x, out, run.tally)
+                t1 = time.perf_counter()
                 multiply_s += seconds
                 fused.count(done - 1)
                 irows, vrows = span.rows
-                hook.took(i, i + done, int(irows[:done, 4].sum() + vrows[:done, 4].sum()))
+                nbytes = int(irows[:done, 4].sum() + vrows[:done, 4].sum())
+                hook.took(i, i + done, nbytes)
+                if decoder is not None:
+                    decoder.took(i, i + done, nbytes, t0, t1, seconds)
                 run.flush()
                 if done:
                     i += done

@@ -18,10 +18,14 @@ one of two decoders (see :mod:`repro.core.executor`):
   run, which decodes it inline (or finds it in the engine's cache) when
   asked;
 * without one, straight from the plan's records (or through the
-  cycle-level UDP programs). Without ``cancel`` (and the simulator),
-  such a run decodes and multiplies a span of blocks per native call
-  instead (:func:`~repro.core.executor.run_spans`), and only a block
-  that call stops at takes the hook.
+  cycle-level UDP programs).
+
+Without ``cancel`` (and the simulator), a run with no engine or a
+cache-less one decodes and multiplies a span of blocks per native call
+instead (:func:`~repro.core.executor.run_spans`), and only a block that
+call stops at or may not take goes through the hook; an engine run's
+handle still accounts every block. Cached-engine and ``cancel`` runs
+read every block through the hook.
 
 Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
 accounting, and raised errors are bit-identical either way.
@@ -172,7 +176,7 @@ def _execute(
     log = TrafficLog()
     start = time.perf_counter()
     engine_backed = engine is not None and not use_udp_simulator
-    fused = engine is None and cancel is None and not use_udp_simulator
+    fused = cancel is None and not use_udp_simulator and (engine is None or engine.cache is None)
     if engine_backed:
         decode = run_pipelined(plan, engine, matrix_id)
         run = decode.run
@@ -207,7 +211,7 @@ def _execute(
                     plan.blocked.shape, x, out)
                 # The op writes rows in place, so it needs them contiguous.
                 acc = y if y.flags.c_contiguous else np.zeros(y.shape)
-                multiply_s = run_spans(plan, x, acc, hook, run)
+                multiply_s = run_spans(plan, x, acc, hook, run, decode if engine_backed else None)
                 if acc is not y:
                     y[...] = acc
             else:
@@ -250,7 +254,7 @@ def _execute(
     counters["bytes.udp_to_cpu"].inc(log.bytes_on("udp", "cpu"))
     counters["bytes.baseline"].inc(stats.baseline_dram_bytes)
     counters["dma_seconds"].inc(dma_seconds)
-    if fused:
+    if fused and not engine_backed:  # an engine run books it as decode idle
         counters["multiply_seconds"].inc(multiply_s)
     if hook.degraded:
         counters["degraded_iterations"].inc()

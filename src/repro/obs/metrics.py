@@ -24,6 +24,7 @@ into the registry (the Prometheus client-library pattern).
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from contextlib import contextmanager
@@ -201,17 +202,24 @@ class Histogram:
             if value > self._max:
                 self._max = value
 
-    def observe_many(self, values: np.ndarray) -> None:
-        """:meth:`observe` each of ``values``, under one lock."""
+    def observe_many(self, values: np.ndarray, total: float | None = None) -> None:
+        """:meth:`observe` each of ``values`` (summing to ``total``, when
+        the caller has it), under one lock."""
         if not _ENABLED or not len(values):
             return
-        counts = np.bincount(np.searchsorted(self.buckets, values), minlength=len(self._counts))
+        # Sorted, the values fall in buckets lo..hi, and those at or below
+        # each bound between are one search away.
+        ordered = np.sort(values)
+        n, low, high = len(ordered), float(ordered[0]), float(ordered[-1])
+        lo, hi = bisect.bisect_left(self.buckets, low), bisect.bisect_left(self.buckets, high)
+        at = [0, *np.searchsorted(ordered, self.buckets[lo:hi], side="right").tolist(), n]
         with self._lock:
-            self._counts = [a + b for a, b in zip(self._counts, counts.tolist())]
-            self._count += len(values)
-            self._sum += float(values.sum())
-            self._min = min(self._min, float(values.min()))
-            self._max = max(self._max, float(values.max()))
+            for k in range(lo, hi + 1):
+                self._counts[k] += at[k - lo + 1] - at[k - lo]
+            self._count += n
+            self._sum += float(ordered.sum()) if total is None else total
+            self._min = min(self._min, low)
+            self._max = max(self._max, high)
 
     @property
     def count(self) -> int:

@@ -14,6 +14,7 @@ import inspect
 import os
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -343,9 +344,25 @@ class TestPipelineMetrics:
             assert "spmv.pipeline.decode_idle_seconds" in names
             assert "spmv.pipeline.multiply_seconds" not in names
 
+    def test_fused_engine_run_books_the_idle_split(self, plan, x):
+        """A cache-less engine run takes the fused route, booking its op's
+        decode time as multiply idle and its multiply time as decode idle,
+        both within the run's wall time."""
+        with obs.scoped_registry() as reg:
+            t0 = time.perf_counter()
+            recoded_spmv(plan, x, engine=make_engine(), mode="pipelined")
+            wall = time.perf_counter() - t0
+        multiply_idle = reg.value("spmv.pipeline.multiply_idle_seconds")
+        decode_idle = reg.value("spmv.pipeline.decode_idle_seconds")
+        assert multiply_idle > 0 and decode_idle > 0
+        assert multiply_idle + decode_idle <= wall
+
     def test_decode_emits_inline_span_count(self, plan, x):
-        # One codecs.engine.decode span per block, all on the caller's
-        # thread: a run driven from a worker thread decodes on that thread.
+        # The run's spmv.block spans of fused blocks (start/stop) and its
+        # codecs.engine.decode spans of blocks the hook took cover every
+        # block once, all on the caller's thread: a run driven from a
+        # worker thread decodes on that thread. The latency fault sends
+        # some blocks to the hook.
         eng = make_engine()
         tids = []
 
@@ -354,12 +371,18 @@ class TestPipelineMetrics:
             recoded_spmv(plan, x, engine=eng)
 
         with obs.scoped_tracer(obs.Tracer(enabled=True)) as tracer:
-            t = threading.Thread(target=run)
-            t.start()
-            t.join()
-        spans = [e for e in tracer.events() if e["name"] == "codecs.engine.decode"]
-        assert [e["args"]["block"] for e in spans] == list(range(plan.nblocks))
-        assert {(e["pid"], e["tid"]) for e in spans} == {(os.getpid(), tids[0])}
+            with FaultPlan(seed=2, latency_s=1e-6, latency_rate=0.3).activate():
+                t = threading.Thread(target=run)
+                t.start()
+                t.join()
+        events = tracer.events()
+        fused = [e for e in events if e["name"] == "spmv.block" and "start" in e["args"]]
+        decoded = [e for e in events if e["name"] == "codecs.engine.decode"]
+        assert fused and decoded
+        covered = [e["args"]["block"] for e in decoded] + [
+            i for e in fused for i in range(e["args"]["start"], e["args"]["stop"])]
+        assert sorted(covered) == list(range(plan.nblocks))
+        assert {(e["pid"], e["tid"]) for e in fused + decoded} == {(os.getpid(), tids[0])}
 
     def test_serial_run_does_not(self, plan, x):
         """An engine-less run (the serial decoder) books no
@@ -403,23 +426,29 @@ class TestInputShape:
 
 class TestInOrderConsumption:
     def test_in_order_handle_matches_serial(self, plan, x, monkeypatch):
-        """The run's one decode handle yields every block in block order,
-        decoding each when the kernel asks, so every observable of the
-        engine-less serial decoder is reproduced."""
-        yielded = []
-        real_next = AsyncDecode.__next__
+        """The run's one decode handle accounts every block exactly once,
+        in block order, whether a fused span took it or the handle yielded
+        it, so every observable of the engine-less serial decoder is
+        reproduced."""
+        accounted = []
+        real_next, real_took = AsyncDecode.__next__, AsyncDecode.took
 
         def spy_next(self):
             item = real_next(self)
-            yielded.append(item[0])
+            accounted.append(item[0])
             return item
+
+        def spy_took(self, start, stop, *args):
+            accounted.extend(range(start, stop))
+            real_took(self, start, stop, *args)
 
         fp = FaultPlan(seed=4, dram_bitflip_blocks=(6,))
         with fp.activate():
             ys, ss = recoded_spmv(plan, x, policy="degrade")
             monkeypatch.setattr(AsyncDecode, "__next__", spy_next)
+            monkeypatch.setattr(AsyncDecode, "took", spy_took)
             yp, sp = recoded_spmv(plan, x, engine=make_engine(), policy="degrade")
-        assert yielded == list(range(plan.nblocks))
+        assert accounted == list(range(plan.nblocks))
         np.testing.assert_array_equal(ys, yp)
         assert ss.traffic.edges() == sp.traffic.edges()
         assert ss.dma_seconds == sp.dma_seconds

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -89,6 +90,18 @@ class TestHistogram:
     def test_rejects_unsorted_buckets(self):
         with pytest.raises(ValueError):
             Histogram("h", buckets=(2.0, 1.0))
+
+    def test_observe_many_matches_observe_each(self):
+        values = np.array([10.0, 0.5, 1.0, 50.0, 1.0, 7.5, 0.0, 10.0, 1e9, 2.0])
+        one, many = (Histogram("h", buckets=(1.0, 2.0, 10.0)) for _ in range(2))
+        for v in values:
+            one.observe(float(v))
+        many.observe_many(values[:4])
+        many.observe_many(values[4:], float(values[4:].sum()))
+        want, got = one._snapshot(), many._snapshot()
+        assert got["sum"] == pytest.approx(want["sum"])
+        del want["sum"], got["sum"]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
