@@ -230,11 +230,13 @@ class DecodedBlockCache:
             self.stats.hits += 1
             return entry[0]
 
-    def put(self, key: tuple, block: CSRBlock) -> None:
+    def put(self, key: tuple, block: CSRBlock, miss: bool = False) -> None:
+        """Insert ``block``; ``miss`` counts the probe that found ``key`` absent."""
         matrix_id = key[0]
         nbytes = 12 * block.nnz
         share = self.matrix_share_bytes
         with self._lock:
+            self.stats.misses += miss
             if share is not None and nbytes > share:
                 self.rejected += 1
                 return
@@ -352,13 +354,14 @@ class EngineStats:
         # conformance suites compare metric-name sets across configs.
         for name in _ENGINE_COUNTERS:
             reg.counter(f"codecs.engine.{name}", **self._labels)
+        self._counters = obs.BoundMetrics(lambda reg, n: reg.counter(n, **self._labels))
 
     def add(self, name: str, amount: float) -> None:
         if not amount:
             return  # skip the lock on no-op adds (all-hit decode passes)
         with self._lock:
             self._totals[name] += amount
-        obs.registry().counter(f"codecs.engine.{name}", **self._labels).inc(amount)
+        self._counters[f"codecs.engine.{name}"].inc(amount)
 
     @property
     def blocks_decoded(self) -> int:
@@ -542,10 +545,10 @@ class RecodeEngine:
 # ---------------------------------------------------------------------------
 
 
-def _owned(block: CSRBlock) -> CSRBlock:
-    """``block`` over read-only copies of its payload, pinning no span
-    buffer it was decoded into."""
-    col_idx, val = block.col_idx.copy(), block.val.copy()
+def _owned(block: CSRBlock, col_idx, val) -> CSRBlock:
+    """``block`` over read-only copies of the decoded ``col_idx`` and
+    ``val``, pinning no span buffer they were decoded into."""
+    col_idx, val = col_idx.copy(), val.copy()
     col_idx.flags.writeable = val.flags.writeable = False
     return block.with_payload(col_idx, val)
 
@@ -561,14 +564,14 @@ class AsyncDecode:
     quarantined. Its :class:`~repro.codecs.pipeline.DecodeRun` decodes
     runs of consecutive cache misses ahead, a span per call; a block put
     in the cache gets its own copy of the payload. A consumer that decodes
-    a span of the next blocks itself (a cache-less engine's fused run)
-    reports them through :meth:`took` instead of iterating, and the next
-    block yielded follows them. Stats
+    a span of the next blocks itself, or reads them from the cache (a
+    fused run), reports them through :meth:`took`, which caches decoded
+    ones, instead of iterating; the next block yielded follows them. Stats
     (``cache_hits``/``cache_misses``/``blocks_decoded``
     /``bytes_decoded``/``decode_seconds``) are flushed to the engine when
     the iterator is exhausted, closed, or garbage-collected;
     ``decode_seconds`` counts only time spent inside the handle, not in
-    the consumer, plus the decode time :meth:`took` reports.
+    the consumer, plus the decode and probe time :meth:`took` reports.
     """
 
     def __init__(
@@ -588,6 +591,7 @@ class AsyncDecode:
         self._decoded_blocks = 0
         self._yielded_bytes = 0
         self._pos = 0  # of the block being produced (or taken) next, in ids
+        self.probed = -1  # a block whose probe missed: took() counts no second miss
         #: One decode run per handle: the kernel bound once, telemetry
         #: published when the handle's stats are. A recoded SpMV checks
         #: and streams its blocks through it, so its spans also end before
@@ -617,13 +621,25 @@ class AsyncDecode:
         self._gen.close()
         self._flush_stats()  # a handle only ever given took() never started
 
-    def took(self, start: int, stop: int, nbytes: int, seconds: float) -> None:
-        """Count blocks ``[start, stop)``, the next ones asked for, as
-        decoded by the consumer in ``seconds``, ``nbytes`` of them out."""
+    def took(self, start: int, stop: int, nbytes: int, seconds: float, pairs=(),
+             hits: bool = False) -> None:
+        """Count the next blocks ``[start, stop)`` as the consumer's cache
+        ``hits`` or as decoded by it (with a cache, misses, each ``(col_idx,
+        val)`` of ``pairs`` put in it), in ``seconds``, ``nbytes`` out."""
         self._pos += stop - start
-        self._decoded_blocks += stop - start
         self._yielded_bytes += nbytes
         self._busy += seconds
+        if hits:
+            self._hits += stop - start
+            return
+        self._decoded_blocks += stop - start
+        cache = self._engine.cache
+        if cache is not None:
+            self._misses += stop - start
+            shells, fp = self._plan.blocked.blocks, plan_fingerprint(self._plan)
+            for i, (col_idx, val) in zip(range(start, stop), pairs):
+                cache.put((self._matrix_id, i, fp), _owned(shells[i], col_idx, val),
+                          i != self.probed)
 
     # -- internals -----------------------------------------------------------
 
@@ -674,24 +690,25 @@ class AsyncDecode:
                 self._decoded_blocks += 1
                 res = self._decode(i, fault_plan)
                 if isinstance(res, CSRBlock) and cache is not None:
-                    res = _owned(res)
+                    res = _owned(res, res.col_idx, res.val)
                     cache.put((matrix_id, i, fingerprint), res)
             if isinstance(res, CSRBlock):
                 self._yielded_bytes += 12 * res.nnz
             self._pos += 1
             yield i, res
 
-    def span_stop(self, i: int, stop: int) -> int:
+    def span_stop(self, i: int, stop: int, cached: bool = False) -> int:
         """How far a span from block ``i``, the next asked for, may run (by
-        ``stop``): to the first block from ``i`` on not asked for next,
-        cached, or quarantined for this matrix and plan."""
+        ``stop``): to the first block from ``i`` on not asked for next, or
+        cached or quarantined for this matrix and plan — or, a run of hits
+        (``cached``), not cached."""
         ids, at, cache = self._ids, self._pos - i, self._engine.cache
         key = plan_fingerprint(self._plan) if cache is not None else ""
-        quarantined = self._engine.quarantined
+        quarantined = not cached and self._engine.quarantined
         bad = (self._matrix_id, plan_fingerprint(self._plan)) if quarantined else None
         end = i
         while end < stop and at + end < len(ids) and ids[at + end] == end and (
-            self._matrix_id, end, key) not in (cache or ()) and (
+            (self._matrix_id, end, key) in (cache or ())) == cached and (
                 bad is None or (*bad, end) not in quarantined):
             end += 1
         return end

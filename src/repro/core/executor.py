@@ -18,12 +18,13 @@ executor is only the hook it calls for block *i*, in block order:
   cycle-level UDP programs, or ``plan.decompress_block`` through the
   run's :class:`~repro.codecs.pipeline.DecodeRun`.
 
-A run without ``cancel`` or the UDP simulator, whose engine (if any)
-has no decoded-block cache, skips the hook loop where it can:
+Every run but a UDP simulator one skips the hook loop where it can:
 :func:`run_spans` decodes and multiplies a span of blocks per
 ``dsh_spmv_span`` call, in the blocked kernels' summation order, and
-hands the hook only the blocks the op stops at or may not take. An
-engine run's handle counts the span's blocks without yielding them.
+multiplies a run of an engine's cached blocks straight from its cache,
+handing the hook only the blocks the op stops at or may not take. An
+engine run's handle counts those blocks, and caches the span's, without
+yielding them. ``cancel`` is polled once per block either way.
 
 Because blocks are consumed in order whatever the decoder, the
 multiply, the ``TrafficLog``, the ``dma_seconds`` float-addition
@@ -38,7 +39,7 @@ from collections.abc import Callable
 import numpy as np
 
 from repro import kernels, obs
-from repro.codecs.engine import BlockFailure, RecodeEngine
+from repro.codecs.engine import BlockFailure, RecodeEngine, plan_fingerprint
 from repro.codecs.errors import BlockDecodeError, CodecError, block_error
 from repro.codecs.pipeline import (
     DecodeRun, DecodeTally, MatrixCompression, RecordSpan, decode_span_reference, stored_sizes,
@@ -55,15 +56,18 @@ from repro.udp.runtime import DecoderToolchain
 #: DRAM fault changed the streamed records; raises CodecError.
 Decoder = Callable[[int, object, object, bool], CSRBlock]
 
+#: An engine run's ``spmv.pipeline.*`` counters, bound once per registry.
+_PIPELINE_COUNTERS = obs.BoundMetrics(lambda reg, name: reg.counter(f"spmv.pipeline.{name}"))
+
 
 class RunCancelled(RuntimeError):
     """A run's ``cancel`` callback fired at a block boundary.
 
     Cooperative cancellation for deadline-bound callers (the serve layer):
-    the executor polls the callback between blocks and abandons the run
-    as soon as it returns True, so a request past its deadline stops
-    borrowing decode time, DMA model time, and cache capacity. The
-    partial result is discarded — nothing observable is half-updated.
+    the executor polls the callback once per block (:meth:`RecodeHook.poll`)
+    and abandons the run at the block it returns True for, so a request
+    past its deadline stops borrowing decode time, DMA model time, and
+    cache capacity. The partial result is discarded.
     """
 
     def __init__(self, message: str = "run cancelled", blocks_done: int = 0):
@@ -75,8 +79,9 @@ def multiply_block(block: CSRBlock, x: np.ndarray, out: np.ndarray) -> None:
     """Multiply one block into ``out`` exactly as the blocked kernels do."""
     if block.nnz:
         rows, seg_starts = block.row_segments()
-        vals = block.val if x.ndim == 1 else block.val[:, None]
-        out[rows] += np.add.reduceat(vals * x[block.col_idx], seg_starts, axis=0)
+        products = x.take(block.col_idx, axis=0)
+        products *= block.val if x.ndim == 1 else block.val[:, None]
+        out[rows] += np.add.reduceat(products, seg_starts, axis=0)
 
 
 @kernels.REGISTRY.register("dsh_spmv_span", "numpy")
@@ -84,11 +89,12 @@ def multiply_block(block: CSRBlock, x: np.ndarray, out: np.ndarray) -> None:
 def multiply_span_reference(
     plan: MatrixCompression, span: RecordSpan, x: np.ndarray, out: np.ndarray,
     tally: DecodeTally,
-) -> tuple[int, float]:
+) -> tuple[int, float, list]:
     """Reference ``dsh_spmv_span``: :func:`decode_span_reference`, then
     :func:`multiply_block` of each block up to the first whose payload or
-    columns disagree with its rows or ``x``. Returns the blocks done and
-    the multiply's seconds; only their telemetry goes to ``tally``."""
+    columns disagree with its rows or ``x``. Returns the blocks done, the
+    multiply's seconds and their ``(col_idx, val)``, their telemetry to
+    ``tally``."""
     decoded = DecodeTally()
     try:
         pairs = decode_span_reference(plan, span, decoded)
@@ -104,7 +110,7 @@ def multiply_span_reference(
         multiply_block(shell.with_payload(col, val), x, out)
         done += 1
     tally.rows += decoded.rows[: 2 * done]
-    return done, time.perf_counter() - t0
+    return done, time.perf_counter() - t0, pairs[:done]
 
 
 def serial_decoder(
@@ -140,12 +146,12 @@ class PipelinedDecoder:
     The handle yields block *i* when the kernel asks for it. A DRAM-
     faulted block still takes its engine result off the handle but
     decodes what arrived instead. On the fused route (:func:`run_spans`)
-    the handle counts each span the op took through :meth:`took`.
-    :meth:`close` (called however the run ends) closes the handle and
-    flushes the ``spmv.pipeline.*`` telemetry: ``multiply_idle_seconds``
-    is the time the kernel waited on decode (the op's decode time
-    included), and ``decode_idle_seconds`` the time it spent multiplying,
-    with the inline decoder idle.
+    the handle counts the spans the op took and the runs of cached blocks
+    :meth:`multiply_hits` multiplied. :meth:`close` (called however the
+    run ends) closes the handle and flushes the ``spmv.pipeline.*``
+    telemetry: ``multiply_idle_seconds`` is the time the kernel waited on
+    decode (the op's decode and cache probes included), and
+    ``decode_idle_seconds`` the time it spent multiplying.
     """
 
     def __init__(self, plan: MatrixCompression, engine: RecodeEngine, matrix_id: str):
@@ -153,6 +159,8 @@ class PipelinedDecoder:
         self._handle = engine.decode_blocks_async(plan, matrix_id=matrix_id)
         self.run = self._handle.run
         self.span_stop = self._handle.span_stop
+        self._cache = engine.cache
+        self._key = matrix_id, plan_fingerprint(plan) if engine.cache is not None else ""
         self._wait_s = self._multiply_s = 0.0
         # When the last block went to the multiply.
         self._handed_at: float | None = None
@@ -163,13 +171,43 @@ class PipelinedDecoder:
             self._handed_at = None
 
     def took(self, start: int, stop: int, nbytes: int, t0: float, t1: float,
-             multiply_s: float) -> None:
-        """Count blocks ``[start, stop)`` as decoded and multiplied by one op
-        call from ``t0`` to ``t1``, ``multiply_s`` of it multiplying."""
+             multiply_s: float, pairs=(), hits: bool = False) -> None:
+        """Count blocks ``[start, stop)`` as :meth:`AsyncDecode.took` does,
+        decoded and multiplied from ``t0`` to ``t1``, ``multiply_s`` of it
+        multiplying."""
         self._charge_multiply(t0)
         self._wait_s += t1 - t0 - multiply_s
         self._multiply_s += multiply_s
-        self._handle.took(start, stop, nbytes, t1 - t0 - multiply_s)
+        self._handle.took(start, stop, nbytes, t1 - t0 - multiply_s, pairs, hits)
+
+    def multiply_hits(self, i: int, stop: int, x: np.ndarray, out: np.ndarray,
+                      hook: "RecodeHook") -> int:
+        """Multiply the cached blocks ``[i, stop)`` into ``out``, each
+        polled, got and multiplied in block order, up to the first another
+        thread evicted (returned; else ``stop``) or whose poll fires."""
+        get, (matrix_id, fp) = self._cache.get, self._key
+        nbytes, probe_s, b, block, fired = 0, 0.0, i, True, False
+        t0 = time.perf_counter()
+        with obs.trace(hook.span, start=i, stop=stop):
+            while b < stop and not (fired := hook.poll(b + 1) == b):
+                t = time.perf_counter()
+                block = get((matrix_id, b, fp))
+                probe_s += time.perf_counter() - t
+                if block is None:
+                    break
+                multiply_block(block, x, out)
+                nbytes += 12 * block.nnz
+                b += 1
+        t1 = time.perf_counter()
+        hook.took(i, b, nbytes)
+        self.took(i, b, nbytes, t0, t1, t1 - t0 - probe_s, (), True)
+        if block is None:
+            self._handle.probed = b
+        if b > i:
+            self.run.release_behind(b - 1)
+        if fired:
+            raise RunCancelled(blocks_done=b)
+        return b
 
     def __call__(self, i: int, idx_rec, val_rec, faulty: bool) -> CSRBlock:
         t0 = time.perf_counter()
@@ -188,28 +226,31 @@ class PipelinedDecoder:
     def close(self) -> None:
         self._charge_multiply(time.perf_counter())
         self._handle.close()
-        reg = obs.registry()
-        reg.counter("spmv.pipeline.runs").inc()
-        reg.counter("spmv.pipeline.multiply_idle_seconds").inc(self._wait_s)
-        reg.counter("spmv.pipeline.decode_idle_seconds").inc(self._multiply_s)
+        _PIPELINE_COUNTERS["runs"].inc()
+        _PIPELINE_COUNTERS["multiply_idle_seconds"].inc(self._wait_s)
+        _PIPELINE_COUNTERS["decode_idle_seconds"].inc(self._multiply_s)
 
 
 def run_spans(
     plan: MatrixCompression, x: np.ndarray, out: np.ndarray, hook: "RecodeHook",
     run: DecodeRun, decoder: PipelinedDecoder | None = None,
 ) -> float:
-    """The fused route of a run without a decoded-block cache: each span
-    of blocks is decoded and multiplied into ``out`` by one
-    ``dsh_spmv_span`` call, its records checked before and its telemetry
-    published after. Returns the op's multiply seconds.
+    """The fused route: each span of blocks is decoded and multiplied into
+    ``out`` by one ``dsh_spmv_span`` call, its records checked before and
+    its telemetry published after; an engine ``decoder`` counts and caches
+    the span's blocks, and multiplies each run of cached blocks
+    (:meth:`PipelinedDecoder.multiply_hits`). Returns the op's multiply
+    seconds.
 
-    A span ends before a block the fault plan armed for ``run`` touches
-    and before a block whose stored records fail their check; with an
-    engine ``decoder``, also before a block its engine quarantined. Such a
-    block, and a block the op stops at, takes ``hook``'s per-block route,
-    and the run resumes at the next block. The op's blocks count as
-    ``dsh_decode_span`` dispatches, one per block, as the per-block route
-    counts them, and ``decoder`` counts them as its handle's.
+    A span ends before a block the fault plan armed for ``run`` touches,
+    a block whose stored records fail their check and, with ``decoder``, a
+    block its engine cached or quarantined (a run of hits, one not
+    cached). Such a block, and a block the op stops at, takes ``hook``'s
+    per-block route. The op's blocks count as ``dsh_decode_span``
+    dispatches, one per block, as the per-block route counts them.
+    ``cancel`` is polled as each block is counted: a span's first block
+    before the op, the rest after it; a span's blocks from the one whose
+    poll fires on, decoded and multiplied, are neither counted nor cached.
     """
     fused = kernels.bind("dsh_spmv_span", label="dsh_decode_span")
     i = checked = 0
@@ -217,26 +258,37 @@ def run_spans(
     try:
         while i < plan.nblocks:
             stop = run.stop(i, i)
+            hits = decoder is not None and decoder.span_stop(i, i + 1, True) > i
             if decoder is not None:
-                stop = decoder.span_stop(i, stop)
+                stop = decoder.span_stop(i, stop, hits)
             checked = max(checked, i)
             while checked < stop and run.check(checked, release=False):
                 checked += 1
             stop = min(stop, checked)
+            if stop > i and hits:
+                i = decoder.multiply_hits(i, stop, x, out, hook)
+                continue
             if stop > i:
-                span = run.span(i, stop)
+                if hook.poll(i + 1) == i:
+                    raise RunCancelled(blocks_done=i)
+                span, rows = run.span(i, stop), len(run.tally.rows)
                 t0 = time.perf_counter()
                 with obs.trace(hook.span, start=i, stop=stop):
-                    done, seconds = fused(plan, span, x, out, run.tally)
+                    done, seconds, pairs = fused(plan, span, x, out, run.tally)
                 t1 = time.perf_counter()
                 multiply_s += seconds
-                fused.count(done - 1)
+                polled = hook.poll(i + done) - i
+                if polled < done:  # cancelled: the rest goes uncounted
+                    run.tally.rows[rows:] = [np.concatenate(run.tally.rows[rows:])[: 2 * polled]]
+                fused.count(polled - 1)
                 irows, vrows = span.rows
-                nbytes = int(irows[:done, 4].sum() + vrows[:done, 4].sum())
-                hook.took(i, i + done, nbytes)
+                nbytes = int(irows[:polled, 4].sum() + vrows[:polled, 4].sum())
+                hook.took(i, i + polled, nbytes)
                 if decoder is not None:
-                    decoder.took(i, i + done, nbytes, t0, t1, seconds)
+                    decoder.took(i, i + polled, nbytes, t0, t1, seconds, pairs)
                 run.flush()
+                if polled < done:
+                    raise RunCancelled(blocks_done=i + polled)
                 if done:
                     i += done
                     run.release_behind(i - 1)
@@ -313,6 +365,7 @@ class RecodeHook:
         self.cancel = cancel
         self.span = f"{prefix}.block"
         self.blocks = 0
+        self._polled = 0  # blocks whose cancel poll passed
         self.degraded = 0
         self.dma_seconds = 0.0
         # Blocks streamed / charged to the ledger, and the decoded blocks'
@@ -322,12 +375,11 @@ class RecodeHook:
 
     def __call__(self, _stored: CSRBlock | None, clean: bool | None = None) -> CSRBlock:
         """The next block. A fused run passes ``clean`` itself (whether the
-        block's stored records passed :meth:`DecodeRun.check`); no
-        ``cancel`` is polled then."""
+        block's stored records passed :meth:`DecodeRun.check`)."""
         i = self.blocks
+        if self.poll(i + 1) == i:
+            raise RunCancelled(blocks_done=i)
         if clean is None:
-            if self.cancel is not None and self.cancel():
-                raise RunCancelled(blocks_done=i)
             clean = self.run is not None and self.run.check(i)
         self.blocks = i + 1
         memory = self.memory
@@ -361,6 +413,16 @@ class RecodeHook:
         self._decoded += 1
         self._cpu_bytes += 12 * block.nnz
         return block
+
+    def poll(self, stop: int) -> int:
+        """Poll ``cancel`` once for each block not yet polled before
+        ``stop``, in order: the block whose poll fired, else ``stop``."""
+        if self.cancel is not None:
+            while self._polled < stop:
+                if self.cancel():
+                    return self._polled
+                self._polled += 1
+        return stop
 
     def took(self, start: int, stop: int, nbytes: int) -> None:
         """Count blocks ``[start, stop)`` as streamed and decoded elsewhere,

@@ -20,12 +20,11 @@ one of two decoders (see :mod:`repro.core.executor`):
 * without one, straight from the plan's records (or through the
   cycle-level UDP programs).
 
-Without ``cancel`` (and the simulator), a run with no engine or a
-cache-less one decodes and multiplies a span of blocks per native call
-instead (:func:`~repro.core.executor.run_spans`), and only a block that
-call stops at or may not take goes through the hook; an engine run's
-handle still accounts every block. Cached-engine and ``cancel`` runs
-read every block through the hook.
+Except under the UDP simulator, a run decodes and multiplies a span of
+blocks per native call instead (:func:`~repro.core.executor.run_spans`),
+caching them, and multiplies runs of cached blocks straight from the
+cache; only a block the call stops at or may not take goes through the
+hook, and an engine run's handle still accounts every block.
 
 Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
 accounting, and raised errors are bit-identical either way.
@@ -54,7 +53,8 @@ from repro.codecs.pipeline import DecodeRun, MatrixCompression
 from repro.core.executor import RecodeHook, run_pipelined, run_spans, serial_decoder
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
-from repro.sparse.spmm import operands as spmm_operands, spmm_blocked
+# ``spmm_blocked`` is unused here; perfbench's ledger patches the name.
+from repro.sparse.spmm import operands as spmm_operands, spmm_blocked  # noqa: F401
 from repro.sparse.spmv import operands as spmv_operands, spmv_blocked
 
 #: ``mode=`` values :func:`recoded_spmv` / :func:`recoded_spmm` accept.
@@ -156,7 +156,6 @@ def _execute(
     matrix_id: str,
     policy: str,
     mode: str,
-    kernel,
     prefix: str,
     nrhs: int,
     reader: ContainerReader | None = None,
@@ -164,8 +163,8 @@ def _execute(
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
     """Shared executor body for recoded SpMV (``prefix="spmv"``, 1-D ``x``)
-    and fused SpMM (``prefix="spmm"``, 2-D ``x``): the blocked ``kernel``
-    is the one block loop, and ``engine`` picks its recode hook's decoder.
+    and fused SpMM (``prefix="spmm"``, 2-D ``x``) on the fused route (a UDP
+    simulator run on the blocked SpMV kernel); ``engine`` picks the decoder.
 
     ``out`` is an optional preallocated accumulator (zero-filled by the
     kernel) that sessions reuse across iterations; results are
@@ -176,15 +175,13 @@ def _execute(
     log = TrafficLog()
     start = time.perf_counter()
     engine_backed = engine is not None and not use_udp_simulator
-    fused = cancel is None and not use_udp_simulator and (engine is None or engine.cache is None)
     if engine_backed:
         decode = run_pipelined(plan, engine, matrix_id)
         run = decode.run
     else:
-        # The run decodes ahead up to the next block an armed fault plan
-        # touches where this run streams (DRAM); the per-block route of a
-        # fused run decodes a block at a time.
-        run = DecodeRun(plan, ("dram",), (lambda i, _: i + 1) if fused else None)
+        # Spans end before blocks an armed fault plan touches where this
+        # run streams (DRAM); the per-block route decodes one at a time.
+        run = DecodeRun(plan, ("dram",), lambda i, _: i + 1)
         decode = serial_decoder(plan, use_udp_simulator, run)
     hook = RecodeHook(
         plan,
@@ -206,7 +203,7 @@ def _execute(
         with obs.trace(
             f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id, mode=mode
         ):
-            if fused:
+            if not use_udp_simulator:
                 x, y = (spmv_operands if prefix == "spmv" else spmm_operands)(
                     plan.blocked.shape, x, out)
                 # The op writes rows in place, so it needs them contiguous.
@@ -215,7 +212,7 @@ def _execute(
                 if acc is not y:
                     y[...] = acc
             else:
-                y = kernel(plan.blocked, x, recode=hook, out=out)
+                y = spmv_blocked(plan.blocked, x, recode=hook, out=out)
     finally:
         if engine_backed:
             decode.close()
@@ -254,7 +251,7 @@ def _execute(
     counters["bytes.udp_to_cpu"].inc(log.bytes_on("udp", "cpu"))
     counters["bytes.baseline"].inc(stats.baseline_dram_bytes)
     counters["dma_seconds"].inc(dma_seconds)
-    if fused and not engine_backed:  # an engine run books it as decode idle
+    if not (use_udp_simulator or engine_backed):  # an engine run books it as decode idle
         counters["multiply_seconds"].inc(multiply_s)
     if hook.degraded:
         counters["degraded_iterations"].inc()
@@ -310,11 +307,12 @@ def recoded_spmv(
             ``use_udp_simulator``) and echoed in ``stats.mode``, but
             selects no code: every engine-backed run reads its blocks off
             one engine decode handle.
-        cancel: optional zero-arg callable polled at every block
-            boundary; returning True abandons the run with
-            :class:`~repro.core.executor.RunCancelled` (deadline-bound
-            callers — the serve layer — use this to stop a request past
-            its deadline from spending further decode/DMA time).
+        cancel: optional zero-arg callable polled once per block, in
+            block order (a span's blocks after its first once it is
+            decoded, so up to one span late); True abandons the run with
+            :class:`~repro.core.executor.RunCancelled` (the serve layer
+            uses this to stop a request past its deadline from spending
+            further decode/DMA time).
         out: optional preallocated ``(nrows,)`` float64 accumulator,
             zero-filled and returned as ``y`` — lets iterative callers
             (:class:`~repro.core.session.ExecutionSession`) reuse one
@@ -334,7 +332,6 @@ def recoded_spmv(
             matrix_id=matrix_id,
             policy=policy,
             mode=mode,
-            kernel=spmv_blocked,
             prefix="spmv",
             nrhs=1,
             reader=reader,
@@ -390,7 +387,6 @@ def recoded_spmm(
             matrix_id=matrix_id,
             policy=policy,
             mode=mode,
-            kernel=spmm_blocked,
             prefix="spmm",
             nrhs=int(x.shape[1]),
             reader=reader,

@@ -16,11 +16,11 @@ cost. ``native.c`` runs them as plain C loops, loaded through
   is looked up by the table's identity. No state is shared and ctypes
   releases the GIL, so threads decode in parallel.
 * **Span multiply** (``dsh_spmv_span``): the span decode, each block
-  multiplied into the run's output as soon as it is decoded, summing each
-  row's products in ``np.add.reduceat``'s order (built with
-  ``-ffp-contract=off``, so no multiply-add is fused), up to the first
-  block that fails to decode or holds a column outside ``x``; the caller
-  takes that block on its per-block route.
+  multiplied into the run's output as it is decoded, summing each row's
+  products in ``np.add.reduceat``'s order (``-ffp-contract=off``: no
+  fused multiply-add), up to the first block that fails to decode or
+  holds a column outside ``x`` (the caller's per-block route takes it);
+  it also hands back the decoded blocks, for a cache to copy.
 * **Huffman decode**: an 11-bit first-match lookup table built from the
   reference's own interval test (:func:`_huffman_table`), then the
   reference's bit-by-bit walk for longer codes. The standalone
@@ -318,29 +318,34 @@ def _span(fn, plan, span, tally: DecodeTally, *product) -> tuple[int, int, list]
     return n, ns[-1], [buf[vtotal : vtotal + itotal].view("<i4"), buf[:vtotal].view("<f8")]
 
 
-@_register("dsh_decode_span", "native")
-def dsh_decode_span(plan, span, tally: DecodeTally) -> list[tuple[np.ndarray, np.ndarray]]:
-    n, _, (col_idx, val) = _span(_lib.dsh_decode_span, plan, span, tally)
-    if not n:
-        _reference_raise(decode_block_reference, plan, *span.records(span.start), tally)
+def _pairs(span, n: int, col_idx: np.ndarray, val: np.ndarray):
+    """The first ``n`` blocks' read-only ``(col_idx, val)`` in a span's output, lazily."""
     col_idx.flags.writeable = val.flags.writeable = False
     irows, vrows = span.rows
     iend, vend = np.cumsum(irows[:n, 4] // 4).tolist(), np.cumsum(vrows[:n, 4] // 8).tolist()
-    return [(col_idx[a:b], val[c:d]) for a, b, c, d in zip([0, *iend], iend, [0, *vend], vend)]
+    for a, b, c, d in zip([0, *iend], iend, [0, *vend], vend):
+        yield col_idx[a:b], val[c:d]
+
+
+@_register("dsh_decode_span", "native")
+def dsh_decode_span(plan, span, tally: DecodeTally) -> list[tuple[np.ndarray, np.ndarray]]:
+    n, _, bufs = _span(_lib.dsh_decode_span, plan, span, tally)
+    if not n:
+        _reference_raise(decode_block_reference, plan, *span.records(span.start), tally)
+    return list(_pairs(span, n, *bufs))
 
 
 @_register("dsh_spmv_span", "native")
-def dsh_spmv_span(
-    plan, span, x: np.ndarray, out: np.ndarray, tally: DecodeTally
-) -> tuple[int, float]:
+def dsh_spmv_span(plan, span, x: np.ndarray, out: np.ndarray, tally: DecodeTally) -> tuple:
     """``dsh_decode_span`` that multiplies each block by ``x`` into ``out``
     (C-contiguous float64, 1-D for SpMV, ``(n, k)`` for SpMM) as it goes,
     stopping also at a block holding a column outside ``x``: returns how
-    many blocks were done and the multiply's seconds."""
+    many blocks were done, the multiply's seconds and an iterable of their
+    decoded ``(col_idx, val)``."""
     ptr, blk = plan.blocked.row_layout
-    done, ns, _ = _span(
+    done, ns, bufs = _span(
         _lib.dsh_spmv_span, plan, span, tally, blk[span.start :].ctypes.data, ptr.ctypes.data,
         ptr.size, x.ctypes.data, len(x), 1 if x.ndim == 1 else x.shape[1], out.ctypes.data,
         len(out),
     )
-    return done, ns * 1e-9
+    return done, ns * 1e-9, _pairs(span, done, *bufs)

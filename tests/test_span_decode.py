@@ -216,9 +216,9 @@ def test_cancel_mid_span_counts_only_blocks_done(plans, monkeypatch, backend):
     plan, path = plans["many-spans"]
     done = SPAN // 2 + 1
     decoded = []
-    real = kernels.REGISTRY._impls[("dsh_decode_span", backend)]
-    monkeypatch.setitem(kernels.REGISTRY._impls, ("dsh_decode_span", backend),
-                        lambda *a: decoded.append(len(out := real(*a))) or out)
+    real = kernels.REGISTRY._impls[("dsh_spmv_span", backend)]
+    monkeypatch.setitem(kernels.REGISTRY._impls, ("dsh_spmv_span", backend),
+                        lambda *a: decoded.append((out := real(*a))[0]) or out)
     for source in (plan, str(path)):
         decoded.clear()
         polls = []
