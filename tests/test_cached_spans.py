@@ -16,6 +16,7 @@ cached payload must be byte-identical to ``plan.decompress_block(i)``.
 """
 
 import hashlib
+import sys
 import threading
 from unittest import mock
 
@@ -181,32 +182,40 @@ def test_a_clean_run_takes_no_block_through_the_hook(plans, monkeypatch, state):
                          cancel=cancel)
 
 
-def test_two_threads_share_one_cache_and_matrix(plans):
-    """The serve layer's compute threads: each run's result is the lone
-    run's, every cached payload a decode of its block, and (a cache that
-    evicts nothing) every block probed once a run."""
+def test_threads_share_one_cache_and_matrix(plans):
+    """The serve layer's compute threads, more of them than cores and
+    switching often: each run's result is the lone run's, every cached
+    payload a decode of its block, and (a cache that evicts nothing)
+    every block probed once a run."""
     plan, path = plans
     x = _rhs(plan)
     want = _sha(recoded_spmv(plan, x)[0])
-    for state, runs in (("empty", 3), ("every-other", 3), ("own-evictions", 4)):
-        engine = _engine(plan, state)
-        barrier, seen = threading.Barrier(2), []
+    nthreads, interval = 4, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for state, runs in (("empty", 3), ("every-other", 3), ("own-evictions", 4)):
+            engine = _engine(plan, state)
+            barrier, seen = threading.Barrier(nthreads), []
 
-        def work():
-            barrier.wait()
-            for _ in range(runs):
-                seen.append(_sha(recoded_spmv(path, x, engine=engine, matrix_id=MATRIX)[0]))
+            def work():
+                barrier.wait(timeout=60)
+                for _ in range(runs):
+                    y = recoded_spmv(path, x, engine=engine, matrix_id=MATRIX)[0]
+                    seen.append(_sha(y))
 
-        threads = [threading.Thread(target=work) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert seen == [want] * 2 * runs, state
-        _resident(plan, engine.cache)
-        if state != "own-evictions":
-            st = engine.cache.stats
-            assert st.hits + st.misses == 2 * runs * plan.nblocks, state
+            threads = [threading.Thread(target=work) for _ in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads), state
+            assert seen == [want] * nthreads * runs, state
+            _resident(plan, engine.cache)
+            if state != "own-evictions":
+                st = engine.cache.stats
+                assert st.hits + st.misses == nthreads * runs * plan.nblocks, state
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("policy", ["strict", "degrade"])
