@@ -32,6 +32,8 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import faults, obs
 from repro.codecs.errors import BlockDecodeError, CodecError
 from repro.codecs.pipeline import DecodeRun, MatrixCompression
@@ -230,35 +232,39 @@ class DecodedBlockCache:
             self.stats.hits += 1
             return entry[0]
 
-    def put(self, key: tuple, block: CSRBlock, miss: bool = False) -> None:
-        """Insert ``block``; ``miss`` counts the probe that found ``key`` absent."""
-        matrix_id = key[0]
-        nbytes = 12 * block.nnz
+    def put(self, key: tuple, block: CSRBlock) -> None:
+        self.put_many([(key, block)])
+
+    def put_many(self, items: list, misses: int = 0) -> None:
+        """Insert each ``(key, block)`` of ``items``, in order, under one
+        lock, counting ``misses`` probes that found a key absent."""
         share = self.matrix_share_bytes
         with self._lock:
-            self.stats.misses += miss
-            if share is not None and nbytes > share:
-                self.rejected += 1
-                return
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._account(matrix_id, -old[1])
-            self._entries[key] = (block, nbytes)
-            self._account(matrix_id, nbytes)
-            # This matrix pays for its own overshoot before any global
-            # pressure lands on others.
-            while True:
-                if share is not None and self._matrix_bytes.get(matrix_id, 0) > share:
-                    victim = next(k for k in self._entries if k[0] == matrix_id)
-                    self.matrix_evictions += 1
-                elif self._entries and (
-                    self.stats.current_bytes > self.max_bytes
-                    or (self.max_blocks is not None and len(self._entries) > self.max_blocks)
-                ):
-                    victim = next(iter(self._entries))
-                else:
-                    break
-                self._drop(victim)
+            self.stats.misses += misses
+            for key, block in items:
+                matrix_id, nbytes = key[0], 12 * block.nnz
+                if share is not None and nbytes > share:
+                    self.rejected += 1
+                    continue
+                old = self._entries.pop(key, None)
+                if old is not None:
+                    self._account(matrix_id, -old[1])
+                self._entries[key] = (block, nbytes)
+                self._account(matrix_id, nbytes)
+                # This matrix pays for its own overshoot before any global
+                # pressure lands on others.
+                while True:
+                    if share is not None and self._matrix_bytes.get(matrix_id, 0) > share:
+                        victim = next(k for k in self._entries if k[0] == matrix_id)
+                        self.matrix_evictions += 1
+                    elif self._entries and (
+                        self.stats.current_bytes > self.max_bytes
+                        or (self.max_blocks is not None and len(self._entries) > self.max_blocks)
+                    ):
+                        victim = next(iter(self._entries))
+                    else:
+                        break
+                    self._drop(victim)
 
     def evict_matrix(self, matrix_id: str) -> int:
         """Drop every resident block of one matrix; returns bytes freed."""
@@ -545,12 +551,14 @@ class RecodeEngine:
 # ---------------------------------------------------------------------------
 
 
-def _owned(block: CSRBlock, col_idx, val) -> CSRBlock:
-    """``block`` over read-only copies of the decoded ``col_idx`` and
-    ``val``, pinning no span buffer they were decoded into."""
-    col_idx, val = col_idx.copy(), val.copy()
-    col_idx.flags.writeable = val.flags.writeable = False
-    return block.with_payload(col_idx, val)
+def _owned(shell: CSRBlock, col_idx, val) -> CSRBlock:
+    """:meth:`CSRBlock.with_payload` (lengths unchecked) over read-only
+    copies of ``col_idx`` and ``val``, pinning no buffer they were decoded into."""
+    block = object.__new__(CSRBlock)
+    block.__dict__.update(shell.__dict__, _row_segments=shell.row_segments(),
+                          col_idx=np.frombuffer(col_idx.tobytes(), col_idx.dtype),
+                          val=np.frombuffer(val.tobytes(), val.dtype))
+    return block
 
 
 class AsyncDecode:
@@ -591,7 +599,7 @@ class AsyncDecode:
         self._decoded_blocks = 0
         self._yielded_bytes = 0
         self._pos = 0  # of the block being produced (or taken) next, in ids
-        self.probed = -1  # a block whose probe missed: took() counts no second miss
+        self.probed = -1  # a block whose cache probe the consumer made and missed
         #: One decode run per handle: the kernel bound once, telemetry
         #: published when the handle's stats are. A recoded SpMV checks
         #: and streams its blocks through it, so its spans also end before
@@ -621,25 +629,26 @@ class AsyncDecode:
         self._gen.close()
         self._flush_stats()  # a handle only ever given took() never started
 
-    def took(self, start: int, stop: int, nbytes: int, seconds: float, pairs=(),
-             hits: bool = False) -> None:
-        """Count the next blocks ``[start, stop)`` as the consumer's cache
-        ``hits`` or as decoded by it (with a cache, misses, each ``(col_idx,
-        val)`` of ``pairs`` put in it), in ``seconds``, ``nbytes`` out."""
+    def took(self, start: int, stop: int, nbytes: int, seconds: float, pairs=()) -> None:
+        """Count the next blocks ``[start, stop)`` as decoded by the consumer in
+        ``seconds``, ``nbytes`` out; with a cache, as misses, putting ``pairs``."""
         self._pos += stop - start
+        self._decoded_blocks += stop - start
         self._yielded_bytes += nbytes
         self._busy += seconds
-        if hits:
-            self._hits += stop - start
-            return
-        self._decoded_blocks += stop - start
         cache = self._engine.cache
         if cache is not None:
             self._misses += stop - start
             shells, fp = self._plan.blocked.blocks, plan_fingerprint(self._plan)
-            for i, (col_idx, val) in zip(range(start, stop), pairs):
-                cache.put((self._matrix_id, i, fp), _owned(shells[i], col_idx, val),
-                          i != self.probed)
+            cache.put_many([((self._matrix_id, i, fp), _owned(shells[i], *pair))
+                            for i, pair in zip(range(start, stop), pairs)], stop - start)
+
+    def took_hits(self, n: int, nbytes: int, seconds: float) -> None:
+        """Count the next ``n`` blocks as cache hits read in ``seconds``, ``nbytes`` out."""
+        self._pos += n
+        self._hits += n
+        self._yielded_bytes += nbytes
+        self._busy += seconds
 
     # -- internals -----------------------------------------------------------
 
@@ -673,7 +682,8 @@ class AsyncDecode:
         fault_plan = faults.active()
         while self._pos < len(ids):
             i = ids[self._pos]
-            res = cache.get((matrix_id, i, fingerprint)) if cache is not None else None
+            probe = cache is not None and i != self.probed
+            res = cache.get((matrix_id, i, fingerprint)) if probe else None
             if res is not None:
                 self._hits += 1
             elif cache is not None:
@@ -697,18 +707,17 @@ class AsyncDecode:
             self._pos += 1
             yield i, res
 
-    def span_stop(self, i: int, stop: int, cached: bool = False) -> int:
+    def span_stop(self, i: int, stop: int) -> int:
         """How far a span from block ``i``, the next asked for, may run (by
-        ``stop``): to the first block from ``i`` on not asked for next, or
-        cached or quarantined for this matrix and plan — or, a run of hits
-        (``cached``), not cached."""
+        ``stop``): to the first block from ``i`` on not asked for next,
+        cached, or quarantined for this matrix and plan."""
         ids, at, cache = self._ids, self._pos - i, self._engine.cache
         key = plan_fingerprint(self._plan) if cache is not None else ""
-        quarantined = not cached and self._engine.quarantined
+        quarantined = self._engine.quarantined
         bad = (self._matrix_id, plan_fingerprint(self._plan)) if quarantined else None
         end = i
         while end < stop and at + end < len(ids) and ids[at + end] == end and (
-            (self._matrix_id, end, key) in (cache or ())) == cached and (
+            self._matrix_id, end, key) not in (cache or ()) and (
                 bad is None or (*bad, end) not in quarantined):
             end += 1
         return end

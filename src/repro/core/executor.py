@@ -20,11 +20,10 @@ executor is only the hook it calls for block *i*, in block order:
 
 Every run but a UDP simulator one skips the hook loop where it can:
 :func:`run_spans` decodes and multiplies a span of blocks per
-``dsh_spmv_span`` call, in the blocked kernels' summation order, and
-multiplies a run of an engine's cached blocks straight from its cache,
-handing the hook only the blocks the op stops at or may not take. An
-engine run's handle counts those blocks, and caches the span's, without
-yielding them. ``cancel`` is polled once per block either way.
+``dsh_spmv_span`` call, in the blocked kernels' summation order, and runs
+of an engine's cached blocks straight from its cache, handing the hook
+only the blocks the op stops at or may not take. An engine run's handle
+counts (and caches) those blocks without yielding them.
 
 Because blocks are consumed in order whatever the decoder, the
 multiply, the ``TrafficLog``, the ``dma_seconds`` float-addition
@@ -66,8 +65,8 @@ class RunCancelled(RuntimeError):
     Cooperative cancellation for deadline-bound callers (the serve layer):
     the executor polls the callback once per block (:meth:`RecodeHook.poll`)
     and abandons the run at the block it returns True for, so a request
-    past its deadline stops borrowing decode time, DMA model time, and
-    cache capacity. The partial result is discarded.
+    past its deadline stops borrowing DMA model time and cache capacity,
+    and decode time after its span. The partial result is discarded.
     """
 
     def __init__(self, message: str = "run cancelled", blocks_done: int = 0):
@@ -93,8 +92,7 @@ def multiply_span_reference(
     """Reference ``dsh_spmv_span``: :func:`decode_span_reference`, then
     :func:`multiply_block` of each block up to the first whose payload or
     columns disagree with its rows or ``x``. Returns the blocks done, the
-    multiply's seconds and their ``(col_idx, val)``, their telemetry to
-    ``tally``."""
+    multiply's seconds and their ``(col_idx, val)`` (telemetry: ``tally``)."""
     decoded = DecodeTally()
     try:
         pairs = decode_span_reference(plan, span, decoded)
@@ -158,7 +156,6 @@ class PipelinedDecoder:
         self._plan = plan
         self._handle = engine.decode_blocks_async(plan, matrix_id=matrix_id)
         self.run = self._handle.run
-        self.span_stop = self._handle.span_stop
         self._cache = engine.cache
         self._key = matrix_id, plan_fingerprint(plan) if engine.cache is not None else ""
         self._wait_s = self._multiply_s = 0.0
@@ -170,39 +167,52 @@ class PipelinedDecoder:
             self._multiply_s += now - self._handed_at
             self._handed_at = None
 
-    def took(self, start: int, stop: int, nbytes: int, t0: float, t1: float,
-             multiply_s: float, pairs=(), hits: bool = False) -> None:
-        """Count blocks ``[start, stop)`` as :meth:`AsyncDecode.took` does,
-        decoded and multiplied from ``t0`` to ``t1``, ``multiply_s`` of it
-        multiplying."""
+    def _book(self, t0: float, t1: float, multiply_s: float) -> float:
+        """Book ``t0``..``t1``, ``multiply_s`` multiplying: the rest waited (returned)."""
         self._charge_multiply(t0)
         self._wait_s += t1 - t0 - multiply_s
         self._multiply_s += multiply_s
-        self._handle.took(start, stop, nbytes, t1 - t0 - multiply_s, pairs, hits)
+        return t1 - t0 - multiply_s
+
+    def took(self, start: int, stop: int, nbytes: int, t0: float, t1: float,
+             multiply_s: float, pairs=()) -> None:
+        """:meth:`AsyncDecode.took` of blocks decoded and multiplied from
+        ``t0`` to ``t1``, ``multiply_s`` of it multiplying."""
+        self._handle.took(start, stop, nbytes, self._book(t0, t1, multiply_s), pairs)
+
+    def span_stop(self, i: int, stop: int) -> tuple[int, bool]:
+        """Where (by ``stop``) the run of cached blocks from block ``i`` ends,
+        and True; or, ``i`` not cached, :meth:`AsyncDecode.span_stop`, False."""
+        matrix_id, fp = self._key
+        end = i
+        while end < stop and (matrix_id, end, fp) in (self._cache or ()):
+            end += 1
+        return (end, True) if end > i else (self._handle.span_stop(i, stop), False)
 
     def multiply_hits(self, i: int, stop: int, x: np.ndarray, out: np.ndarray,
                       hook: "RecodeHook") -> int:
-        """Multiply the cached blocks ``[i, stop)`` into ``out``, each
-        polled, got and multiplied in block order, up to the first another
-        thread evicted (returned; else ``stop``) or whose poll fires."""
+        """Poll, check, get and multiply into ``out`` each cached block of
+        ``[i, stop)`` in order, as the per-block route does, up to the first
+        whose poll fires (raising) or records fail their check or that was
+        evicted meanwhile (:attr:`AsyncDecode.probed`): returned, else ``stop``."""
         get, (matrix_id, fp) = self._cache.get, self._key
-        nbytes, probe_s, b, block, fired = 0, 0.0, i, True, False
+        nbytes, probe_s, b, fired = 0, 0.0, i, False
         t0 = time.perf_counter()
         with obs.trace(hook.span, start=i, stop=stop):
-            while b < stop and not (fired := hook.poll(b + 1) == b):
+            while b < stop and not (fired := hook.poll(b + 1) == b) and (
+                    self.run.check(b, release=False)):
                 t = time.perf_counter()
                 block = get((matrix_id, b, fp))
                 probe_s += time.perf_counter() - t
                 if block is None:
+                    self._handle.probed = b
                     break
                 multiply_block(block, x, out)
                 nbytes += 12 * block.nnz
                 b += 1
         t1 = time.perf_counter()
         hook.took(i, b, nbytes)
-        self.took(i, b, nbytes, t0, t1, t1 - t0 - probe_s, (), True)
-        if block is None:
-            self._handle.probed = b
+        self._handle.took_hits(b - i, nbytes, self._book(t0, t1, t1 - t0 - probe_s))
         if b > i:
             self.run.release_behind(b - 1)
         if fired:
@@ -235,39 +245,34 @@ def run_spans(
     plan: MatrixCompression, x: np.ndarray, out: np.ndarray, hook: "RecodeHook",
     run: DecodeRun, decoder: PipelinedDecoder | None = None,
 ) -> float:
-    """The fused route: each span of blocks is decoded and multiplied into
-    ``out`` by one ``dsh_spmv_span`` call, its records checked before and
-    its telemetry published after; an engine ``decoder`` counts and caches
-    the span's blocks, and multiplies each run of cached blocks
-    (:meth:`PipelinedDecoder.multiply_hits`). Returns the op's multiply
-    seconds.
-
-    A span ends before a block the fault plan armed for ``run`` touches,
-    a block whose stored records fail their check and, with ``decoder``, a
-    block its engine cached or quarantined (a run of hits, one not
-    cached). Such a block, and a block the op stops at, takes ``hook``'s
-    per-block route. The op's blocks count as ``dsh_decode_span``
-    dispatches, one per block, as the per-block route counts them.
-    ``cancel`` is polled as each block is counted: a span's first block
-    before the op, the rest after it; a span's blocks from the one whose
-    poll fires on, decoded and multiplied, are neither counted nor cached.
+    """The fused route: one ``dsh_spmv_span`` call decodes and multiplies
+    each span of blocks into ``out``, its records checked before and its
+    telemetry published after; an engine ``decoder`` counts and caches the
+    span's blocks and multiplies each run of cached ones. Returns the op's
+    multiply seconds. A span ends before a block the fault plan armed for
+    ``run`` touches, whose stored records fail their check, or (with
+    ``decoder``) that is cached or quarantined. Such a block, and one the
+    op stops at, takes ``hook``'s per-block route. The op's blocks count as
+    ``dsh_decode_span`` dispatches, one per block. ``cancel`` is polled as
+    each block is counted: a span's first before the op, the rest after;
+    blocks from one whose poll fires on are neither counted nor cached.
     """
     fused = kernels.bind("dsh_spmv_span", label="dsh_decode_span")
     i = checked = 0
     multiply_s = 0.0
     try:
         while i < plan.nblocks:
-            stop = run.stop(i, i)
-            hits = decoder is not None and decoder.span_stop(i, i + 1, True) > i
+            stop, hits = run.stop(i, i), False
             if decoder is not None:
-                stop = decoder.span_stop(i, stop, hits)
+                stop, hits = decoder.span_stop(i, stop)
+            if hits:  # each block's records are checked as it is reached
+                if (i := decoder.multiply_hits(i, stop, x, out, hook)) == stop:
+                    continue
+                stop = i  # its records failed their check, or it was evicted
             checked = max(checked, i)
             while checked < stop and run.check(checked, release=False):
                 checked += 1
             stop = min(stop, checked)
-            if stop > i and hits:
-                i = decoder.multiply_hits(i, stop, x, out, hook)
-                continue
             if stop > i:
                 if hook.poll(i + 1) == i:
                     raise RunCancelled(blocks_done=i)
@@ -417,11 +422,10 @@ class RecodeHook:
     def poll(self, stop: int) -> int:
         """Poll ``cancel`` once for each block not yet polled before
         ``stop``, in order: the block whose poll fired, else ``stop``."""
-        if self.cancel is not None:
-            while self._polled < stop:
-                if self.cancel():
-                    return self._polled
-                self._polled += 1
+        while self.cancel is not None and self._polled < stop:
+            if self.cancel():
+                return self._polled
+            self._polled += 1
         return stop
 
     def took(self, start: int, stop: int, nbytes: int) -> None:

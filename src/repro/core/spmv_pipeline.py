@@ -307,12 +307,11 @@ def recoded_spmv(
             ``use_udp_simulator``) and echoed in ``stats.mode``, but
             selects no code: every engine-backed run reads its blocks off
             one engine decode handle.
-        cancel: optional zero-arg callable polled once per block, in
-            block order (a span's blocks after its first once it is
-            decoded, so up to one span late); True abandons the run with
-            :class:`~repro.core.executor.RunCancelled` (the serve layer
-            uses this to stop a request past its deadline from spending
-            further decode/DMA time).
+        cancel: optional zero-arg callable polled once per block (a
+            span's blocks after its first once it is decoded: up to one
+            span late); True abandons the run with
+            :class:`~repro.core.executor.RunCancelled` (the serve layer's
+            deadline, to stop further decode/DMA time).
         out: optional preallocated ``(nrows,)`` float64 accumulator,
             zero-filled and returned as ``y`` — lets iterative callers
             (:class:`~repro.core.session.ExecutionSession`) reuse one
