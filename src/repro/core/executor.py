@@ -1,33 +1,27 @@
-"""Block executors for recoded SpMV/SpMM: the ``recode`` hooks of one loop.
+"""Block executors for recoded SpMV/SpMM: one tiled loop, two routes.
 
 The paper's executor (Fig. 7) is one tiled loop over blocks with a
-``recode()`` call in front of each multiply. The blocked kernels
-(:func:`~repro.sparse.spmv.spmv_blocked`,
-:func:`~repro.sparse.spmm.spmm_blocked`) are that loop, and every
-executor is only the hook it calls for block *i*, in block order:
+``recode()`` call in front of each multiply. :func:`run_blocks` is that
+loop, the per-block route, which UDP simulator runs take:
+:class:`RecodeHook` polls ``cancel``, streams block *i*'s compressed
+records out of DRAM, asks a *decoder* for the block and applies the
+strict/degrade failure policy (the DMA model is charged per run, from a
+per-plan :func:`dma_ledger`), and :func:`multiply_block` multiplies it.
+On either route the hook's decoder is :func:`run_pipelined` on every
+engine-backed run (one :meth:`~repro.codecs.engine.RecodeEngine.decode_blocks_async`
+handle per run) and :func:`serial_decoder` on the others (the cycle-level
+UDP programs, or ``plan.decompress_block`` through the run's
+:class:`~repro.codecs.pipeline.DecodeRun`).
 
-* :class:`RecodeHook` polls ``cancel``, streams block *i*'s compressed
-  records out of DRAM, asks a *decoder* for the block, and applies the
-  strict/degrade failure policy; the DMA model is charged per run, from
-  a per-plan :func:`dma_ledger`;
-* :func:`run_pipelined` is the decoder of every engine-backed run: it
-  reads block *i* off one
-  :meth:`~repro.codecs.engine.RecodeEngine.decode_blocks_async` handle
-  for the whole run, which decodes it inline when asked;
-* :func:`serial_decoder` is the decoder of engine-less runs: the
-  cycle-level UDP programs, or ``plan.decompress_block`` through the
-  run's :class:`~repro.codecs.pipeline.DecodeRun`.
-
-Every run but a UDP simulator one skips the hook loop where it can:
-:func:`run_spans` decodes and multiplies a span of blocks per
-``dsh_spmv_span`` call, in the blocked kernels' summation order, and runs
-of an engine's cached blocks straight from its cache, handing the hook
-only the blocks the op stops at or may not take. An engine run's handle
-counts (and caches) those blocks without yielding them.
-
-Because blocks are consumed in order whatever the decoder, the
-multiply, the ``TrafficLog``, the ``dma_seconds`` float-addition
-sequence and the raised errors are the engine-less ones bit for bit.
+Every other run takes :func:`run_spans`, the fused route: one
+``dsh_spmv_span`` call decodes and multiplies a span of blocks, in
+:func:`multiply_block`'s summation order, and runs of an engine's cached
+blocks are multiplied straight from its cache; the hook gets only the
+blocks the op stops at or may not take, and an engine run's handle
+counts (and caches) the others without yielding them. Blocks are
+consumed in order on either route, so the multiply, the ``TrafficLog``,
+the ``dma_seconds`` float-addition sequence and the raised errors are
+the same bit for bit: :func:`run_blocks` is the fused route's oracle.
 """
 
 from __future__ import annotations
@@ -63,10 +57,12 @@ class RunCancelled(RuntimeError):
     """A run's ``cancel`` callback fired at a block boundary.
 
     Cooperative cancellation for deadline-bound callers (the serve layer):
-    the executor polls the callback once per block (:meth:`RecodeHook.poll`)
-    and abandons the run at the block it returns True for, so a request
-    past its deadline stops borrowing DMA model time and cache capacity,
-    and decode time after its span. The partial result is discarded.
+    the executor polls the callback once per block, in block order (a
+    span's first block before the span op, the others after it), and
+    abandons the run at the block it fires on, so a request past its
+    deadline stops borrowing DMA model time, cache capacity and decode
+    time after its current span (≤63 blocks). The partial result is
+    discarded.
     """
 
     def __init__(self, message: str = "run cancelled", blocks_done: int = 0):
@@ -75,7 +71,7 @@ class RunCancelled(RuntimeError):
 
 
 def multiply_block(block: CSRBlock, x: np.ndarray, out: np.ndarray) -> None:
-    """Multiply one block into ``out`` exactly as the blocked kernels do."""
+    """Multiply one block into ``out``, in every route's summation order."""
     if block.nnz:
         rows, seg_starts = block.row_segments()
         products = x.take(block.col_idx, axis=0)
@@ -114,9 +110,9 @@ def multiply_span_reference(
 def serial_decoder(
     plan: MatrixCompression, use_udp_simulator: bool, run: DecodeRun
 ) -> Decoder:
-    """Decode each block when the kernel reaches it, with the UDP programs
-    or through ``run``: the decoder of runs without an engine (and of UDP
-    simulator runs, which ignore it)."""
+    """Decode each block when the hook asks for it, with the UDP programs
+    (which ignore ``run``) or through ``run``: the decoder of runs without
+    an engine."""
     toolchain = DecoderToolchain(plan) if use_udp_simulator else None
     lane = Lane() if use_udp_simulator else None
 
@@ -141,13 +137,13 @@ class PipelinedDecoder:
     """The engine decoder: one engine handle for the whole run, read in
     block order.
 
-    The handle yields block *i* when the kernel asks for it. A DRAM-
+    The handle yields block *i* when the hook asks for it. A DRAM-
     faulted block still takes its engine result off the handle but
     decodes what arrived instead. On the fused route (:func:`run_spans`)
     the handle counts the spans the op took and the runs of cached blocks
     :meth:`multiply_hits` multiplied. :meth:`close` (called however the
     run ends) closes the handle and flushes the ``spmv.pipeline.*``
-    telemetry: ``multiply_idle_seconds`` is the time the kernel waited on
+    telemetry: ``multiply_idle_seconds`` is the time the run waited on
     decode (the op's decode and cache probes included), and
     ``decode_idle_seconds`` the time it spent multiplying.
     """
@@ -241,6 +237,17 @@ class PipelinedDecoder:
         _PIPELINE_COUNTERS["decode_idle_seconds"].inc(self._multiply_s)
 
 
+def run_blocks(
+    plan: MatrixCompression, x: np.ndarray, out: np.ndarray, hook: "RecodeHook",
+    run: DecodeRun, decoder: PipelinedDecoder | None = None,
+) -> float:
+    """The per-block route: ``hook`` in front of each block's multiply into
+    ``out``. Takes :func:`run_spans`' arguments; times nothing (0.0)."""
+    for _ in range(plan.nblocks):
+        multiply_block(hook(None), x, out)
+    return 0.0
+
+
 def run_spans(
     plan: MatrixCompression, x: np.ndarray, out: np.ndarray, hook: "RecodeHook",
     run: DecodeRun, decoder: PipelinedDecoder | None = None,
@@ -329,15 +336,15 @@ def dma_ledger(plan: MatrixCompression, memory: MemorySystem) -> DMALedger:
 
 
 class RecodeHook:
-    """The ``recode`` hook the blocked kernels call in front of block *i*.
+    """The ``recode`` hook in front of block *i*'s multiply.
 
-    The kernel calls it once per block, in block order. It polls
-    ``cancel``, streams both records out of ``memory`` (one block at a
-    time, so an mmap-backed plan stays at bounded residency), decodes
-    through ``decode``, and on a codec error raises the
-    :class:`BlockDecodeError` naming the block (``strict``) or substitutes
-    ``raw_block(i)`` — the pristine raw block, streamed uncompressed —
-    and counts it (``degrade``).
+    A route calls it for each block it does not take itself, in block
+    order. It polls ``cancel``, streams both records out of ``memory``
+    (one block at a time, so an mmap-backed plan stays at bounded
+    residency), decodes through ``decode``, and on a codec error raises
+    the :class:`BlockDecodeError` naming the block (``strict``) or
+    substitutes ``raw_block(i)`` — the pristine raw block, streamed
+    uncompressed — and counts it (``degrade``).
 
     The model is charged per run, not per block: :meth:`charge` books the
     streamed records' DMA from the plan's :func:`dma_ledger` and the
@@ -353,7 +360,7 @@ class RecodeHook:
         memory: MemorySystem,
         log: TrafficLog,
         decode: Decoder,
-        run: DecodeRun | None,
+        run: DecodeRun,
         raw_block: Callable[[int], CSRBlock],
         policy: str,
         cancel: Callable[[], bool] | None,
@@ -380,12 +387,13 @@ class RecodeHook:
 
     def __call__(self, _stored: CSRBlock | None, clean: bool | None = None) -> CSRBlock:
         """The next block. A fused run passes ``clean`` itself (whether the
-        block's stored records passed :meth:`DecodeRun.check`)."""
+        block's stored records passed :meth:`DecodeRun.check`); else the
+        hook checks them."""
         i = self.blocks
         if self.poll(i + 1) == i:
             raise RunCancelled(blocks_done=i)
         if clean is None:
-            clean = self.run is not None and self.run.check(i)
+            clean = self.run.check(i)
         self.blocks = i + 1
         memory = self.memory
         if clean:

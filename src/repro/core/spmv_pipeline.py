@@ -9,25 +9,25 @@
    run the actual cycle-level UDP programs;
 3. the CPU multiplies the block (traffic edge ``udp -> cpu``).
 
-Every run is the same tiled loop (the blocked kernel with a ``recode``
-hook in front of each multiply, Fig. 7); the hook gets block *i* from
-one of two decoders (see :mod:`repro.core.executor`):
+Every run is the same tiled loop (a ``recode`` hook in front of each
+block's multiply, Fig. 7), on one of two routes (see
+:mod:`repro.core.executor`). A UDP simulator run takes the per-block
+route (:func:`~repro.core.executor.run_blocks`): the hook hands over
+every block, decoded by the cycle-level UDP programs. Every other run
+takes the fused route (:func:`~repro.core.executor.run_spans`): it
+decodes and multiplies a span of blocks per native call, caching them,
+and multiplies runs of cached blocks straight from the cache; only a
+block the call stops at or may not take goes through the hook. The hook
+gets that block from one of two decoders:
 
 * with an ``engine``, off one
   :class:`~repro.codecs.engine.RecodeEngine` decode handle for the whole
   run, which decodes it inline (or finds it in the engine's cache) when
-  asked;
-* without one, straight from the plan's records (or through the
-  cycle-level UDP programs).
-
-Except under the UDP simulator, a run decodes and multiplies a span of
-blocks per native call instead (:func:`~repro.core.executor.run_spans`),
-caching them, and multiplies runs of cached blocks straight from the
-cache; only a block the call stops at or may not take goes through the
-hook, and an engine run's handle still accounts every block.
+  asked, and accounts every block;
+* without one, straight from the plan's records.
 
 Result vector, TrafficLog byte totals, ``dma_seconds``, degraded-block
-accounting, and raised errors are bit-identical either way.
+accounting, and raised errors are bit-identical on either route.
 
 :func:`recoded_spmm` fuses multiple right-hand sides: each block is
 streamed and decoded **once** and multiplied against all ``k`` columns,
@@ -50,12 +50,12 @@ from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
 from repro.codecs.pipeline import DecodeRun, MatrixCompression
-from repro.core.executor import RecodeHook, run_pipelined, run_spans, serial_decoder
+from repro.core.executor import RecodeHook, run_blocks, run_pipelined, run_spans, serial_decoder
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
-# ``spmm_blocked`` is unused here; perfbench's ledger patches the name.
+# The blocked kernels are unused here; perfbench's ledger patches their names.
 from repro.sparse.spmm import operands as spmm_operands, spmm_blocked  # noqa: F401
-from repro.sparse.spmv import operands as spmv_operands, spmv_blocked
+from repro.sparse.spmv import operands as spmv_operands, spmv_blocked  # noqa: F401
 
 #: ``mode=`` values :func:`recoded_spmv` / :func:`recoded_spmm` accept.
 #: Both run the same executor; the argument is kept for perfbench.
@@ -164,10 +164,10 @@ def _execute(
 ) -> tuple[np.ndarray, PipelineStats]:
     """Shared executor body for recoded SpMV (``prefix="spmv"``, 1-D ``x``)
     and fused SpMM (``prefix="spmm"``, 2-D ``x``) on the fused route (a UDP
-    simulator run on the blocked SpMV kernel); ``engine`` picks the decoder.
+    simulator run on the per-block route); ``engine`` picks the decoder.
 
-    ``out`` is an optional preallocated accumulator (zero-filled by the
-    kernel) that sessions reuse across iterations; results are
+    ``out`` is an optional preallocated accumulator (zero-filled before
+    the run) that sessions reuse across iterations; results are
     bit-identical with or without it.
     """
     _validate(policy, mode, engine, use_udp_simulator)
@@ -188,7 +188,7 @@ def _execute(
         memory=memory,
         log=log,
         decode=decode,
-        run=None if use_udp_simulator else run,
+        run=run,
         # degrade substitutes the retained CSR partition of an in-memory
         # plan, or decodes the pristine mapped records of a streamed one.
         raw_block=(
@@ -203,16 +203,14 @@ def _execute(
         with obs.trace(
             f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id, mode=mode
         ):
-            if not use_udp_simulator:
-                x, y = (spmv_operands if prefix == "spmv" else spmm_operands)(
-                    plan.blocked.shape, x, out)
-                # The op writes rows in place, so it needs them contiguous.
-                acc = y if y.flags.c_contiguous else np.zeros(y.shape)
-                multiply_s = run_spans(plan, x, acc, hook, run, decode if engine_backed else None)
-                if acc is not y:
-                    y[...] = acc
-            else:
-                y = spmv_blocked(plan.blocked, x, recode=hook, out=out)
+            x, y = (spmv_operands if prefix == "spmv" else spmm_operands)(
+                plan.blocked.shape, x, out)
+            # The op writes rows in place, so it needs them contiguous.
+            acc = y if y.flags.c_contiguous else np.zeros(y.shape)
+            multiply_s = (run_blocks if use_udp_simulator else run_spans)(
+                plan, x, acc, hook, run, decode if engine_backed else None)
+            if acc is not y:
+                y[...] = acc
     finally:
         if engine_backed:
             decode.close()
@@ -307,11 +305,12 @@ def recoded_spmv(
             ``use_udp_simulator``) and echoed in ``stats.mode``, but
             selects no code: every engine-backed run reads its blocks off
             one engine decode handle.
-        cancel: optional zero-arg callable polled once per block (a
-            span's blocks after its first once it is decoded: up to one
-            span late); True abandons the run with
-            :class:`~repro.core.executor.RunCancelled` (the serve layer's
-            deadline, to stop further decode/DMA time).
+        cancel: optional zero-arg callable polled once per block, in
+            block order (a span's first block before the span op, the
+            others after it returns); True abandons the run at that block
+            with :class:`~repro.core.executor.RunCancelled`. The serve
+            layer's deadline, it stops further decode and DMA time after
+            the current span (≤63 blocks).
         out: optional preallocated ``(nrows,)`` float64 accumulator,
             zero-filled and returned as ``y`` — lets iterative callers
             (:class:`~repro.core.session.ExecutionSession`) reuse one

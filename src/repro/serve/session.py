@@ -92,8 +92,9 @@ class MatrixLibrary:
     Names are file stems (``web-graph.dsh`` serves as ``web-graph``).
     Readers open lazily on first use (verify="lazy": structural walk up
     front, payload CRCs at access — corruption surfaces as the same typed
-    errors the batch path raises) and stay open for the server's life;
-    with a ``residency_budget`` each mapping stays O(budget) resident.
+    errors the batch path raises, each record's once) and stay open for
+    the server's life; with a ``residency_budget`` each mapping stays
+    O(budget) resident.
     """
 
     def __init__(
@@ -135,6 +136,7 @@ class MatrixLibrary:
                 reader = ContainerReader(
                     path, verify="lazy", residency_budget=self.residency_budget
                 )
+                reader.enable_crc_memo()
                 self._readers[name] = reader
             return reader
 

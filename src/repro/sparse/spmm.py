@@ -9,11 +9,9 @@ over — :func:`spmm_speedup_model` quantifies that crossover.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
-from repro.sparse.blocked import BlockedCSR, CSRBlock
+from repro.sparse.blocked import BlockedCSR
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
 from repro.sparse.spmv import spmv_blocked
 
@@ -62,35 +60,19 @@ def operands(
 def spmm_blocked(
     blocked: BlockedCSR,
     x: np.ndarray,
-    recode: Callable[[CSRBlock], CSRBlock] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Tiled SpMM with the same ``recode`` hook as
-    :func:`repro.sparse.spmv.spmv_blocked`.
+    """SpMM over decoded blocks: :func:`repro.sparse.spmv.spmv_blocked`
+    per column, which beats a width-``k`` gather and ``reduceat`` with the
+    same sums bit for bit.
 
     ``out`` is an optional preallocated ``(nrows, k)`` float64 accumulator
     (zero-filled here), letting iterative callers reuse one buffer across
     calls; the result is bit-identical either way.
     """
     x, out = operands(blocked.shape, x, out)
-    k = x.shape[1]
-    if recode is None:
-        # Hook-less (warm) multiply: nothing to decode once for all k
-        # columns, and spmv_blocked's flat-layout kernel per column beats
-        # a width-k gather and reduceat, with the same sums bit for bit.
-        for j in range(k):
-            spmv_blocked(blocked, x[:, j], out=out[:, j])
-        return out
-    for block in blocked.blocks:
-        block = recode(block)
-        if block.nnz == 0:
-            continue
-        rows, seg_starts = block.row_segments()
-        if rows.size == 0:
-            continue
-        products = block.val[:, None] * x[block.col_idx]
-        seg = np.add.reduceat(products, seg_starts, axis=0)
-        out[rows] += seg
+    for j in range(x.shape[1]):
+        spmv_blocked(blocked, x[:, j], out=out[:, j])
     return out
 
 

@@ -6,10 +6,10 @@ Three implementations with one contract:
   executable specification (used by tests and tiny matrices).
 * :func:`spmv` — vectorized kernel (gather + segment-sum via
   ``np.add.reduceat``), the production path.
-* :func:`spmv_blocked` — the tiled loop of paper Fig. 7 operating over a
-  :class:`~repro.sparse.blocked.BlockedCSR`, with a ``recode`` hook where
-  the UDP decompression calls sit in the paper's listing (without a hook,
-  one CSR SpMV over the concatenated blocks, bit-identical to the loop).
+* :func:`spmv_blocked` — one CSR SpMV over a decoded
+  :class:`~repro.sparse.blocked.BlockedCSR`, bit-identical to the tiled
+  loop of paper Fig. 7, whose recoded form with the UDP decompression in
+  front of each block is :func:`repro.core.executor.run_blocks`.
 
 All three accept an ``out=`` buffer for in-place accumulation. The
 mutation contract: ``out`` must be a C-contiguous float64 vector of shape
@@ -21,11 +21,9 @@ iterative drivers want so each step stops paying a fresh allocation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
-from repro.sparse.blocked import BlockedCSR, CSRBlock
+from repro.sparse.blocked import BlockedCSR
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
 
 #: SpMV performs one multiply and one add per stored non-zero.
@@ -124,7 +122,7 @@ def operands(
 
 
 def _flat_layout(blocked: BlockedCSR) -> tuple:
-    """``(col, val, starts, passes)`` for the hook-less kernel, memoized:
+    """``(col, val, starts, passes)`` for :func:`spmv_blocked`, memoized:
     :attr:`BlockedCSR.flat`, every block's segment starts offset into it
     (one ``reduceat`` then yields each block's per-row partials), and per
     occurrence ``k`` the ``(rows, positions)`` of every row's ``k``-th
@@ -150,32 +148,17 @@ def spmv_blocked(
     blocked: BlockedCSR,
     x: np.ndarray,
     y: np.ndarray | None = None,
-    recode: Callable[[CSRBlock], CSRBlock] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Tiled SpMV over row-range blocks (paper Fig. 7).
-
-    ``recode`` stands in for the paper's ``recode(DSH_unpack, ...)`` calls:
-    it receives each block before the multiply and returns the block whose
-    ``col_idx`` / ``val`` are used. In the compressed pipeline the hook is
-    the UDP decompressor; ``None`` multiplies the stored blocks as one
-    CSR SpMV over their concatenation (see :func:`_flat_layout`).
+    """SpMV over row-range blocks already decoded (a warm session's): one
+    CSR SpMV over their concatenation (see :func:`_flat_layout`), summing
+    in the per-block loop's order, so bit-identical to it.
     """
     x = _check_x(blocked.shape, x)
     out = _prepare_out(blocked.shape[0], y, out)
-    if recode is None:
-        col, val, starts, passes = _flat_layout(blocked)
-        # np.take: fancy indexing converts the int32 indices to intp per call.
-        seg = np.add.reduceat(val * np.take(x, col), starts)
-        for rows, pos in passes:
-            out[rows] += seg[pos]
-        return out
-    for block in blocked.blocks:
-        block = recode(block)
-        rows, seg_starts = block.row_segments()
-        if rows.size == 0:
-            continue
-        products = block.val * x[block.col_idx]
-        seg = np.add.reduceat(products, seg_starts)
-        out[rows] += seg
+    col, val, starts, passes = _flat_layout(blocked)
+    # np.take: fancy indexing converts the int32 indices to intp per call.
+    seg = np.add.reduceat(val * np.take(x, col), starts)
+    for rows, pos in passes:
+        out[rows] += seg[pos]
     return out

@@ -9,8 +9,10 @@ from repro.codecs import IdentityCodec, compress_matrix
 from repro.codecs.pipeline import RECORD_HEADER_BYTES, TABLE_BYTES, make_dsh_pipeline
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.stats import compare_schemes, dsh_plan, summarize
-from repro.sparse import CSRMatrix, spmv, spmv_blocked
+from repro.core import recoded_spmv
+from repro.sparse import CSRMatrix, spmv
 from repro.sparse.blocked import CPU_BLOCK_BYTES, UDP_BLOCK_BYTES
+from tests.per_block import multiply_blocks, per_block_route
 
 
 def banded_matrix(n=400, band=5, seed=0) -> CSRMatrix:
@@ -107,15 +109,11 @@ class TestCompressMatrix:
         m = banded_matrix(n=500, band=4, seed=5)
         plan = dsh_plan(m)
         x = np.random.default_rng(2).normal(size=m.ncols)
-        counter = {"i": 0}
-
-        def recode(_block):
-            block = plan.decompress_block(counter["i"])
-            counter["i"] += 1
-            return block
-
-        got = spmv_blocked(plan.blocked, x, recode=recode)
+        got = multiply_blocks(plan.blocked, x, decode=plan.decompress_block)
         np.testing.assert_allclose(got, spmv(m, x), rtol=1e-12)
+        with per_block_route():
+            assert recoded_spmv(plan, x)[0].tobytes() == got.tobytes()
+        assert recoded_spmv(plan, x)[0].tobytes() == got.tobytes()
 
     def test_deterministic_given_seed(self):
         m = random_matrix(seed=4)

@@ -13,6 +13,7 @@ of hangs, and shutdown drains without orphaning work.
 import asyncio
 import hashlib
 import logging
+import pathlib
 import threading
 import time
 
@@ -128,10 +129,21 @@ class TestDifferentialParity:
         assert resp["degraded_blocks"] == 0
         assert np.array_equal(resp["y"], y_mem)
 
-    def test_fused_batch_columns_bit_identical(self, server, plan, x, engine):
+    def test_fused_batch_columns_bit_identical(self, server, plan, x, engine, monkeypatch):
+        gate, entered = _gate_compute(server, monkeypatch)
+
+        def queued_behind_busy_threads():
+            # All five admitted, and both compute threads hold a batch
+            # (or one batch took all five): the rest must fuse.
+            return server.scheduler.queue_depth == 5 and (
+                len(entered) == 2 or sum(map(len, entered)) == 5)
+
         async def burst():
             async with ServeClient("127.0.0.1", server.port, tenant="f") as c:
-                return await asyncio.gather(*(c.spmv("m", (i + 1) * x) for i in range(5)))
+                calls = asyncio.gather(*(c.spmv("m", (i + 1) * x) for i in range(5)))
+                await asyncio.to_thread(_until, queued_behind_busy_threads)
+                gate.set()
+                return await calls
 
         responses = run(burst())
         assert max(r["fused"] for r in responses) > 1, "no fusion happened"
@@ -453,3 +465,40 @@ class TestLifecycle:
 
         with pytest.raises(FileNotFoundError, match="no .dsh"):
             MatrixLibrary(str(tmp_path))
+
+
+class TestLibraryReaders:
+    def test_each_record_is_checked_once(self, tmp_path, monkeypatch):
+        """A served matrix's long-lived reader CRCs each record once: a
+        second, all-hit request skips both of every block's checks, on a
+        container with more blocks than the reader's 32-record window
+        remembers. A record corrupted before its first touch still fails
+        the request as it does with every check made."""
+        from tests.test_span_decode import _flip_record_byte
+
+        plan = compress_matrix(generators.banded(800, bandwidth=4, seed=3), block_bytes=1024)
+        assert plan.nblocks > 32
+        root = tmp_path / "root"
+        root.mkdir()
+        save_plan(plan, root / "m.dsh")
+        bad = _flip_record_byte(root / "m.dsh", plan.nblocks // 2, tmp_path)
+        (root / "bad.dsh").write_bytes(pathlib.Path(bad).read_bytes())
+        x = np.random.default_rng(6).standard_normal(plan.blocked.shape[1])
+
+        def bad_request():
+            resp = run(_one(st.server.port, args=("bad", x), raise_on_error=False))
+            return resp["status"], resp["error"]
+
+        with ServerThread(ServeConfig(root=str(root), port=0)) as st:
+            run(_one(st.server.port, args=("m", x)))
+            reader = st.server.library.reader("m")
+            hits, skips = st.server.cache.stats.hits, reader.crc_skips
+            served = run(_one(st.server.port, args=("m", x)))["y"]
+            assert st.server.cache.stats.hits - hits == plan.nblocks
+            assert reader.crc_skips - skips == 2 * plan.nblocks
+            memo_on = bad_request()
+        assert sha(served) == sha(recoded_spmv(plan, x)[0])
+        assert memo_on[1]["message"] == "container corruption: record CRC mismatch"
+        monkeypatch.setattr(ContainerReader, "enable_crc_memo", lambda self: None)
+        with ServerThread(ServeConfig(root=str(root), port=0)) as st:
+            assert bad_request() == memo_on

@@ -3,10 +3,10 @@
 A :class:`~repro.codecs.pipeline.DecodeRun` decodes up to ``SPAN`` blocks
 ahead in one ``dsh_decode_span`` call, reading a container's payloads in
 place. These tests hold every backend's runs to an oracle that decodes
-nothing (the blocked kernels over the plan's raw blocks, the same loop
-bit for bit) and to the ``python`` backend's accounting, and check that
-a bad record, a cancel or an armed fault plan lands on exactly the block
-and counters per-block decoding gives.
+nothing (the per-block multiply over the plan's raw blocks,
+:func:`tests.per_block.multiply_blocks`) and to the ``python`` backend's
+accounting, and check that a bad record, a cancel or an armed fault plan
+lands on exactly the block and counters per-block decoding gives.
 """
 
 import dataclasses
@@ -25,8 +25,7 @@ from repro.collection import generators
 from repro.core import RunCancelled, recoded_spmm, recoded_spmv
 from repro.faults import FaultPlan
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmm import spmm_blocked
-from repro.sparse.spmv import spmv_blocked
+from tests.per_block import multiply_blocks
 from tests.tagged_plans import reencode_with_tags
 
 BACKENDS = kernels.available_backends()
@@ -106,8 +105,7 @@ def _observe(source, x, backend, **kwargs):
 def test_span_runs_match_the_reference(plans, name, spmm):
     plan, path = plans[name]
     x = _rhs(plan, 8 if spmm else None)
-    kernel = spmm_blocked if spmm else spmv_blocked
-    want_y = kernel(plan.blocked, x, recode=lambda b: b).tobytes()
+    want_y = multiply_blocks(plan.blocked, x).tobytes()
     sources = {
         "in-memory": lambda: plan,
         "path": lambda: str(path),
@@ -185,7 +183,7 @@ def test_undecodable_record_fails_or_degrades_exactly_its_block(plans, tmp_path,
         decode_block_reference(plan, plan.index_records[where], plan.value_records[where])
     cause = (type(ref.value), str(ref.value))
     x = _rhs(plan)
-    want_y = spmv_blocked(plan.blocked, x, recode=lambda b: b).tobytes()
+    want_y = multiply_blocks(plan.blocked, x).tobytes()
     for backend in BACKENDS:
         for source in (plan, str(path)):
             for engine in (None, RecodeEngine(retry_base_s=0.0)):
@@ -281,7 +279,7 @@ def test_fault_plans_touch_the_blocks_they_decide(plans, kind):
         "record": FaultPlan(seed=6, bitflip_rate=0.2),
         "latency": FaultPlan(seed=7, latency_s=1e-4, latency_rate=0.3),
     }[kind]
-    want_y = spmv_blocked(plan.blocked, x, recode=lambda b: b).tobytes()
+    want_y = multiply_blocks(plan.blocked, x).tobytes()
     seen = {}
     for backend in BACKENDS:
         for label, source in (("in-memory", plan), ("path", str(path))):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.codecs.stats import dsh_plan
+from repro.core import recoded_spmm
 from repro.sparse import (
     CSRMatrix,
     partition_csr,
@@ -13,6 +14,7 @@ from repro.sparse import (
     spmm_blocked,
     spmm_speedup_model,
 )
+from tests.per_block import multiply_blocks, per_block_route
 
 
 def random_csr(m, n, density, seed) -> CSRMatrix:
@@ -56,18 +58,18 @@ class TestSpMM:
         np.testing.assert_allclose(spmm_blocked(blocked, x), spmm(a, x), rtol=1e-12)
 
     def test_blocked_with_recode_hook(self):
+        """A multiply of each decoded block, the recoded run's per-block
+        route (the recode hook in front of each block) and its fused
+        route all give the blocked kernel's bytes."""
         a = random_csr(60, 60, 0.08, 6)
         plan = dsh_plan(a)
         x = np.random.default_rng(4).normal(size=(60, 3))
-        counter = {"i": 0}
-
-        def recode(_b):
-            block = plan.decompress_block(counter["i"])
-            counter["i"] += 1
-            return block
-
-        got = spmm_blocked(plan.blocked, x, recode=recode)
+        got = multiply_blocks(plan.blocked, x, decode=plan.decompress_block)
         np.testing.assert_allclose(got, spmm(a, x), rtol=1e-12)
+        assert spmm_blocked(plan.blocked, x).tobytes() == got.tobytes()
+        with per_block_route():
+            assert recoded_spmm(plan, x)[0].tobytes() == got.tobytes()
+        assert recoded_spmm(plan, x)[0].tobytes() == got.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 25), st.integers(1, 6), st.floats(0.05, 0.5), st.integers(0, 99))

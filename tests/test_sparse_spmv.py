@@ -1,10 +1,15 @@
 """Tests for SpMV kernels and the blocked partitioner."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro.codecs import compress_matrix
+from repro.core import recoded_spmv
+from repro.core.executor import RecodeHook
 from repro.sparse import (
     CSRMatrix,
     partition_csr,
@@ -13,6 +18,7 @@ from repro.sparse import (
     spmv_reference,
 )
 from repro.sparse.blocked import CPU_BLOCK_BYTES, UDP_BLOCK_BYTES
+from tests.per_block import multiply_blocks, per_block_route
 
 
 def random_csr(m, n, density, seed) -> CSRMatrix:
@@ -158,24 +164,28 @@ class TestBlockedSpMV:
         np.testing.assert_allclose(spmv_blocked(blocked, x), dense @ x, rtol=1e-12)
 
     def test_recode_hook_called_per_block(self):
+        """The per-block route puts the recode hook in front of every
+        block, in block order."""
         a = random_csr(60, 60, 0.1, 23)
-        x = np.ones(60)
-        blocked = partition_csr(a, block_bytes=480)
-        seen = []
+        plan = compress_matrix(a, block_bytes=480)
+        seen, real = [], RecodeHook.__call__
 
-        def hook(block):
-            seen.append(block.row_start)
-            return block
+        def hook(self, *args):
+            seen.append(self.blocks)
+            return real(self, *args)
 
-        spmv_blocked(blocked, x, recode=hook)
-        assert len(seen) == blocked.nblocks
+        with per_block_route(), mock.patch.object(RecodeHook, "__call__", hook):
+            y, _ = recoded_spmv(plan, np.ones(60))
+        assert plan.nblocks > 1 and seen == list(range(plan.nblocks))
+        assert y.tobytes() == spmv_blocked(plan.blocked, np.ones(60)).tobytes()
 
     def test_identity_recode_preserves_result(self):
         a = random_csr(50, 50, 0.1, 29)
         x = np.random.default_rng(4).normal(size=50)
         blocked = partition_csr(a, block_bytes=256)
-        got = spmv_blocked(blocked, x, recode=lambda b: b)
+        got = multiply_blocks(blocked, x)
         np.testing.assert_allclose(got, spmv(a, x), rtol=1e-12)
+        assert spmv_blocked(blocked, x).tobytes() == got.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(5, 40), st.floats(0.02, 0.5), st.integers(0, 999), st.integers(2, 20))
@@ -338,9 +348,9 @@ class TestAdversarialDifferential:
         )
 
 
-def _loop(blocked, x, **kw):
-    """The per-block loop: an identity hook forces it."""
-    return spmv_blocked(blocked, x, recode=lambda blk: blk, **kw)
+def _loop(blocked, x, y=None):
+    """The per-block loop over the stored blocks, from ``y``."""
+    return multiply_blocks(blocked, x, None if y is None else np.array(y, dtype=float))
 
 
 def _oracle_csr(counts, ncols, seed, neg_zero=False) -> CSRMatrix:
